@@ -98,6 +98,16 @@ def _parse_basis(field, text: str) -> Basis:
     return Basis(field, els)
 
 
+def _emit_distance(search) -> int:
+    """Emit {"d", "exact"}; a search over budget emits its best bound, exit 2."""
+    try:
+        _emit({"d": search(), "exact": True})
+        return 0
+    except BudgetExceeded as exc:
+        _emit({"d": exc.best, "exact": False, "enumerated": exc.enumerated})
+        return 2
+
+
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -152,12 +162,7 @@ def _cmd_code(args) -> int:
     elif args.action == "lcd":
         _emit({"lcd": code.is_lcd()})
     elif args.action == "mindist":
-        try:
-            d = code.min_distance(budget=args.budget, jobs=args.jobs)
-            _emit({"d": d, "exact": True})
-        except BudgetExceeded as exc:
-            _emit({"d": exc.best, "exact": False, "enumerated": exc.enumerated})
-            return 2
+        return _emit_distance(lambda: code.min_distance(budget=args.budget, jobs=args.jobs))
     return 0
 
 
@@ -195,21 +200,9 @@ def _cmd_sr(args) -> int:
                 raise MethodUnavailable("--method pairs needs two code JSON inputs")
             c0 = jsonio.code_from_obj(_read_json_arg(args.inputs[0]))
             c1 = jsonio.code_from_obj(_read_json_arg(args.inputs[1]))
-            try:
-                d = pair_distance(c0, c1, budget=args.pair_budget)
-                _emit({"d": d, "exact": True})
-                return 0
-            except BudgetExceeded as exc:
-                _emit({"d": exc.best, "exact": False, "enumerated": exc.enumerated})
-                return 2
+            return _emit_distance(lambda: pair_distance(c0, c1, budget=args.pair_budget))
         sr = jsonio.sr_code_from_obj(_read_json_arg(args.inputs[0] if args.inputs else None))
-        try:
-            d = sr.min_distance(budget=args.budget, jobs=args.jobs)
-            _emit({"d": d, "exact": True})
-            return 0
-        except BudgetExceeded as exc:
-            _emit({"d": exc.best, "exact": False, "enumerated": exc.enumerated})
-            return 2
+        return _emit_distance(lambda: sr.min_distance(budget=args.budget, jobs=args.jobs))
     sr = jsonio.sr_code_from_obj(_read_json_arg(args.inputs[0] if args.inputs else None))
     if args.action == "info":
         _emit({"blocks": [list(b) for b in sr.profile.blocks], "dim": sr.dim,

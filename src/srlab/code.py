@@ -16,12 +16,16 @@ import itertools
 from typing import Iterator, Sequence
 
 from .errors import LengthMismatch, NotF4, NotSelfDual, ZeroCode
-from .linalg import MatrixGF
+from .linalg import MatrixGF, check_entries
 from .wordenum import (
+    all_codewords,
+    combine,
+    low_weight_blocks,
     low_weight_min_char2,
     min_weight_char2,
     min_weight_generic,
     packable_char2,
+    scaled_rows,
 )
 
 __all__ = [
@@ -54,6 +58,7 @@ class LinearCode:
         for r in rows:
             if len(r) != n:
                 raise LengthMismatch(f"row length {len(r)} != {n}")
+        check_entries(field, rows)
         gen = MatrixGF(field, rows, n).rref()
         return cls(field, n, gen)
 
@@ -87,18 +92,12 @@ class LinearCode:
         return self.generator.row_space_contains(list(word))
 
     def codeword(self, message: Sequence[int]):
-        f = self.field
-        word = [0] * self.n
-        for d, row in zip(message, self.generator.rows):
-            if d:
-                word = [f.add(word[j], f.mul(d, row[j])) for j in range(self.n)]
-        return word
+        table = scaled_rows(self.field, self.generator.rows, message)
+        return combine(self.field, table, enumerate(message[: self.k]), [0] * self.n)
 
     def codewords(self) -> Iterator[list]:
         """All q**k codewords; callers are responsible for k being small."""
-        q = self.field.order
-        for msg in itertools.product(range(q), repeat=self.k):
-            yield self.codeword(msg)
+        return all_codewords(self.field, self.generator.rows, self.n)
 
     def dual(self) -> "LinearCode":
         """Kernel of the generator; dim n - k, all cross products zero."""
@@ -129,34 +128,16 @@ class LinearCode:
         (None, None) if nothing was found.
         """
         f = self.field
-        q = f.order
-        k = self.k
         rows = self.generator.rows
-
-        def build(msg_map):
-            word = [0] * self.n
-            for p, s in msg_map.items():
-                row = rows[p]
-                word = [f.add(word[j], f.mul(s, row[j])) for j in range(self.n)]
-            return word
-
         if packable_char2(f, self.n):
-            best, msg = low_weight_min_char2(
-                f, [list(r) for r in rows], self.n, max_message_weight
-            )
-            return (best, build(msg)) if best is not None else (None, None)
-
-        best = None
-        witness = None
-        nonzero = list(range(1, q))
-        for wt in range(1, min(max_message_weight, k) + 1):
-            for positions in itertools.combinations(range(k), wt):
-                for scalars in itertools.product(nonzero, repeat=wt):
-                    word = build(dict(zip(positions, scalars)))
-                    w = sum(1 for v in word if v)
-                    if best is None or w < best:
-                        best, witness = w, word
-        return best, witness
+            best, msg = low_weight_min_char2(f, rows, self.n, max_message_weight)
+            if best is None:
+                return None, None
+            return best, self.codeword([msg.get(i, 0) for i in range(self.k)])
+        words = (w for _, block in low_weight_blocks(f, rows, self.n, max_message_weight)
+                 for w in block)
+        witness = min(words, key=lambda w: self.n - w.count(0), default=None)
+        return (None, None) if witness is None else (self.n - witness.count(0), witness)
 
     # -- duality predicates -------------------------------------------------
 

@@ -36,7 +36,7 @@ from .errors import (
 from .field import Basis, FieldSpec
 from .linalg import MatrixGF
 from .sumrank import BlockProfile, SumRankCode
-from .wordenum import popcount, support_masks
+from .wordenum import check_budget, low_weight_blocks, packable_char2, popcount, support_masks
 
 __all__ = [
     "Bounds",
@@ -191,93 +191,47 @@ def pair_distance(
     under scalar multiples, which shrinks the enumeration from |C0| * |C1|
     pairs to one per support-class pair without changing the minimum.
     Budget counts weight evaluations; BudgetExceeded carries the best bound
-    assembled from one-sided sweeps and a light partial scan.
+    assembled from one-sided sweeps and a light partial scan.  Supports are
+    uint64 masks, so the codes may be at most 64 long.
     """
+    check_budget(budget)
     ext = c0.field
     if ext.order != 4 or c1.field is not ext:
         raise MethodUnavailable("pair enumeration is specific to GF(4), q = m = 2")
     if c0.n != c1.n:
         raise LengthMismatch("codes must share one length")
+    if not packable_char2(ext, c0.n):
+        raise MethodUnavailable(f"support masks are 64-bit; length {c0.n} is too long")
     if c0.k == 0 and c1.k == 0:
         raise MethodUnavailable("both codes are zero")
     _check_rank_table_pattern(qpoly_rank_table(basis if basis is not None else power_basis(ext)))
 
-    enum_cap = 2**22  # codewords materialized per side; keeps peak memory modest
-    masks: List[Optional[np.ndarray]] = []
-    for c in (c0, c1):
-        if c.k == 0:
-            masks.append(np.array([], dtype=np.uint64))
-        elif 4**c.k <= enum_cap:
-            masks.append(support_masks(ext, [list(r) for r in c.generator.rows], c.n))
-        else:
-            masks.append(None)
+    def side_masks(c):
+        """(support classes, complete?): every class when at most 2**22
+        codewords, else the classes of messages of weight <= 3."""
+        rows = c.generator.rows
+        if 4**c.k <= 2**22:  # keeps peak memory modest
+            return support_masks(ext, rows, c.n), True
+        planes = low_weight_blocks(ext, rows, c.n, 3)
+        masks = np.unique(np.concatenate([lo | hi for _, (lo, hi) in planes]))
+        return masks[masks != np.uint64(0)], False
 
-    def one_sided_min(mask_arr):
-        if mask_arr is None or len(mask_arr) == 0:
-            return None
-        return 2 * int(popcount(mask_arr).min())
-
-    best = None
-
-    def consider(v):
-        nonlocal best
-        if v is not None and (best is None or v < best):
-            best = v
-
-    consider(one_sided_min(masks[0]))
-    consider(one_sided_min(masks[1]))
-
-    if masks[0] is not None and masks[1] is not None:
-        n_pairs = len(masks[0]) * len(masks[1])
-        if n_pairs <= budget:
-            m1 = masks[1]
-            block = max(1, (1 << 22) // max(1, len(m1)))
-            if n_pairs:
-                for lo in range(0, len(masks[0]), block):
-                    m0 = masks[0][lo : lo + block, None]
-                    w = popcount(m0 & m1[None, :]) + 2 * popcount(m0 ^ m1[None, :])
-                    consider(int(w.min()))
-            return best
-
-    # budget path: cross only the lightest support classes of each side
-    def light_masks(c, mask_arr, max_msg_wt=3):
-        if mask_arr is not None:
-            arr = mask_arr
-        else:
-            found = set()
-            import itertools as _it
-
-            f = c.field
-            rows = c.generator.rows
-            for wt in range(1, min(max_msg_wt, c.k) + 1):
-                for pos in _it.combinations(range(c.k), wt):
-                    for scal in _it.product((1, 2, 3), repeat=wt):
-                        word = [0] * c.n
-                        for p, s in zip(pos, scal):
-                            row = rows[p]
-                            word = [f.add(word[j], f.mul(s, row[j])) for j in range(c.n)]
-                        mask = 0
-                        for j, v in enumerate(word):
-                            if v:
-                                mask |= 1 << j
-                        if mask:
-                            found.add(mask)
-            arr = np.array(sorted(found), dtype=np.uint64)
-        order = np.argsort(popcount(arr), kind="stable")
-        return arr[order]
-
-    la = light_masks(c0, masks[0])
-    lb = light_masks(c1, masks[1])
-    consider(one_sided_min(la))
-    consider(one_sided_min(lb))
-    cap = max(1, min(4096, int(budget**0.5)))
-    la, lb = la[:cap], lb[:cap]
+    (la, full_a), (lb, full_b) = side_masks(c0), side_masks(c1)
+    # one-sided codewords (the other coefficient zero) weigh 2 per support
+    best = min((2 * int(popcount(m).min()) for m in (la, lb) if len(m)), default=None)
+    complete = full_a and full_b and len(la) * len(lb) <= budget
+    if not complete:
+        # cross only the lightest support classes of each side
+        cap = max(1, min(4096, int(budget**0.5)))
+        la, lb = (m[np.argsort(popcount(m), kind="stable")][:cap] for m in (la, lb))
     if len(la) and len(lb):
-        block = max(1, (1 << 21) // max(1, len(lb)))
-        for lo in range(0, len(la), block):
-            a = la[lo : lo + block, None]
-            w = popcount(a & lb[None, :]) + 2 * popcount(a ^ lb[None, :])
-            consider(int(w.min()))
+        rows_per_block = max(1, (1 << 22) // len(lb))  # bounds the temporaries
+        for lo in range(0, len(la), rows_per_block):
+            a = la[lo : lo + rows_per_block, None]
+            w = int((popcount(a & lb[None, :]) + 2 * popcount(a ^ lb[None, :])).min())
+            best = w if best is None else min(best, w)
+    if complete:
+        return best
     raise BudgetExceeded(
         f"support-class pairs exceed budget {budget}", best=best, enumerated=len(la) * len(lb)
     )

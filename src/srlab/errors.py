@@ -87,6 +87,18 @@ class UnknownTable(SrlabError):
     pass
 
 
+class EntryOutOfRange(SrlabError):
+    """A generator entry is not a canonical element of the code's field."""
+
+
+class NotAnObject(SrlabError):
+    """JSON input whose top level is not an object."""
+
+
+class NegativeBudget(SrlabError):
+    pass
+
+
 class ZeroCode(SrlabError):
     """Distance queries on the zero code are undefined."""
 

@@ -36,7 +36,7 @@ from .errors import (
     SearchExceeded,
 )
 from .linalg import MatrixGF
-from .poly import Polynomial, is_irreducible, smallest_irreducible
+from .poly import Polynomial, is_irreducible, prime_factors, smallest_irreducible
 
 __all__ = [
     "FieldSpec",
@@ -50,20 +50,6 @@ __all__ = [
 ]
 
 _LOG_TABLE_MAX = 1 << 16
-
-
-def _factorize(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 class FieldSpec:
@@ -193,7 +179,7 @@ class FieldSpec:
             raise ZeroDivisionError("zero has no multiplicative order")
         n = self.order - 1
         order = n
-        for p in _factorize(n):
+        for p in prime_factors(n):
             while order % p == 0 and self.pow(a, order // p) == 1:
                 order //= p
         return order
@@ -219,7 +205,7 @@ class FieldSpec:
         n = self.order - 1
         if n == 1:
             return 1
-        primes = _factorize(n)
+        primes = prime_factors(n)
         for g in range(2, self.order):
             if all(self.pow(g, n // p) != 1 for p in primes):
                 return g

@@ -7,7 +7,8 @@ codes add "blocks": [[m, n], ...] and flatten rows row-major per block.
 Polynomials: {"coeffs": [ints]} constant-first.
 
 Readers rebuild through the cached field constructors and re-canonicalize
-generators, so emit -> read -> emit is bit-identical.
+generators, so emit -> read -> emit is bit-identical.  `loads` accepts only
+a JSON object at top level.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 
 from .code import LinearCode
+from .errors import NotAnObject
 from .field import FieldSpec, extension, prime_field
 from .poly import Polynomial
 from .sumrank import BlockProfile, SumRankCode
@@ -92,4 +94,7 @@ def dumps(obj: dict) -> str:
 
 
 def loads(text: str) -> dict:
-    return json.loads(text)
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise NotAnObject(f"expected a JSON object at top level, got {type(obj).__name__}")
+    return obj

@@ -9,9 +9,18 @@ code equality is defined through that rref.
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, EntryOutOfRange
 
-__all__ = ["MatrixGF"]
+__all__ = ["MatrixGF", "check_entries"]
+
+
+def check_entries(field, rows) -> None:
+    """Raise EntryOutOfRange unless every entry is a canonical element, 0 <= v < q."""
+    q = field.order
+    for r in rows:
+        if r and (min(r) < 0 or max(r) >= q):
+            bad = next(v for v in r if not 0 <= v < q)
+            raise EntryOutOfRange(f"entry {bad} is not an element of GF({q})")
 
 
 class MatrixGF:

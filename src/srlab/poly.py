@@ -229,7 +229,8 @@ def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
     return ((a * b) // g).monic()
 
 
-def _prime_factors(n: int):
+def prime_factors(n: int):
+    """The distinct prime divisors of n, ascending."""
     out = []
     d = 2
     while d * d <= n:
@@ -267,7 +268,7 @@ def is_irreducible(f: Polynomial) -> bool:
 
     if x_q_power(m) != (x % f):
         return False
-    for p in _prime_factors(m):
+    for p in prime_factors(m):
         h = x_q_power(m // p) - (x % f)
         if poly_gcd(h, f).degree != 0:
             return False

@@ -12,7 +12,6 @@ below deliberately follows the matrix definition rather than the shortcut).
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, List, Sequence, Tuple
 
 from .errors import (
@@ -22,8 +21,8 @@ from .errors import (
     ProfileMismatch,
     ZeroCode,
 )
-from .linalg import MatrixGF
-from .wordenum import sr_min_weight_generic, sr_min_weight_packed
+from .linalg import MatrixGF, check_entries
+from .wordenum import all_codewords, sr_min_weight_generic, sr_min_weight_packed
 
 __all__ = ["BlockProfile", "SumRankVector", "SumRankCode", "DEFAULT_SR_BUDGET"]
 
@@ -190,7 +189,9 @@ class SumRankCode:
         for r in rows:
             if len(r) != profile.total:
                 raise LengthMismatch(f"row length {len(r)} != {profile.total}")
-        gen = MatrixGF(profile.field, [list(r) for r in rows], profile.total).rref()
+        rows = [list(r) for r in rows]
+        check_entries(profile.field, rows)
+        gen = MatrixGF(profile.field, rows, profile.total).rref()
         return cls(profile, gen)
 
     @classmethod
@@ -232,13 +233,7 @@ class SumRankCode:
 
     def vectors(self) -> Iterator[SumRankVector]:
         """All q**dim codewords; for small codes only."""
-        f = self.field
-        q = f.order
-        for msg in itertools.product(range(q), repeat=self.dim):
-            flat = [0] * self.profile.total
-            for d, row in zip(msg, self.generator.rows):
-                if d:
-                    flat = [f.add(flat[j], f.mul(d, row[j])) for j in range(len(flat))]
+        for flat in all_codewords(self.field, self.generator.rows, self.profile.total):
             yield SumRankVector.from_flat(self.profile, flat)
 
     # -- duality ------------------------------------------------------------

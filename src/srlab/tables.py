@@ -22,7 +22,6 @@ import csv
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from importlib import resources
 from typing import Dict, List, Tuple
@@ -263,107 +262,85 @@ def _pair_row(ctx: _Ctx, sc: _RowScratch, c0, c1, k0d, k1d, dsr_spec, t: int):
     sc.check(printed.upper <= selfdual_sr_distance_cap(t) or not both_sd, "self-dual cap")
 
 
-def _run_table_1(ctx: _Ctx, manifest: dict) -> List[RowResult]:
-    out = []
-    for row in manifest["rows"]:
-        t0 = time.time()
-        sc = _RowScratch()
-        t, d, dim = row["t"], row["d_hamming"], row["dim"]
-        expected = f"dim={dim}, {_fmt_dsr(row['dsr'])}"
-        sc.check(dim == 2 * t, "dimension column is 2t")
-        sc.check(d <= f4_selfdual_distance_cap(t), "distance cap for self-dual inputs")
-        fb = sr_distance_bounds(2, [d, d])
-        printed = _spec_bounds(row["dsr"])
-        sc.computed.append(f"formula bounds {fb.lower}..{fb.upper}")
-        if "code" in row:
-            key, c = ctx.code_from_spec(row["code"])
-            sc.check(c.is_self_dual(), "input code self-dual")
-            hd = ctx.hamming(key, c, d)
-            sc.check(hd["ok"], f"Hamming distance {hd['value']} != {d}")
-            _pair_row(ctx, sc, c, c, hd, hd, row["dsr"], t)
-        else:
-            sc.check(printed.lower == fb.lower and printed.upper == fb.upper,
-                     f"printed interval vs formula {fb}")
-            sc.check(printed.upper <= selfdual_sr_distance_cap(t), "self-dual cap")
-            sc.notes.append("generators not published; formula checks only")
-        out.append(RowResult(1, row["id"], sc.status(), expected,
-                             ", ".join(sc.computed), "; ".join(sc.notes + sc.failures),
-                             time.time() - t0))
-    return out
+def _table_1_row(ctx: _Ctx, sc: _RowScratch, row: dict) -> str:
+    t, d, dim = row["t"], row["d_hamming"], row["dim"]
+    expected = f"dim={dim}, {_fmt_dsr(row['dsr'])}"
+    sc.check(dim == 2 * t, "dimension column is 2t")
+    sc.check(d <= f4_selfdual_distance_cap(t), "distance cap for self-dual inputs")
+    fb = sr_distance_bounds(2, [d, d])
+    printed = _spec_bounds(row["dsr"])
+    sc.computed.append(f"formula bounds {fb.lower}..{fb.upper}")
+    if "code" in row:
+        key, c = ctx.code_from_spec(row["code"])
+        sc.check(c.is_self_dual(), "input code self-dual")
+        hd = ctx.hamming(key, c, d)
+        sc.check(hd["ok"], f"Hamming distance {hd['value']} != {d}")
+        _pair_row(ctx, sc, c, c, hd, hd, row["dsr"], t)
+    else:
+        sc.check(printed.lower == fb.lower and printed.upper == fb.upper,
+                 f"printed interval vs formula {fb}")
+        sc.check(printed.upper <= selfdual_sr_distance_cap(t), "self-dual cap")
+        sc.notes.append("generators not published; formula checks only")
+    return expected
 
 
-def _run_table_2(ctx: _Ctx, manifest: dict) -> List[RowResult]:
-    out = []
-    for row in manifest["rows"]:
-        t0 = time.time()
-        sc = _RowScratch()
-        key, c = ctx.code_from_spec(row)
-        expected = f"dim={row['dim']}, d={row['d']}, G(x)={row['generator']}"
-        sc.check(c.k == row["dim"], f"dimension {c.k} != {row['dim']}")
-        hd = ctx.hamming(key, c, row["d"])
-        sc.check(hd["ok"], f"distance {hd['value']} != {row['d']}")
-        sc.check(c.is_lcd(), "LCD predicate")
-        g = bch_generator(ctx.f4, row["bch"][1], row["bch"][2], row["bch"][3])
-        printed_g = parse_poly(ctx.f4, row["generator"])
-        conj = frobenius_coeffs(printed_g)
-        sc.check(g == printed_g or g == conj,
-                 "generator polynomial (up to coefficient conjugation)")
-        sc.computed.append(f"dim={c.k}, d={hd['value']}, G(x)={g}")
-        if g == conj and g != printed_g:
-            sc.notes.append("generator matches the conjugate convention")
-        out.append(RowResult(2, row["id"], sc.status(), expected,
-                             ", ".join(sc.computed), "; ".join(sc.notes + sc.failures),
-                             time.time() - t0))
-    return out
+def _table_2_row(ctx: _Ctx, sc: _RowScratch, row: dict) -> str:
+    key, c = ctx.code_from_spec(row)
+    expected = f"dim={row['dim']}, d={row['d']}, G(x)={row['generator']}"
+    sc.check(c.k == row["dim"], f"dimension {c.k} != {row['dim']}")
+    hd = ctx.hamming(key, c, row["d"])
+    sc.check(hd["ok"], f"distance {hd['value']} != {row['d']}")
+    sc.check(c.is_lcd(), "LCD predicate")
+    g = bch_generator(ctx.f4, row["bch"][1], row["bch"][2], row["bch"][3])
+    printed_g = parse_poly(ctx.f4, row["generator"])
+    conj = frobenius_coeffs(printed_g)
+    sc.check(g == printed_g or g == conj,
+             "generator polynomial (up to coefficient conjugation)")
+    sc.computed.append(f"dim={c.k}, d={hd['value']}, G(x)={g}")
+    if g == conj and g != printed_g:
+        sc.notes.append("generator matches the conjugate convention")
+    return expected
 
 
-def _run_pair_table(ctx: _Ctx, manifest: dict, lcd_expected: bool) -> List[RowResult]:
+def _pair_table_row(ctx: _Ctx, sc: _RowScratch, row: dict, lcd_expected: bool) -> str:
     """Tables 3 and 11 share this shape: rows of stacked pairs."""
-    tid = manifest["table"]
-    out = []
-    for row in manifest["rows"]:
-        t0 = time.time()
-        sc = _RowScratch()
-        if "generators" in row:  # table 11 style
-            t = row["t"]
-            d_printed = row["d_hamming"]
-            keys = []
-            codes = []
-            for gtext in row["generators"]:
-                key, c = ctx.code_from_spec({"gen": gtext, "n": t})
-                keys.append(key)
-                codes.append(c)
-                sc.check(c.is_self_dual(), f"self-dual: {gtext}")
-                sc.check(c.k == t // 2, f"dimension of <{gtext}>")
-                hd = ctx.hamming(key, c, d_printed)
-                sc.check(hd["ok"], f"d_H of {gtext}: {hd['note']}")
-                if not hd["exact"]:
-                    sc.budget_limited = True
-                sc.check(d_printed <= f4_selfdual_distance_cap(t), "distance cap")
-            c0 = codes[0]
-            c1 = codes[1] if len(codes) > 1 else codes[0]
-            k0, k1 = keys[0], keys[1] if len(keys) > 1 else keys[0]
-            expected = f"d_H={d_printed}, {_fmt_dsr(row['dsr'])}"
-        else:  # table 3/5 style
-            k0, c0 = ctx.code_from_spec(row["c0"])
-            k1, c1 = ctx.code_from_spec(row["c1"])
-            t = c0.n
-            expected = f"dim={row['dim']}, {_fmt_dsr(row['dsr'])}"
-            sc.check(2 * (c0.k + c1.k) == row["dim"], "printed dimension vs 2(k0+k1)")
-            if lcd_expected:
-                sc.check(c0.is_lcd() and c1.is_lcd(), "inputs LCD")
-            ctx.hamming(k0, c0, _printed_d(ctx, row["c0"]))
-            ctx.hamming(k1, c1, _printed_d(ctx, row["c1"]))
-        # both results are in the cache by now, whichever branch ran
-        d0, d1 = ctx.dham[k0], ctx.dham[k1]
-        _pair_row(ctx, sc, c0, c1, d0, d1, row["dsr"], t)
-        if lcd_expected and "generators" not in row:
-            S = qpoly_code([c0, c1])
-            sc.check(S.is_lcd(), "LCD transfer")
-        out.append(RowResult(tid, row["id"], sc.status(), expected,
-                             ", ".join(sc.computed), "; ".join(sc.notes + sc.failures),
-                             time.time() - t0))
-    return out
+    if "generators" in row:  # table 11 style
+        t = row["t"]
+        d_printed = row["d_hamming"]
+        keys = []
+        codes = []
+        for gtext in row["generators"]:
+            key, c = ctx.code_from_spec({"gen": gtext, "n": t})
+            keys.append(key)
+            codes.append(c)
+            sc.check(c.is_self_dual(), f"self-dual: {gtext}")
+            sc.check(c.k == t // 2, f"dimension of <{gtext}>")
+            hd = ctx.hamming(key, c, d_printed)
+            sc.check(hd["ok"], f"d_H of {gtext}: {hd['note']}")
+            if not hd["exact"]:
+                sc.budget_limited = True
+            sc.check(d_printed <= f4_selfdual_distance_cap(t), "distance cap")
+        c0 = codes[0]
+        c1 = codes[1] if len(codes) > 1 else codes[0]
+        k0, k1 = keys[0], keys[1] if len(keys) > 1 else keys[0]
+        expected = f"d_H={d_printed}, {_fmt_dsr(row['dsr'])}"
+    else:  # table 3/5 style
+        k0, c0 = ctx.code_from_spec(row["c0"])
+        k1, c1 = ctx.code_from_spec(row["c1"])
+        t = c0.n
+        expected = f"dim={row['dim']}, {_fmt_dsr(row['dsr'])}"
+        sc.check(2 * (c0.k + c1.k) == row["dim"], "printed dimension vs 2(k0+k1)")
+        if lcd_expected:
+            sc.check(c0.is_lcd() and c1.is_lcd(), "inputs LCD")
+        ctx.hamming(k0, c0, _printed_d(ctx, row["c0"]))
+        ctx.hamming(k1, c1, _printed_d(ctx, row["c1"]))
+    # both results are in the cache by now, whichever branch ran
+    d0, d1 = ctx.dham[k0], ctx.dham[k1]
+    _pair_row(ctx, sc, c0, c1, d0, d1, row["dsr"], t)
+    if lcd_expected and "generators" not in row:
+        S = qpoly_code([c0, c1])
+        sc.check(S.is_lcd(), "LCD transfer")
+    return expected
 
 
 _PRINTED_D = {
@@ -376,123 +353,167 @@ def _printed_d(ctx: _Ctx, spec: dict) -> int:
     return _PRINTED_D[tuple(spec["bch"])]
 
 
-def _run_table_4(ctx: _Ctx, manifest: dict) -> List[RowResult]:
-    out = []
-    for row in manifest["rows"]:
-        t0 = time.time()
-        sc = _RowScratch()
-        key, c = ctx.code_from_spec(row)
-        delta = row["bch"][2]
-        expected = f"dim={row['dim']}, d={row['d']}"
-        sc.check(c.k == row["dim"], f"dimension {c.k} != {row['dim']}")
-        sc.check(c.is_lcd(), "LCD predicate")
-        if row["d_check"] == "exact":
-            d = c.min_distance(budget=ctx.word_budget)
-            ctx.dham[key] = {"exact": True, "value": d, "ok": d == row["d"], "note": ""}
-            sc.computed.append(f"dim={c.k}, d={d}")
-            sc.check(d == row["d"], f"distance {d} != {row['d']}")
-        else:
-            sc.computed.append(f"dim={c.k}, d>={delta} (designed distance)")
-            sc.check(row["d"] >= delta, "printed distance below the designed floor")
-            ctx.dham[key] = {"exact": False, "value": row["d"], "ok": True,
-                             "note": f"designed distance floor {delta}"}
-            sc.budget_limited = True
-            sc.notes.append(f"exact search out of reach; certified d >= {delta}")
-        out.append(RowResult(4, row["id"], sc.status(), expected,
-                             ", ".join(sc.computed), "; ".join(sc.notes + sc.failures),
-                             time.time() - t0))
-    return out
+def _table_4_row(ctx: _Ctx, sc: _RowScratch, row: dict) -> str:
+    key, c = ctx.code_from_spec(row)
+    delta = row["bch"][2]
+    expected = f"dim={row['dim']}, d={row['d']}"
+    sc.check(c.k == row["dim"], f"dimension {c.k} != {row['dim']}")
+    sc.check(c.is_lcd(), "LCD predicate")
+    if row["d_check"] == "exact":
+        d = c.min_distance(budget=ctx.word_budget)
+        ctx.dham[key] = {"exact": True, "value": d, "ok": d == row["d"], "note": ""}
+        sc.computed.append(f"dim={c.k}, d={d}")
+        sc.check(d == row["d"], f"distance {d} != {row['d']}")
+    else:
+        sc.computed.append(f"dim={c.k}, d>={delta} (designed distance)")
+        sc.check(row["d"] >= delta, "printed distance below the designed floor")
+        ctx.dham[key] = {"exact": False, "value": row["d"], "ok": True,
+                         "note": f"designed distance floor {delta}"}
+        sc.budget_limited = True
+        sc.notes.append(f"exact search out of reach; certified d >= {delta}")
+    return expected
 
 
-def _run_table_5(ctx: _Ctx, manifest: dict) -> List[RowResult]:
-    out = []
-    for row in manifest["rows"]:
-        t0 = time.time()
-        sc = _RowScratch()
-        _, c0 = ctx.code_from_spec(row["c0"])
-        _, c1 = ctx.code_from_spec(row["c1"])
-        printed_dim = row.get("dim_printed", row["dim"])
-        expected = f"dim={printed_dim}, {_fmt_dsr(row['dsr'])}"
-        sc.check(2 * (c0.k + c1.k) == row["dim"], "identity dimension vs 2(k0+k1)")
-        if printed_dim != row["dim"]:
-            sc.check(2 * (c0.k + c1.k) == printed_dim, row["known_discrepancy"])
-            sc.notes.append("known discrepancy: " + row["known_discrepancy"])
-        sc.check(c0.is_lcd() and c1.is_lcd(), "inputs LCD")
-        d0, d1 = _printed_d(ctx, row["c0"]), _printed_d(ctx, row["c1"])
-        fb = sr_distance_bounds(2, [d0, d1])
-        printed = _spec_bounds(row["dsr"])
-        sc.computed.append(f"dim={2 * (c0.k + c1.k)}, formula bounds {fb.lower}..{fb.upper}")
-        spec = row["dsr"]
-        if spec["kind"] == "exact":
-            sc.check(fb.contains(spec["value"]), "printed value inside formula bounds")
-            if spec.get("star"):
-                sc.check(spec["value"] == fb.upper, "starred value is the formula upper bound")
-            elif row["c0"] == row["c1"]:
-                sc.check(spec["value"] == d0, "equal-codes identity")
-        else:
-            sc.check((printed.lower, printed.upper) == (fb.lower, fb.upper),
-                     f"printed interval vs formula {fb}")
-        sc.notes.append("consistency checks only; block length 205 is beyond enumeration")
-        out.append(RowResult(5, row["id"], sc.status(), expected,
-                             ", ".join(sc.computed), "; ".join(sc.notes + sc.failures),
-                             time.time() - t0))
-    return out
+def _table_5_row(ctx: _Ctx, sc: _RowScratch, row: dict) -> str:
+    _, c0 = ctx.code_from_spec(row["c0"])
+    _, c1 = ctx.code_from_spec(row["c1"])
+    printed_dim = row.get("dim_printed", row["dim"])
+    expected = f"dim={printed_dim}, {_fmt_dsr(row['dsr'])}"
+    sc.check(2 * (c0.k + c1.k) == row["dim"], "identity dimension vs 2(k0+k1)")
+    if printed_dim != row["dim"]:
+        sc.check(2 * (c0.k + c1.k) == printed_dim, row["known_discrepancy"])
+        sc.notes.append("known discrepancy: " + row["known_discrepancy"])
+    sc.check(c0.is_lcd() and c1.is_lcd(), "inputs LCD")
+    d0, d1 = _printed_d(ctx, row["c0"]), _printed_d(ctx, row["c1"])
+    fb = sr_distance_bounds(2, [d0, d1])
+    printed = _spec_bounds(row["dsr"])
+    sc.computed.append(f"dim={2 * (c0.k + c1.k)}, formula bounds {fb.lower}..{fb.upper}")
+    spec = row["dsr"]
+    if spec["kind"] == "exact":
+        sc.check(fb.contains(spec["value"]), "printed value inside formula bounds")
+        if spec.get("star"):
+            sc.check(spec["value"] == fb.upper, "starred value is the formula upper bound")
+        elif row["c0"] == row["c1"]:
+            sc.check(spec["value"] == d0, "equal-codes identity")
+    else:
+        sc.check((printed.lower, printed.upper) == (fb.lower, fb.upper),
+                 f"printed interval vs formula {fb}")
+    sc.notes.append("consistency checks only; block length 205 is beyond enumeration")
+    return expected
 
 
-def _run_table_7(ctx: _Ctx, manifest: dict) -> List[RowResult]:
-    out = []
-    for row in manifest["rows"]:
-        t0 = time.time()
-        sc = _RowScratch()
-        t, d = row["t"], row["d_hamming"]
-        expected = f"dim={row['dim']}, {_fmt_dsr(row['dsr'])}"
-        sc.check(row["dim"] == 2 * t, "dimension column is 2t")
-        sc.check(d <= f4_selfdual_distance_cap(2 * t), "distance cap")
-        fb = uniform22_distance_bounds(d, t)
-        printed = _spec_bounds(row["dsr"])
-        if "code" in row:
-            key, c = ctx.code_from_spec(row["code"])
-            sc.check(c.is_self_dual(), "input code self-dual")
-            hd = ctx.hamming(key, c, d)
-            sc.check(hd["ok"], f"Hamming distance {hd['value']} != {d}")
-            M = basis_expand_code(c, ctx.sd_basis)
-            sc.check(M.dim == row["dim"], f"expansion dimension {M.dim}")
-            sc.check(M.is_self_dual(), "self-dual transfer")
-            rep = M.structural_report()
-            sc.check(all(v for v in rep.values() if v is not None), f"structural {rep}")
-            dsr = M.min_distance(budget=ctx.word_budget)
-            sc.computed.append(f"dim={M.dim}, d_sr={dsr}")
-            sc.check(fb.contains(dsr), f"d_sr {dsr} outside formula bounds {fb}")
-            sc.check(dsr == row["dsr"]["value"], f"d_sr {dsr} != printed")
-        else:
-            sc.computed.append(f"formula bounds {fb.lower}..{fb.upper}")
-            sc.check((printed.lower, printed.upper) == (fb.lower, fb.upper),
-                     f"printed interval vs formula {fb}")
-            sc.notes.append("generators not published; formula checks only")
-        out.append(RowResult(7, row["id"], sc.status(), expected,
-                             ", ".join(sc.computed), "; ".join(sc.notes + sc.failures),
-                             time.time() - t0))
-    return out
-
-
-def _run_table_8(ctx: _Ctx, manifest: dict) -> List[RowResult]:
-    out = []
-    for row in manifest["rows"]:
-        t0 = time.time()
-        sc = _RowScratch()
-        key, c = ctx.code_from_spec(row)
-        printed_dim = row.get("dim_printed", row["dim"])
-        expected = f"dim={printed_dim}, {_fmt_dsr(row['dsr'])}"
+def _table_7_row(ctx: _Ctx, sc: _RowScratch, row: dict) -> str:
+    t, d = row["t"], row["d_hamming"]
+    expected = f"dim={row['dim']}, {_fmt_dsr(row['dsr'])}"
+    sc.check(row["dim"] == 2 * t, "dimension column is 2t")
+    sc.check(d <= f4_selfdual_distance_cap(2 * t), "distance cap")
+    fb = uniform22_distance_bounds(d, t)
+    printed = _spec_bounds(row["dsr"])
+    if "code" in row:
+        key, c = ctx.code_from_spec(row["code"])
+        sc.check(c.is_self_dual(), "input code self-dual")
+        hd = ctx.hamming(key, c, d)
+        sc.check(hd["ok"], f"Hamming distance {hd['value']} != {d}")
         M = basis_expand_code(c, ctx.sd_basis)
-        sc.check(M.dim == row["dim"], f"expansion dimension {M.dim} != identity value")
-        if printed_dim != row["dim"]:
-            sc.check(M.dim == printed_dim, row["known_discrepancy"])
-            sc.notes.append("known discrepancy: " + row["known_discrepancy"])
-        sc.check(M.is_lcd() == c.is_lcd(), "LCD transfer")
-        d_h = ctx.hamming(key, c, _printed_d(ctx, row))
-        fb = expansion_distance_bounds(d_h["value"], M.profile)
-        printed = _spec_bounds(row["dsr"])
+        sc.check(M.dim == row["dim"], f"expansion dimension {M.dim}")
+        sc.check(M.is_self_dual(), "self-dual transfer")
+        rep = M.structural_report()
+        sc.check(all(v for v in rep.values() if v is not None), f"structural {rep}")
         dsr = M.min_distance(budget=ctx.word_budget)
+        sc.computed.append(f"dim={M.dim}, d_sr={dsr}")
+        sc.check(fb.contains(dsr), f"d_sr {dsr} outside formula bounds {fb}")
+        sc.check(dsr == row["dsr"]["value"], f"d_sr {dsr} != printed")
+    else:
+        sc.computed.append(f"formula bounds {fb.lower}..{fb.upper}")
+        sc.check((printed.lower, printed.upper) == (fb.lower, fb.upper),
+                 f"printed interval vs formula {fb}")
+        sc.notes.append("generators not published; formula checks only")
+    return expected
+
+
+def _table_8_row(ctx: _Ctx, sc: _RowScratch, row: dict) -> str:
+    key, c = ctx.code_from_spec(row)
+    printed_dim = row.get("dim_printed", row["dim"])
+    expected = f"dim={printed_dim}, {_fmt_dsr(row['dsr'])}"
+    M = basis_expand_code(c, ctx.sd_basis)
+    sc.check(M.dim == row["dim"], f"expansion dimension {M.dim} != identity value")
+    if printed_dim != row["dim"]:
+        sc.check(M.dim == printed_dim, row["known_discrepancy"])
+        sc.notes.append("known discrepancy: " + row["known_discrepancy"])
+    sc.check(M.is_lcd() == c.is_lcd(), "LCD transfer")
+    d_h = ctx.hamming(key, c, _printed_d(ctx, row))
+    fb = expansion_distance_bounds(d_h["value"], M.profile)
+    printed = _spec_bounds(row["dsr"])
+    dsr = M.min_distance(budget=ctx.word_budget)
+    sc.computed.append(f"dim={M.dim}, d_sr={dsr}")
+    sc.check(fb.contains(dsr), f"d_sr {dsr} outside formula bounds {fb}")
+    if row["dsr"]["kind"] == "exact":
+        sc.check(dsr == row["dsr"]["value"], f"d_sr {dsr} != printed")
+    else:
+        sc.check(printed.contains(dsr), f"d_sr {dsr} outside printed interval")
+        sc.inside = True
+    sym = symbol_sum_rank_weight(
+        c.codeword(tuple([1] + [0] * (c.k - 1))), ctx.f4, M.profile
+    )
+    sc.check(sym >= dsr, "symbol-route weight of a codeword below the minimum")
+    return expected
+
+
+def _table_9_row(ctx: _Ctx, sc: _RowScratch, row: dict) -> str:
+    key, c = ctx.code_from_spec(row)
+    expected = f"dim={row['dim']}, {_fmt_dsr(row['dsr'])}"
+    profile = BlockProfile(ctx.f2, default_expansion_profile(2, c.n))
+    sc.check(2 * c.k == row["dim"], f"printed dimension vs 2k = {2 * c.k}")
+    d_h = _printed_d(ctx, row)
+    fb = expansion_distance_bounds(d_h, profile)
+    printed = _spec_bounds(row["dsr"])
+    sc.computed.append(f"dim={2 * c.k}, formula bounds {fb.lower}..{fb.upper}")
+    if "known_discrepancy" in row:
+        sc.check((printed.lower, printed.upper) == (fb.lower, fb.upper),
+                 row["known_discrepancy"])
+        sc.notes.append("known discrepancy: " + row["known_discrepancy"])
+    else:
+        sc.check((printed.lower, printed.upper) == (fb.lower, fb.upper),
+                 f"printed interval vs formula {fb}")
+    if c.k <= 5:
+        # small enough to read the distance off the extension-field words
+        best = min(symbol_sum_rank_weight(w, ctx.f4, profile) for w in c.codewords() if any(w))
+        sc.computed.append(f"d_sr={best}")
+        sc.check(fb.contains(best), f"exact d_sr {best} outside formula bounds")
+        if not printed.contains(best):
+            sc.notes.append(f"exact d_sr {best} falls outside the printed interval")
+        sc.inside = True
+    return expected
+
+
+def _table_12_row(ctx: _Ctx, sc: _RowScratch, row: dict) -> str:
+    t, n, d_printed = row["t"], row["n"], row["d_hamming"]
+    expected = f"d_H={d_printed}, {_fmt_dsr(row['dsr'])}"
+    keys, codes = [], []
+    for gtext in row["generators"]:
+        key, c = ctx.code_from_spec({"gen": gtext, "n": n})
+        keys.append(key)
+        codes.append(c)
+        sc.check(c.is_self_dual(), f"self-dual: {gtext}")
+        hd = ctx.hamming(key, c, d_printed)
+        sc.check(hd["ok"], f"d_H of {gtext}: {hd['note']}")
+        if not hd["exact"]:
+            sc.budget_limited = True
+    sc.check(d_printed <= f4_selfdual_distance_cap(n), "distance cap")
+    c = codes[0]
+    M = basis_expand_code(c, ctx.sd_basis)
+    sc.check(M.dim == 2 * t, "expansion dimension 2t")
+    sc.check(M.is_self_dual(), "self-dual transfer")
+    rep = M.structural_report()
+    sc.check(all(v for v in rep.values() if v is not None), f"structural {rep}")
+    sc.check(M.is_cyclic(), "cyclic transfer")
+    printed = _spec_bounds(row["dsr"])
+    d_h = ctx.dham[keys[0]]
+    fb = uniform22_distance_bounds(d_h["value"], t)
+    sc.check(fb.lower <= printed.lower and printed.upper <= fb.upper,
+             f"printed interval {printed} vs formula {fb}")
+    try:
+        dsr = M.min_distance(budget=ctx.word_budget, jobs=ctx.jobs)
         sc.computed.append(f"dim={M.dim}, d_sr={dsr}")
         sc.check(fb.contains(dsr), f"d_sr {dsr} outside formula bounds {fb}")
         if row["dsr"]["kind"] == "exact":
@@ -500,122 +521,46 @@ def _run_table_8(ctx: _Ctx, manifest: dict) -> List[RowResult]:
         else:
             sc.check(printed.contains(dsr), f"d_sr {dsr} outside printed interval")
             sc.inside = True
-        sym = symbol_sum_rank_weight(
-            c.codeword(tuple([1] + [0] * (c.k - 1))), ctx.f4, M.profile
-        )
-        sc.check(sym >= dsr, "symbol-route weight of a codeword below the minimum")
-        out.append(RowResult(8, row["id"], sc.status(), expected,
-                             ", ".join(sc.computed), "; ".join(sc.notes + sc.failures),
-                             time.time() - t0))
-    return out
+    except BudgetExceeded as exc:
+        sc.budget_limited = True
+        ub = exc.best
+        wit = d_h.get("witness")
+        if wit is not None:
+            ub_w = symbol_sum_rank_weight(wit, ctx.f4, M.profile)
+            ub = ub_w if ub is None else min(ub, ub_w)
+        if ub is not None:
+            sc.computed.append(f"d_sr<={ub}")
+            sc.check(ub >= printed.lower, f"found weight {ub} below printed lower bound")
+        sc.notes.append(f"expansion enumeration budget-limited ({exc})")
+    return expected
 
 
-def _run_table_9(ctx: _Ctx, manifest: dict) -> List[RowResult]:
-    out = []
-    for row in manifest["rows"]:
-        t0 = time.time()
-        sc = _RowScratch()
-        key, c = ctx.code_from_spec(row)
-        expected = f"dim={row['dim']}, {_fmt_dsr(row['dsr'])}"
-        profile = BlockProfile(ctx.f2, default_expansion_profile(2, c.n))
-        sc.check(2 * c.k == row["dim"], f"printed dimension vs 2k = {2 * c.k}")
-        d_h = _printed_d(ctx, row)
-        fb = expansion_distance_bounds(d_h, profile)
-        printed = _spec_bounds(row["dsr"])
-        sc.computed.append(f"dim={2 * c.k}, formula bounds {fb.lower}..{fb.upper}")
-        if "known_discrepancy" in row:
-            sc.check((printed.lower, printed.upper) == (fb.lower, fb.upper),
-                     row["known_discrepancy"])
-            sc.notes.append("known discrepancy: " + row["known_discrepancy"])
-        else:
-            sc.check((printed.lower, printed.upper) == (fb.lower, fb.upper),
-                     f"printed interval vs formula {fb}")
-        if c.k <= 5:
-            # small enough to read the distance off the extension-field words
-            best = None
-            for msg_word in c.codewords():
-                if any(msg_word):
-                    w = symbol_sum_rank_weight(msg_word, ctx.f4, profile)
-                    best = w if best is None else min(best, w)
-            sc.computed.append(f"d_sr={best}")
-            sc.check(fb.contains(best), f"exact d_sr {best} outside formula bounds")
-            if not printed.contains(best):
-                sc.notes.append(f"exact d_sr {best} falls outside the printed interval")
-            sc.inside = True
-        out.append(RowResult(9, row["id"], sc.status(), expected,
-                             ", ".join(sc.computed), "; ".join(sc.notes + sc.failures),
-                             time.time() - t0))
-    return out
-
-
-def _run_table_12(ctx: _Ctx, manifest: dict) -> List[RowResult]:
-    out = []
-    for row in manifest["rows"]:
-        t0 = time.time()
-        sc = _RowScratch()
-        t, n, d_printed = row["t"], row["n"], row["d_hamming"]
-        expected = f"d_H={d_printed}, {_fmt_dsr(row['dsr'])}"
-        keys, codes = [], []
-        for gtext in row["generators"]:
-            key, c = ctx.code_from_spec({"gen": gtext, "n": n})
-            keys.append(key)
-            codes.append(c)
-            sc.check(c.is_self_dual(), f"self-dual: {gtext}")
-            hd = ctx.hamming(key, c, d_printed)
-            sc.check(hd["ok"], f"d_H of {gtext}: {hd['note']}")
-            if not hd["exact"]:
-                sc.budget_limited = True
-        sc.check(d_printed <= f4_selfdual_distance_cap(n), "distance cap")
-        c = codes[0]
-        M = basis_expand_code(c, ctx.sd_basis)
-        sc.check(M.dim == 2 * t, "expansion dimension 2t")
-        sc.check(M.is_self_dual(), "self-dual transfer")
-        rep = M.structural_report()
-        sc.check(all(v for v in rep.values() if v is not None), f"structural {rep}")
-        sc.check(M.is_cyclic(), "cyclic transfer")
-        printed = _spec_bounds(row["dsr"])
-        d_h = ctx.dham[keys[0]]
-        fb = uniform22_distance_bounds(d_h["value"], t)
-        sc.check(fb.lower <= printed.lower and printed.upper <= fb.upper,
-                 f"printed interval {printed} vs formula {fb}")
-        try:
-            dsr = M.min_distance(budget=ctx.word_budget, jobs=ctx.jobs)
-            sc.computed.append(f"dim={M.dim}, d_sr={dsr}")
-            sc.check(fb.contains(dsr), f"d_sr {dsr} outside formula bounds {fb}")
-            if row["dsr"]["kind"] == "exact":
-                sc.check(dsr == row["dsr"]["value"], f"d_sr {dsr} != printed")
-            else:
-                sc.check(printed.contains(dsr), f"d_sr {dsr} outside printed interval")
-                sc.inside = True
-        except BudgetExceeded as exc:
-            sc.budget_limited = True
-            ub = exc.best
-            wit = d_h.get("witness")
-            if wit is not None:
-                ub_w = symbol_sum_rank_weight(wit, ctx.f4, M.profile)
-                ub = ub_w if ub is None else min(ub, ub_w)
-            if ub is not None:
-                sc.computed.append(f"d_sr<={ub}")
-                sc.check(ub >= printed.lower, f"found weight {ub} below printed lower bound")
-            sc.notes.append(f"expansion enumeration budget-limited ({exc})")
-        out.append(RowResult(12, row["id"], sc.status(), expected,
-                             ", ".join(sc.computed), "; ".join(sc.notes + sc.failures),
-                             time.time() - t0))
-    return out
-
-
+# each runner records the checks of one manifest row and returns the row's
+# expected text
 _RUNNERS = {
-    1: _run_table_1,
-    2: _run_table_2,
-    3: lambda ctx, m: _run_pair_table(ctx, m, lcd_expected=True),
-    4: _run_table_4,
-    5: _run_table_5,
-    7: _run_table_7,
-    8: _run_table_8,
-    9: _run_table_9,
-    11: lambda ctx, m: _run_pair_table(ctx, m, lcd_expected=False),
-    12: _run_table_12,
+    1: _table_1_row,
+    2: _table_2_row,
+    3: lambda ctx, sc, row: _pair_table_row(ctx, sc, row, lcd_expected=True),
+    4: _table_4_row,
+    5: _table_5_row,
+    7: _table_7_row,
+    8: _table_8_row,
+    9: _table_9_row,
+    11: lambda ctx, sc, row: _pair_table_row(ctx, sc, row, lcd_expected=False),
+    12: _table_12_row,
 }
+
+
+def _run_rows(ctx: _Ctx, tid: int, manifest: dict) -> List[RowResult]:
+    out = []
+    for row in manifest["rows"]:
+        t0 = time.time()
+        sc = _RowScratch()
+        expected = _RUNNERS[tid](ctx, sc, row)
+        out.append(RowResult(tid, row["id"], sc.status(), expected,
+                             ", ".join(sc.computed), "; ".join(sc.notes + sc.failures),
+                             time.time() - t0))
+    return out
 
 
 def run_tables(
@@ -624,18 +569,14 @@ def run_tables(
     pair_budget: int = DEFAULT_TABLE_PAIR_BUDGET,
     jobs: int = 1,
 ) -> List[RowResult]:
+    """Run the tables in order; `jobs` threads the enumeration shards."""
     ids = list(table_ids)
     for tid in ids:
         if tid not in _RUNNERS:
             raise UnknownTable(f"table {tid} is not part of the manifest set {TABLE_IDS}")
     ctx = _Ctx(word_budget, pair_budget, jobs)
     manifests = {tid: load_manifest(tid) for tid in ids}
-    if jobs > 1 and len(ids) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(lambda tid: _RUNNERS[tid](ctx, manifests[tid]), ids))
-    else:
-        chunks = [_RUNNERS[tid](ctx, manifests[tid]) for tid in ids]
-    return [r for chunk in chunks for r in chunk]
+    return [r for tid in ids for r in _run_rows(ctx, tid, manifests[tid])]
 
 
 def report_exit_code(results: List[RowResult]) -> int:

@@ -1,20 +1,20 @@
-"""Bulk codeword enumeration kernels.
+"""Bulk codeword enumeration kernels, built from four pieces:
 
-Minimum-weight searches exhaust message spaces of size q**k, so the hot
-paths here are vectorized: characteristic-2 codewords are packed into uint64
-bitplanes (one plane for GF(2), low/high planes for GF(4)) and walked in
-prefix shards, each shard covering every suffix-digit combination through a
-precomputed table.  Sharding doubles as the parallelism unit: shards share
-nothing and the result is a plain min-reduce, so the outcome is independent
-of how many workers run them.
+- `scaled_rows` + `combine`, the message -> codeword helper: a table of
+  every scalar multiple of every row, summed into a word;
+- `_sharded_min`, the packed min-reduce: characteristic-2 codewords of
+  length <= 64 live in uint64 bitplanes (one plane for GF(2), low/high for
+  GF(4)), walked in prefix shards that each cover a precomputed suffix
+  table.  A vectorized weight of the (lo, hi) planes makes it the Hamming or
+  the GF(2) sum-rank search.  Shards share nothing and reduce by min, so the
+  result does not depend on how many threads run them;
+- `_walk_min`, the plain-Python walker for everything else: messages in
+  mixed-radix order, each codeword scored by a weight callback;
+- `low_weight_blocks`, the low-weight lister.
 
-Budgets count enumerated codewords.  When a search would exceed its budget
-it enumerates whole shards until the next one no longer fits, then raises
-BudgetExceeded carrying the best (lightest) weight seen, which is an upper
-bound on the true minimum.
-
-Everything else (odd characteristic, very long codes) funnels through a
-plain-Python fallback that walks messages in mixed-radix order.
+Budgets count enumerated codewords.  A search that would exceed its budget
+enumerates what fits (whole shards when packed), then raises BudgetExceeded
+carrying the lightest weight seen, an upper bound on the true minimum.
 """
 
 from __future__ import annotations
@@ -24,15 +24,19 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, NegativeBudget
 
 __all__ = [
     "packable_char2",
     "pack_row_planes",
+    "check_budget",
+    "scaled_rows",
+    "combine",
+    "all_codewords",
     "min_weight_char2",
-    "codeword_planes",
     "support_masks",
     "min_weight_generic",
+    "low_weight_blocks",
     "sr_min_weight_packed",
     "sr_min_weight_generic",
     "popcount",
@@ -61,6 +65,43 @@ def packable_char2(field, n: int) -> bool:
     return field.characteristic == 2 and field.order in (2, 4) and n <= 64
 
 
+def check_budget(budget: int) -> None:
+    if budget < 0:
+        raise NegativeBudget(f"budget must be non-negative, got {budget}")
+
+
+# -- message -> codeword ------------------------------------------------------
+
+
+def scaled_rows(field, rows, scalars=None):
+    """table[i][d] = d * rows[i] for every scalar d of the field, or only for
+    d = scalars[i] when `scalars` is given."""
+    mul = field.mul
+    if scalars is None:
+        return [[[mul(d, v) for v in row] for d in range(field.order)] for row in rows]
+    return [{d: [mul(d, v) for v in row]} for row, d in zip(rows, scalars)]
+
+
+def combine(field, table, message, word):
+    """word + sum of d * rows[i] over the (i, d) pairs of `message`, read
+    from a `scaled_rows` table."""
+    add = field.add
+    for i, d in message:
+        if d:
+            word = list(map(add, word, table[i][d]))
+    return word
+
+
+def all_codewords(field, rows, n: int):
+    """Every codeword, messages in mixed-radix order (the zero word first)."""
+    table = scaled_rows(field, rows)
+    for msg in itertools.product(range(field.order), repeat=len(rows)):
+        yield combine(field, table, enumerate(msg), [0] * n)
+
+
+# -- packed bitplanes -----------------------------------------------------------
+
+
 def pack_row_planes(field, row):
     """(lo, hi) bitplane integers for a GF(2)/GF(4) row; hi is 0 over GF(2)."""
     lo = 0
@@ -79,74 +120,59 @@ def _scalar_multiples(field, lo: int, hi: int):
     return [(0, 0), (lo, hi), (hi, hi ^ lo), (hi ^ lo, lo)]
 
 
-def _plane_suffix_table(field, packed_rows):
-    """All q**len(rows) codeword planes of the given rows, index 0 = zero."""
-    lo = np.zeros(1, dtype=np.uint64)
-    hi = np.zeros(1, dtype=np.uint64)
+def _extend_plane(plane, mults, bit: int):
+    """Add each multiple's plane `bit` to every word; the multiple's row
+    becomes the most significant digit of the word index."""
+    return np.concatenate([plane ^ np.uint64(m[bit]) for m in mults])
+
+
+def _plane_table(field, packed_rows, size=None):
+    """Planes of the codewords of the rows, first row least significant
+    digit, index 0 = zero; all q**len(rows) of them, or the first `size`."""
+    lo = hi = np.zeros(1, dtype=np.uint64)
     for rlo, rhi in packed_rows:
+        if size is not None and len(lo) >= size:
+            break
         mults = _scalar_multiples(field, rlo, rhi)
-        lo = np.concatenate([lo ^ np.uint64(m[0]) for m in mults])
-        hi = np.concatenate([hi ^ np.uint64(m[1]) for m in mults])
+        lo = _extend_plane(lo, mults, 0)
+        hi = _extend_plane(hi, mults, 1)
     return lo, hi
 
 
-def _split_rows(q: int, k: int):
-    """Suffix digit count so the suffix table stays within the cap."""
-    k_lo = 0
-    size = 1
-    while k_lo < k and size * q <= _SUFFIX_CAP:
-        size *= q
-        k_lo += 1
-    return k - k_lo, k_lo
+def _sharded_min(field, rows, budget: int, jobs: int, weight, worst: int) -> int:
+    """Minimum of weight(lo, hi) over every nonzero combination of `rows`.
 
-
-def _prefix_planes(field, packed_rows, pidx: int):
-    lo = 0
-    hi = 0
-    q = field.order
-    for rlo, rhi in packed_rows:
-        d = pidx % q
-        pidx //= q
-        if d:
-            mlo, mhi = _scalar_multiples(field, rlo, rhi)[d]
-            lo ^= mlo
-            hi ^= mhi
-    return lo, hi
-
-
-def _run_shards(shard_fn, n_shards: int, jobs: int):
-    """Min-reduce shard_fn over shard indices, optionally on threads."""
-    if jobs <= 1 or n_shards <= 1:
-        return min(shard_fn(i) for i in range(n_shards))
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return min(pool.map(shard_fn, range(n_shards)))
-
-
-def min_weight_char2(field, rows, n: int, budget: int, jobs: int = 1) -> int:
-    """Exact minimum Hamming weight over all nonzero combinations of `rows`.
-
-    GF(2)/GF(4) only, n <= 64.  Raises BudgetExceeded past the budget.
+    `weight` maps the planes of a shard's codewords to an integer array;
+    `worst` is the answer for an empty row set.  Raises BudgetExceeded past
+    the budget.
     """
+    check_budget(budget)
     q = field.order
-    k = len(rows)
     packed = [pack_row_planes(field, r) for r in rows]
-    k_hi, k_lo = _split_rows(q, k)
-    suf_lo, suf_hi = _plane_suffix_table(field, packed[k_hi:])
+    k_hi = len(rows)  # prefix digits: the rest fill a suffix table within the cap
+    while k_hi and q ** (len(rows) - k_hi + 1) <= _SUFFIX_CAP:
+        k_hi -= 1
+    suf_lo, suf_hi = _plane_table(field, packed[k_hi:])
     chunk = len(suf_lo)
     n_prefixes = q**k_hi
     total = n_prefixes * chunk
     limit_prefixes = n_prefixes if total <= budget else budget // chunk
+    pre_lo, pre_hi = _plane_table(field, packed[:k_hi], limit_prefixes)
 
     def shard(pidx: int) -> int:
-        plo, phi = _prefix_planes(field, packed[:k_hi], pidx)
-        w = popcount((suf_lo ^ np.uint64(plo)) | (suf_hi ^ np.uint64(phi)))
+        phi = pre_hi[pidx]
+        w = weight(suf_lo ^ pre_lo[pidx], suf_hi ^ phi if phi else suf_hi)
         if pidx == 0:
-            return int(w[1:].min()) if chunk > 1 else n + 1
+            return int(w[1:].min()) if chunk > 1 else worst
         return int(w.min())
 
     if limit_prefixes == 0:
         raise BudgetExceeded("budget smaller than one shard", best=None, enumerated=0)
-    best = _run_shards(shard, limit_prefixes, jobs)
+    if jobs <= 1 or limit_prefixes <= 1:
+        best = min(map(shard, range(limit_prefixes)))
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            best = min(pool.map(shard, range(limit_prefixes)))
     if limit_prefixes < n_prefixes:
         raise BudgetExceeded(
             f"enumerated {limit_prefixes * chunk} of {total} codewords",
@@ -156,51 +182,86 @@ def min_weight_char2(field, rows, n: int, budget: int, jobs: int = 1) -> int:
     return best
 
 
-def codeword_planes(field, rows, n: int):
-    """Bitplanes of every codeword (q**k entries).  Caller bounds k."""
-    packed = [pack_row_planes(field, r) for r in rows]
-    return _plane_suffix_table(field, packed)
+def min_weight_char2(field, rows, n: int, budget: int, jobs: int = 1) -> int:
+    """Exact minimum Hamming weight over all nonzero combinations of `rows`.
+
+    GF(2)/GF(4) only, n <= 64.  Raises BudgetExceeded past the budget.
+    """
+    return _sharded_min(field, rows, budget, jobs, lambda lo, hi: popcount(lo | hi), n + 1)
 
 
 def support_masks(field, rows, n: int) -> np.ndarray:
-    """Sorted distinct support masks of the nonzero codewords."""
-    lo, hi = codeword_planes(field, rows, n)
+    """Sorted distinct support masks of the nonzero codewords (q**k of
+    them are built; the caller bounds k)."""
+    lo, hi = _plane_table(field, [pack_row_planes(field, r) for r in rows])
     masks = np.unique(lo | hi)
     return masks[masks != np.uint64(0)]
 
 
-def min_weight_generic(field, rows, n: int, budget: int) -> int:
-    """Plain fallback: walk all messages, accumulate codewords row by row."""
-    q = field.order
-    k = len(rows)
-    total = q**k
-    best = n + 1
-    count = 0
-    add = field.add
-    mul = field.mul
-    scaled = [
-        [[mul(d, v) for v in row] for d in range(q)]
-        for row in rows
-    ]
-    for msg in itertools.product(range(q), repeat=k):
+# -- plain-Python walker --------------------------------------------------------
+
+
+def _walk_min(field, rows, n: int, budget: int, weight):
+    """Minimum of weight(word) over the nonzero codewords, None without any.
+
+    Raises BudgetExceeded once `budget` messages have been visited.
+    """
+    check_budget(budget)
+    total = field.order ** len(rows)
+    best = None
+    for count, word in enumerate(all_codewords(field, rows, n)):
         if count >= budget:
             raise BudgetExceeded(
-                f"enumerated {count} of {total} codewords",
-                best=None if best > n else best,
-                enumerated=count,
+                f"enumerated {count} of {total} codewords", best=best, enumerated=count
             )
-        count += 1
-        if not any(msg):
-            continue
-        word = [0] * n
-        for i, d in enumerate(msg):
-            if d:
-                srow = scaled[i][d]
-                word = [add(word[j], srow[j]) for j in range(n)]
-        w = sum(1 for v in word if v)
-        if w < best:
-            best = w
+        if count:  # message 0 is the only zero message
+            w = weight(word)
+            if best is None or w < best:
+                best = w
     return best
+
+
+def min_weight_generic(field, rows, n: int, budget: int) -> int:
+    """Minimum Hamming weight through the walker; n + 1 without rows."""
+    best = _walk_min(field, rows, n, budget, lambda word: n - word.count(0))
+    return n + 1 if best is None else best
+
+
+# -- low-weight lister ----------------------------------------------------------
+
+
+def low_weight_blocks(field, rows, n: int, max_msg_weight: int):
+    """Yield (positions, block) for each set of 1..max_msg_weight rows, by
+    size, then lexicographically: the codewords of the messages nonzero
+    exactly on `positions`, as (lo, hi) planes when the code packs, else as
+    a list.  In a block, the first position is the least significant
+    base-(q-1) digit of the index, digit j standing for the scalar j + 1.
+    Each block extends its prefix's block, built once per prefix.
+    """
+    q = field.order
+    k = len(rows)
+    if packable_char2(field, n):
+        mults = [_scalar_multiples(field, *pack_row_planes(field, r))[1:] for r in rows]
+        root = _plane_table(field, [])
+
+        def extend(block, p):
+            return _extend_plane(block[0], mults[p], 0), _extend_plane(block[1], mults[p], 1)
+    else:
+        table = scaled_rows(field, rows)
+        root = [[0] * n]
+
+        def extend(block, p):
+            return [combine(field, table, ((p, d),), w) for d in range(1, q) for w in block]
+
+    def grow(prefix, block, left):
+        if not left:
+            yield prefix, block
+            return
+        for p in range(prefix[-1] + 1 if prefix else 0, k - left + 1):
+            yield from grow(prefix + (p,), extend(block, p), left - 1)
+
+    for wt in range(1, min(max_msg_weight, k) + 1):
+        yield from grow((), root, wt)
 
 
 def low_weight_min_char2(field, rows, n: int, max_msg_weight: int):
@@ -211,34 +272,15 @@ def low_weight_min_char2(field, rows, n: int, max_msg_weight: int):
     generator this scan is complete for all codewords of weight up to the
     cap, since such a codeword's message is its pivot-column restriction.
     """
-    q = field.order
-    k = len(rows)
-    cap = min(max_msg_weight, k)
-    if cap <= 0 or k == 0:
-        return None, None
-    packed = [pack_row_planes(field, r) for r in rows]
-    multiples = [_scalar_multiples(field, lo, hi)[1:] for lo, hi in packed]
+    base = field.order - 1
     best = None
     best_msg = None
-    for wt in range(1, cap + 1):
-        for positions in itertools.combinations(range(k), wt):
-            lo = np.zeros(1, dtype=np.uint64)
-            hi = np.zeros(1, dtype=np.uint64)
-            for p in positions:
-                lo = np.concatenate([lo ^ np.uint64(m[0]) for m in multiples[p]])
-                hi = np.concatenate([hi ^ np.uint64(m[1]) for m in multiples[p]])
-            w = popcount(lo | hi)
-            i = int(w.argmin())
-            if best is None or int(w[i]) < best:
-                best = int(w[i])
-                # concatenation makes the first position the least
-                # significant base-(q-1) digit of the index
-                scalars = []
-                j = i
-                for _ in positions:
-                    scalars.append(1 + j % (q - 1))
-                    j //= q - 1
-                best_msg = dict(zip(positions, scalars))
+    for positions, (lo, hi) in low_weight_blocks(field, rows, n, max_msg_weight):
+        w = popcount(lo | hi)
+        i = int(w.argmin())
+        if best is None or int(w[i]) < best:
+            best = int(w[i])
+            best_msg = {p: 1 + i // base**j % base for j, p in enumerate(positions)}
     return best, best_msg
 
 
@@ -281,71 +323,20 @@ def sr_min_weight_packed(field, rows, blocks, budget: int, jobs: int = 1) -> int
     `rows` are flattened generator rows; `blocks` the (m_i, n_i) shapes in
     flattening order.
     """
-    k = len(rows)
     sizes = [m * n for m, n in blocks]
-    total_bits = sum(sizes)
     offsets = np.cumsum([0] + sizes[:-1])
     luts = block_rank_luts(blocks)
-    packed = [pack_row_planes(field, r) for r in rows]
 
-    k_hi, k_lo = _split_rows(2, k)
-    suf_lo, _ = _plane_suffix_table(field, packed[k_hi:])
-    chunk = len(suf_lo)
-    n_prefixes = 2**k_hi
-    total = n_prefixes * chunk
-    limit_prefixes = n_prefixes if total <= budget else budget // chunk
-    worst = sum(m for m, _ in blocks) + 1
-
-    def shard(pidx: int) -> int:
-        plo, _ = _prefix_planes(field, packed[:k_hi], pidx)
-        words = suf_lo ^ np.uint64(plo)
-        acc = np.zeros(chunk, dtype=np.uint16)
+    def weight(words, _hi):
+        acc = np.zeros(len(words), dtype=np.uint16)
         for off, size, lut in zip(offsets, sizes, luts):
             idx = ((words >> np.uint64(off)) & np.uint64((1 << size) - 1)).astype(np.int64)
             acc += lut[idx]
-        if pidx == 0:
-            return int(acc[1:].min()) if chunk > 1 else worst
-        return int(acc.min())
+        return acc
 
-    if limit_prefixes == 0:
-        raise BudgetExceeded("budget smaller than one shard", best=None, enumerated=0)
-    best = _run_shards(shard, limit_prefixes, jobs)
-    if limit_prefixes < n_prefixes:
-        raise BudgetExceeded(
-            f"enumerated {limit_prefixes * chunk} of {total} codewords",
-            best=best,
-            enumerated=limit_prefixes * chunk,
-        )
-    return best
+    return _sharded_min(field, rows, budget, jobs, weight, sum(m for m, _ in blocks) + 1)
 
 
 def sr_min_weight_generic(field, rows, rank_fn, budget: int) -> int:
     """Fallback for any field or length: rank_fn(flat_word) -> sum-rank weight."""
-    q = field.order
-    k = len(rows)
-    total = q**k
-    n = len(rows[0]) if rows else 0
-    add = field.add
-    mul = field.mul
-    scaled = [[[mul(d, v) for v in row] for d in range(q)] for row in rows]
-    best = None
-    count = 0
-    for msg in itertools.product(range(q), repeat=k):
-        if count >= budget:
-            raise BudgetExceeded(
-                f"enumerated {count} of {total} codewords",
-                best=best,
-                enumerated=count,
-            )
-        count += 1
-        if not any(msg):
-            continue
-        word = [0] * n
-        for i, d in enumerate(msg):
-            if d:
-                srow = scaled[i][d]
-                word = [add(word[j], srow[j]) for j in range(n)]
-        w = rank_fn(word)
-        if best is None or w < best:
-            best = w
-    return best
+    return _walk_min(field, rows, len(rows[0]) if rows else 0, budget, rank_fn)

@@ -8,6 +8,7 @@ import random
 import time
 from contextlib import contextmanager
 
+from golden import assert_golden
 from srlab.code import LinearCode, f4_selfdual_distance_cap
 from srlab.construct import (
     basis_expand_code,
@@ -87,6 +88,7 @@ def test_c01_table2():
         assert dims == [7, 6, 1], dims
         assert dists == [5, 6, 13], dists
         res = run_tables([2])
+        assert_golden(res)
         assert all(r.status == "match" for r in res), [r.status for r in res]
         elapsed = time.monotonic() - t0
         assert elapsed < 5.0, f"{elapsed:.2f}s"
@@ -117,6 +119,7 @@ def test_c02_table3():
             else:
                 assert spec["lo"] <= d <= spec["hi"], (row["id"], d)
         res = run_tables([3])
+        assert_golden(res)
         assert all(r.status in ("match", "inside-bounds") for r in res), \
             [(r.row, r.status) for r in res]
         elapsed = time.monotonic() - t0
@@ -161,6 +164,7 @@ def test_c03_table11_12_corpus():
                 except BudgetExceeded as exc:
                     assert exc.best is None or exc.best >= d_printed, (n, exc.best)
         res = run_tables([11, 12])
+        assert_golden(res)
         assert not any(r.status == "mismatch" for r in res), \
             [(r.table, r.row, r.note) for r in res if r.status == "mismatch"]
 
@@ -197,6 +201,7 @@ def test_c04_table7_8():
             if (delta, b) == (13, 1):
                 assert d == 6
         res = run_tables([7, 8])
+        assert_golden(res)
         bad = [r for r in res if r.status == "mismatch" and "known discrepancy" not in r.note]
         assert not bad, [(r.table, r.row, r.note) for r in bad]
         elapsed = time.monotonic() - t0
@@ -383,7 +388,9 @@ def test_c09_length205_suite():
                 assert val == 0, (delta, b, j)
         assert codes[(49, 1)].min_distance() == 123
         assert codes[(50, 0)].min_distance() == 164
-        res = {(r.table, r.row): r for r in run_tables([4, 5, 9])}
+        rows = run_tables([4, 5, 9])
+        assert_golden(rows)
+        res = {(r.table, r.row): r for r in rows}
         flag = res[(9, "delta=49,b=1")]
         assert flag.status == "mismatch" and "122" in flag.note and "123" in flag.note
         # starred table-5 rows match the formula upper bound (runner checked);

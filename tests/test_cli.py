@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
 from srlab.cli import main
+from srlab.construct import pair_distance
+from srlab.errors import NegativeBudget
 from srlab.jsonio import code_from_obj, code_to_obj, dumps, field_from_obj, field_to_obj
 from srlab.field import extension, prime_field
 from srlab.cyclic import bch_generator, cyclic_code
@@ -156,3 +160,64 @@ def test_tables_cli(tmp_path, capsys):
     assert len(lines) == 4
     rc, _, err = run_cli(capsys, "tables", "6")
     assert rc == 1  # no manifest for table 6
+
+
+F4_TOWER = {"characteristic": 2, "tower": [[2, [1, 1, 1]]]}
+
+
+def assert_input_error(rc, out, err):
+    """Exit 1 through a named SrlabError: no traceback, no generic fallback."""
+    assert rc == 1 and out == ""
+    assert err.startswith("srlab: ") and "bad input" not in err and "Traceback" not in err
+
+
+def test_negative_budget_is_a_named_error(tmp_path, capsys):
+    rc, out, _ = run_cli(capsys, "cyclic", "--q", "4", "--n", "2", "--gen", "1+x")
+    c = tmp_path / "c.json"
+    c.write_text(out)
+    rc, out, _ = run_cli(capsys, "sr", "construct-sr", str(c), str(c))
+    sr = tmp_path / "sr.json"
+    sr.write_text(out)
+    assert_input_error(*run_cli(capsys, "code", "mindist", str(c), "--budget", "-5"))
+    assert_input_error(*run_cli(capsys, "sr", "mindist", str(sr), "--budget", "-5"))
+    assert_input_error(*run_cli(capsys, "sr", "mindist", str(c), str(c),
+                                "--method", "pairs", "--pair-budget", "-5"))
+    code = code_from_obj(json.loads(c.read_text()))
+    with pytest.raises(NegativeBudget):
+        code.min_distance(budget=-5)
+    with pytest.raises(NegativeBudget):
+        pair_distance(code, code, budget=-5)
+
+
+def test_pairs_on_codes_longer_than_64(tmp_path, capsys):
+    from srlab.code import LinearCode
+
+    c = LinearCode.from_rows(extension(prime_field(2), 2), 70, [[1] * 70])
+    p = tmp_path / "c70.json"
+    p.write_text(dumps(code_to_obj(c)))
+    assert_input_error(*run_cli(capsys, "sr", "mindist", str(p), str(p), "--method", "pairs"))
+
+
+def test_code_entries_outside_the_field(tmp_path, capsys):
+    gf4 = tmp_path / "gf4.json"
+    gf4.write_text(json.dumps({"q_tower": F4_TOWER, "n": 3, "generator": [[1, 7, 0]]}))
+    assert_input_error(*run_cli(capsys, "code", "info", str(gf4)))
+    assert_input_error(*run_cli(capsys, "code", "mindist", str(gf4)))
+    gf3 = tmp_path / "gf3.json"
+    gf3.write_text(json.dumps({"q_tower": {"characteristic": 3, "tower": []}, "n": 2,
+                               "generator": [[1, -1]]}))
+    assert_input_error(*run_cli(capsys, "code", "mindist", str(gf3)))
+
+
+def test_sum_rank_entries_outside_the_field(tmp_path, capsys):
+    sr2 = tmp_path / "sr2.json"
+    sr2.write_text(json.dumps({"q_tower": {"characteristic": 2, "tower": []},
+                               "blocks": [[1, 2]], "generator": [[1, 3]]}))
+    assert_input_error(*run_cli(capsys, "sr", "mindist", str(sr2)))
+
+
+def test_top_level_json_must_be_an_object(tmp_path, capsys):
+    p = tmp_path / "list.json"
+    p.write_text("[1, 2, 3]")
+    assert_input_error(*run_cli(capsys, "code", "info", str(p)))
+    assert_input_error(*run_cli(capsys, "sr", "info", str(p)))

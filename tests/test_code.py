@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from srlab.code import (
 )
 from srlab.errors import BudgetExceeded, LengthMismatch, NotF4, NotSelfDual, ZeroCode
 from srlab.field import extension, prime_field
+from srlab.wordenum import low_weight_blocks, packable_char2
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -154,3 +156,40 @@ def test_all_rref_generators_counts():
     assert sum(1 for _ in all_rref_generators(F4, 4, 2)) == 357
     seen = {LinearCode.from_rows(F4, 4, rows) for rows in all_rref_generators(F4, 4, 2)}
     assert len(seen) == 357
+
+
+def _message_words(c, positions):
+    """Plain-loop reference: codewords of the messages nonzero exactly on
+    `positions`, the first position the least significant base-(q-1) digit."""
+    f = c.field
+    base = f.order - 1
+    words = []
+    for i in range(base ** len(positions)):
+        word = [0] * c.n
+        for j, p in enumerate(positions):
+            d = 1 + i // base**j % base
+            word = [f.add(a, f.mul(d, b)) for a, b in zip(word, c.generator.rows[p])]
+        words.append(word)
+    return words
+
+
+def test_low_weight_lister_matches_plain_loop():
+    rnd = random.Random(43)
+    for field, n in ((F4, 12), (F2, 20), (F4, 70), (F3, 9)):
+        c = LinearCode.from_rows(field, n, [[rnd.randrange(field.order) for _ in range(n)]
+                                            for _ in range(4)])
+        blocks = list(low_weight_blocks(field, c.generator.rows, n, 3))
+        sets = [s for w in (1, 2, 3) for s in itertools.combinations(range(c.k), w)]
+        assert [positions for positions, _ in blocks] == sets
+        for positions, block in blocks:
+            words = _message_words(c, positions)
+            if packable_char2(field, n):
+                lo, hi = block
+                assert [int(x) for x in lo] == [sum((v & 1) << j for j, v in enumerate(w)) for w in words]
+                assert [int(x) for x in hi] == [sum((v >> 1) << j for j, v in enumerate(w)) for w in words]
+            else:
+                assert block == words
+        # a scan through every message weight sees every codeword
+        found, witness = c.low_weight_scan(c.k)
+        assert found == c.min_distance() == sum(1 for v in witness if v)
+        assert c.contains(witness)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from golden import assert_golden, report_rows
 from srlab.errors import UnknownTable
 from srlab.tables import (
     TABLE_IDS,
@@ -26,12 +27,14 @@ def test_manifest_loading():
 
 def test_table2_all_match():
     res = run_tables([2])
+    assert_golden(res)
     assert [r.status for r in res] == ["match"] * 3
     assert report_exit_code(res) == 0
 
 
 def test_table8_flags_known_dimension_discrepancy():
     res = run_tables([8])
+    assert_golden(res)
     by_row = {r.row: r for r in res}
     assert by_row["delta=2,b=1"].status == "inside-bounds"
     assert by_row["delta=3,b=0"].status == "inside-bounds"
@@ -44,12 +47,14 @@ def test_table8_flags_known_dimension_discrepancy():
 
 def test_table1_formula_rows():
     res = run_tables([1])
+    assert_golden(res)
     assert all(r.status == "match" for r in res)
     assert report_exit_code(res) == 0
 
 
 def test_report_formats():
     res = run_tables([2])
+    assert_golden(res)
     payload = json.loads(report_to_json(res))
     assert payload["exit_code"] == 0
     assert payload["summary"]["match"] == 3
@@ -60,5 +65,5 @@ def test_report_formats():
 def test_jobs_do_not_change_the_report():
     a = run_tables([2, 8], jobs=1)
     b = run_tables([2, 8], jobs=4)
-    strip = lambda rows: [(r.table, r.row, r.status, r.expected, r.computed) for r in rows]
-    assert strip(a) == strip(b)
+    assert_golden(a)
+    assert report_rows(a) == report_rows(b)
