@@ -91,8 +91,12 @@ class EntryOutOfRange(SrlabError):
     """A generator entry is not a canonical element of the code's field."""
 
 
-class NotAnObject(SrlabError):
-    """JSON input whose top level is not an object."""
+class MalformedInput(SrlabError):
+    """JSON input that does not have the wire format's shape or value types."""
+
+
+class NotAnObject(MalformedInput):
+    """JSON input with a non-object where the wire format has an object."""
 
 
 class NegativeBudget(SrlabError):

@@ -8,7 +8,10 @@ Polynomials: {"coeffs": [ints]} constant-first.
 
 Readers rebuild through the cached field constructors and re-canonicalize
 generators, so emit -> read -> emit is bit-identical.  `loads` accepts only
-a JSON object at top level.
+a JSON object at top level.  Readers check the wire shapes before building
+anything: a missing key, a value of the wrong JSON type, a non-integer entry,
+degree or length (booleans, floats and strings included) or a negative length
+raises MalformedInput, a non-object where an object belongs NotAnObject.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from __future__ import annotations
 import json
 
 from .code import LinearCode
-from .errors import NotAnObject
+from .errors import MalformedInput, NotAnObject
 from .field import FieldSpec, extension, prime_field
+from .linalg import check_entries
 from .poly import Polynomial
 from .sumrank import BlockProfile, SumRankCode
 
@@ -44,10 +48,53 @@ def field_to_obj(field: FieldSpec) -> dict:
     return {"characteristic": f.characteristic, "tower": steps[::-1]}
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise NotAnObject(f"{where}: expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _key(obj: dict, key: str, where: str):
+    if key not in obj:
+        raise MalformedInput(f"{where}: missing key {key!r}")
+    return obj[key]
+
+
+def _list(value, where: str, length=None) -> list:
+    if not isinstance(value, list) or length not in (None, len(value)):
+        shape = "a list" if length is None else f"a list of {length}"
+        raise MalformedInput(f"{where}: expected {shape}, got {value!r:.40}")
+    return value
+
+
+def _int(value, where: str, lo=None) -> int:
+    # bool is an int subclass, so compare the type itself
+    if type(value) is not int or (lo is not None and value < lo):
+        floor = "" if lo is None else f" >= {lo}"
+        raise MalformedInput(f"{where}: expected an integer{floor}, got {value!r:.40}")
+    return value
+
+
+def _ints(value, where: str, length=None) -> list:
+    items = _list(value, where, length)
+    for j, v in enumerate(items):
+        if type(v) is not int:
+            _int(v, f"{where}[{j}]")  # raises, naming the entry
+    return items
+
+
+def _rows(value, where: str) -> list:
+    return [_ints(r, f"{where}[{i}]") for i, r in enumerate(_list(value, where))]
+
+
 def field_from_obj(obj: dict) -> FieldSpec:
-    f = prime_field(int(obj["characteristic"]))
-    for degree, coeffs in obj.get("tower", []):
-        f = extension(f, int(degree), Polynomial(f, [int(c) for c in coeffs]))
+    obj = _object(obj, "field")
+    f = prime_field(_int(_key(obj, "characteristic", "field"), "characteristic"))
+    for i, step in enumerate(_list(obj.get("tower", []), "tower")):
+        degree, coeffs = _list(step, f"tower[{i}]", length=2)
+        modulus = _ints(coeffs, f"tower[{i}] modulus")
+        check_entries(f, [modulus])
+        f = extension(f, _int(degree, f"tower[{i}] degree"), Polynomial(f, modulus))
     return f
 
 
@@ -60,10 +107,10 @@ def code_to_obj(code: LinearCode) -> dict:
 
 
 def code_from_obj(obj: dict) -> LinearCode:
-    field = field_from_obj(obj["q_tower"])
-    n = int(obj["n"])
-    rows = [[int(v) for v in r] for r in obj["generator"]]
-    return LinearCode.from_rows(field, n, rows)
+    obj = _object(obj, "code")
+    field = field_from_obj(_key(obj, "q_tower", "code"))
+    n = _int(_key(obj, "n", "code"), "n", lo=0)
+    return LinearCode.from_rows(field, n, _rows(_key(obj, "generator", "code"), "generator"))
 
 
 def sr_code_to_obj(code: SumRankCode) -> dict:
@@ -75,10 +122,12 @@ def sr_code_to_obj(code: SumRankCode) -> dict:
 
 
 def sr_code_from_obj(obj: dict) -> SumRankCode:
-    field = field_from_obj(obj["q_tower"])
-    profile = BlockProfile(field, [tuple(b) for b in obj["blocks"]])
-    rows = [[int(v) for v in r] for r in obj["generator"]]
-    return SumRankCode.from_rows(profile, rows)
+    obj = _object(obj, "sum-rank code")
+    field = field_from_obj(_key(obj, "q_tower", "sum-rank code"))
+    blocks = [_ints(b, f"blocks[{i}]", length=2)
+              for i, b in enumerate(_list(_key(obj, "blocks", "sum-rank code"), "blocks"))]
+    rows = _rows(_key(obj, "generator", "sum-rank code"), "generator")
+    return SumRankCode.from_rows(BlockProfile(field, blocks), rows)
 
 
 def poly_to_obj(p: Polynomial) -> dict:
@@ -86,7 +135,9 @@ def poly_to_obj(p: Polynomial) -> dict:
 
 
 def poly_from_obj(field: FieldSpec, obj: dict) -> Polynomial:
-    return Polynomial(field, [int(c) for c in obj["coeffs"]])
+    coeffs = _ints(_key(_object(obj, "polynomial"), "coeffs", "polynomial"), "coeffs")
+    check_entries(field, [coeffs])
+    return Polynomial(field, coeffs)
 
 
 def dumps(obj: dict) -> str:
@@ -94,7 +145,8 @@ def dumps(obj: dict) -> str:
 
 
 def loads(text: str) -> dict:
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise NotAnObject(f"expected a JSON object at top level, got {type(obj).__name__}")
-    return obj
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"not JSON: {exc}") from None
+    return _object(obj, "top level")

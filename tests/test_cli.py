@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from srlab.cli import main
 from srlab.construct import pair_distance
@@ -221,3 +222,81 @@ def test_top_level_json_must_be_an_object(tmp_path, capsys):
     p.write_text("[1, 2, 3]")
     assert_input_error(*run_cli(capsys, "code", "info", str(p)))
     assert_input_error(*run_cli(capsys, "sr", "info", str(p)))
+    code = {"q_tower": F4_TOWER, "n": 2, "generator": [[1, 1]]}
+    sr = {"q_tower": F4_TOWER, "blocks": [[1, 2]], "generator": [[1, 1]]}
+    bad_codes = [
+        {**code, "q_tower": []},
+        {**code, "q_tower": {"characteristic": 2, "tower": [5]}},
+        {**code, "q_tower": {"characteristic": 2, "tower": [[2.5, [1, 1, 1]]]}},
+        {**code, "q_tower": {"characteristic": 2, "tower": [[2, [1, 1, 7]]]}},
+        {**code, "generator": 5},
+        {**code, "generator": [5]},
+        {**code, "generator": [[1, 1.5]]},
+        {**code, "generator": [[1, True]]},
+        {**code, "generator": [[1, "1"]]},
+        {**code, "n": -1},
+        {**code, "n": 2.0},
+        {k: v for k, v in code.items() if k != "n"},
+        {k: v for k, v in code.items() if k != "q_tower"},
+    ]
+    bad_srs = [
+        {**sr, "blocks": 3},
+        {**sr, "blocks": [[1, 2, 3]]},
+        {**sr, "blocks": [[1, 2.0]]},
+        {**sr, "generator": [[1, False]]},
+        {k: v for k, v in sr.items() if k != "blocks"},
+    ]
+    for i, (action, obj) in enumerate([("code", o) for o in bad_codes]
+                                      + [("sr", o) for o in bad_srs]):
+        p = tmp_path / f"bad{i}.json"
+        p.write_text(json.dumps(obj))
+        assert_input_error(*run_cli(capsys, action, "info", str(p)))
+    p.write_text('{"n": 2,')
+    assert_input_error(*run_cli(capsys, "code", "info", str(p)))
+
+
+_json_leaf = st.one_of(st.none(), st.booleans(), st.integers(-2, 4),
+                       st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=2))
+_json = st.recursive(_json_leaf, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=2), inner, max_size=3), max_leaves=8)
+_valid_wire = st.fixed_dictionaries({
+    "q_tower": st.sampled_from([F4_TOWER, {"characteristic": 2}, {"characteristic": 3}]),
+    "n": st.integers(-1, 4),
+    "generator": st.lists(st.lists(st.integers(-1, 4), max_size=4), max_size=3),
+    "blocks": st.lists(st.lists(st.integers(0, 3), min_size=2, max_size=2), max_size=3),
+})
+
+
+def _slots(value):
+    """Every (container, key) inside a JSON value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in list(items):
+        yield value, key
+        if isinstance(child, (dict, list)):
+            yield from _slots(child)
+
+
+@st.composite
+def _wire(draw):
+    """A well-shaped code or sum-rank code object with one value replaced or one key
+    dropped, so the fuzz reaches every level of the wire format."""
+    obj = json.loads(json.dumps(draw(_valid_wire)))  # a copy: F4_TOWER is shared
+    container, key = draw(st.sampled_from(list(_slots(obj))))
+    if isinstance(container, dict) and draw(st.booleans()):
+        del container[key]
+    else:
+        container[key] = draw(_json)
+    return obj
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(obj=_wire() | st.dictionaries(st.text(max_size=3), _json, max_size=4),
+       action=st.sampled_from(["code", "sr"]))
+def test_wire_input_fuzz(tmp_path, capsys, obj, action):
+    """Any JSON object: a result, or exit 1 through a named error."""
+    p = tmp_path / "fuzz.json"
+    p.write_text(json.dumps(obj))
+    rc, out, err = run_cli(capsys, action, "info", str(p))
+    if rc != 0:
+        assert_input_error(rc, out, err)

@@ -67,3 +67,14 @@ def test_jobs_do_not_change_the_report():
     b = run_tables([2, 8], jobs=4)
     assert_golden(a)
     assert report_rows(a) == report_rows(b)
+
+
+def test_tiny_budgets_give_budget_limited_rows():
+    # budgets below one enumeration shard: every exact search falls back to
+    # its budget-limited evidence instead of aborting the run
+    res = run_tables([2, 3, 7, 8], word_budget=10, pair_budget=10)
+    assert len(res) == 30
+    assert report_exit_code(res) == 3
+    assert [(r.table, r.row) for r in res if r.status == "mismatch"] == [(8, "delta=13,b=1")]
+    limited = {r.table for r in res if r.status == "budget-limited"}
+    assert {3, 7, 8} <= limited
