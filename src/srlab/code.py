@@ -168,6 +168,11 @@ class LinearCode:
         return du.dual()
 
 
+def _rotation_closed(code: LinearCode, step: int) -> bool:
+    """Whether the row space is closed under rotating the coordinates right by `step`."""
+    return all(code.contains(row[-step:] + row[:-step]) for row in code.generator.rows)
+
+
 def f4_selfdual_distance_cap(n: int) -> int:
     """Distance cap 4*floor(n/12) + 4 for self-dual codes over GF(4)."""
     return 4 * (n // 12) + 4

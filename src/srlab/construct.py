@@ -12,6 +12,9 @@ validated against the zero-pattern rule before the fast path is trusted.
 Route two expands each coordinate of a single code over GF(q^m) into a
 column of a base-field matrix: coordinate s of chunk i lands in column s of
 block i (the index formula is followed where prose and formula disagree).
+Both routes share that expansion: the matrix of x -> c x^(q^i) is the
+expansion of its images c b^(q^i) of the basis elements b, so route one is
+route two applied to the evaluation words (g_j b^(q^i)).
 
 Duality transport for either route is checked constructively: both sides of
 the claimed identity are materialized and compared as canonical rrefs.
@@ -93,12 +96,11 @@ def qpoly_matrix(coeffs: Sequence[int], basis: Basis) -> MatrixGF:
     Column j holds the expansion of the image of the j-th basis element.
     """
     ext = basis.field
-    sub = basis.sub
     m = basis.size
     if len(coeffs) != m:
         raise LengthMismatch(f"need {m} coefficients, got {len(coeffs)}")
-    q = sub.order
-    cols = []
+    q = basis.sub.order
+    images = []
     for g in basis.elements:
         img = 0
         t = g.value
@@ -106,8 +108,35 @@ def qpoly_matrix(coeffs: Sequence[int], basis: Basis) -> MatrixGF:
             if a:
                 img = ext.add(img, ext.mul(a, t))
             t = ext.pow(t, q)
-        cols.append(basis.expand(ext.element(img)))
-    return MatrixGF(sub, [[cols[j][i] for j in range(m)] for i in range(m)], m)
+        images.append(img)
+    return MatrixGF(basis.sub, _block(basis, images), m)
+
+
+def _block(basis: Basis, coords: Sequence[int]) -> List[List[int]]:
+    """The m x len(coords) base-field block whose column s expands coords[s]."""
+    cols = [basis.expand(basis.field.element(v)) for v in coords]
+    return [[c[r] for c in cols] for r in range(basis.size)]
+
+
+def _expanded_code(basis: Basis, profile: BlockProfile, words, want: int) -> SumRankCode:
+    """F_q-span of lam * w for every basis element lam and word w, chunk i of
+    each scaled word expanded into block i; the dimension `want` is asserted."""
+    ext = basis.field
+    rows = []
+    for word in words:
+        for lam in basis.elements:
+            scaled = [ext.mul(lam.value, v) for v in word]
+            flat: List[int] = []
+            pos = 0
+            for _, n_i in profile.blocks:
+                for r in _block(basis, scaled[pos : pos + n_i]):
+                    flat.extend(r)
+                pos += n_i
+            rows.append(flat)
+    out = SumRankCode.from_rows(profile, rows)
+    if out.dim != want:
+        raise AssertionError(f"expanded code dimension {out.dim}, expected {want}")
+    return out
 
 
 def qpoly_rank_table(basis: Basis) -> dict:
@@ -156,25 +185,15 @@ def qpoly_code(codes: Sequence[LinearCode], basis: Optional[Basis] = None) -> Su
     m = basis.size
     if len(codes) != m:
         raise LengthMismatch(f"need {m} codes for extension degree {m}")
-    sub = basis.sub
-    profile = BlockProfile(sub, [(m, m)] * t)
-    rows: List[List[int]] = []
+    # generator row g of code i gives the word (g_j * b^(q^i)) for j < t and
+    # b in the basis, whose chunks expand into the blocks of its (m, m)^t row
+    q = basis.sub.order
+    words = []
     for i, c in enumerate(codes):
-        for grow in c.generator.rows:
-            for lam in basis.elements:
-                flat: List[int] = []
-                for j in range(t):
-                    coeffs = [0] * m
-                    coeffs[i] = ext.mul(lam.value, grow[j])
-                    mat = qpoly_matrix(coeffs, basis)
-                    for r in mat.rows:
-                        flat.extend(r)
-                rows.append(flat)
-    out = SumRankCode.from_rows(profile, rows)
-    want = m * sum(c.k for c in codes)
-    if out.dim != want:
-        raise AssertionError(f"stacked code dimension {out.dim}, expected {want}")
-    return out
+        powers = [ext.pow(b.value, q**i) for b in basis.elements]
+        words += [[ext.mul(g, p) for g in grow for p in powers] for grow in c.generator.rows]
+    profile = BlockProfile(basis.sub, [(m, m)] * t)
+    return _expanded_code(basis, profile, words, m * sum(c.k for c in codes))
 
 
 def pair_distance(
@@ -279,26 +298,7 @@ def basis_expand_code(
         if sum(n for _, n in profile.blocks) != code.n:
             raise ProfileMismatch("profile column counts must sum to the code length")
 
-    def expand_word(word) -> List[int]:
-        flat: List[int] = []
-        pos = 0
-        for _, n_i in profile.blocks:
-            cols = [basis.expand(ext.element(v)) for v in word[pos : pos + n_i]]
-            pos += n_i
-            for r in range(m):
-                flat.extend(cols[s][r] for s in range(n_i))
-        return flat
-
-    rows = []
-    for grow in code.generator.rows:
-        for lam in basis.elements:
-            word = [ext.mul(lam.value, v) for v in grow]
-            rows.append(expand_word(word))
-    out = SumRankCode.from_rows(profile, rows)
-    want = m * code.k
-    if out.dim != want:
-        raise AssertionError(f"expanded code dimension {out.dim}, expected {want}")
-    return out
+    return _expanded_code(basis, profile, code.generator.rows, m * code.k)
 
 
 def symbol_sum_rank_weight(word: Sequence[int], ext: FieldSpec, profile: BlockProfile) -> int:
@@ -313,17 +313,12 @@ def symbol_sum_rank_weight(word: Sequence[int], ext: FieldSpec, profile: BlockPr
         raise ProfileMismatch("profile rows must equal the extension degree")
     if sum(n for _, n in profile.blocks) != len(word):
         raise ProfileMismatch("profile does not cover the word")
-    std = Basis(ext, [ext.pow(ext.primitive_element, i) for i in range(m)], sub) if m > 1 else None
+    std = Basis(ext, [ext.pow(ext.primitive_element, i) for i in range(m)], sub)
     total = 0
     pos = 0
     for _, n_i in profile.blocks:
-        chunk = word[pos : pos + n_i]
+        total += MatrixGF(sub, _block(std, word[pos : pos + n_i]), n_i).rank()
         pos += n_i
-        if m == 1:
-            total += 1 if any(chunk) else 0
-            continue
-        coords = [list(std.expand(ext.element(v))) for v in chunk]
-        total += MatrixGF(sub, coords, m).rank()
     return total
 
 

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Tuple
 
-from .code import LinearCode
+from .code import LinearCode, _rotation_closed
 from .errors import BadDelta, NoNontrivialCoset, NotCoprime, NotDivisor
 from .field import FieldSpec, extension
 from .poly import Polynomial, poly_lcm
@@ -176,11 +176,7 @@ def cyclic_dual_generator(g: Polynomial, n: int) -> Polynomial:
 
 def is_cyclic(code: LinearCode) -> bool:
     """Whether the row space is closed under the one-step cyclic shift."""
-    for row in code.generator.rows:
-        shifted = (row[-1],) + row[:-1]
-        if not code.contains(shifted):
-            return False
-    return True
+    return _rotation_closed(code, 1)
 
 
 def frobenius_coeffs(p: Polynomial) -> Polynomial:

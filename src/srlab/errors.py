@@ -99,6 +99,10 @@ class NotAnObject(MalformedInput):
     """JSON input with a non-object where the wire format has an object."""
 
 
+class FieldTooLarge(SrlabError):
+    """A characteristic or field order above 2^32, rejected before any search."""
+
+
 class NegativeBudget(SrlabError):
     pass
 

@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 from .errors import (
     DegreeMismatch,
     FieldMismatch,
+    FieldTooLarge,
     LengthMismatch,
     NotPrime,
     NotSubfield,
@@ -50,6 +51,8 @@ __all__ = [
 ]
 
 _LOG_TABLE_MAX = 1 << 16
+_MAX_ORDER_BITS = 32
+_MAX_ORDER = 1 << _MAX_ORDER_BITS  # GF(4^10) = 2^20 is the largest field in use
 
 
 class FieldSpec:
@@ -344,7 +347,9 @@ def _prime_field_cached(p: int) -> FieldSpec:
 
 
 def prime_field(p: int) -> FieldSpec:
-    """GF(p).  Primality is checked by trial division (inputs are small)."""
+    """GF(p).  Primality is checked by trial division, after the order bound."""
+    if p > _MAX_ORDER:
+        raise FieldTooLarge(f"GF({p}) exceeds the field-order bound 2^{_MAX_ORDER_BITS}")
     if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
         raise NotPrime(f"{p} is not prime")
     with _field_cache_lock:
@@ -367,6 +372,11 @@ def extension(base: FieldSpec, m: int, modulus: Optional[Polynomial] = None) -> 
     """
     if m < 1:
         raise DegreeMismatch("extension degree must be positive")
+    # the order is at least 2^m, so m is bounded before base.order**m is formed
+    if m > _MAX_ORDER_BITS or base.order**m > _MAX_ORDER:
+        raise FieldTooLarge(
+            f"GF({base.order}^{m}) exceeds the field-order bound 2^{_MAX_ORDER_BITS}"
+        )
     if modulus is None:
         modulus = smallest_irreducible(base, m)
     else:
@@ -448,19 +458,6 @@ class Basis:
             vals = [c for v in vals for c in g.coords(v)]
         return vals
 
-    def _sub_uncoords(self, coords):
-        f = self.field
-        chain = []
-        g = f
-        while g is not self.sub:
-            chain.append(g)
-            g = g.base
-        vals = list(coords)
-        for g in reversed(chain):
-            step = g.degree_over_base
-            vals = [g.from_coords(vals[i : i + step]) for i in range(0, len(vals), step)]
-        return vals[0]
-
     def expand(self, x: FieldElement):
         """Coefficients of x over this basis (tuple of sub-field integers)."""
         if x.field is not self.field:
@@ -525,15 +522,7 @@ def dual_basis(basis: Basis) -> Basis:
         m,
     )
     ginv = gram.invert()
-    duals = []
-    for j in range(m):
-        acc = 0
-        for k in range(m):
-            c = ginv.rows[k][j]
-            if c:
-                acc = f.add(acc, f.mul(c, els[k]))
-        duals.append(f.element(acc))
-    return Basis(f, duals, sub)
+    return Basis(f, [basis.combine([ginv.rows[k][j] for k in range(m)]) for j in range(m)], sub)
 
 
 def self_dual_basis(field: FieldSpec, sub: Optional[FieldSpec] = None, budget: int = 500_000) -> Optional[Basis]:

@@ -2,27 +2,23 @@
 
 An ambient profile fixes the block shapes (m_i, n_i) of the matrix-tuple
 space over F_q; vectors flatten row-major per block with blocks concatenated,
-and codes store a canonical rref generator over those flat coordinates.
+and a code is the LinearCode of its flattened codewords plus the profile.
 
 The trace inner product sum_i Tr(M_i N_i^T) equals the plain dot product of
-the flattened vectors; the identity is what lets one kernel routine compute
-every trace-dual, and it is itself exercised as a test invariant (trace_ip
-below deliberately follows the matrix definition rather than the shortcut).
+the flattened vectors, so a code's trace dual is the Euclidean dual of its
+flat code and the Hamming layer's duality predicates serve both metrics; the
+identity is itself exercised as a test invariant (trace_ip below deliberately
+follows the matrix definition rather than the shortcut).
 """
 
 from __future__ import annotations
 
 from typing import Iterator, List, Sequence, Tuple
 
-from .errors import (
-    LengthMismatch,
-    NonUniformProfile,
-    NotSelfDual,
-    ProfileMismatch,
-    ZeroCode,
-)
-from .linalg import MatrixGF, check_entries
-from .wordenum import all_codewords, sr_min_weight_generic, sr_min_weight_packed
+from .code import LinearCode, _rotation_closed
+from .errors import LengthMismatch, NonUniformProfile, NotSelfDual, ProfileMismatch, ZeroCode
+from .linalg import MatrixGF
+from .wordenum import sr_min_weight_generic, sr_min_weight_packed
 
 __all__ = ["BlockProfile", "SumRankVector", "SumRankCode", "DEFAULT_SR_BUDGET"]
 
@@ -173,42 +169,40 @@ class SumRankVector:
 
 
 class SumRankCode:
-    """F_q-linear subspace of a block profile, canonical flat rref generator."""
+    """F_q-linear subspace of a block profile, held as its flat LinearCode.
 
-    __slots__ = ("profile", "generator")
+    Codes are equal iff their profiles and flat codes are; the trace dual is
+    the Euclidean dual of the flat code.
+    """
 
-    def __init__(self, profile: BlockProfile, generator: MatrixGF):
+    __slots__ = ("profile", "flat")
+
+    def __init__(self, profile: BlockProfile, flat: LinearCode):
         object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "flat", flat)
 
     def __setattr__(self, name, value):
         raise AttributeError("SumRankCode is immutable")
 
     @classmethod
     def from_rows(cls, profile: BlockProfile, rows: Sequence[Sequence[int]]) -> "SumRankCode":
-        for r in rows:
-            if len(r) != profile.total:
-                raise LengthMismatch(f"row length {len(r)} != {profile.total}")
-        rows = [list(r) for r in rows]
-        check_entries(profile.field, rows)
-        gen = MatrixGF(profile.field, rows, profile.total).rref()
-        return cls(profile, gen)
-
-    @classmethod
-    def from_vectors(cls, profile: BlockProfile, vectors: Sequence[SumRankVector]) -> "SumRankCode":
-        return cls.from_rows(profile, [v.flatten() for v in vectors])
+        return cls(profile, LinearCode.from_rows(profile.field, profile.total, rows))
 
     @classmethod
     def zero(cls, profile: BlockProfile) -> "SumRankCode":
-        return cls.from_rows(profile, [])
+        return cls(profile, LinearCode.zero(profile.field, profile.total))
 
     @classmethod
     def full(cls, profile: BlockProfile) -> "SumRankCode":
-        return cls(profile, MatrixGF.identity(profile.field, profile.total))
+        return cls(profile, LinearCode.full(profile.field, profile.total))
+
+    @property
+    def generator(self) -> MatrixGF:
+        return self.flat.generator
 
     @property
     def dim(self) -> int:
-        return self.generator.nrows
+        return self.flat.k
 
     @property
     def field(self):
@@ -218,42 +212,38 @@ class SumRankCode:
         return (
             isinstance(other, SumRankCode)
             and self.profile == other.profile
-            and self.generator == other.generator
+            and self.flat == other.flat
         )
 
     def __hash__(self):
-        return hash((self.profile, self.generator))
+        return hash((self.profile, self.flat))
 
     def __repr__(self):
         return f"SumRankCode(dim={self.dim}, {self.profile.blocks})"
 
     def contains(self, vector) -> bool:
-        flat = vector.flatten() if isinstance(vector, SumRankVector) else list(vector)
-        return self.generator.row_space_contains(flat)
+        word = vector.flatten() if isinstance(vector, SumRankVector) else vector
+        return self.flat.contains(word)
 
     def vectors(self) -> Iterator[SumRankVector]:
         """All q**dim codewords; for small codes only."""
-        for flat in all_codewords(self.field, self.generator.rows, self.profile.total):
+        for flat in self.flat.codewords():
             yield SumRankVector.from_flat(self.profile, flat)
 
     # -- duality ------------------------------------------------------------
 
     def dual(self) -> "SumRankCode":
-        """Trace-dual via the flatten identity: kernel of the flat generator."""
-        if self.dim == 0:
-            return SumRankCode.full(self.profile)
-        return SumRankCode(self.profile, self.generator.kernel_basis().rref())
+        """Trace-dual via the flatten identity: the flat code's dual."""
+        return SumRankCode(self.profile, self.flat.dual())
 
     def is_self_dual(self) -> bool:
-        return 2 * self.dim == self.profile.total and self.generator.gram().is_zero()
+        return self.flat.is_self_dual()
 
     def hull_dimension(self) -> int:
-        if self.dim == 0:
-            return 0
-        return self.dim - self.generator.gram().rank()
+        return self.flat.hull_dimension()
 
     def is_lcd(self) -> bool:
-        return self.hull_dimension() == 0
+        return self.flat.is_lcd()
 
     # -- metric ---------------------------------------------------------------
 
@@ -276,11 +266,7 @@ class SumRankCode:
         """Closure of the row space under the block rotation."""
         if not self.profile.is_uniform():
             raise NonUniformProfile("cyclic test needs equal block shapes")
-        for row in self.generator.rows:
-            v = SumRankVector.from_flat(self.profile, list(row))
-            if not self.contains(v.cyclic_shift()):
-                return False
-        return True
+        return _rotation_closed(self.flat, self.profile.total // max(1, self.profile.t))
 
     def structural_report(self) -> dict:
         """Checks every self-dual sum-rank code must pass.

@@ -128,6 +128,9 @@ def test_usage_error_exit_code(capsys, tmp_path):
     assert rc == 1 and err
     rc, _, err = run_cli(capsys, "cyclic", "--q", "4", "--n", "6", "--bch", "2", "0")
     assert rc == 1  # gcd(4, 6) != 1
+    # fields above 2^32 elements are refused before any search
+    assert_input_error(*run_cli(capsys, "field", "info", "--degrees", "2,100000"))
+    assert_input_error(*run_cli(capsys, "field", "info", "--characteristic", str(2**61 - 1)))
 
 
 def test_method_pairs_rejects_non_f4(tmp_path, capsys):
@@ -238,6 +241,8 @@ def test_top_level_json_must_be_an_object(tmp_path, capsys):
         {**code, "n": 2.0},
         {k: v for k, v in code.items() if k != "n"},
         {k: v for k, v in code.items() if k != "q_tower"},
+        {**code, "q_tower": {"characteristic": 1000000000000000003, "tower": []},
+         "n": 1, "generator": [[1]]},
     ]
     bad_srs = [
         {**sr, "blocks": 3},

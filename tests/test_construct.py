@@ -28,13 +28,23 @@ from srlab.errors import (
     ProfileMismatch,
 )
 from srlab.field import Basis, extension, prime_field
-from srlab.sumrank import BlockProfile, SumRankVector
+from srlab.linalg import MatrixGF
+from srlab.sumrank import BlockProfile, SumRankCode, SumRankVector
 
 F2 = prime_field(2)
 F4 = extension(F2, 2)
 F8 = extension(F2, 3)
+F9 = extension(prime_field(3), 2)
 B_1W = power_basis(F4)
 B_SD = Basis(F4, [2, 3])
+
+
+def _random_basis(rnd, ext):
+    while True:
+        try:
+            return Basis(ext, [rnd.randrange(1, ext.order) for _ in range(ext.degree_over_base)])
+        except LengthMismatch:  # dependent draw
+            pass
 
 
 def _rand_code(rnd, field, n, k):
@@ -68,20 +78,19 @@ def test_rank_table_oracle():
 
 
 def test_qpoly_matrix_is_the_map():
-    # multiply a random element through the matrix and through the map
+    # apply the matrix to expand(x) and compare with expand(sum a_i x^(q^i))
     rnd = random.Random(2)
-    for basis in (B_1W, B_SD):
+    for basis in (B_1W, B_SD, _random_basis(rnd, F8), _random_basis(rnd, F9)):
+        ext, sub, m = basis.field, basis.sub, basis.size
         for _ in range(40):
-            coeffs = (rnd.randrange(4), rnd.randrange(4))
-            m = qpoly_matrix(coeffs, basis)
-            x = rnd.randrange(4)
-            img = F4.add(F4.mul(coeffs[0], x), F4.mul(coeffs[1], F4.mul(x, x)))
-            xc = basis.expand(F4.element(x))
-            prod = [
-                F2.add(F2.mul(m.rows[i][0], xc[0]), F2.mul(m.rows[i][1], xc[1]))
-                for i in range(2)
-            ]
-            assert basis.combine(prod) == F4.element(img)
+            coeffs = [rnd.randrange(ext.order) for _ in range(m)]
+            x = rnd.randrange(ext.order)
+            img = 0
+            for i, a in enumerate(coeffs):
+                img = ext.add(img, ext.mul(a, ext.pow(x, sub.order**i)))
+            xc = MatrixGF(sub, [[c] for c in basis.expand(ext.element(x))], 1)
+            prod = qpoly_matrix(coeffs, basis).mat_mul(xc)
+            assert tuple(r[0] for r in prod.rows) == basis.expand(ext.element(img))
 
 
 def test_qpoly_matrix_length_check():
@@ -101,6 +110,30 @@ def test_qpoly_code_dimension_and_blocks():
         s = qpoly_code([c0, c1])
         assert s.dim == 2 * (c0.k + c1.k)
         assert s.profile.blocks == ((2, 2),) * t
+
+
+def test_qpoly_code_is_the_per_coordinate_layout():
+    # one row per (code i, generator row g, basis element lam); its block j
+    # is the matrix of x -> lam * g_j * x^(q^i)
+    rnd = random.Random(19)
+    for ext in (F8, F9):
+        for _ in range(3):
+            basis = _random_basis(rnd, ext)
+            m, t = basis.size, 3
+            codes = [_rand_code(rnd, ext, t, rnd.randint(0, 2)) for _ in range(m)]
+            rows = []
+            for i, c in enumerate(codes):
+                for g in c.generator.rows:
+                    for lam in basis.elements:
+                        flat = []
+                        for gj in g:
+                            coeffs = [0] * m
+                            coeffs[i] = ext.mul(lam.value, gj)
+                            for r in qpoly_matrix(coeffs, basis).rows:
+                                flat.extend(r)
+                        rows.append(flat)
+            layout = SumRankCode.from_rows(BlockProfile(basis.sub, [(m, m)] * t), rows)
+            assert qpoly_code(codes, basis) == layout
 
 
 def test_qpoly_code_zero_inputs():

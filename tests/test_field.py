@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from srlab.errors import DegreeMismatch, NotPrime, NotSubfield, Reducible
+from srlab.errors import DegreeMismatch, FieldTooLarge, NotPrime, NotSubfield, Reducible
 from srlab.field import (
     Basis,
     dual_basis,
@@ -31,6 +31,16 @@ def test_prime_field_rejects_composites():
         prime_field(4)
     with pytest.raises(NotPrime):
         prime_field(1)
+
+
+def test_field_order_is_bounded():
+    # rejected before trial division or the irreducible search
+    with pytest.raises(FieldTooLarge):
+        prime_field(2**61 - 1)
+    with pytest.raises(FieldTooLarge):
+        extension(F2, 33)
+    with pytest.raises(FieldTooLarge):
+        extension(F4, 100_000)
 
 
 def test_f4_modulus_and_generator():

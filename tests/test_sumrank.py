@@ -190,6 +190,13 @@ def test_is_cyclic_sr():
     assert c.is_cyclic()
     rows2 = [[1, 0, 0, 0] + [0] * 8]
     assert not SumRankCode.from_rows(p, rows2).is_cyclic()
+    # (2, 3) blocks: the rotation moves whole blocks of six coordinates
+    p23 = BlockProfile(F2, [(2, 3)] * 3)
+    w = [1, 0, 0, 0, 1, 1] + [0, 1, 0, 0, 0, 0] + [0] * 6
+    v = SumRankVector.from_flat(p23, w)
+    rotations = [v, v.cyclic_shift(), v.cyclic_shift().cyclic_shift()]
+    assert SumRankCode.from_rows(p23, [r.flatten() for r in rotations]).is_cyclic()
+    assert not SumRankCode.from_rows(p23, [w]).is_cyclic()
     with pytest.raises(NonUniformProfile):
         SumRankCode.zero(BlockProfile(F2, [(2, 3), (2, 2)])).is_cyclic()
 
