@@ -45,7 +45,6 @@ from .cyclic import (
 from .errors import BudgetExceeded, SrlabError
 from .field import (
     Basis,
-    FieldElement,
     FieldSpec,
     dual_basis,
     extension,
@@ -67,7 +66,6 @@ __all__ = [
     "BudgetExceeded",
     "CosetTable",
     "DEFAULT_WORD_BUDGET",
-    "FieldElement",
     "FieldSpec",
     "LinearCode",
     "MatrixGF",

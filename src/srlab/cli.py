@@ -15,13 +15,14 @@
 Code arguments read JSON from a file path or, when omitted or "-", stdin.
 Exit codes: 0 success / all rows match, 1 usage or input error, 2 a budget
 was exceeded (result carries the best bound, flagged non-exact), 3 a table
-row mismatched.
+row mismatched.  `python -m srlab` runs the same front end.
 """
 
 from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 
 from . import jsonio
@@ -38,7 +39,7 @@ from .construct import (
     uniform22_distance_bounds,
 )
 from .cyclic import bch_generator, cyclic_code, cyclotomic_cosets, parse_poly
-from .errors import BudgetExceeded, MethodUnavailable, SrlabError
+from .errors import BudgetExceeded, SrlabError, UsageError
 from .field import Basis, extension, prime_field
 from .sumrank import BlockProfile
 from .tables import (
@@ -50,8 +51,22 @@ from .tables import (
     run_tables,
 )
 
-DEFAULT_CLI_WORD_BUDGET = 2**24
-DEFAULT_CLI_PAIR_BUDGET = 2**27
+# how many JSON inputs an sr action reads, as (fewest, most or None); the
+# actions not listed read one, or stdin when none is given
+_SR_INPUTS = {
+    "construct-sr": (1, None),
+    "construct-matb": (1, 1),
+    "bounds": (0, 0),
+    "verify-duality": (0, 0),
+}
+_PROFILE_PART = re.compile(r"\s*(\d+)\s*x\s*(\d+)\s*(?:\*\s*(\d+)\s*)?", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports bad arguments as UsageError, exit 1; exit 2 means a budget ran out."""
+
+    def error(self, message):
+        raise UsageError(f"{message} (see {self.prog} --help)")
 
 
 def _emit(obj) -> None:
@@ -77,17 +92,23 @@ def _field_with_degrees(characteristic: int, degrees) -> "object":
     return f
 
 
+def _int_list(text: str):
+    """"2,10" -> [2, 10]; argparse reports the type error as a usage error."""
+    try:
+        return [int(d) for d in text.split(",")] if text else []
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers")
+
+
 def _parse_profile(field, text: str) -> BlockProfile:
-    """Profiles like "2x3,2x2*5": comma-separated m x n, optional *count."""
+    """Profiles like "2x3,2x2*5": comma-separated m x n, optional *count >= 1."""
     blocks = []
     for part in text.split(","):
-        part = part.strip()
-        if "*" in part:
-            shape, count = part.split("*")
-        else:
-            shape, count = part, "1"
-        m, n = shape.lower().split("x")
-        blocks.extend([(int(m), int(n))] * int(count))
+        match = _PROFILE_PART.fullmatch(part)
+        count = int(match[3] or 1) if match else 0
+        if count < 1:
+            raise UsageError(f"profile part {part!r} is not MxN or MxN*COUNT with COUNT >= 1")
+        blocks.extend([(int(match[1]), int(match[2]))] * count)
     return BlockProfile(field, blocks)
 
 
@@ -112,8 +133,7 @@ def _emit_distance(search) -> int:
 
 
 def _cmd_field(args) -> int:
-    degrees = [int(d) for d in args.degrees.split(",")] if args.degrees else []
-    f = _field_with_degrees(args.characteristic, degrees)
+    f = _field_with_degrees(args.characteristic, args.degrees)
     obj = jsonio.field_to_obj(f)
     obj["order"] = f.order
     obj["primitive_element"] = f.primitive_element
@@ -135,7 +155,7 @@ def _cmd_cyclic(args) -> int:
         g = bch_generator(field, args.n, delta, b)
         table = cyclotomic_cosets(field.order, args.n)
         meta["cosets_used"] = sorted(
-            {table.coset_of(j % args.n) for j in range(b, b + delta - 1)}
+            {table.coset_of(j % args.n) for j in range(b, b + min(delta - 1, args.n))}
         )
     else:
         g = parse_poly(field, args.gen)
@@ -166,7 +186,19 @@ def _cmd_code(args) -> int:
     return 0
 
 
+def _check_input_count(args) -> None:
+    if args.action == "mindist" and args.method == "pairs":
+        lo, hi = 2, 2
+    else:
+        lo, hi = _SR_INPUTS.get(args.action, (0, 1))
+    n = len(args.inputs)
+    if n < lo or (hi is not None and n > hi):
+        want = f"{lo}" if lo == hi else f"{lo} or more" if hi is None else f"{lo} to {hi}"
+        raise UsageError(f"sr {args.action} reads {want} JSON input(s), got {n}")
+
+
 def _cmd_sr(args) -> int:
+    _check_input_count(args)
     if args.action == "construct-sr":
         codes = [jsonio.code_from_obj(_read_json_arg(p)) for p in args.inputs]
         basis = _parse_basis(codes[0].field, args.basis) if args.basis else None
@@ -180,24 +212,22 @@ def _cmd_sr(args) -> int:
         return 0
     if args.action == "bounds":
         if args.theorem23:
-            m = int(args.theorem23[0])
-            b = sr_distance_bounds(m, [int(v) for v in args.theorem23[1:]])
+            b = sr_distance_bounds(args.theorem23[0], args.theorem23[1:])
         elif args.prop38:
             d, prof = args.prop38
-            f2 = prime_field(2)
-            b = expansion_distance_bounds(int(d), _parse_profile(f2, prof))
+            if not d.isdecimal():
+                raise UsageError(f"--prop38 distance {d!r} is not a nonnegative integer")
+            b = expansion_distance_bounds(int(d), _parse_profile(prime_field(2), prof))
         elif args.cor32:
-            b = uniform22_distance_bounds(int(args.cor32[0]), int(args.cor32[1]))
+            b = uniform22_distance_bounds(*args.cor32)
         else:
-            raise SrlabError("bounds needs one of --theorem23 / --prop38 / --cor32")
+            raise UsageError("bounds needs one of --theorem23 / --prop38 / --cor32")
         _emit({"lower": b.lower, "upper": b.upper, "exact": b.exact})
         return 0
     if args.action == "verify-duality":
         return _verify_duality(args)
     if args.action == "mindist":
         if args.method == "pairs":
-            if len(args.inputs) != 2:
-                raise MethodUnavailable("--method pairs needs two code JSON inputs")
             c0 = jsonio.code_from_obj(_read_json_arg(args.inputs[0]))
             c1 = jsonio.code_from_obj(_read_json_arg(args.inputs[1]))
             return _emit_distance(lambda: pair_distance(c0, c1, budget=args.pair_budget))
@@ -259,7 +289,7 @@ def _random_basis(rnd, ext) -> Basis:
 
 def _cmd_tables(args) -> int:
     results = run_tables(
-        [int(t) for t in args.ids],
+        args.ids,
         word_budget=args.budget,
         pair_budget=args.pair_budget,
         jobs=args.jobs,
@@ -274,15 +304,16 @@ def _cmd_tables(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="srlab", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _Parser(prog="srlab", description=__doc__,
+                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("field", help="build and inspect field towers")
     psub = p.add_subparsers(dest="faction", required=True)
     pi = psub.add_parser("info")
     pi.add_argument("--characteristic", type=int, default=2)
-    pi.add_argument("--degrees", default="", help="comma-separated tower degrees, e.g. 2,10")
+    pi.add_argument("--degrees", type=_int_list, default="",
+                    help="comma-separated tower degrees, e.g. 2,10")
     pi.set_defaults(fn=_cmd_field)
 
     p = sub.add_parser("cyclic", help="build cyclic/BCH codes")
@@ -296,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("code", help="operate on linear-code JSON")
     p.add_argument("action", choices=["info", "dual", "selfdual", "lcd", "mindist"])
     p.add_argument("code", nargs="?", help="code JSON path (default stdin)")
-    p.add_argument("--budget", type=int, default=DEFAULT_CLI_WORD_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_TABLE_WORD_BUDGET)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=_cmd_code)
 
@@ -306,17 +337,17 @@ def build_parser() -> argparse.ArgumentParser:
         "construct-sr", "construct-matb", "bounds", "verify-duality",
     ])
     p.add_argument("inputs", nargs="*", help="JSON input path(s)")
-    p.add_argument("--budget", type=int, default=DEFAULT_CLI_WORD_BUDGET)
-    p.add_argument("--pair-budget", type=int, default=DEFAULT_CLI_PAIR_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_TABLE_WORD_BUDGET)
+    p.add_argument("--pair-budget", type=int, default=DEFAULT_TABLE_PAIR_BUDGET)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--method", choices=["exhaustive", "pairs"], default="exhaustive")
     p.add_argument("--basis", help="comma-separated constants, e.g. w,w^2")
     p.add_argument("--profile", help='block shapes, e.g. "2x3,2x2*5"')
-    p.add_argument("--theorem23", nargs="+", metavar="V",
+    p.add_argument("--theorem23", nargs="+", type=int, metavar="V",
                    help="m d0 d1 ... -> stacking bounds")
     p.add_argument("--prop38", nargs=2, metavar=("D", "PROFILE"),
                    help="expansion bounds from Hamming distance and profile")
-    p.add_argument("--cor32", nargs=2, metavar=("D", "T"),
+    p.add_argument("--cor32", nargs=2, type=int, metavar=("D", "T"),
                    help="uniform 2x2 expansion bounds")
     p.add_argument("--kind", choices=["sr", "matb"], default="sr")
     p.add_argument("--trials", type=int, default=100)
@@ -324,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sr)
 
     p = sub.add_parser("tables", help="reproduce the published parameter tables")
-    p.add_argument("ids", nargs="+", help="table numbers, e.g. 2 3 9")
+    p.add_argument("ids", nargs="+", type=int, help="table numbers, e.g. 2 3 9")
     p.add_argument("--budget", type=int, default=DEFAULT_TABLE_WORD_BUDGET)
     p.add_argument("--pair-budget", type=int, default=DEFAULT_TABLE_PAIR_BUDGET)
     p.add_argument("--jobs", type=int, default=1)
@@ -335,9 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except BudgetExceeded as exc:
         _emit({"error": "budget exceeded", "detail": str(exc), "best": exc.best})
@@ -348,7 +378,3 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"srlab: bad input: {exc!r}\n")
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -80,14 +80,15 @@ class Bounds:
         return self.lower <= v <= self.upper
 
 
-def power_basis(ext: FieldSpec) -> Basis:
-    """Default basis 1, g, g^2, ... for the extension's canonical generator.
+def power_basis(ext: FieldSpec, sub: Optional[FieldSpec] = None) -> Basis:
+    """Default basis 1, g, g^2, ... over `sub` (default: the immediate base)
+    for the extension's canonical generator g.
 
     For GF(4)/GF(2) this is {1, w}, the basis the q=m=2 duality proof uses.
     """
     g = ext.primitive_element
-    m = ext.degree_over_base
-    return Basis(ext, [ext.pow(g, i) for i in range(m)])
+    m = ext.degree_over(sub) if sub is not None else ext.degree_over_base
+    return Basis(ext, [ext.pow(g, i) for i in range(m)], sub)
 
 
 def qpoly_matrix(coeffs: Sequence[int], basis: Basis) -> MatrixGF:
@@ -101,9 +102,8 @@ def qpoly_matrix(coeffs: Sequence[int], basis: Basis) -> MatrixGF:
         raise LengthMismatch(f"need {m} coefficients, got {len(coeffs)}")
     q = basis.sub.order
     images = []
-    for g in basis.elements:
+    for t in basis.elements:
         img = 0
-        t = g.value
         for a in coeffs:
             if a:
                 img = ext.add(img, ext.mul(a, t))
@@ -114,7 +114,7 @@ def qpoly_matrix(coeffs: Sequence[int], basis: Basis) -> MatrixGF:
 
 def _block(basis: Basis, coords: Sequence[int]) -> List[List[int]]:
     """The m x len(coords) base-field block whose column s expands coords[s]."""
-    cols = [basis.expand(basis.field.element(v)) for v in coords]
+    cols = [basis.expand(v) for v in coords]
     return [[c[r] for c in cols] for r in range(basis.size)]
 
 
@@ -125,7 +125,7 @@ def _expanded_code(basis: Basis, profile: BlockProfile, words, want: int) -> Sum
     rows = []
     for word in words:
         for lam in basis.elements:
-            scaled = [ext.mul(lam.value, v) for v in word]
+            scaled = [ext.mul(lam, v) for v in word]
             flat: List[int] = []
             pos = 0
             for _, n_i in profile.blocks:
@@ -190,25 +190,22 @@ def qpoly_code(codes: Sequence[LinearCode], basis: Optional[Basis] = None) -> Su
     q = basis.sub.order
     words = []
     for i, c in enumerate(codes):
-        powers = [ext.pow(b.value, q**i) for b in basis.elements]
+        powers = [ext.pow(b, q**i) for b in basis.elements]
         words += [[ext.mul(g, p) for g in grow for p in powers] for grow in c.generator.rows]
     profile = BlockProfile(basis.sub, [(m, m)] * t)
     return _expanded_code(basis, profile, words, m * sum(c.k for c in codes))
 
 
-def pair_distance(
-    c0: LinearCode,
-    c1: LinearCode,
-    budget: int = DEFAULT_PAIR_BUDGET,
-    basis: Optional[Basis] = None,
-) -> int:
+def pair_distance(c0: LinearCode, c1: LinearCode, budget: int = DEFAULT_PAIR_BUDGET) -> int:
     """Exact distance of the q = m = 2 stacked code by pair enumeration.
 
     For coefficient pairs over GF(4) the block rank is 1 where both
     codewords are nonzero and 2 where exactly one is, so the weight of a
     pair depends only on the two supports.  Distinct supports are invariant
     under scalar multiples, which shrinks the enumeration from |C0| * |C1|
-    pairs to one per support-class pair without changing the minimum.
+    pairs to one per support-class pair without changing the minimum.  The
+    block rank of x -> a0 x + a1 x^2 does not depend on the basis, so the
+    zero pattern is validated in the power basis.
     Budget counts weight evaluations; BudgetExceeded carries the best bound
     assembled from one-sided sweeps and a light partial scan.  Supports are
     uint64 masks, so the codes may be at most 64 long.
@@ -223,7 +220,7 @@ def pair_distance(
         raise MethodUnavailable(f"support masks are 64-bit; length {c0.n} is too long")
     if c0.k == 0 and c1.k == 0:
         raise MethodUnavailable("both codes are zero")
-    _check_rank_table_pattern(qpoly_rank_table(basis if basis is not None else power_basis(ext)))
+    _check_rank_table_pattern(qpoly_rank_table(power_basis(ext)))
 
     def side_masks(c):
         """(support classes, complete?): every class when at most 2**22
@@ -313,7 +310,7 @@ def symbol_sum_rank_weight(word: Sequence[int], ext: FieldSpec, profile: BlockPr
         raise ProfileMismatch("profile rows must equal the extension degree")
     if sum(n for _, n in profile.blocks) != len(word):
         raise ProfileMismatch("profile does not cover the word")
-    std = Basis(ext, [ext.pow(ext.primitive_element, i) for i in range(m)], sub)
+    std = power_basis(ext, sub)
     total = 0
     pos = 0
     for _, n_i in profile.blocks:

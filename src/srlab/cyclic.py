@@ -130,7 +130,8 @@ def minimal_polynomial(field: FieldSpec, n: int, i: int) -> Polynomial:
 def bch_generator(field: FieldSpec, n: int, delta: int, b: int) -> Polynomial:
     """lcm of the minimal polynomials of beta^b .. beta^(b+delta-2).
 
-    Exponents are reduced mod n; the result is monic and divides x^n - 1.
+    Exponents are reduced mod n, so only the first min(delta - 1, n) give
+    distinct residues; the result is monic and divides x^n - 1.
     """
     if delta < 2:
         raise BadDelta("designed distance must be at least 2")
@@ -138,7 +139,7 @@ def bch_generator(field: FieldSpec, n: int, delta: int, b: int) -> Polynomial:
         raise NotCoprime(f"gcd({field.order}, {n}) != 1")
     table = cyclotomic_cosets(field.order, n)
     reps = []
-    for j in range(b, b + delta - 1):
+    for j in range(b, b + min(delta - 1, n)):
         rep = table.coset_of(j % n)[0]
         if rep not in reps:
             reps.append(rep)

@@ -107,6 +107,10 @@ class NegativeBudget(SrlabError):
     pass
 
 
+class UsageError(SrlabError):
+    """Command-line arguments the front end cannot act on."""
+
+
 class ZeroCode(SrlabError):
     """Distance queries on the zero code are undefined."""
 

@@ -36,12 +36,11 @@ from .errors import (
     Reducible,
     SearchExceeded,
 )
-from .linalg import MatrixGF
+from .linalg import MatrixGF, check_entries
 from .poly import Polynomial, is_irreducible, prime_factors, smallest_irreducible
 
 __all__ = [
     "FieldSpec",
-    "FieldElement",
     "Basis",
     "prime_field",
     "extension",
@@ -242,97 +241,8 @@ class FieldSpec:
             d *= f.degree_over_base
         raise NotSubfield(f"GF({sub.order}) is not a step of this tower")
 
-    # -- element factory ------------------------------------------------------
-
-    def element(self, value: int) -> "FieldElement":
-        if not (0 <= value < self.order):
-            raise ValueError(f"canonical value {value} out of range for GF({self.order})")
-        return FieldElement(self, value)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self):
-        return (FieldElement(self, v) for v in range(self.order))
-
     def __repr__(self):
         return f"GF({self.order})"
-
-
-class FieldElement:
-    """Thin wrapper pairing a canonical integer with its field."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: FieldSpec, value: int):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
-
-    @property
-    def coords(self):
-        return self.field.coords(self.value)
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise FieldMismatch("elements of different fields")
-            return other.value
-        if isinstance(other, int) and 0 <= other < self.field.order:
-            return other
-        raise FieldMismatch(f"cannot interpret {other!r} in GF({self.field.order})")
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.field, self.field.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.field, self.field.sub(self.value, v))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.field, self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        return FieldElement(self.field, self.field.mul(self.value, self.field.inv(v)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other
-        return (
-            isinstance(other, FieldElement)
-            and self.field is other.field
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), self.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value}@GF({self.field.order})"
 
 
 _field_cache_lock = threading.Lock()
@@ -392,24 +302,24 @@ def extension(base: FieldSpec, m: int, modulus: Optional[Polynomial] = None) -> 
         return _extension_cached(base, m, modulus.coeffs)
 
 
-def trace_to(x: FieldElement, target: FieldSpec) -> FieldElement:
-    """Relative trace sum(x**(q**i), i < m) down to `target` (order q)."""
-    f = x.field
-    if not f.has_substep(target):
-        raise NotSubfield(f"GF({target.order}) does not appear in the tower of GF({f.order})")
-    if f is target:
+def trace_to(field: FieldSpec, x: int, target: FieldSpec) -> int:
+    """Relative trace sum(x**(q**i), i < m) of x in `field` down to `target` (order q)."""
+    check_entries(field, [(x,)])
+    if not field.has_substep(target):
+        raise NotSubfield(f"GF({target.order}) does not appear in the tower of GF({field.order})")
+    if field is target:
         return x
-    m = f.degree_over(target)
+    m = field.degree_over(target)
     q = target.order
     acc = 0
-    t = x.value
+    t = x
     for _ in range(m):
-        acc = f.add(acc, t)
-        t = f.pow(t, q)
+        acc = field.add(acc, t)
+        t = field.pow(t, q)
     # the trace of the full orbit lands in the subfield by construction
     if acc >= target.order:
         raise AssertionError("trace left the subfield; tower arithmetic is broken")
-    return FieldElement(target, acc)
+    return acc
 
 
 class Basis:
@@ -419,23 +329,20 @@ class Basis:
     solved through the coordinate matrix, cached on first use.
     """
 
-    def __init__(self, field: FieldSpec, elements: Sequence[FieldElement], sub: Optional[FieldSpec] = None):
+    def __init__(self, field: FieldSpec, elements: Sequence[int], sub: Optional[FieldSpec] = None):
         sub = sub if sub is not None else field.base
         if sub is None:
             raise NotSubfield("prime fields have no basis over a subfield")
         m = field.degree_over(sub)
-        elements = tuple(
-            e if isinstance(e, FieldElement) else field.element(e) for e in elements
-        )
-        if any(e.field is not field for e in elements):
-            raise FieldMismatch("basis elements must live in the extension")
+        elements = tuple(elements)
+        check_entries(field, [elements])
         if len(elements) != m:
             raise LengthMismatch(f"need {m} elements, got {len(elements)}")
         self.field = field
         self.sub = sub
         self.elements = elements
         self._to_coords = None  # inverse coordinate matrix, built lazily
-        cols = [self._sub_coords(e.value) for e in elements]
+        cols = [self._sub_coords(e) for e in elements]
         mat = MatrixGF(sub, [[cols[j][i] for j in range(m)] for i in range(m)], m)
         if mat.rank() != m:
             raise LengthMismatch("basis elements are linearly dependent")
@@ -458,13 +365,12 @@ class Basis:
             vals = [c for v in vals for c in g.coords(v)]
         return vals
 
-    def expand(self, x: FieldElement):
+    def expand(self, x: int):
         """Coefficients of x over this basis (tuple of sub-field integers)."""
-        if x.field is not self.field:
-            raise FieldMismatch("element not in the basis field")
+        check_entries(self.field, [(x,)])
         if self._to_coords is None:
             self._to_coords = self._coord_matrix.invert()
-        s = self._sub_coords(x.value)
+        s = self._sub_coords(x)
         inv = self._to_coords
         sub = self.sub
         return tuple(
@@ -474,22 +380,21 @@ class Basis:
             for i in range(self.size)
         )
 
-    def combine(self, coords) -> FieldElement:
+    def combine(self, coords) -> int:
         if len(coords) != self.size:
             raise LengthMismatch(f"need {self.size} coordinates")
         f = self.field
         acc = 0
         for c, g in zip(coords, self.elements):
             if c:
-                acc = f.add(acc, f.mul(c, g.value))  # sub elements lift to the same int
-        return FieldElement(f, acc)
+                acc = f.add(acc, f.mul(c, g))  # sub elements lift to the same int
+        return acc
 
     def dual(self) -> "Basis":
         return dual_basis(self)
 
     def is_self_dual(self) -> bool:
-        d = self.dual()
-        return all(a == b for a, b in zip(self.elements, d.elements))
+        return self.dual().elements == self.elements
 
     def __eq__(self, other):
         return (
@@ -500,7 +405,7 @@ class Basis:
         )
 
     def __repr__(self):
-        return f"Basis({[e.value for e in self.elements]} of GF({self.field.order})/GF({self.sub.order}))"
+        return f"Basis({list(self.elements)} of GF({self.field.order})/GF({self.sub.order}))"
 
 
 def dual_basis(basis: Basis) -> Basis:
@@ -512,15 +417,8 @@ def dual_basis(basis: Basis) -> Basis:
     f = basis.field
     sub = basis.sub
     m = basis.size
-    els = [e.value for e in basis.elements]
-    gram = MatrixGF(
-        sub,
-        [
-            [trace_to(f.element(f.mul(els[i], els[j])), sub).value for j in range(m)]
-            for i in range(m)
-        ],
-        m,
-    )
+    els = basis.elements
+    gram = MatrixGF(sub, [[trace_to(f, f.mul(a, b), sub) for b in els] for a in els], m)
     ginv = gram.invert()
     return Basis(f, [basis.combine([ginv.rows[k][j] for k in range(m)]) for j in range(m)], sub)
 
@@ -541,7 +439,7 @@ def self_dual_basis(field: FieldSpec, sub: Optional[FieldSpec] = None, budget: i
     if q % 2 == 1 and m % 2 == 0:
         return None
 
-    tr = lambda v: trace_to(field.element(v), sub).value
+    tr = lambda v: trace_to(field, v, sub)
     nodes = 0
     chosen = []
 
@@ -570,4 +468,4 @@ def self_dual_basis(field: FieldSpec, sub: Optional[FieldSpec] = None, budget: i
 
     if not search():
         raise SearchExceeded("existence criterion satisfied but search found no basis")
-    return Basis(field, [field.element(v) for v in chosen], sub)
+    return Basis(field, chosen, sub)

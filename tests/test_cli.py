@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import srlab
 from srlab.cli import main
 from srlab.construct import pair_distance
 from srlab.errors import NegativeBudget
@@ -39,6 +43,11 @@ def test_cyclic_bch_and_code_roundtrip(tmp_path, capsys):
     assert rc == 0
     info = json.loads(out3)
     assert info["k"] == 7 and info["lcd"] is True and info["selfdual"] is False
+
+    # a designed distance past n adds no exponents, and must not walk them all
+    rc, huge, _ = run_cli(capsys, "cyclic", "--q", "4", "--n", "13", "--bch", "100000000", "1")
+    assert rc == 0
+    assert huge == run_cli(capsys, "cyclic", "--q", "4", "--n", "13", "--bch", "14", "1")[1]
 
 
 def test_cyclic_gen_selfdual(tmp_path, capsys):
@@ -131,6 +140,25 @@ def test_usage_error_exit_code(capsys, tmp_path):
     # fields above 2^32 elements are refused before any search
     assert_input_error(*run_cli(capsys, "field", "info", "--degrees", "2,100000"))
     assert_input_error(*run_cli(capsys, "field", "info", "--characteristic", str(2**61 - 1)))
+    # argparse errors exit 1 too; exit 2 is reserved for a budget that ran out
+    assert_input_error(*run_cli(capsys, "tables", "2", "--format", "xml"))
+    assert_input_error(*run_cli(capsys, "code", "frob"))
+    assert_input_error(*run_cli(capsys, "tables", "2", "--budget", "x"))
+    assert_input_error(*run_cli(capsys, "tables", "x"))
+    assert_input_error(*run_cli(capsys, "field", "info", "--degrees", "2,x"))
+    assert_input_error(*run_cli(capsys, "sr", "bounds", "--cor32", "a", "3"))
+    assert_input_error(*run_cli(capsys, "sr", "bounds", "--prop38", "x", "2x2"))
+    # sr actions check how many JSON inputs they got
+    assert_input_error(*run_cli(capsys, "sr", "construct-matb"))
+    assert_input_error(*run_cli(capsys, "sr", "construct-sr", "--basis", "1,w"))
+    rc, out, _ = run_cli(capsys, "cyclic", "--q", "4", "--n", "13", "--bch", "13", "1")
+    c = tmp_path / "c.json"
+    c.write_text(out)
+    assert_input_error(*run_cli(capsys, "sr", "construct-matb", str(c), "--profile", "2x"))
+    # a negative count is refused, not read as an empty profile
+    rc, out, err = run_cli(capsys, "sr", "bounds", "--prop38", "5", "2x2*-1")
+    assert_input_error(rc, out, err)
+    assert "2x2*-1" in err
 
 
 def test_method_pairs_rejects_non_f4(tmp_path, capsys):
@@ -305,3 +333,11 @@ def test_wire_input_fuzz(tmp_path, capsys, obj, action):
     rc, out, err = run_cli(capsys, action, "info", str(p))
     if rc != 0:
         assert_input_error(rc, out, err)
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(srlab.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "srlab", "field", "info"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["order"] == 2

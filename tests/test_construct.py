@@ -88,9 +88,9 @@ def test_qpoly_matrix_is_the_map():
             img = 0
             for i, a in enumerate(coeffs):
                 img = ext.add(img, ext.mul(a, ext.pow(x, sub.order**i)))
-            xc = MatrixGF(sub, [[c] for c in basis.expand(ext.element(x))], 1)
+            xc = MatrixGF(sub, [[c] for c in basis.expand(x)], 1)
             prod = qpoly_matrix(coeffs, basis).mat_mul(xc)
-            assert tuple(r[0] for r in prod.rows) == basis.expand(ext.element(img))
+            assert tuple(r[0] for r in prod.rows) == basis.expand(img)
 
 
 def test_qpoly_matrix_length_check():
@@ -128,7 +128,7 @@ def test_qpoly_code_is_the_per_coordinate_layout():
                         flat = []
                         for gj in g:
                             coeffs = [0] * m
-                            coeffs[i] = ext.mul(lam.value, gj)
+                            coeffs[i] = ext.mul(lam, gj)
                             for r in qpoly_matrix(coeffs, basis).rows:
                                 flat.extend(r)
                         rows.append(flat)

@@ -157,6 +157,8 @@ def test_bch_wraparound_indices():
         minimal_polynomial(F4, 13, 1),
     )
     assert g == explicit
+    # only n consecutive exponents are distinct mod n, so a huge delta costs n steps
+    assert bch_generator(F4, 13, 10**8, 1) == bch_generator(F4, 13, 14, 1)
 
 
 # -- cyclic codes ----------------------------------------------------------------

@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from srlab.errors import DegreeMismatch, FieldTooLarge, NotPrime, NotSubfield, Reducible
+from srlab.construct import symbol_sum_rank_weight
+from srlab.errors import (
+    DegreeMismatch,
+    EntryOutOfRange,
+    FieldTooLarge,
+    NotPrime,
+    NotSubfield,
+    Reducible,
+)
 from srlab.field import (
     Basis,
     dual_basis,
@@ -12,6 +20,7 @@ from srlab.field import (
     trace_to,
 )
 from srlab.poly import Polynomial
+from srlab.sumrank import BlockProfile
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -45,8 +54,7 @@ def test_field_order_is_bounded():
 
 def test_f4_modulus_and_generator():
     assert F4.modulus.coeffs == (1, 1, 1)  # x^2 + x + 1
-    w = F4.element(2)
-    assert (w * w).value == 3  # w^2 = w + 1
+    assert F4.mul(2, 2) == 3  # w^2 = w + 1
 
 
 def test_reducible_modulus_rejected():
@@ -98,12 +106,11 @@ def test_canonical_encoding_nests():
 
 
 def test_trace_examples():
-    w = F4.element(2)
-    assert trace_to(F4.zero(), F2) == 0
-    assert trace_to(w, F2) == 1  # w + w^2 = w + (w+1) = 1
-    assert trace_to(F4.one(), F2) == 0  # 1 + 1 in characteristic 2
+    assert trace_to(F4, 0, F2) == 0
+    assert trace_to(F4, 2, F2) == 1  # w + w^2 = w + (w+1) = 1
+    assert trace_to(F4, 1, F2) == 0  # 1 + 1 in characteristic 2
     with pytest.raises(NotSubfield):
-        trace_to(w, F3)
+        trace_to(F4, 2, F3)
 
 
 def test_trace_is_linear_and_surjective():
@@ -114,11 +121,11 @@ def test_trace_is_linear_and_surjective():
         for _ in range(120):
             a, b = rnd.randrange(ext_field.order), rnd.randrange(ext_field.order)
             lam = rnd.randrange(sub.order)
-            ta = trace_to(ext_field.element(a), sub).value
-            tb = trace_to(ext_field.element(b), sub).value
-            tsum = trace_to(ext_field.element(ext_field.add(a, b)), sub).value
+            ta = trace_to(ext_field, a, sub)
+            tb = trace_to(ext_field, b, sub)
+            tsum = trace_to(ext_field, ext_field.add(a, b), sub)
             assert tsum == sub.add(ta, tb)
-            tl = trace_to(ext_field.element(ext_field.mul(lam, a)), sub).value
+            tl = trace_to(ext_field, ext_field.mul(lam, a), sub)
             assert tl == sub.mul(lam, ta)
             hits.add(ta)
         assert hits == set(range(sub.order))
@@ -126,29 +133,25 @@ def test_trace_is_linear_and_surjective():
 
 def _delta_matrix(basis_a, basis_b, sub):
     f = basis_a.field
-    return [
-        [trace_to(f.element(f.mul(x.value, y.value)), sub).value for y in basis_b.elements]
-        for x in basis_a.elements
-    ]
+    return [[trace_to(f, f.mul(x, y), sub) for y in basis_b.elements] for x in basis_a.elements]
 
 
 def test_dual_basis_examples():
-    w, w2 = F4.element(2), F4.element(3)
-    b = Basis(F4, [w, w2])
-    assert dual_basis(b).elements == (w, w2)  # self-dual pair
+    b = Basis(F4, [2, 3])
+    assert dual_basis(b).elements == (2, 3)  # self-dual pair
 
     # derived oracle: search all 16 ordered pairs for the delta condition
     expected = None
     for u in range(4):
         for v in range(4):
             cand = [
-                [trace_to(F4.element(F4.mul(g, h)), F2).value for h in (u, v)]
+                [trace_to(F4, F4.mul(g, h), F2) for h in (u, v)]
                 for g in (1, 2)
             ]
             if cand == [[1, 0], [0, 1]]:
                 expected = (u, v)
     assert expected == (3, 1)
-    assert tuple(e.value for e in dual_basis(Basis(F4, [1, 2])).elements) == expected
+    assert dual_basis(Basis(F4, [1, 2])).elements == expected
 
 
 def test_dual_basis_involution_and_delta():
@@ -192,16 +195,15 @@ def test_self_dual_basis_parity_criterion_exhaustive():
 
 def test_self_dual_basis_f4():
     b = self_dual_basis(F4)
-    assert tuple(e.value for e in b.elements) == (2, 3)
+    assert b.elements == (2, 3)
 
 
 def test_expand_combine_roundtrip():
     rnd = random.Random(9)
-    w, w2 = F4.element(2), F4.element(3)
-    b = Basis(F4, [w, w2])
-    assert b.expand(F4.zero()) == (0, 0)
-    assert b.expand(w) == (1, 0)
-    assert b.expand(F4.one()) == (1, 1)  # 1 = w + w^2
+    b = Basis(F4, [2, 3])
+    assert b.expand(0) == (0, 0)
+    assert b.expand(2) == (1, 0)
+    assert b.expand(1) == (1, 1)  # 1 = w + w^2
     for field in (F4, extension(F2, 3), extension(F4, 2)):
         m = field.degree_over_base
         for _ in range(20):
@@ -211,16 +213,26 @@ def test_expand_combine_roundtrip():
             except Exception:
                 continue
             for _ in range(10):
-                x = field.element(rnd.randrange(field.order))
+                x = rnd.randrange(field.order)
                 assert basis.combine(basis.expand(x)) == x
             coords = tuple(rnd.randrange(field.base.order) for _ in range(m))
             assert basis.expand(basis.combine(coords)) == coords
 
 
 def test_element_operators():
-    w = F4.element(2)
-    assert (w + w).value == 0
-    assert (w**3).value == 1
-    assert (w / w).value == 1
-    assert (-w) == w  # characteristic 2
-    assert w.inverse() * w == F4.one()
+    # elements are canonical ints; w = 2 generates GF(4)*
+    assert F4.add(2, 2) == 0
+    assert F4.pow(2, 3) == 1
+    assert F4.mul(2, F4.inv(2)) == 1
+    assert F4.neg(2) == 2  # characteristic 2
+
+
+def test_outside_ints_are_range_checked():
+    with pytest.raises(EntryOutOfRange):
+        Basis(F4, [2, 4])
+    with pytest.raises(EntryOutOfRange):
+        Basis(F4, [2, 3]).expand(4)
+    with pytest.raises(EntryOutOfRange):
+        trace_to(F4, 4, F2)
+    with pytest.raises(EntryOutOfRange):
+        symbol_sum_rank_weight([5, 0], F4, BlockProfile(F2, [(2, 2)]))
