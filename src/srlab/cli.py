@@ -38,7 +38,7 @@ from .construct import (
     sr_distance_bounds,
     uniform22_distance_bounds,
 )
-from .cyclic import bch_generator, cyclic_code, cyclotomic_cosets, parse_poly
+from .cyclic import bch_cosets, bch_generator, cyclic_code, parse_poly
 from .errors import BudgetExceeded, SrlabError, UsageError
 from .field import Basis, extension, prime_field
 from .sumrank import BlockProfile
@@ -153,10 +153,7 @@ def _cmd_cyclic(args) -> int:
     if args.bch:
         delta, b = args.bch
         g = bch_generator(field, args.n, delta, b)
-        table = cyclotomic_cosets(field.order, args.n)
-        meta["cosets_used"] = sorted(
-            {table.coset_of(j % args.n) for j in range(b, b + min(delta - 1, args.n))}
-        )
+        meta["cosets_used"] = sorted(bch_cosets(field.order, args.n, delta, b))
     else:
         g = parse_poly(field, args.gen)
     code = cyclic_code(g, args.n)

@@ -22,6 +22,7 @@ the claimed identity are materialized and compared as canonical rrefs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -80,9 +81,10 @@ class Bounds:
         return self.lower <= v <= self.upper
 
 
+@functools.lru_cache(maxsize=None)
 def power_basis(ext: FieldSpec, sub: Optional[FieldSpec] = None) -> Basis:
     """Default basis 1, g, g^2, ... over `sub` (default: the immediate base)
-    for the extension's canonical generator g.
+    for the extension's canonical generator g; one shared instance per pair.
 
     For GF(4)/GF(2) this is {1, w}, the basis the q=m=2 duality proof uses.
     """

@@ -11,6 +11,9 @@ frobenius_coeffs of the expected polynomial as well.
 The expression parser accepts the surface syntax used in printed tables:
 sums of terms c*x^k with c in {1, w, w^2} and optional parenthesized factors
 multiplied together, e.g. "(x+1)(x^6+wx^5+w^2x^3+wx+1)".
+
+Lengths and exponents above MAX_CYCLIC_LENGTH raise LengthTooLarge before any
+work proportional to them is done.
 """
 
 from __future__ import annotations
@@ -18,19 +21,22 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 from .code import LinearCode, _rotation_closed
-from .errors import BadDelta, NoNontrivialCoset, NotCoprime, NotDivisor
+from .errors import (BadDelta, BadPolynomial, LengthTooLarge, NoNontrivialCoset, NotCoprime,
+                     NotDivisor)
 from .field import FieldSpec, extension
 from .poly import Polynomial, poly_lcm
 
 __all__ = [
+    "MAX_CYCLIC_LENGTH",
     "CosetTable",
     "cyclotomic_cosets",
     "min_nontrivial_coset_size",
     "splitting_root",
     "minimal_polynomial",
+    "bch_cosets",
     "bch_generator",
     "cyclic_code",
     "cyclic_dual_generator",
@@ -38,6 +44,14 @@ __all__ = [
     "parse_poly",
     "frobenius_coeffs",
 ]
+
+
+MAX_CYCLIC_LENGTH = 4096  # the largest length in the bundled tables is 205
+
+
+def _check_length(n: int, what: str = "length") -> None:
+    if n > MAX_CYCLIC_LENGTH:
+        raise LengthTooLarge(f"{what} {n} exceeds the bound {MAX_CYCLIC_LENGTH}")
 
 
 @dataclass(frozen=True)
@@ -60,6 +74,7 @@ class CosetTable:
 def cyclotomic_cosets(q: int, n: int) -> CosetTable:
     if n < 1:
         raise NotCoprime("n must be positive")
+    _check_length(n)
     if math.gcd(q, n) != 1:
         raise NotCoprime(f"gcd({q}, {n}) != 1")
     seen = [False] * n
@@ -103,6 +118,7 @@ def splitting_root(field: FieldSpec, n: int):
     beta = prim**((q^m - 1)/n) in GF(q^m), m the order of q mod n.
     """
     q = field.order
+    _check_length(n)
     if math.gcd(q, n) != 1:
         raise NotCoprime(f"gcd({q}, {n}) != 1")
     m = _order_mod(q, n)
@@ -127,31 +143,32 @@ def minimal_polynomial(field: FieldSpec, n: int, i: int) -> Polynomial:
     return Polynomial(field, coeffs)
 
 
-def bch_generator(field: FieldSpec, n: int, delta: int, b: int) -> Polynomial:
-    """lcm of the minimal polynomials of beta^b .. beta^(b+delta-2).
+def bch_cosets(q: int, n: int, delta: int, b: int) -> List[Tuple[int, ...]]:
+    """The defining set of a BCH code: the q-cyclotomic cosets of the
+    exponents b .. b+delta-2, in order of first appearance.
 
     Exponents are reduced mod n, so only the first min(delta - 1, n) give
-    distinct residues; the result is monic and divides x^n - 1.
+    distinct residues.
     """
     if delta < 2:
         raise BadDelta("designed distance must be at least 2")
-    if math.gcd(field.order, n) != 1:
-        raise NotCoprime(f"gcd({field.order}, {n}) != 1")
-    table = cyclotomic_cosets(field.order, n)
-    reps = []
-    for j in range(b, b + min(delta - 1, n)):
-        rep = table.coset_of(j % n)[0]
-        if rep not in reps:
-            reps.append(rep)
+    table = cyclotomic_cosets(q, n)
+    return list(dict.fromkeys(table.coset_of(j % n) for j in range(b, b + min(delta - 1, n))))
+
+
+def bch_generator(field: FieldSpec, n: int, delta: int, b: int) -> Polynomial:
+    """lcm of the minimal polynomials of beta^b .. beta^(b+delta-2); the
+    result is monic and divides x^n - 1."""
     g = Polynomial.one(field)
-    for rep in reps:
-        g = poly_lcm(g, minimal_polynomial(field, n, rep))
+    for coset in bch_cosets(field.order, n, delta, b):
+        g = poly_lcm(g, minimal_polynomial(field, n, coset[0]))
     return g
 
 
 def cyclic_code(g: Polynomial, n: int) -> LinearCode:
     """The length-n cyclic code generated by g; g must divide x^n - 1."""
     field = g.field
+    _check_length(n)
     xn1 = Polynomial.x_pow_minus_one(field, n)
     if g.is_zero or not (xn1 % g).is_zero:
         raise NotDivisor(f"{g} does not divide x^{n} - 1")
@@ -168,6 +185,7 @@ def cyclic_code(g: Polynomial, n: int) -> LinearCode:
 def cyclic_dual_generator(g: Polynomial, n: int) -> Polynomial:
     """Generator of the dual cyclic code: monic reciprocal of (x^n - 1)/g."""
     field = g.field
+    _check_length(n)
     xn1 = Polynomial.x_pow_minus_one(field, n)
     if g.is_zero or not (xn1 % g).is_zero:
         raise NotDivisor(f"{g} does not divide x^{n} - 1")
@@ -197,10 +215,10 @@ def _parse_sum(field: FieldSpec, text: str) -> Polynomial:
     for raw in text.split("+"):
         term = raw.strip()
         if not term:
-            raise ValueError(f"empty term in {text!r}")
+            raise BadPolynomial(f"empty term in {text!r}")
         m = _TERM_RE.match(term)
         if not m or (m.group("coef") is None and "x" not in term):
-            raise ValueError(f"cannot parse term {term!r}")
+            raise BadPolynomial(f"cannot parse term {term!r}")
         coef = m.group("coef")
         if coef is None:
             c = 1
@@ -212,6 +230,7 @@ def _parse_sum(field: FieldSpec, text: str) -> Polynomial:
         k = 0
         if "x" in term:
             k = int(m.group("xexp") or 1)
+            _check_length(k, "exponent")
         mono = [0] * (k + 1)
         mono[k] = c
         acc = acc + Polynomial(field, mono)
@@ -223,7 +242,7 @@ def parse_poly(field: FieldSpec, text: str) -> Polynomial:
     parenthesized sums."""
     text = text.replace(" ", "").replace("{", "").replace("}", "")
     if not text:
-        raise ValueError("empty polynomial")
+        raise BadPolynomial("empty polynomial")
     if "(" not in text:
         return _parse_sum(field, text)
     prod = Polynomial.one(field)
@@ -238,12 +257,12 @@ def parse_poly(field: FieldSpec, text: str) -> Polynomial:
         elif ch == ")":
             depth -= 1
             if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {text!r}")
+                raise BadPolynomial(f"unbalanced parentheses in {text!r}")
             if depth == 0:
                 prod = prod * _parse_sum(field, text[start:i])
                 consumed = i + 1
         elif depth == 0:
-            raise ValueError(f"unexpected {ch!r} outside parentheses in {text!r}")
+            raise BadPolynomial(f"unexpected {ch!r} outside parentheses in {text!r}")
     if depth != 0 or consumed != len(text):
-        raise ValueError(f"unbalanced parentheses in {text!r}")
+        raise BadPolynomial(f"unbalanced parentheses in {text!r}")
     return prod

@@ -99,6 +99,14 @@ class NotAnObject(MalformedInput):
     """JSON input with a non-object where the wire format has an object."""
 
 
+class LengthTooLarge(SrlabError):
+    """A cyclic code length or polynomial exponent above MAX_CYCLIC_LENGTH."""
+
+
+class BadPolynomial(SrlabError):
+    """Polynomial text the table-style parser cannot read."""
+
+
 class FieldTooLarge(SrlabError):
     """A characteristic or field order above 2^32, rejected before any search."""
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -148,6 +149,9 @@ def test_usage_error_exit_code(capsys, tmp_path):
     assert_input_error(*run_cli(capsys, "field", "info", "--degrees", "2,x"))
     assert_input_error(*run_cli(capsys, "sr", "bounds", "--cor32", "a", "3"))
     assert_input_error(*run_cli(capsys, "sr", "bounds", "--prop38", "x", "2x2"))
+    # polynomial text the parser cannot read is a named error
+    for text in ("1+y", "(x+1", ""):
+        assert_input_error(*run_cli(capsys, "cyclic", "--q", "4", "--n", "13", "--gen", text))
     # sr actions check how many JSON inputs they got
     assert_input_error(*run_cli(capsys, "sr", "construct-matb"))
     assert_input_error(*run_cli(capsys, "sr", "construct-sr", "--basis", "1,w"))
@@ -159,6 +163,19 @@ def test_usage_error_exit_code(capsys, tmp_path):
     rc, out, err = run_cli(capsys, "sr", "bounds", "--prop38", "5", "2x2*-1")
     assert_input_error(rc, out, err)
     assert "2x2*-1" in err
+
+
+def test_cyclic_lengths_are_bounded(capsys):
+    # lengths and exponents above MAX_CYCLIC_LENGTH are refused before any
+    # O(n) allocation
+    for args in (["--n", "1000000007", "--bch", "2", "1"],
+                 ["--n", "1000000007", "--gen", "1+x"],
+                 ["--n", "13", "--gen", "x^1000000000+1"]):
+        t0 = time.time()
+        rc, out, err = run_cli(capsys, "cyclic", "--q", "4", *args)
+        assert time.time() - t0 < 1.0
+        assert_input_error(rc, out, err)
+        assert "exceeds the bound 4096" in err
 
 
 def test_method_pairs_rejects_non_f4(tmp_path, capsys):

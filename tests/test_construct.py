@@ -255,6 +255,19 @@ def test_expansion_isometry():
             assert expanded.weight() == symbol_sum_rank_weight(word, F4, prof)
 
 
+def test_power_basis_is_built_once_per_field_pair():
+    # symbol_sum_rank_weight reads its basis through the cache, so repeated
+    # calls reuse one basis and its coordinate inverse
+    assert power_basis(F8, F2) is power_basis(F8, F2)
+    assert power_basis(F4) is B_1W
+    assert power_basis(F4) is not power_basis(F8)
+    prof = BlockProfile(F2, [(3, 3)])
+    symbol_sum_rank_weight([1, 2, 0], F8, prof)
+    hits = power_basis.cache_info().hits
+    assert symbol_sum_rank_weight([1, 2, 0], F8, prof) == 2
+    assert power_basis.cache_info().hits == hits + 1
+
+
 def test_expansion_duality_transport():
     rnd = random.Random(43)
     for ext in (F4, F8):

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from srlab.cyclic import (
+    MAX_CYCLIC_LENGTH,
+    bch_cosets,
     bch_generator,
     cyclic_code,
     cyclic_dual_generator,
@@ -14,7 +16,14 @@ from srlab.cyclic import (
     parse_poly,
     splitting_root,
 )
-from srlab.errors import BadDelta, NoNontrivialCoset, NotCoprime, NotDivisor
+from srlab.errors import (
+    BadDelta,
+    BadPolynomial,
+    LengthTooLarge,
+    NoNontrivialCoset,
+    NotCoprime,
+    NotDivisor,
+)
 from srlab.field import extension, prime_field
 from srlab.poly import Polynomial, is_irreducible, poly_gcd, poly_lcm, smallest_irreducible
 
@@ -203,6 +212,36 @@ def test_parse_poly():
         parse_poly(F4, "w^2++x")
     with pytest.raises(ValueError):
         parse_poly(F4, "(x+1")
+    for text in ("1+y", "(x+1", "x+1)", "", "w^2++x", "(x)x"):
+        with pytest.raises(BadPolynomial):
+            parse_poly(F4, text)
+
+
+def test_lengths_are_bounded():
+    # every entry point checks the bound before work proportional to n
+    n = 10**9 + 7
+    with pytest.raises(LengthTooLarge):
+        cyclotomic_cosets(4, n)
+    with pytest.raises(LengthTooLarge):
+        splitting_root(F4, n)
+    with pytest.raises(LengthTooLarge):
+        cyclic_code(parse_poly(F4, "1+x"), n)
+    with pytest.raises(LengthTooLarge):
+        cyclic_dual_generator(parse_poly(F4, "1+x"), n)
+    with pytest.raises(LengthTooLarge):
+        parse_poly(F4, f"1+x^{MAX_CYCLIC_LENGTH + 1}")
+    assert parse_poly(F4, f"1+x^{MAX_CYCLIC_LENGTH}").degree == MAX_CYCLIC_LENGTH
+    assert len(cyclotomic_cosets(4, MAX_CYCLIC_LENGTH - 1).cosets) > 1
+
+
+def test_bch_cosets_are_the_defining_set():
+    # the cosets of b .. b+delta-2 in order of first appearance
+    assert bch_cosets(4, 13, 2, 1) == [cyclotomic_cosets(4, 13).coset_of(1)]
+    cosets = bch_cosets(4, 13, 14, 1)
+    assert sorted(cosets) == sorted(cyclotomic_cosets(4, 13).cosets)
+    assert bch_cosets(4, 13, 10**8, 1) == cosets
+    with pytest.raises(BadDelta):
+        bch_cosets(4, 13, 1, 0)
 
 
 def test_frobenius_coeffs():

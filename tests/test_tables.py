@@ -78,3 +78,26 @@ def test_tiny_budgets_give_budget_limited_rows():
     assert [(r.table, r.row) for r in res if r.status == "mismatch"] == [(8, "delta=13,b=1")]
     limited = {r.table for r in res if r.status == "budget-limited"}
     assert {3, 7, 8} <= limited
+
+
+def test_a_scan_that_finds_a_word_at_its_depth_settles_d_h():
+    # a word budget below one shard sends every d_H to the low-weight scan,
+    # which lists every codeword through the printed weight
+    res = run_tables([2], word_budget=10)
+    assert [r.status for r in res] == ["match"] * 3
+    assert_golden(res)
+
+
+def test_pair_rows_settle_when_the_found_weight_meets_the_formula():
+    # over the pair budget, d_sr lies between the formula lower bound and the
+    # lightest weight found; where the two meet the row is exact
+    full = {r.row: r for r in run_tables([3])}
+    res = {r.row: r for r in run_tables([3], pair_budget=10)}
+    for row in ("r1", "r3", "r5", "r6", "r7", "r8"):
+        assert res[row].status == "match", res[row]
+        assert res[row].computed == full[row].computed and "d_sr=" in res[row].computed
+        assert "meets the formula lower bound" in res[row].note
+    for row in ("r2", "r4"):
+        assert res[row].status == "budget-limited", res[row]
+        assert res[row].computed.endswith("d_sr<=10")
+    assert report_exit_code(list(res.values())) == 2
