@@ -54,7 +54,7 @@ from .field import (
 )
 from .linalg import MatrixGF
 from .poly import Polynomial, is_irreducible, poly_gcd, poly_lcm, smallest_irreducible
-from .sumrank import BlockProfile, SumRankCode, SumRankVector
+from .sumrank import BlockProfile, SumRankCode
 from .tables import TABLE_IDS, run_tables
 
 __version__ = "0.1.0"
@@ -72,7 +72,6 @@ __all__ = [
     "Polynomial",
     "SrlabError",
     "SumRankCode",
-    "SumRankVector",
     "TABLE_IDS",
     "basis_expand_code",
     "bch_generator",

@@ -41,6 +41,7 @@ from .construct import (
 from .cyclic import bch_cosets, bch_generator, cyclic_code, parse_poly
 from .errors import BudgetExceeded, SrlabError, UsageError
 from .field import Basis, extension, prime_field
+from .linalg import check_length
 from .sumrank import BlockProfile
 from .tables import (
     DEFAULT_TABLE_PAIR_BUDGET,
@@ -101,14 +102,19 @@ def _int_list(text: str):
 
 
 def _parse_profile(field, text: str) -> BlockProfile:
-    """Profiles like "2x3,2x2*5": comma-separated m x n, optional *count >= 1."""
+    """Profiles like "2x3,2x2*5": comma-separated m x n, optional *count >= 1;
+    the column total is bounded before the block list is built."""
     blocks = []
+    columns = 0
     for part in text.split(","):
         match = _PROFILE_PART.fullmatch(part)
         count = int(match[3] or 1) if match else 0
         if count < 1:
             raise UsageError(f"profile part {part!r} is not MxN or MxN*COUNT with COUNT >= 1")
-        blocks.extend([(int(match[1]), int(match[2]))] * count)
+        m, n = int(match[1]), int(match[2])
+        columns += n * count
+        check_length(columns, "profile column total")
+        blocks.extend([(m, n)] * count)
     return BlockProfile(field, blocks)
 
 

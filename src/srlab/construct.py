@@ -111,30 +111,29 @@ def qpoly_matrix(coeffs: Sequence[int], basis: Basis) -> MatrixGF:
                 img = ext.add(img, ext.mul(a, t))
             t = ext.pow(t, q)
         images.append(img)
-    return MatrixGF(basis.sub, _block(basis, images), m)
+    profile = BlockProfile(basis.sub, [(m, m)])
+    return profile.matrices(_expand_word(basis, profile, images))[0]
 
 
-def _block(basis: Basis, coords: Sequence[int]) -> List[List[int]]:
-    """The m x len(coords) base-field block whose column s expands coords[s]."""
-    cols = [basis.expand(v) for v in coords]
-    return [[c[r] for c in cols] for r in range(basis.size)]
+def _expand_word(basis: Basis, profile: BlockProfile, word: Sequence[int]) -> List[int]:
+    """The flat word whose block i expands chunk i of `word`: coordinate s of
+    the chunk becomes column s of the block."""
+    flat: List[int] = []
+    pos = 0
+    for _, n_i in profile.blocks:
+        cols = [basis.expand(v) for v in word[pos : pos + n_i]]
+        for r in range(basis.size):
+            flat.extend(c[r] for c in cols)
+        pos += n_i
+    return flat
 
 
 def _expanded_code(basis: Basis, profile: BlockProfile, words, want: int) -> SumRankCode:
     """F_q-span of lam * w for every basis element lam and word w, chunk i of
     each scaled word expanded into block i; the dimension `want` is asserted."""
     ext = basis.field
-    rows = []
-    for word in words:
-        for lam in basis.elements:
-            scaled = [ext.mul(lam, v) for v in word]
-            flat: List[int] = []
-            pos = 0
-            for _, n_i in profile.blocks:
-                for r in _block(basis, scaled[pos : pos + n_i]):
-                    flat.extend(r)
-                pos += n_i
-            rows.append(flat)
+    rows = [_expand_word(basis, profile, [ext.mul(lam, v) for v in word])
+            for word in words for lam in basis.elements]
     out = SumRankCode.from_rows(profile, rows)
     if out.dim != want:
         raise AssertionError(f"expanded code dimension {out.dim}, expected {want}")
@@ -312,13 +311,7 @@ def symbol_sum_rank_weight(word: Sequence[int], ext: FieldSpec, profile: BlockPr
         raise ProfileMismatch("profile rows must equal the extension degree")
     if sum(n for _, n in profile.blocks) != len(word):
         raise ProfileMismatch("profile does not cover the word")
-    std = power_basis(ext, sub)
-    total = 0
-    pos = 0
-    for _, n_i in profile.blocks:
-        total += MatrixGF(sub, _block(std, word[pos : pos + n_i]), n_i).rank()
-        pos += n_i
-    return total
+    return profile.weight(_expand_word(power_basis(ext, sub), profile, word))
 
 
 # -- bounds ---------------------------------------------------------------------

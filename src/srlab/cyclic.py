@@ -12,7 +12,7 @@ The expression parser accepts the surface syntax used in printed tables:
 sums of terms c*x^k with c in {1, w, w^2} and optional parenthesized factors
 multiplied together, e.g. "(x+1)(x^6+wx^5+w^2x^3+wx+1)".
 
-Lengths and exponents above MAX_CYCLIC_LENGTH raise LengthTooLarge before any
+Lengths and exponents above linalg.MAX_LENGTH raise LengthTooLarge before any
 work proportional to them is done.
 """
 
@@ -24,13 +24,12 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .code import LinearCode, _rotation_closed
-from .errors import (BadDelta, BadPolynomial, LengthTooLarge, NoNontrivialCoset, NotCoprime,
-                     NotDivisor)
+from .errors import BadDelta, BadPolynomial, NoNontrivialCoset, NotCoprime, NotDivisor
 from .field import FieldSpec, extension
+from .linalg import check_length
 from .poly import Polynomial, poly_lcm
 
 __all__ = [
-    "MAX_CYCLIC_LENGTH",
     "CosetTable",
     "cyclotomic_cosets",
     "min_nontrivial_coset_size",
@@ -44,14 +43,6 @@ __all__ = [
     "parse_poly",
     "frobenius_coeffs",
 ]
-
-
-MAX_CYCLIC_LENGTH = 4096  # the largest length in the bundled tables is 205
-
-
-def _check_length(n: int, what: str = "length") -> None:
-    if n > MAX_CYCLIC_LENGTH:
-        raise LengthTooLarge(f"{what} {n} exceeds the bound {MAX_CYCLIC_LENGTH}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +65,7 @@ class CosetTable:
 def cyclotomic_cosets(q: int, n: int) -> CosetTable:
     if n < 1:
         raise NotCoprime("n must be positive")
-    _check_length(n)
+    check_length(n)
     if math.gcd(q, n) != 1:
         raise NotCoprime(f"gcd({q}, {n}) != 1")
     seen = [False] * n
@@ -118,7 +109,7 @@ def splitting_root(field: FieldSpec, n: int):
     beta = prim**((q^m - 1)/n) in GF(q^m), m the order of q mod n.
     """
     q = field.order
-    _check_length(n)
+    check_length(n)
     if math.gcd(q, n) != 1:
         raise NotCoprime(f"gcd({q}, {n}) != 1")
     m = _order_mod(q, n)
@@ -168,7 +159,7 @@ def bch_generator(field: FieldSpec, n: int, delta: int, b: int) -> Polynomial:
 def cyclic_code(g: Polynomial, n: int) -> LinearCode:
     """The length-n cyclic code generated by g; g must divide x^n - 1."""
     field = g.field
-    _check_length(n)
+    check_length(n)
     xn1 = Polynomial.x_pow_minus_one(field, n)
     if g.is_zero or not (xn1 % g).is_zero:
         raise NotDivisor(f"{g} does not divide x^{n} - 1")
@@ -185,7 +176,7 @@ def cyclic_code(g: Polynomial, n: int) -> LinearCode:
 def cyclic_dual_generator(g: Polynomial, n: int) -> Polynomial:
     """Generator of the dual cyclic code: monic reciprocal of (x^n - 1)/g."""
     field = g.field
-    _check_length(n)
+    check_length(n)
     xn1 = Polynomial.x_pow_minus_one(field, n)
     if g.is_zero or not (xn1 % g).is_zero:
         raise NotDivisor(f"{g} does not divide x^{n} - 1")
@@ -230,7 +221,7 @@ def _parse_sum(field: FieldSpec, text: str) -> Polynomial:
         k = 0
         if "x" in term:
             k = int(m.group("xexp") or 1)
-            _check_length(k, "exponent")
+            check_length(k, "exponent")
         mono = [0] * (k + 1)
         mono[k] = c
         acc = acc + Polynomial(field, mono)

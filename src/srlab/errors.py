@@ -100,7 +100,8 @@ class NotAnObject(MalformedInput):
 
 
 class LengthTooLarge(SrlabError):
-    """A cyclic code length or polynomial exponent above MAX_CYCLIC_LENGTH."""
+    """A length from outside (code, profile, cyclic length, exponent) above
+    linalg.MAX_LENGTH."""
 
 
 class BadPolynomial(SrlabError):

@@ -11,7 +11,9 @@ generators, so emit -> read -> emit is bit-identical.  `loads` accepts only
 a JSON object at top level.  Readers check the wire shapes before building
 anything: a missing key, a value of the wrong JSON type, a non-integer entry,
 degree or length (booleans, floats and strings included) or a negative length
-raises MalformedInput, a non-object where an object belongs NotAnObject.
+raises MalformedInput, a non-object where an object belongs NotAnObject.  A
+code length or a sum-rank profile's flat length above linalg.MAX_LENGTH raises
+LengthTooLarge.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import json
 from .code import LinearCode
 from .errors import MalformedInput, NotAnObject
 from .field import FieldSpec, extension, prime_field
-from .linalg import check_entries
+from .linalg import check_entries, check_length
 from .poly import Polynomial
 from .sumrank import BlockProfile, SumRankCode
 
@@ -110,6 +112,7 @@ def code_from_obj(obj: dict) -> LinearCode:
     obj = _object(obj, "code")
     field = field_from_obj(_key(obj, "q_tower", "code"))
     n = _int(_key(obj, "n", "code"), "n", lo=0)
+    check_length(n, "n")
     return LinearCode.from_rows(field, n, _rows(_key(obj, "generator", "code"), "generator"))
 
 
@@ -126,8 +129,10 @@ def sr_code_from_obj(obj: dict) -> SumRankCode:
     field = field_from_obj(_key(obj, "q_tower", "sum-rank code"))
     blocks = [_ints(b, f"blocks[{i}]", length=2)
               for i, b in enumerate(_list(_key(obj, "blocks", "sum-rank code"), "blocks"))]
+    profile = BlockProfile(field, blocks)
+    check_length(profile.total, "flat length")
     rows = _rows(_key(obj, "generator", "sum-rank code"), "generator")
-    return SumRankCode.from_rows(BlockProfile(field, blocks), rows)
+    return SumRankCode.from_rows(profile, rows)
 
 
 def poly_to_obj(p: Polynomial) -> dict:

@@ -9,9 +9,11 @@ code equality is defined through that rref.
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, EntryOutOfRange
+from .errors import DimensionMismatch, EntryOutOfRange, LengthTooLarge
 
-__all__ = ["MatrixGF", "check_entries"]
+__all__ = ["MAX_LENGTH", "MatrixGF", "check_entries", "check_length"]
+
+MAX_LENGTH = 4096  # the largest length in the bundled tables is 205
 
 
 def check_entries(field, rows) -> None:
@@ -21,6 +23,13 @@ def check_entries(field, rows) -> None:
         if r and (min(r) < 0 or max(r) >= q):
             bad = next(v for v in r if not 0 <= v < q)
             raise EntryOutOfRange(f"entry {bad} is not an element of GF({q})")
+
+
+def check_length(n: int, what: str = "length") -> None:
+    """Raise LengthTooLarge for an outside length above MAX_LENGTH, before any
+    work proportional to it is done."""
+    if n > MAX_LENGTH:
+        raise LengthTooLarge(f"{what} {n} exceeds the bound {MAX_LENGTH}")
 
 
 class MatrixGF:

@@ -178,6 +178,28 @@ def test_cyclic_lengths_are_bounded(capsys):
         assert "exceeds the bound 4096" in err
 
 
+def test_outside_lengths_are_bounded(tmp_path, capsys):
+    # a length read from JSON or from a profile argument is refused before
+    # any work or allocation proportional to it
+    f2 = {"characteristic": 2, "tower": []}
+    objs = [("code", "info", {"q_tower": f2, "n": 1000000000, "generator": []}),
+            ("code", "dual", {"q_tower": f2, "n": 100000, "generator": []}),
+            ("sr", "info", {"q_tower": f2, "blocks": [[1, 1000000000]], "generator": []})]
+    cases = []
+    for i, (cmd, action, obj) in enumerate(objs):
+        p = tmp_path / f"long{i}.json"
+        p.write_text(json.dumps(obj))
+        cases.append((cmd, action, str(p)))
+    cases.append(("sr", "bounds", "--prop38", "5", "2x2*1000000000"))
+    for argv in cases:
+        t0 = time.time()
+        rc, out, err = run_cli(capsys, *argv)
+        assert time.time() - t0 < 1.0
+        assert_input_error(rc, out, err)
+        assert "exceeds the bound 4096" in err
+    assert code_from_obj({"q_tower": f2, "n": 4096, "generator": []}).n == 4096
+
+
 def test_method_pairs_rejects_non_f4(tmp_path, capsys):
     f8 = extension(prime_field(2), 3)
     from srlab.code import LinearCode

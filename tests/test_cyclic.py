@@ -3,7 +3,6 @@ import random
 import pytest
 
 from srlab.cyclic import (
-    MAX_CYCLIC_LENGTH,
     bch_cosets,
     bch_generator,
     cyclic_code,
@@ -25,6 +24,7 @@ from srlab.errors import (
     NotDivisor,
 )
 from srlab.field import extension, prime_field
+from srlab.linalg import MAX_LENGTH
 from srlab.poly import Polynomial, is_irreducible, poly_gcd, poly_lcm, smallest_irreducible
 
 F2 = prime_field(2)
@@ -229,9 +229,9 @@ def test_lengths_are_bounded():
     with pytest.raises(LengthTooLarge):
         cyclic_dual_generator(parse_poly(F4, "1+x"), n)
     with pytest.raises(LengthTooLarge):
-        parse_poly(F4, f"1+x^{MAX_CYCLIC_LENGTH + 1}")
-    assert parse_poly(F4, f"1+x^{MAX_CYCLIC_LENGTH}").degree == MAX_CYCLIC_LENGTH
-    assert len(cyclotomic_cosets(4, MAX_CYCLIC_LENGTH - 1).cosets) > 1
+        parse_poly(F4, f"1+x^{MAX_LENGTH + 1}")
+    assert parse_poly(F4, f"1+x^{MAX_LENGTH}").degree == MAX_LENGTH
+    assert len(cyclotomic_cosets(4, MAX_LENGTH - 1).cosets) > 1
 
 
 def test_bch_cosets_are_the_defining_set():

@@ -2,27 +2,31 @@ import random
 
 import pytest
 
-from srlab.errors import NonUniformProfile, NotSelfDual, ProfileMismatch, ZeroCode
+from srlab.errors import (EntryOutOfRange, LengthMismatch, NonUniformProfile, NotSelfDual,
+                          ProfileMismatch, ZeroCode)
 from srlab.field import extension, prime_field
 from srlab.jsonio import sr_code_from_obj, sr_code_to_obj
 from srlab.linalg import MatrixGF
-from srlab.sumrank import BlockProfile, SumRankCode, SumRankVector
+from srlab.sumrank import BlockProfile, SumRankCode
+from srlab.wordenum import sr_min_weight_generic
 
 F2 = prime_field(2)
 F3 = prime_field(3)
 F4 = extension(F2, 2)
 
 
-def _random_vector(rnd, profile):
-    return SumRankVector.from_flat(
-        profile, [rnd.randrange(profile.field.order) for _ in range(profile.total)]
-    )
+def _random_word(rnd, profile):
+    return [rnd.randrange(profile.field.order) for _ in range(profile.total)]
 
 
 def _random_code(rnd, profile, kmax=None):
     k = rnd.randint(0, kmax if kmax is not None else profile.total)
-    rows = [[rnd.randrange(profile.field.order) for _ in range(profile.total)] for _ in range(k)]
+    rows = [_random_word(rnd, profile) for _ in range(k)]
     return SumRankCode.from_rows(profile, rows)
+
+
+def _distance(profile, u, v):
+    return profile.weight([profile.field.sub(a, b) for a, b in zip(u, v)])
 
 
 def test_profile_invariants():
@@ -34,57 +38,70 @@ def test_profile_invariants():
 
 def test_weight_examples():
     p = BlockProfile(F2, [(2, 2), (2, 2)])
-    assert SumRankVector.zero(p).weight() == 0
-    v = SumRankVector(p, [MatrixGF.identity(F2, 2), MatrixGF(F2, [[1, 0], [0, 0]])])
-    assert v.weight() == 3
-    ones = SumRankVector.from_flat(p, [1] * 8)
-    assert ones.weight() == 2  # one per block
+    assert p.weight([0] * 8) == 0
+    assert p.weight([1, 0, 0, 1] + [1, 0, 0, 0]) == 3  # I_2, then a rank-one block
+    assert p.weight([1] * 8) == 2  # one per block
+
+
+def test_matrices_are_row_major():
+    p = BlockProfile(F4, [(2, 3), (2, 2)])
+    assert p.matrices([0] * 6 + [1, 2, 3, 0])[1] == MatrixGF(F4, [[1, 2], [3, 0]])
+    rnd = random.Random(3)
+    for _ in range(10):
+        w = _random_word(rnd, p)
+        mats = p.matrices(w)
+        assert [mat.shape for mat in mats] == [(2, 3), (2, 2)]
+        assert [e for mat in mats for row in mat.rows for e in row] == w
+
+
+def test_flat_word_methods_check_their_input():
+    p = BlockProfile(F2, [(2, 2)])
+    zero = [0] * 4
+    for call in (p.weight, p.matrices, p.cyclic_shift,
+                 lambda w: p.trace_ip(w, zero), lambda w: p.trace_ip(zero, w)):
+        with pytest.raises(LengthMismatch):
+            call([0, 0, 0])
+        with pytest.raises(EntryOutOfRange):
+            call([5, 0, 0, 7])
 
 
 def test_trace_ip_examples_and_flatten_identity():
     p = BlockProfile(F2, [(2, 2)])
-    v = SumRankVector(p, [MatrixGF.identity(F2, 2)])
-    assert v.trace_ip(SumRankVector.zero(p)) == 0
-    assert v.trace_ip(v) == 0  # trace of I_2 in characteristic 2
+    ident = [1, 0, 0, 1]
+    assert p.trace_ip(ident, [0] * 4) == 0
+    assert p.trace_ip(ident, ident) == 0  # trace of I_2 in characteristic 2
     rnd = random.Random(5)
     for field in (F2, F4, F3):
         prof = BlockProfile(field, [(2, 3), (1, 2), (2, 2)])
         for _ in range(60):
-            u, w = _random_vector(rnd, prof), _random_vector(rnd, prof)
+            u, w = _random_word(rnd, prof), _random_word(rnd, prof)
             dot = 0
-            for a, b in zip(u.flatten(), w.flatten()):
+            for a, b in zip(u, w):
                 dot = field.add(dot, field.mul(a, b))
-            assert u.trace_ip(w) == dot
+            assert prof.trace_ip(u, w) == dot
 
 
 def test_metric_axioms():
     rnd = random.Random(9)
     p = BlockProfile(F4, [(2, 2), (2, 3)])
     for _ in range(40):
-        a, b, c = (_random_vector(rnd, p) for _ in range(3))
-        assert a.distance(b) == b.distance(a)
-        assert a.distance(b) + b.distance(c) >= a.distance(c)
-        assert (a.distance(b) == 0) == (a == b)
-
-
-def test_flatten_roundtrip():
-    rnd = random.Random(3)
-    p = BlockProfile(F4, [(2, 3), (2, 2)])
-    for _ in range(10):
-        v = _random_vector(rnd, p)
-        assert SumRankVector.from_flat(p, list(v.flatten())) == v
+        a, b, c = (_random_word(rnd, p) for _ in range(3))
+        assert _distance(p, a, b) == _distance(p, b, a)
+        assert _distance(p, a, b) + _distance(p, b, c) >= _distance(p, a, c)
+        assert (_distance(p, a, b) == 0) == (a == b)
 
 
 def test_cyclic_shift():
     p = BlockProfile(F2, [(2, 2)] * 3)
     rnd = random.Random(1)
-    v = _random_vector(rnd, p)
-    s = v.cyclic_shift()
-    assert s.matrices == (v.matrices[2], v.matrices[0], v.matrices[1])
-    assert s.cyclic_shift().cyclic_shift() == v  # t applications = identity
+    w = _random_word(rnd, p)
+    s = p.cyclic_shift(w)
+    m = p.matrices(w)
+    assert p.matrices(s) == (m[2], m[0], m[1])
+    assert p.cyclic_shift(p.cyclic_shift(s)) == tuple(w)  # t applications = identity
     mixed = BlockProfile(F2, [(2, 3), (2, 2)])
     with pytest.raises(NonUniformProfile):
-        _random_vector(rnd, mixed).cyclic_shift()
+        mixed.cyclic_shift(_random_word(rnd, mixed))
 
 
 def test_dual_examples():
@@ -97,20 +114,22 @@ def test_dual_examples():
         d = c.dual()
         assert c.dim + d.dim == p.total
         assert d.dual() == c
-        for u in (c.generator.rows or []):
-            uu = SumRankVector.from_flat(p, list(u))
-            for w in (d.generator.rows or []):
-                assert uu.trace_ip(SumRankVector.from_flat(p, list(w))) == 0
+        for u in c.generator.rows:
+            for w in d.generator.rows:
+                assert p.trace_ip(u, w) == 0
 
 
 def test_min_distance_small():
     p = BlockProfile(F2, [(2, 2), (2, 2), (2, 2)])
     v = [1, 1, 0, 0, 1, 0, 1, 0, 1, 1, 1, 1]
     c = SumRankCode.from_rows(p, [v])
-    w = SumRankVector.from_flat(p, v).weight()
-    assert c.min_distance() == w
+    assert c.min_distance() == p.weight(v)
     with pytest.raises(ZeroCode):
         SumRankCode.zero(p).min_distance()
+
+
+def _brute_min(c):
+    return min(w for w in map(c.profile.weight, c.flat.codewords()) if w > 0)
 
 
 def test_min_distance_packed_vs_generic():
@@ -120,9 +139,11 @@ def test_min_distance_packed_vs_generic():
         c = _random_code(rnd, p, kmax=6)
         if c.dim == 0:
             continue
-        brute = min(v.weight() for v in c.vectors() if v.weight() > 0)
+        brute = _brute_min(c)
         assert c.min_distance() == brute
         assert c.min_distance(jobs=2) == brute
+        rows = [list(r) for r in c.generator.rows]
+        assert sr_min_weight_generic(F2, rows, p.weight, 2**20) == brute
 
 
 def test_min_distance_generic_field():
@@ -132,8 +153,7 @@ def test_min_distance_generic_field():
         c = _random_code(rnd, p, kmax=4)
         if c.dim == 0:
             continue
-        brute = min(v.weight() for v in c.vectors() if v.weight() > 0)
-        assert c.min_distance() == brute
+        assert c.min_distance() == _brute_min(c)
 
 
 def test_linear_code_distance_equals_min_weight():
@@ -144,9 +164,9 @@ def test_linear_code_distance_equals_min_weight():
         c = _random_code(rnd, p, kmax=3)
         if c.dim == 0:
             continue
-        vecs = list(c.vectors())
+        words = list(c.flat.codewords())
         pairwise = min(
-            u.distance(v) for i, u in enumerate(vecs) for v in vecs[i + 1:]
+            _distance(p, u, v) for i, u in enumerate(words) for v in words[i + 1:]
         )
         assert c.min_distance() == pairwise
 
@@ -193,9 +213,8 @@ def test_is_cyclic_sr():
     # (2, 3) blocks: the rotation moves whole blocks of six coordinates
     p23 = BlockProfile(F2, [(2, 3)] * 3)
     w = [1, 0, 0, 0, 1, 1] + [0, 1, 0, 0, 0, 0] + [0] * 6
-    v = SumRankVector.from_flat(p23, w)
-    rotations = [v, v.cyclic_shift(), v.cyclic_shift().cyclic_shift()]
-    assert SumRankCode.from_rows(p23, [r.flatten() for r in rotations]).is_cyclic()
+    rotations = [w, p23.cyclic_shift(w), p23.cyclic_shift(p23.cyclic_shift(w))]
+    assert SumRankCode.from_rows(p23, rotations).is_cyclic()
     assert not SumRankCode.from_rows(p23, [w]).is_cyclic()
     with pytest.raises(NonUniformProfile):
         SumRankCode.zero(BlockProfile(F2, [(2, 3), (2, 2)])).is_cyclic()
