@@ -61,6 +61,9 @@ _SR_INPUTS = {
     "verify-duality": (0, 0),
 }
 _PROFILE_PART = re.compile(r"\s*(\d+)\s*x\s*(\d+)\s*(?:\*\s*(\d+)\s*)?", re.IGNORECASE)
+# longer integer arguments lie beyond every bound, and int() refuses them past
+# 4300 digits
+_MAX_DIGITS = 18
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,6 +104,13 @@ def _int_list(text: str):
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers")
 
 
+def _decimal(text: str, what: str) -> int:
+    if not text.isdecimal() or len(text) > _MAX_DIGITS:
+        raise UsageError(f"{what} {text[:24]!r} is not a nonnegative integer "
+                         f"of at most {_MAX_DIGITS} digits")
+    return int(text)
+
+
 def _parse_profile(field, text: str) -> BlockProfile:
     """Profiles like "2x3,2x2*5": comma-separated m x n, optional *count >= 1;
     the column total is bounded before the block list is built."""
@@ -108,10 +118,10 @@ def _parse_profile(field, text: str) -> BlockProfile:
     columns = 0
     for part in text.split(","):
         match = _PROFILE_PART.fullmatch(part)
-        count = int(match[3] or 1) if match else 0
+        m, n, count = ((_decimal(g, "profile number") for g in (match[1], match[2], match[3] or "1"))
+                       if match else (0, 0, 0))
         if count < 1:
-            raise UsageError(f"profile part {part!r} is not MxN or MxN*COUNT with COUNT >= 1")
-        m, n = int(match[1]), int(match[2])
+            raise UsageError(f"profile part {part[:24]!r} is not MxN or MxN*COUNT with COUNT >= 1")
         columns += n * count
         check_length(columns, "profile column total")
         blocks.extend([(m, n)] * count)
@@ -218,9 +228,8 @@ def _cmd_sr(args) -> int:
             b = sr_distance_bounds(args.theorem23[0], args.theorem23[1:])
         elif args.prop38:
             d, prof = args.prop38
-            if not d.isdecimal():
-                raise UsageError(f"--prop38 distance {d!r} is not a nonnegative integer")
-            b = expansion_distance_bounds(int(d), _parse_profile(prime_field(2), prof))
+            b = expansion_distance_bounds(_decimal(d, "--prop38 distance"),
+                                          _parse_profile(prime_field(2), prof))
         elif args.cor32:
             b = uniform22_distance_bounds(*args.cor32)
         else:

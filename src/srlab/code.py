@@ -6,8 +6,10 @@ are equal iff their rref generators are identical.
 
 The LCD test uses the Gram-matrix rank criterion (hull dimension equals
 k - rank(G G^T)); the test suite cross-checks it against an explicit
-row-space intersection.  Distance search is exact whenever q**k fits the
-budget and otherwise raises BudgetExceeded with the best bound found.
+row-space intersection.  Each code builds its Gram matrix on first use and
+keeps it, so repeated duality predicates share one product.  Distance search
+is exact whenever q**k fits the budget and otherwise raises BudgetExceeded
+with the best bound found.
 """
 
 from __future__ import annotations
@@ -42,12 +44,13 @@ DEFAULT_WORD_BUDGET = 2**28
 class LinearCode:
     """A linear [n, k] code over `field`, canonical rref generator."""
 
-    __slots__ = ("field", "n", "generator")
+    __slots__ = ("field", "n", "generator", "_gram")
 
     def __init__(self, field, n: int, generator: MatrixGF):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "_gram", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearCode is immutable")
@@ -142,7 +145,10 @@ class LinearCode:
     # -- duality predicates -------------------------------------------------
 
     def gram(self) -> MatrixGF:
-        return self.generator.gram()
+        """G G^T of the rref generator, built on the first call."""
+        if self._gram is None:
+            object.__setattr__(self, "_gram", self.generator.gram())
+        return self._gram
 
     def is_self_dual(self) -> bool:
         return 2 * self.k == self.n and self.gram().is_zero()

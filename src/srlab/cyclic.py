@@ -8,6 +8,10 @@ generator polynomials that depend on the choice of root are therefore only
 reproducible up to conjugation, which callers handle by comparing against
 frobenius_coeffs of the expected polynomial as well.
 
+The splitting field with its root and each minimal polynomial are built once
+per interpreter: both are pure functions of a singleton FieldSpec and ints,
+cached by functools.lru_cache.  Errors are raised before anything is cached.
+
 The expression parser accepts the surface syntax used in printed tables:
 sums of terms c*x^k with c in {1, w, w^2} and optional parenthesized factors
 multiplied together, e.g. "(x+1)(x^6+wx^5+w^2x^3+wx+1)".
@@ -18,6 +22,7 @@ work proportional to them is done.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -103,6 +108,7 @@ def _order_mod(q: int, n: int) -> int:
     return m
 
 
+@functools.lru_cache(maxsize=None)
 def splitting_root(field: FieldSpec, n: int):
     """(splitting field, beta) with beta a primitive n-th root of unity.
 
@@ -118,6 +124,7 @@ def splitting_root(field: FieldSpec, n: int):
     return ext, beta
 
 
+@functools.lru_cache(maxsize=None)
 def minimal_polynomial(field: FieldSpec, n: int, i: int) -> Polynomial:
     """Minimal polynomial over `field` of beta**i, beta the pinned n-th root."""
     ext, beta = splitting_root(field, n)
@@ -197,6 +204,8 @@ def frobenius_coeffs(p: Polynomial) -> Polynomial:
     return p.map_coeffs(lambda c: f.pow(c, q0))
 
 
+# a longer digit run lies beyond every bound, and int() refuses it past 4300 digits
+_LONG_NUMBER = re.compile(r"\d{19}")
 _TERM_RE = re.compile(r"^(?:(?P<coef>w(?:\^?(?P<cexp>\d+))?|\d+)\*?)?(?:x(?:\^(?P<xexp>\d+))?)?$")
 
 
@@ -207,6 +216,8 @@ def _parse_sum(field: FieldSpec, text: str) -> Polynomial:
         term = raw.strip()
         if not term:
             raise BadPolynomial(f"empty term in {text!r}")
+        if _LONG_NUMBER.search(term):
+            raise BadPolynomial(f"number of more than 18 digits in term {term[:24]!r}")
         m = _TERM_RE.match(term)
         if not m or (m.group("coef") is None and "x" not in term):
             raise BadPolynomial(f"cannot parse term {term!r}")

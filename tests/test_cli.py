@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -198,6 +199,29 @@ def test_outside_lengths_are_bounded(tmp_path, capsys):
         assert_input_error(rc, out, err)
         assert "exceeds the bound 4096" in err
     assert code_from_obj({"q_tower": f2, "n": 4096, "generator": []}).n == 4096
+
+
+def test_overlong_integers_are_named_errors(tmp_path, capsys, monkeypatch):
+    # integer literals past int()'s 4300-digit limit, from arguments and JSON
+    nines = "9" * 5000
+    text = '{"q_tower": {"characteristic": 2, "tower": []}, "n": %s, "generator": []}' % nines
+    p = tmp_path / "long.json"
+    p.write_text(text)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    cases = [("sr", "bounds", "--prop38", "5", f"2x2*{nines}"),
+             ("sr", "bounds", "--prop38", "5", f"{nines}x2"),
+             ("sr", "bounds", "--prop38", nines, "2x2"),
+             ("cyclic", "--q", "4", "--n", "2", "--gen", f"x^{nines}+1"),
+             ("code", "info", str(p)),
+             ("code", "info")]  # stdin
+    for argv in cases:
+        t0 = time.time()
+        rc, out, err = run_cli(capsys, *argv)
+        assert time.time() - t0 < 1.0
+        assert_input_error(rc, out, err)
+        assert len(err) < 200
+    rc, out, _ = run_cli(capsys, "sr", "bounds", "--prop38", "5", "2x2*3")
+    assert rc == 0
 
 
 def test_method_pairs_rejects_non_f4(tmp_path, capsys):

@@ -125,6 +125,35 @@ def test_hull_dimension_gram_vs_intersection_exhaustive_42():
         assert c.hull_dimension() == c.intersection(c.dual()).k
 
 
+def test_gram_is_built_once_per_code():
+    rnd = random.Random(53)
+    for field in (F2, F4, F3):
+        for _ in range(20):
+            c = _random_code(rnd, field, rnd.randint(1, 6))
+            g = c.gram()
+            assert c.gram() is g
+            assert g == c.generator.gram()
+            # the predicates read the kept matrix and still agree with the
+            # explicit row-space intersection
+            hull = c.intersection(c.dual())
+            for _ in range(2):
+                assert c.hull_dimension() == hull.k
+                assert c.is_lcd() == (hull.k == 0)
+                assert c.is_self_dual() == (hull == c and 2 * c.k == c.n)
+            assert c.gram() is g
+            twin = LinearCode.from_rows(field, c.n, list(reversed(c.generator.rows)))
+            assert twin == c and twin.gram() == g and twin.gram() is not g
+
+
+def test_code_stays_immutable():
+    c = LinearCode.from_rows(F4, 2, [[1, 1]])
+    c.gram()
+    for name, value in (("n", 3), ("_gram", None), ("generator", None)):
+        with pytest.raises(AttributeError):
+            setattr(c, name, value)
+    assert c.n == 2 and c.gram().is_zero()
+
+
 def test_self_orthogonal_hull():
     c = LinearCode.from_rows(F4, 2, [[1, 1]])
     assert c.hull_dimension() == c.k  # self-dual implies self-orthogonal

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import srlab.field
+
 from srlab.cyclic import (
     bch_cosets,
     bch_generator,
@@ -109,6 +111,39 @@ def test_splitting_root_order():
     ext, beta = splitting_root(F4, 13)
     assert ext.order == 4**6
     assert ext.multiplicative_order(beta) == 13
+
+
+def test_splitting_root_is_built_once(monkeypatch):
+    # the root and its splitting field GF(4^10) are pinned once per interpreter,
+    # so BCH generators of one length share a single modulus search
+    ext, beta = splitting_root(F4, 205)
+    assert splitting_root(F4, 205) == (ext, beta)
+    assert splitting_root(F4, 205)[0] is ext
+    assert ext.order == 4**10 and ext.multiplicative_order(beta) == 205
+    searches = []
+
+    def counted(field, m):
+        searches.append((field.order, m))
+        return smallest_irreducible(field, m)
+
+    monkeypatch.setattr(srlab.field, "smallest_irreducible", counted)
+    splitting_root.cache_clear()
+    minimal_polynomial.cache_clear()
+    g3 = bch_generator(F4, 205, 3, 1)
+    g5 = bch_generator(F4, 205, 5, 1)
+    assert searches == [(4, 10)]
+    assert (g5 % g3).is_zero and g3.degree == 20 and g5.degree == 30
+    assert splitting_root(F4, 205)[0] is ext  # the field itself was cached already
+
+
+def test_failures_are_not_cached():
+    before = minimal_polynomial.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(NotCoprime):
+            minimal_polynomial(F4, 4, 1)
+        with pytest.raises(LengthTooLarge):
+            splitting_root(F4, MAX_LENGTH + 1)
+    assert minimal_polynomial.cache_info().currsize == before
 
 
 def test_minimal_polynomial_examples():
