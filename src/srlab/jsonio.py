@@ -8,13 +8,14 @@ Polynomials: {"coeffs": [ints]} constant-first.
 
 Readers rebuild through the cached field constructors and re-canonicalize
 generators, so emit -> read -> emit is bit-identical.  `loads` accepts only
-a JSON object at top level; text that is not JSON, or holds an integer past
-int()'s digit limit, raises MalformedInput.  Readers check the wire shapes
-before building anything: a missing key, a value of the wrong JSON type, a
-non-integer entry, degree or length (booleans, floats and strings included)
-or a negative length raises MalformedInput, a non-object where an object
-belongs NotAnObject.  A code length or a sum-rank profile's flat length above
-linalg.MAX_LENGTH raises LengthTooLarge.
+a JSON object at top level; text that is not JSON, holds an integer past
+int()'s digit limit or nests past the interpreter's recursion limit raises
+MalformedInput.  Readers check the wire shapes before building anything: a
+missing key, a value of the wrong JSON type, a non-integer entry, degree or
+length (booleans, floats and strings included) or a negative length raises
+MalformedInput, a non-object where an object belongs NotAnObject.  A code
+length or a sum-rank profile's flat length above linalg.MAX_LENGTH raises
+LengthTooLarge.
 """
 
 from __future__ import annotations
@@ -155,4 +156,6 @@ def loads(text: str) -> dict:
         obj = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer beyond int()'s digit limit
         raise MalformedInput(f"not JSON: {exc}") from None
+    except RecursionError:
+        raise MalformedInput("JSON nested too deeply") from None
     return _object(obj, "top level")

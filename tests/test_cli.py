@@ -224,6 +224,16 @@ def test_overlong_integers_are_named_errors(tmp_path, capsys, monkeypatch):
     assert rc == 0
 
 
+def test_deeply_nested_json_is_a_named_error(tmp_path, capsys):
+    deep = "[" * 100000 + "]" * 100000
+    for i, text in enumerate((deep, '{"q_tower": %s, "n": 1, "generator": []}' % deep)):
+        p = tmp_path / f"deep{i}.json"
+        p.write_text(text)
+        rc, out, err = run_cli(capsys, "code", "info", str(p))
+        assert_input_error(rc, out, err)
+        assert "nested too deeply" in err
+
+
 def test_method_pairs_rejects_non_f4(tmp_path, capsys):
     f8 = extension(prime_field(2), 3)
     from srlab.code import LinearCode

@@ -3,7 +3,6 @@ import random
 import pytest
 
 import srlab.field
-
 from srlab.cyclic import (
     bch_cosets,
     bch_generator,
@@ -116,9 +115,8 @@ def test_splitting_root_order():
 def test_splitting_root_is_built_once(monkeypatch):
     # the root and its splitting field GF(4^10) are pinned once per interpreter,
     # so BCH generators of one length share a single modulus search
+    assert splitting_root(F4, 205) is splitting_root(F4, 205)
     ext, beta = splitting_root(F4, 205)
-    assert splitting_root(F4, 205) == (ext, beta)
-    assert splitting_root(F4, 205)[0] is ext
     assert ext.order == 4**10 and ext.multiplicative_order(beta) == 205
     searches = []
 
