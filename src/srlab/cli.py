@@ -3,16 +3,20 @@
     srlab field info --characteristic 2 --degrees 2,10
     srlab cyclic --q 4 --n 13 --bch 2 1
     srlab cyclic --q 4 --n 2 --gen "1+x"
-    srlab code <info|dual|selfdual|lcd|mindist> [CODE.json] [--budget N]
-    srlab sr construct-sr C0.json C1.json [--basis 1,w]
+    srlab code <info|dual|selfdual|lcd> [CODE.json]
+    srlab code mindist [CODE.json] [--budget N] [--jobs N]
+    srlab sr construct-sr C0.json C1.json ... [--basis 1,w]
     srlab sr construct-matb C.json [--profile 2x3,2x2*5] [--basis w,w^2]
     srlab sr <info|dual|selfdual|lcd> [SR.json]
-    srlab sr mindist SR.json [--method exhaustive] | C0.json C1.json --method pairs
+    srlab sr mindist [SR.json] [--budget N] [--jobs N]
+    srlab sr mindist C0.json C1.json [--pair-budget N]
     srlab sr bounds --theorem23 m d0 d1 ... | --prop38 d PROFILE | --cor32 d t
     srlab sr verify-duality --kind sr|matb --trials N --seed N
     srlab tables 2 3 9 [--budget N] [--pair-budget N] [--jobs N] [--format json|csv]
 
-Code arguments read JSON from a file path or, when omitted or "-", stdin.
+Code arguments read JSON from a file path or, when omitted or "-", stdin;
+`sr mindist` with two linear codes gives the distance of their stacked pair.
+Each verb accepts only its own options, written after the verb.
 Exit codes: 0 success / all rows match, 1 usage or input error, 2 a budget
 was exceeded (result carries the best bound, flagged non-exact), 3 a table
 row mismatched.  `python -m srlab` runs the same front end.
@@ -52,14 +56,6 @@ from .tables import (
     run_tables,
 )
 
-# how many JSON inputs an sr action reads, as (fewest, most or None); the
-# actions not listed read one, or stdin when none is given
-_SR_INPUTS = {
-    "construct-sr": (1, None),
-    "construct-matb": (1, 1),
-    "bounds": (0, 0),
-    "verify-duality": (0, 0),
-}
 _PROFILE_PART = re.compile(r"\s*(\d+)\s*x\s*(\d+)\s*(?:\*\s*(\d+)\s*)?", re.IGNORECASE)
 # longer integer arguments lie beyond every bound, and int() refuses them past
 # 4300 digits
@@ -158,104 +154,87 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_cyclic(args) -> int:
-    base = prime_field(2)
-    if args.q == 4:
-        field = extension(base, 2)
-    elif args.q == 2:
-        field = base
-    else:
+    if args.q not in (2, 4):
         raise SrlabError(f"cyclic front end supports q in (2, 4), got {args.q}")
-    meta = {}
+    field = _field_with_degrees(2, [2] if args.q == 4 else [])
     if args.bch:
-        delta, b = args.bch
-        g = bch_generator(field, args.n, delta, b)
-        meta["cosets_used"] = sorted(bch_cosets(field.order, args.n, delta, b))
+        g = bch_generator(field, args.n, *args.bch)
+        cosets = sorted(bch_cosets(field.order, args.n, *args.bch))
     else:
         g = parse_poly(field, args.gen)
-    code = cyclic_code(g, args.n)
-    obj = jsonio.code_to_obj(code)
-    obj["meta"] = {
-        "generator_poly": jsonio.poly_to_obj(g),
-        "generator_poly_str": str(g),
-        **{k: [list(c) for c in v] for k, v in meta.items()},
-    }
+    obj = jsonio.code_to_obj(cyclic_code(g, args.n))
+    obj["meta"] = {"generator_poly": jsonio.poly_to_obj(g), "generator_poly_str": str(g)}
+    if args.bch:
+        obj["meta"]["cosets_used"] = [list(c) for c in cosets]
     _emit(obj)
     return 0
 
 
-def _cmd_code(args) -> int:
-    code = jsonio.code_from_obj(_read_json_arg(args.code))
+def _code_info(code) -> dict:
+    return {"n": code.n, "k": code.k, "selfdual": code.is_self_dual(),
+            "lcd": code.is_lcd(), "hull_dim": code.hull_dimension()}
+
+
+def _sr_info(sr) -> dict:
+    return {"blocks": [list(b) for b in sr.profile.blocks], "dim": sr.dim,
+            "selfdual": sr.is_self_dual(), "lcd": sr.is_lcd()}
+
+
+def _cmd_verb(args) -> int:
+    """info/dual/selfdual/lcd/mindist of a LinearCode or a SumRankCode."""
+    code = args.read(_read_json_arg(args.input))
     if args.action == "info":
-        _emit({"n": code.n, "k": code.k, "selfdual": code.is_self_dual(),
-               "lcd": code.is_lcd(), "hull_dim": code.hull_dimension()})
+        _emit(args.info(code))
     elif args.action == "dual":
-        _emit(jsonio.code_to_obj(code.dual()))
+        _emit(args.write(code.dual()))
     elif args.action == "selfdual":
         _emit({"selfdual": code.is_self_dual()})
     elif args.action == "lcd":
         _emit({"lcd": code.is_lcd()})
-    elif args.action == "mindist":
+    else:
         return _emit_distance(lambda: code.min_distance(budget=args.budget, jobs=args.jobs))
     return 0
 
 
-def _check_input_count(args) -> None:
-    if args.action == "mindist" and args.method == "pairs":
-        lo, hi = 2, 2
-    else:
-        lo, hi = _SR_INPUTS.get(args.action, (0, 1))
-    n = len(args.inputs)
-    if n < lo or (hi is not None and n > hi):
-        want = f"{lo}" if lo == hi else f"{lo} or more" if hi is None else f"{lo} to {hi}"
-        raise UsageError(f"sr {args.action} reads {want} JSON input(s), got {n}")
+def _cmd_sr_mindist(args) -> int:
+    """One sum-rank code: its distance; two linear codes: their pair distance."""
+    if args.other is None:
+        return _cmd_verb(args)
+    c0, c1 = (jsonio.code_from_obj(_read_json_arg(p)) for p in (args.input, args.other))
+    return _emit_distance(lambda: pair_distance(c0, c1, budget=args.pair_budget))
 
 
-def _cmd_sr(args) -> int:
-    _check_input_count(args)
-    if args.action == "construct-sr":
-        codes = [jsonio.code_from_obj(_read_json_arg(p)) for p in args.inputs]
-        basis = _parse_basis(codes[0].field, args.basis) if args.basis else None
-        _emit(jsonio.sr_code_to_obj(qpoly_code(codes, basis)))
-        return 0
-    if args.action == "construct-matb":
-        code = jsonio.code_from_obj(_read_json_arg(args.inputs[0]))
-        basis = _parse_basis(code.field, args.basis) if args.basis else power_basis(code.field)
-        profile = _parse_profile(basis.sub, args.profile) if args.profile else None
-        _emit(jsonio.sr_code_to_obj(basis_expand_code(code, basis, profile)))
-        return 0
-    if args.action == "bounds":
-        if args.theorem23:
-            b = sr_distance_bounds(args.theorem23[0], args.theorem23[1:])
-        elif args.prop38:
-            d, prof = args.prop38
-            b = expansion_distance_bounds(_decimal(d, "--prop38 distance"),
-                                          _parse_profile(prime_field(2), prof))
-        elif args.cor32:
-            b = uniform22_distance_bounds(*args.cor32)
-        else:
-            raise UsageError("bounds needs one of --theorem23 / --prop38 / --cor32")
-        _emit({"lower": b.lower, "upper": b.upper, "exact": b.exact})
-        return 0
-    if args.action == "verify-duality":
-        return _verify_duality(args)
-    if args.action == "mindist":
-        if args.method == "pairs":
-            c0 = jsonio.code_from_obj(_read_json_arg(args.inputs[0]))
-            c1 = jsonio.code_from_obj(_read_json_arg(args.inputs[1]))
-            return _emit_distance(lambda: pair_distance(c0, c1, budget=args.pair_budget))
-        sr = jsonio.sr_code_from_obj(_read_json_arg(args.inputs[0] if args.inputs else None))
-        return _emit_distance(lambda: sr.min_distance(budget=args.budget, jobs=args.jobs))
-    sr = jsonio.sr_code_from_obj(_read_json_arg(args.inputs[0] if args.inputs else None))
-    if args.action == "info":
-        _emit({"blocks": [list(b) for b in sr.profile.blocks], "dim": sr.dim,
-               "selfdual": sr.is_self_dual(), "lcd": sr.is_lcd()})
-    elif args.action == "dual":
-        _emit(jsonio.sr_code_to_obj(sr.dual()))
-    elif args.action == "selfdual":
-        _emit({"selfdual": sr.is_self_dual()})
-    elif args.action == "lcd":
-        _emit({"lcd": sr.is_lcd()})
+def _cmd_construct_sr(args) -> int:
+    codes = [jsonio.code_from_obj(_read_json_arg(p)) for p in args.inputs]
+    basis = _parse_basis(codes[0].field, args.basis) if args.basis else None
+    _emit(jsonio.sr_code_to_obj(qpoly_code(codes, basis)))
     return 0
+
+
+def _cmd_construct_matb(args) -> int:
+    code = jsonio.code_from_obj(_read_json_arg(args.input))
+    basis = _parse_basis(code.field, args.basis) if args.basis else power_basis(code.field)
+    profile = _parse_profile(basis.sub, args.profile) if args.profile else None
+    _emit(jsonio.sr_code_to_obj(basis_expand_code(code, basis, profile)))
+    return 0
+
+
+def _cmd_bounds(args) -> int:
+    if args.theorem23:
+        b = sr_distance_bounds(args.theorem23[0], args.theorem23[1:])
+    elif args.prop38:
+        d, prof = args.prop38
+        b = expansion_distance_bounds(_decimal(d, "--prop38 distance"),
+                                      _parse_profile(prime_field(2), prof))
+    else:
+        b = uniform22_distance_bounds(*args.cor32)
+    _emit({"lower": b.lower, "upper": b.upper, "exact": b.exact})
+    return 0
+
+
+def _random_code(rnd, field, n: int) -> LinearCode:
+    rows = [[rnd.randrange(field.order) for _ in range(n)] for _ in range(rnd.randint(0, n))]
+    return LinearCode.from_rows(field, n, rows)
 
 
 def _verify_duality(args) -> int:
@@ -266,23 +245,12 @@ def _verify_duality(args) -> int:
     for _ in range(args.trials):
         if args.kind == "sr":
             t = rnd.randint(1, 5)
-            c0 = LinearCode.from_rows(
-                f4, t, [[rnd.randrange(4) for _ in range(t)] for _ in range(rnd.randint(0, t))]
-            )
-            c1 = LinearCode.from_rows(
-                f4, t, [[rnd.randrange(4) for _ in range(t)] for _ in range(rnd.randint(0, t))]
-            )
-            ok = duality_transport_qpoly(c0, c1)
+            c0 = _random_code(rnd, f4, t)
+            ok = duality_transport_qpoly(c0, _random_code(rnd, f4, t))
         else:
             ext = f4 if rnd.random() < 0.5 else extension(f2, 3)
-            m = ext.degree_over_base
-            n = rnd.randint(m, 8)
-            c = LinearCode.from_rows(
-                ext, n,
-                [[rnd.randrange(ext.order) for _ in range(n)] for _ in range(rnd.randint(0, n))],
-            )
-            basis = _random_basis(rnd, ext)
-            ok = duality_transport_expansion(c, basis)
+            c = _random_code(rnd, ext, rnd.randint(ext.degree_over_base, 8))
+            ok = duality_transport_expansion(c, _random_basis(rnd, ext))
         if not ok:
             failures += 1
     _emit({"kind": args.kind, "trials": args.trials, "failures": failures, "seed": args.seed})
@@ -300,12 +268,8 @@ def _random_basis(rnd, ext) -> Basis:
 
 
 def _cmd_tables(args) -> int:
-    results = run_tables(
-        args.ids,
-        word_budget=args.budget,
-        pair_budget=args.pair_budget,
-        jobs=args.jobs,
-    )
+    results = run_tables(args.ids, word_budget=args.budget, pair_budget=args.pair_budget,
+                         jobs=args.jobs)
     text = report_to_csv(results) if args.format == "csv" else report_to_json(results)
     if args.out:
         with open(args.out, "w") as fh:
@@ -313,6 +277,19 @@ def _cmd_tables(args) -> int:
     else:
         _emit(text)
     return report_exit_code(results)
+
+
+def _add_code_verbs(verbs, read, write, info):
+    """info/dual/selfdual/lcd/mindist on one code read by `read`, written back
+    by `write`; returns the mindist parser."""
+    for action in ("info", "dual", "selfdual", "lcd", "mindist"):
+        p = verbs.add_parser(action)
+        p.add_argument("input", nargs="?", help="code JSON path (default stdin)")
+        p.set_defaults(fn=_cmd_verb, read=read, write=write, info=info)
+    # the loop ends on mindist, the one verb that searches
+    p.add_argument("--budget", type=int, default=DEFAULT_TABLE_WORD_BUDGET)
+    p.add_argument("--jobs", type=int, default=1)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,35 +313,43 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--gen", help='generator polynomial, e.g. "w^2+w^2x+x^2+x^3"')
     p.set_defaults(fn=_cmd_cyclic)
 
-    p = sub.add_parser("code", help="operate on linear-code JSON")
-    p.add_argument("action", choices=["info", "dual", "selfdual", "lcd", "mindist"])
-    p.add_argument("code", nargs="?", help="code JSON path (default stdin)")
-    p.add_argument("--budget", type=int, default=DEFAULT_TABLE_WORD_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(fn=_cmd_code)
+    verbs = sub.add_parser("code", help="operate on linear-code JSON").add_subparsers(
+        dest="action", required=True)
+    _add_code_verbs(verbs, jsonio.code_from_obj, jsonio.code_to_obj, _code_info)
 
-    p = sub.add_parser("sr", help="operate on sum-rank codes")
-    p.add_argument("action", choices=[
-        "info", "dual", "selfdual", "lcd", "mindist",
-        "construct-sr", "construct-matb", "bounds", "verify-duality",
-    ])
-    p.add_argument("inputs", nargs="*", help="JSON input path(s)")
-    p.add_argument("--budget", type=int, default=DEFAULT_TABLE_WORD_BUDGET)
+    verbs = sub.add_parser("sr", help="operate on sum-rank codes").add_subparsers(
+        dest="action", required=True)
+    p = _add_code_verbs(verbs, jsonio.sr_code_from_obj, jsonio.sr_code_to_obj, _sr_info)
+    p.add_argument("other", nargs="?", help="second linear code: the pair distance of C0, C1")
     p.add_argument("--pair-budget", type=int, default=DEFAULT_TABLE_PAIR_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--method", choices=["exhaustive", "pairs"], default="exhaustive")
+    p.set_defaults(fn=_cmd_sr_mindist)
+
+    p = verbs.add_parser("construct-sr", help="q-polynomial construction from C0, C1, ...")
+    p.add_argument("inputs", nargs="+", help="linear-code JSON paths")
+    p.add_argument("--basis", help="comma-separated constants, e.g. 1,w")
+    p.set_defaults(fn=_cmd_construct_sr)
+
+    p = verbs.add_parser("construct-matb", help="basis expansion of a linear code")
+    p.add_argument("input", help="linear-code JSON path")
     p.add_argument("--basis", help="comma-separated constants, e.g. w,w^2")
     p.add_argument("--profile", help='block shapes, e.g. "2x3,2x2*5"')
-    p.add_argument("--theorem23", nargs="+", type=int, metavar="V",
+    p.set_defaults(fn=_cmd_construct_matb)
+
+    p = verbs.add_parser("bounds", help="distance bounds from one formula")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--theorem23", nargs="+", type=int, metavar="V",
                    help="m d0 d1 ... -> stacking bounds")
-    p.add_argument("--prop38", nargs=2, metavar=("D", "PROFILE"),
+    g.add_argument("--prop38", nargs=2, metavar=("D", "PROFILE"),
                    help="expansion bounds from Hamming distance and profile")
-    p.add_argument("--cor32", nargs=2, type=int, metavar=("D", "T"),
+    g.add_argument("--cor32", nargs=2, type=int, metavar=("D", "T"),
                    help="uniform 2x2 expansion bounds")
+    p.set_defaults(fn=_cmd_bounds)
+
+    p = verbs.add_parser("verify-duality", help="check trace-duality transport on random codes")
     p.add_argument("--kind", choices=["sr", "matb"], default="sr")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_sr)
+    p.set_defaults(fn=_verify_duality)
 
     p = sub.add_parser("tables", help="reproduce the published parameter tables")
     p.add_argument("ids", nargs="+", type=int, help="table numbers, e.g. 2 3 9")

@@ -6,8 +6,8 @@ are equal iff their rref generators are identical.
 
 The LCD test uses the Gram-matrix rank criterion (hull dimension equals
 k - rank(G G^T)); the test suite cross-checks it against an explicit
-row-space intersection.  Each code builds its Gram matrix on first use and
-keeps it, so repeated duality predicates share one product.  Distance search
+row-space intersection.  Each code computes its hull dimension on first use
+and keeps it, so repeated duality predicates share one elimination.  Distance search
 is exact whenever q**k fits the budget and otherwise raises BudgetExceeded
 with the best bound found.
 """
@@ -44,13 +44,13 @@ DEFAULT_WORD_BUDGET = 2**28
 class LinearCode:
     """A linear [n, k] code over `field`, canonical rref generator."""
 
-    __slots__ = ("field", "n", "generator", "_gram")
+    __slots__ = ("field", "n", "generator", "_hull")
 
     def __init__(self, field, n: int, generator: MatrixGF):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "_gram", None)
+        object.__setattr__(self, "_hull", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearCode is immutable")
@@ -144,20 +144,15 @@ class LinearCode:
 
     # -- duality predicates -------------------------------------------------
 
-    def gram(self) -> MatrixGF:
-        """G G^T of the rref generator, built on the first call."""
-        if self._gram is None:
-            object.__setattr__(self, "_gram", self.generator.gram())
-        return self._gram
-
     def is_self_dual(self) -> bool:
-        return 2 * self.k == self.n and self.gram().is_zero()
+        return 2 * self.k == self.n and self.hull_dimension() == self.k
 
     def hull_dimension(self) -> int:
-        """dim(C meet C-perp) = k - rank(G G^T)."""
-        if self.k == 0:
-            return 0
-        return self.k - self.gram().rank()
+        """dim(C meet C-perp) = k - rank(G G^T), computed on the first call."""
+        if self._hull is None:
+            hull = self.k - self.generator.gram().rank() if self.k else 0
+            object.__setattr__(self, "_hull", hull)
+        return self._hull
 
     def is_lcd(self) -> bool:
         return self.hull_dimension() == 0

@@ -20,7 +20,7 @@ from typing import Sequence, Tuple
 from .code import DEFAULT_WORD_BUDGET, LinearCode, _rotation_closed
 from .errors import LengthMismatch, NonUniformProfile, NotSelfDual, ProfileMismatch, ZeroCode
 from .linalg import MatrixGF, check_entries
-from .wordenum import sr_min_weight_generic, sr_min_weight_packed
+from .wordenum import packable_sum_rank, sr_min_weight_generic, sr_min_weight_packed
 
 __all__ = ["BlockProfile", "SumRankCode"]
 
@@ -186,7 +186,7 @@ class SumRankCode:
         if self.dim == 0:
             raise ZeroCode("the zero code has no nonzero codeword")
         rows = [list(r) for r in self.generator.rows]
-        if self.field.order == 2 and self.profile.total <= 64:
+        if packable_sum_rank(self.field, self.profile.blocks):
             return sr_min_weight_packed(self.field, rows, self.profile.blocks, budget, jobs)
         return sr_min_weight_generic(self.field, rows, self.profile.weight, budget)
 

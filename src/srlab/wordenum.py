@@ -28,6 +28,7 @@ from .errors import BudgetExceeded, NegativeBudget
 
 __all__ = [
     "packable_char2",
+    "packable_sum_rank",
     "pack_row_planes",
     "check_budget",
     "scaled_rows",
@@ -43,6 +44,9 @@ __all__ = [
 ]
 
 _SUFFIX_CAP = 1 << 18  # suffix-table entries per shard
+# bits of the largest block whose rank table (2**bits entries, built in
+# Python at about 3.6 us each) the packed sum-rank search builds
+_LUT_BITS = 16
 
 
 if hasattr(np, "bitwise_count"):
@@ -63,6 +67,14 @@ else:  # pragma: no cover - numpy >= 2.0 in practice
 
 def packable_char2(field, n: int) -> bool:
     return field.characteristic == 2 and field.order in (2, 4) and n <= 64
+
+
+def packable_sum_rank(field, blocks) -> bool:
+    """Whether `sr_min_weight_packed` takes a GF(2) code of these block
+    shapes: at most 64 flat bits, and each block's rank table at most
+    2**_LUT_BITS entries; the walker is exact and budgeted for the rest."""
+    return (field.order == 2 and sum(m * n for m, n in blocks) <= 64
+            and all(m * n <= _LUT_BITS for m, n in blocks))
 
 
 def check_budget(budget: int) -> None:
@@ -318,7 +330,7 @@ def block_rank_luts(blocks):
 
 
 def sr_min_weight_packed(field, rows, blocks, budget: int, jobs: int = 1) -> int:
-    """Exact minimum sum-rank weight over GF(2), total length <= 64 bits.
+    """Exact minimum sum-rank weight over GF(2) for the `packable_sum_rank` shapes.
 
     `rows` are flattened generator rows; `blocks` the (m_i, n_i) shapes in
     flattening order.

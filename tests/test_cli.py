@@ -89,7 +89,7 @@ def test_sr_pipeline(tmp_path, capsys):
     assert info["dim"] == 4 and info["selfdual"] is True
     rc, out, _ = run_cli(capsys, "sr", "mindist", str(sr))
     assert rc == 0 and json.loads(out) == {"d": 2, "exact": True}
-    rc, out, _ = run_cli(capsys, "sr", "mindist", str(c), str(c), "--method", "pairs")
+    rc, out, _ = run_cli(capsys, "sr", "mindist", str(c), str(c))
     assert rc == 0 and json.loads(out) == {"d": 2, "exact": True}
 
 
@@ -241,8 +241,44 @@ def test_method_pairs_rejects_non_f4(tmp_path, capsys):
     c = LinearCode.from_rows(f8, 2, [[1, 1]])
     p = tmp_path / "c8.json"
     p.write_text(dumps(code_to_obj(c)))
-    rc, _, err = run_cli(capsys, "sr", "mindist", str(p), str(p), "--method", "pairs")
+    rc, _, err = run_cli(capsys, "sr", "mindist", str(p), str(p))
     assert rc == 1
+
+
+def test_verbs_declare_their_own_arguments(tmp_path, capsys):
+    rc, out, _ = run_cli(capsys, "cyclic", "--q", "4", "--n", "2", "--gen", "1+x")
+    c = tmp_path / "c.json"
+    c.write_text(out)
+    rc, out, _ = run_cli(capsys, "sr", "construct-sr", str(c), str(c))
+    sr = tmp_path / "sr.json"
+    sr.write_text(out)
+    # two inputs are two linear codes: their pair distance, no flag needed
+    code = code_from_obj(json.loads(c.read_text()))
+    rc, out, _ = run_cli(capsys, "sr", "mindist", str(c), str(c))
+    assert rc == 0 and json.loads(out) == {"d": pair_distance(code, code), "exact": True}
+    # an option the verb does not take, a wrong input count, no bound formula
+    # or two are usage errors
+    for argv in (["sr", "info", str(sr), "--trials", "3"],
+                 ["sr", "info", str(sr), "--trials", "3", "--theorem23", "1", "--basis", "w"],
+                 ["code", "info", str(c), "--budget", "5"],
+                 ["code", "info", str(c), "--budget", "5", "--jobs", "9"],
+                 ["code", "dual", str(c), "--pair-budget", "5"],
+                 ["sr", "mindist", str(sr), "--method", "pairs"],
+                 ["sr", "mindist", str(c), str(c), str(c)],
+                 ["sr", "construct-matb", str(c), str(c)],
+                 ["sr", "verify-duality", str(c)],
+                 ["sr", "bounds"],
+                 ["sr", "bounds", "--cor32", "5", "13", "--theorem23", "2", "5", "13"]):
+        assert_input_error(*run_cli(capsys, *argv))
+    # every code and sr verb has its own parser
+    verbs = ["info", "dual", "selfdual", "lcd", "mindist"]
+    for argv in ([["code", v] for v in verbs]
+                 + [["sr", v] for v in verbs + ["construct-sr", "construct-matb", "bounds",
+                                                 "verify-duality"]]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--help"])
+        assert exc.value.code == 0
+        assert f"usage: srlab {' '.join(argv)}" in capsys.readouterr().out
 
 
 def test_json_roundtrip_bit_identical(tmp_path, capsys):
@@ -286,7 +322,7 @@ def test_negative_budget_is_a_named_error(tmp_path, capsys):
     assert_input_error(*run_cli(capsys, "code", "mindist", str(c), "--budget", "-5"))
     assert_input_error(*run_cli(capsys, "sr", "mindist", str(sr), "--budget", "-5"))
     assert_input_error(*run_cli(capsys, "sr", "mindist", str(c), str(c),
-                                "--method", "pairs", "--pair-budget", "-5"))
+                                "--pair-budget", "-5"))
     code = code_from_obj(json.loads(c.read_text()))
     with pytest.raises(NegativeBudget):
         code.min_distance(budget=-5)
@@ -300,7 +336,7 @@ def test_pairs_on_codes_longer_than_64(tmp_path, capsys):
     c = LinearCode.from_rows(extension(prime_field(2), 2), 70, [[1] * 70])
     p = tmp_path / "c70.json"
     p.write_text(dumps(code_to_obj(c)))
-    assert_input_error(*run_cli(capsys, "sr", "mindist", str(p), str(p), "--method", "pairs"))
+    assert_input_error(*run_cli(capsys, "sr", "mindist", str(p), str(p)))
 
 
 def test_code_entries_outside_the_field(tmp_path, capsys):

@@ -11,6 +11,7 @@ from srlab.code import (
 )
 from srlab.errors import BudgetExceeded, LengthMismatch, NotF4, NotSelfDual, ZeroCode
 from srlab.field import extension, prime_field
+from srlab.linalg import MatrixGF
 from srlab.wordenum import low_weight_blocks, packable_char2
 
 F2 = prime_field(2)
@@ -125,33 +126,36 @@ def test_hull_dimension_gram_vs_intersection_exhaustive_42():
         assert c.hull_dimension() == c.intersection(c.dual()).k
 
 
-def test_gram_is_built_once_per_code():
+def test_gram_is_built_once_per_code(monkeypatch):
+    built = []
+    gram = MatrixGF.gram
+    monkeypatch.setattr(MatrixGF, "gram", lambda m: built.append(m) or gram(m))
     rnd = random.Random(53)
     for field in (F2, F4, F3):
         for _ in range(20):
             c = _random_code(rnd, field, rnd.randint(1, 6))
-            g = c.gram()
-            assert c.gram() is g
-            assert g == c.generator.gram()
-            # the predicates read the kept matrix and still agree with the
-            # explicit row-space intersection
             hull = c.intersection(c.dual())
+            del built[:]
+            # the predicates share one hull dimension and still agree with
+            # the explicit row-space intersection
             for _ in range(2):
                 assert c.hull_dimension() == hull.k
                 assert c.is_lcd() == (hull.k == 0)
                 assert c.is_self_dual() == (hull == c and 2 * c.k == c.n)
-            assert c.gram() is g
+            assert c._hull == hull.k
+            assert len(built) == (1 if c.k else 0)
             twin = LinearCode.from_rows(field, c.n, list(reversed(c.generator.rows)))
-            assert twin == c and twin.gram() == g and twin.gram() is not g
+            assert twin == c and twin._hull is None
+            assert twin.hull_dimension() == hull.k and len(built) == (2 if c.k else 0)
 
 
 def test_code_stays_immutable():
     c = LinearCode.from_rows(F4, 2, [[1, 1]])
-    c.gram()
-    for name, value in (("n", 3), ("_gram", None), ("generator", None)):
+    assert c.hull_dimension() == 1
+    for name, value in (("n", 3), ("_hull", 0), ("generator", None)):
         with pytest.raises(AttributeError):
             setattr(c, name, value)
-    assert c.n == 2 and c.gram().is_zero()
+    assert c.n == 2 and c._hull == 1 and c.is_self_dual() and not c.is_lcd()
 
 
 def test_self_orthogonal_hull():

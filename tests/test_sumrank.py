@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -8,7 +9,7 @@ from srlab.field import extension, prime_field
 from srlab.jsonio import sr_code_from_obj, sr_code_to_obj
 from srlab.linalg import MatrixGF
 from srlab.sumrank import BlockProfile, SumRankCode
-from srlab.wordenum import sr_min_weight_generic
+from srlab.wordenum import packable_sum_rank, sr_min_weight_generic
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -154,6 +155,23 @@ def test_min_distance_generic_field():
         if c.dim == 0:
             continue
         assert c.min_distance() == _brute_min(c)
+
+
+def test_blocks_past_16_bits_take_the_walker():
+    # the packed kernel would build a 2**20-entry rank table for a (4,5) block
+    assert packable_sum_rank(F2, [(4, 4), (3, 3)] * 2)
+    assert not packable_sum_rank(F2, [(4, 5)])
+    assert not packable_sum_rank(F2, [(4, 4)] * 5)  # 80 flat bits
+    assert not packable_sum_rank(F4, [(2, 2)])
+    p = BlockProfile(F2, [(4, 5)])
+    rnd = random.Random(29)
+    c = SumRankCode.from_rows(p, [_random_word(rnd, p) for _ in range(3)])
+    assert c.dim == 3
+    t0 = time.time()
+    d = c.min_distance()
+    assert time.time() - t0 < 1.0
+    rows = [list(r) for r in c.generator.rows]
+    assert d == sr_min_weight_generic(F2, rows, p.weight, 2**20) == _brute_min(c)
 
 
 def test_linear_code_distance_equals_min_weight():
