@@ -7,9 +7,9 @@ are equal iff their rref generators are identical.
 The LCD test uses the Gram-matrix rank criterion (hull dimension equals
 k - rank(G G^T)); the test suite cross-checks it against an explicit
 row-space intersection.  Each code computes its hull dimension on first use
-and keeps it, so repeated duality predicates share one elimination.  Distance search
-is exact whenever q**k fits the budget and otherwise raises BudgetExceeded
-with the best bound found.
+and keeps it, so repeated duality predicates share one elimination.
+Distance search is exact whenever q**k fits the budget and otherwise raises
+BudgetExceeded with the best bound found.
 """
 
 from __future__ import annotations
