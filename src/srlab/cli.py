@@ -68,6 +68,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{message} (see {self.prog} --help)")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # each parser reports its own leftovers, so a stray argument names the
+        # help of the verb it was given to, not the top-level help
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def _emit(obj) -> None:
     if isinstance(obj, str):

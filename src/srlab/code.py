@@ -137,8 +137,8 @@ class LinearCode:
             if best is None:
                 return None, None
             return best, self.codeword([msg.get(i, 0) for i in range(self.k)])
-        words = (w for _, block in low_weight_blocks(f, rows, self.n, max_message_weight)
-                 for w in block)
+        words = (w for _, blocks in low_weight_blocks(f, rows, self.n, max_message_weight)
+                 for block in blocks for w in block)
         witness = min(words, key=lambda w: self.n - w.count(0), default=None)
         return (None, None) if witness is None else (self.n - witness.count(0), witness)
 

@@ -230,7 +230,7 @@ def pair_distance(c0: LinearCode, c1: LinearCode, budget: int = DEFAULT_PAIR_BUD
         if 4**c.k <= 2**22:  # keeps peak memory modest
             return support_masks(ext, rows, c.n), True
         planes = low_weight_blocks(ext, rows, c.n, 3)
-        masks = np.unique(np.concatenate([lo | hi for _, (lo, hi) in planes]))
+        masks = np.unique(np.concatenate([(lo | hi).ravel() for _, (lo, hi) in planes]))
         return masks[masks != np.uint64(0)], False
 
     (la, full_a), (lb, full_b) = side_masks(c0), side_masks(c1)

@@ -5,12 +5,17 @@
 - `_sharded_min`, the packed min-reduce: characteristic-2 codewords of
   length <= 64 live in uint64 bitplanes (one plane for GF(2), low/high for
   GF(4)), walked in prefix shards that each cover a precomputed suffix
-  table.  A vectorized weight of the (lo, hi) planes makes it the Hamming or
-  the GF(2) sum-rank search.  Shards share nothing and reduce by min, so the
-  result does not depend on how many threads run them;
+  table, scored a cache-sized piece at a time.  A vectorized weight of the
+  (lo, hi) planes makes it the Hamming search (a popcount) or the GF(2)
+  sum-rank search (two-row blocks bit-sliced with shifts and masks, other
+  blocks read from rank tables built once per shape).  Shards share nothing
+  and reduce by min, so the result does not depend on how many threads run
+  them;
 - `_walk_min`, the plain-Python walker for everything else: messages in
   mixed-radix order, each codeword scored by a weight callback;
-- `low_weight_blocks`, the low-weight lister.
+- `low_weight_blocks`, the low-weight lister: the messages of each weight
+  in batches of position sets, each packed word the XOR of two words over
+  half-size sets built once (meet in the middle).
 
 Budgets count enumerated codewords.  A search that would exceed its budget
 enumerates what fits (whole shards when packed), then raises BudgetExceeded
@@ -19,6 +24,7 @@ carrying the lightest weight seen, an upper bound on the true minimum.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 
@@ -44,8 +50,13 @@ __all__ = [
 ]
 
 _SUFFIX_CAP = 1 << 18  # suffix-table entries per shard
-# bits of the largest block whose rank table (2**bits entries, built in
-# Python at about 3.6 us each) the packed sum-rank search builds
+# words scored at once, as a piece of a shard or a lister batch: their
+# temporaries stay in cache, which runs the weight kernels 3-4x faster than
+# on a whole shard
+_PIECE = 1 << 15
+# bits of the largest block other than two-row whose rank table (2**bits
+# entries, built in Python at about 3.6 us each) the packed sum-rank search
+# builds
 _LUT_BITS = 16
 
 
@@ -71,10 +82,11 @@ def packable_char2(field, n: int) -> bool:
 
 def packable_sum_rank(field, blocks) -> bool:
     """Whether `sr_min_weight_packed` takes a GF(2) code of these block
-    shapes: at most 64 flat bits, and each block's rank table at most
-    2**_LUT_BITS entries; the walker is exact and budgeted for the rest."""
+    shapes: at most 64 flat bits, and each block two-row (bit-sliced) or
+    with a rank table of at most 2**_LUT_BITS entries; the walker is exact
+    and budgeted for the rest."""
     return (field.order == 2 and sum(m * n for m, n in blocks) <= 64
-            and all(m * n <= _LUT_BITS for m, n in blocks))
+            and all(m == 2 or m * n <= _LUT_BITS for m, n in blocks))
 
 
 def check_budget(budget: int) -> None:
@@ -172,11 +184,17 @@ def _sharded_min(field, rows, budget: int, jobs: int, weight, worst: int) -> int
     pre_lo, pre_hi = _plane_table(field, packed[:k_hi], limit_prefixes)
 
     def shard(pidx: int) -> int:
-        phi = pre_hi[pidx]
-        w = weight(suf_lo ^ pre_lo[pidx], suf_hi ^ phi if phi else suf_hi)
-        if pidx == 0:
-            return int(w[1:].min()) if chunk > 1 else worst
-        return int(w.min())
+        plo, phi = pre_lo[pidx], pre_hi[pidx]
+        best = worst
+        for start in range(0, chunk, _PIECE):
+            lo = suf_lo[start : start + _PIECE] ^ plo
+            hi = suf_hi[start : start + _PIECE]
+            w = weight(lo, hi ^ phi if phi else hi)
+            if pidx == 0 and start == 0:
+                w = w[1:]  # the zero word
+            if len(w):
+                best = min(best, int(w.min()))
+        return best
 
     if limit_prefixes == 0:
         raise BudgetExceeded("budget smaller than one shard", best=None, enumerated=0)
@@ -242,57 +260,97 @@ def min_weight_generic(field, rows, n: int, budget: int) -> int:
 # -- low-weight lister ----------------------------------------------------------
 
 
+def _join(first, second, batch: int):
+    """Unions of a set of `first` with a set of `second` that starts after
+    it ends, in lexicographic order, `batch` sets at a time.
+
+    Each side is (sets, lo, hi): a (C, size) array of position sets in
+    lexicographic order and their (C, words) planes.  A union's words are
+    every XOR of a `first` word and a `second` word, the `first` index the
+    less significant digit.
+    """
+    sa, lo_a, hi_a = first
+    sb, lo_b, hi_b = second
+    last_a = sa[:, -1] if sa.shape[1] else np.full(len(sa), -1)
+    after = np.searchsorted(sb[:, 0], last_a, side="right")  # first b set past a's end
+    counts = len(sb) - after
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    for start in range(0, total, batch):
+        pair = np.arange(start, min(start + batch, total))
+        i = np.searchsorted(ends, pair, side="right")
+        j = after[i] + pair - (ends[i] - counts[i])
+        size = len(pair)
+        lo = (lo_b[j][:, :, None] ^ lo_a[i][:, None, :]).reshape(size, -1)
+        hi = (hi_b[j][:, :, None] ^ hi_a[i][:, None, :]).reshape(size, -1)
+        yield np.concatenate([sa[i], sb[j]], axis=1), lo, hi
+
+
 def low_weight_blocks(field, rows, n: int, max_msg_weight: int):
-    """Yield (positions, block) for each set of 1..max_msg_weight rows, by
-    size, then lexicographically: the codewords of the messages nonzero
-    exactly on `positions`, as (lo, hi) planes when the code packs, else as
-    a list.  In a block, the first position is the least significant
-    base-(q-1) digit of the index, digit j standing for the scalar j + 1.
-    Each block extends its prefix's block, built once per prefix.
+    """Yield (sets, words) batches for the messages of Hamming weight
+    1..max_msg_weight, by weight, then lexicographically by support.
+
+    `sets` is a (C, w) array of row-position sets; row c of `words` holds
+    the (q-1)**w codewords of the messages nonzero exactly on sets[c].  In
+    a row, the first position is the least significant base-(q-1) digit of
+    the index, digit j standing for the scalar j + 1.
+
+    When the code packs, `words` is a pair of fresh (C, (q-1)**w) lo/hi
+    plane arrays of at most _PIECE words (or one set).  Each row is the XOR
+    of a row over the first w // 2 positions and one over the rest, and the
+    planes of the sets of each half size are built once (meet in the
+    middle).  Else `words` holds one list of words per set, one set per
+    batch.
     """
     q = field.order
     k = len(rows)
-    if packable_char2(field, n):
-        mults = [_scalar_multiples(field, *pack_row_planes(field, r))[1:] for r in rows]
-        root = _plane_table(field, [])
-
-        def extend(block, p):
-            return _extend_plane(block[0], mults[p], 0), _extend_plane(block[1], mults[p], 1)
-    else:
+    top = min(max_msg_weight, k)
+    if not packable_char2(field, n):
         table = scaled_rows(field, rows)
-        root = [[0] * n]
 
-        def extend(block, p):
-            return [combine(field, table, ((p, d),), w) for d in range(1, q) for w in block]
+        def grow(prefix, block, left):
+            if not left:
+                yield np.array([prefix]), [block]
+                return
+            for p in range(prefix[-1] + 1 if prefix else 0, k - left + 1):
+                grown = [combine(field, table, ((p, d),), w) for d in range(1, q) for w in block]
+                yield from grow(prefix + (p,), grown, left - 1)
 
-    def grow(prefix, block, left):
-        if not left:
-            yield prefix, block
-            return
-        for p in range(prefix[-1] + 1 if prefix else 0, k - left + 1):
-            yield from grow(prefix + (p,), extend(block, p), left - 1)
-
-    for wt in range(1, min(max_msg_weight, k) + 1):
-        yield from grow((), root, wt)
+        for wt in range(1, top + 1):
+            yield from grow((), [[0] * n], wt)
+        return
+    mults = np.array([_scalar_multiples(field, *pack_row_planes(field, r))[1:] for r in rows],
+                     dtype=np.uint64).reshape(k, q - 1, 2)
+    zero = np.zeros((1, 1), dtype=np.uint64)
+    levels = [(np.zeros((1, 0), dtype=np.intp), zero, zero),
+              (np.arange(k)[:, None], mults[:, :, 0], mults[:, :, 1])]
+    while len(levels) <= (top + 1) // 2:  # sets of every half size, in one batch each
+        levels.append(next(_join(levels[-1], levels[1], len(levels[-1][0]) * k)))
+    for wt in range(1, top + 1):
+        batch = max(1, _PIECE // (q - 1) ** wt)
+        for sets, lo, hi in _join(levels[wt // 2], levels[wt - wt // 2], batch):
+            yield sets, (lo, hi)
 
 
 def low_weight_min_char2(field, rows, n: int, max_msg_weight: int):
     """Lightest codeword among messages of Hamming weight <= max_msg_weight.
 
     Returns (weight, message) where message maps row index -> scalar, or
-    (None, None) when the cap is 0 or the code is empty.  With an rref
-    generator this scan is complete for all codewords of weight up to the
-    cap, since such a codeword's message is its pivot-column restriction.
+    (None, None) when the cap is 0 or the code is empty.  The first
+    lightest in lister order wins.  With an rref generator this scan is
+    complete for all codewords of weight up to the cap, since such a
+    codeword's message is its pivot-column restriction.
     """
     base = field.order - 1
     best = None
     best_msg = None
-    for positions, (lo, hi) in low_weight_blocks(field, rows, n, max_msg_weight):
-        w = popcount(lo | hi)
-        i = int(w.argmin())
-        if best is None or int(w[i]) < best:
-            best = int(w[i])
-            best_msg = {p: 1 + i // base**j % base for j, p in enumerate(positions)}
+    for sets, (lo, hi) in low_weight_blocks(field, rows, n, max_msg_weight):
+        w = popcount(np.bitwise_or(lo, hi, out=lo))
+        i = int(w.argmin())  # row-major: the first lightest of the batch
+        c, idx = divmod(i, w.shape[1])
+        if best is None or int(w[c, idx]) < best:
+            best = int(w[c, idx])
+            best_msg = {int(p): 1 + idx // base**j % base for j, p in enumerate(sets[c])}
     return best, best_msg
 
 
@@ -314,36 +372,71 @@ def f2_matrix_rank_bits(pattern: int, m: int, n: int) -> int:
     return rank
 
 
-def block_rank_luts(blocks):
-    """One rank lookup table per (m, n) block over GF(2)."""
-    luts = {}
-    out = []
-    for m, n in blocks:
-        key = (m, n)
-        if key not in luts:
-            luts[key] = np.array(
-                [f2_matrix_rank_bits(p, m, n) for p in range(1 << (m * n))],
-                dtype=np.uint8,
-            )
-        out.append(luts[key])
-    return out
+@functools.lru_cache(maxsize=None)
+def block_rank_lut(m: int, n: int) -> np.ndarray:
+    """Read-only rank table of every m x n matrix over GF(2), built once
+    per shape."""
+    lut = np.array([f2_matrix_rank_bits(p, m, n) for p in range(1 << (m * n))], dtype=np.uint8)
+    lut.flags.writeable = False
+    return lut
+
+
+def _fold(x: np.ndarray, n: int, tmp: np.ndarray) -> None:
+    """In place: bit j of x becomes the OR of its bits j .. j + n - 1."""
+    span = 1
+    while span < n:
+        step = min(span, n - span)
+        np.right_shift(x, np.uint64(step), out=tmp)
+        np.bitwise_or(x, tmp, out=x)
+        span += step
+
+
+def _two_row_ranks(words: np.ndarray, n: int, firsts: np.uint64) -> np.ndarray:
+    """Summed ranks of the two-row blocks of width n whose first bits are
+    set in `firsts`: a block of rows r1, r2 has rank [r1 | r2 != 0] +
+    [r1 != 0 and r2 != 0 and r1 != r2], each flag read off the block's
+    first bit after OR-folding a row onto its first bit."""
+    shift = np.uint64(n)
+    tmp = np.right_shift(words, shift)
+    differ = np.bitwise_xor(words, tmp)  # row 1 ^ row 2 at row 1's bits
+    nonzero = words.copy()
+    _fold(nonzero, n, tmp)  # row 1 nonzero at the first bit, row 2 n bits up
+    _fold(differ, n, tmp)
+    np.right_shift(nonzero, shift, out=tmp)  # row 2 nonzero at the first bit
+    np.bitwise_and(differ, nonzero, out=differ)
+    np.bitwise_and(differ, tmp, out=differ)  # rank 2
+    np.bitwise_or(nonzero, tmp, out=nonzero)  # rank >= 1
+    nonzero &= firsts
+    differ &= firsts
+    acc = popcount(nonzero)
+    acc += popcount(differ)
+    return acc
 
 
 def sr_min_weight_packed(field, rows, blocks, budget: int, jobs: int = 1) -> int:
     """Exact minimum sum-rank weight over GF(2) for the `packable_sum_rank` shapes.
 
     `rows` are flattened generator rows; `blocks` the (m_i, n_i) shapes in
-    flattening order.
+    flattening order.  Two-row blocks are scored bit-sliced, all blocks of
+    one width at once; the others through their rank tables.
     """
-    sizes = [m * n for m, n in blocks]
-    offsets = np.cumsum([0] + sizes[:-1])
-    luts = block_rank_luts(blocks)
+    firsts = {}  # width -> first bits of the two-row blocks of that width
+    tables = []  # (offset, mask, rank table) of the other blocks
+    offset = 0
+    for m, n in blocks:
+        if m == 2:
+            firsts[n] = firsts.get(n, 0) | 1 << offset
+        else:
+            tables.append((np.uint64(offset), np.uint64((1 << m * n) - 1), block_rank_lut(m, n)))
+        offset += m * n
+    firsts = {n: np.uint64(bits) for n, bits in firsts.items()}
 
     def weight(words, _hi):
-        acc = np.zeros(len(words), dtype=np.uint16)
-        for off, size, lut in zip(offsets, sizes, luts):
-            idx = ((words >> np.uint64(off)) & np.uint64((1 << size) - 1)).astype(np.int64)
-            acc += lut[idx]
+        acc = np.zeros(len(words), dtype=np.uint8)
+        for n, bits in firsts.items():
+            acc += _two_row_ranks(words, n, bits)
+        for off, mask, lut in tables:
+            acc += lut[((words >> off) & mask).astype(np.intp)]
         return acc
 
     return _sharded_min(field, rows, budget, jobs, weight, sum(m for m, _ in blocks) + 1)

@@ -257,7 +257,7 @@ def test_verbs_declare_their_own_arguments(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "sr", "mindist", str(c), str(c))
     assert rc == 0 and json.loads(out) == {"d": pair_distance(code, code), "exact": True}
     # an option the verb does not take, a wrong input count, no bound formula
-    # or two are usage errors
+    # or two are usage errors that point at the verb's own help
     for argv in (["sr", "info", str(sr), "--trials", "3"],
                  ["sr", "info", str(sr), "--trials", "3", "--theorem23", "1", "--basis", "w"],
                  ["code", "info", str(c), "--budget", "5"],
@@ -269,7 +269,11 @@ def test_verbs_declare_their_own_arguments(tmp_path, capsys):
                  ["sr", "verify-duality", str(c)],
                  ["sr", "bounds"],
                  ["sr", "bounds", "--cor32", "5", "13", "--theorem23", "2", "5", "13"]):
-        assert_input_error(*run_cli(capsys, *argv))
+        rc, out, err = run_cli(capsys, *argv)
+        assert_input_error(rc, out, err)
+        assert f"(see srlab {argv[0]} {argv[1]} --help)" in err
+    rc, out, err = run_cli(capsys, "sr", "info", str(sr), "--trials", "3")
+    assert "unrecognized arguments: --trials 3 (see srlab sr info --help)" in err
     # every code and sr verb has its own parser
     verbs = ["info", "dual", "selfdual", "lcd", "mindist"]
     for argv in ([["code", v] for v in verbs]

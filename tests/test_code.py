@@ -12,7 +12,8 @@ from srlab.code import (
 from srlab.errors import BudgetExceeded, LengthMismatch, NotF4, NotSelfDual, ZeroCode
 from srlab.field import extension, prime_field
 from srlab.linalg import MatrixGF
-from srlab.wordenum import low_weight_blocks, packable_char2
+from srlab import wordenum
+from srlab.wordenum import low_weight_blocks, low_weight_min_char2, packable_char2
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -206,12 +207,29 @@ def _message_words(c, positions):
     return words
 
 
-def test_low_weight_lister_matches_plain_loop():
+def _flat_blocks(field, rows, n, depth):
+    """The lister's batches flattened back to one (positions, block) pair
+    per position set."""
+    out = []
+    packed = packable_char2(field, n)
+    for sets, words in low_weight_blocks(field, rows, n, depth):
+        assert sets.ndim == 2
+        assert [len(w) for w in words] == [len(sets)] * 2 if packed else len(words) == len(sets)
+        for c, positions in enumerate(sets):
+            block = (words[0][c], words[1][c]) if packed else words[c]
+            out.append((tuple(int(p) for p in positions), block))
+    return out
+
+
+def test_low_weight_lister_matches_plain_loop(monkeypatch):
     rnd = random.Random(43)
-    for field, n in ((F4, 12), (F2, 20), (F4, 70), (F3, 9)):
+    for piece, (field, n, k) in itertools.product(
+            (wordenum._PIECE, 8),  # 8 words: several batches per message weight
+            ((F4, 12, 4), (F2, 20, 4), (F4, 70, 4), (F3, 9, 4), (F4, 16, 7), (F2, 24, 9))):
+        monkeypatch.setattr(wordenum, "_PIECE", piece)
         c = LinearCode.from_rows(field, n, [[rnd.randrange(field.order) for _ in range(n)]
-                                            for _ in range(4)])
-        blocks = list(low_weight_blocks(field, c.generator.rows, n, 3))
+                                            for _ in range(k)])
+        blocks = _flat_blocks(field, c.generator.rows, n, 3)
         sets = [s for w in (1, 2, 3) for s in itertools.combinations(range(c.k), w)]
         assert [positions for positions, _ in blocks] == sets
         for positions, block in blocks:
@@ -226,3 +244,39 @@ def test_low_weight_lister_matches_plain_loop():
         found, witness = c.low_weight_scan(c.k)
         assert found == c.min_distance() == sum(1 for v in witness if v)
         assert c.contains(witness)
+
+
+def _plain_low_weight_min(c, depth):
+    """Per-set reference: the first lightest message in lister order."""
+    best, best_msg = None, None
+    base = c.field.order - 1
+    for w in range(1, min(depth, c.k) + 1):
+        for positions in itertools.combinations(range(c.k), w):
+            for i, word in enumerate(_message_words(c, positions)):
+                wt = sum(1 for v in word if v)
+                if best is None or wt < best:
+                    best = wt
+                    best_msg = {p: 1 + i // base**j % base for j, p in enumerate(positions)}
+    return best, best_msg
+
+
+def test_low_weight_min_matches_plain_loop(monkeypatch):
+    rnd = random.Random(47)
+    piece = wordenum._PIECE
+    for trial in range(48):
+        # 16 words: several batches per message weight
+        monkeypatch.setattr(wordenum, "_PIECE", 16 if trial % 4 < 2 else piece)
+        field = (F2, F4)[trial % 2]
+        n = rnd.randint(6, 20)
+        k = rnd.randint(1, min(n, 8))
+        if trial % 3 == 0:  # light rows and repeated supports: many tied minima
+            rows = [[rnd.choice((0, 0, 0, 1, field.order - 1)) for _ in range(n)]
+                    for _ in range(k)]
+        else:
+            rows = [[rnd.randrange(field.order) for _ in range(n)] for _ in range(k)]
+        c = LinearCode.from_rows(field, n, rows)
+        if c.k == 0:
+            continue
+        depth = rnd.randint(1, 4)
+        want = _plain_low_weight_min(c, depth)
+        assert low_weight_min_char2(field, c.generator.rows, n, depth) == want

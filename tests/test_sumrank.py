@@ -1,15 +1,18 @@
 import random
 import time
 
+import numpy as np
 import pytest
 
-from srlab.errors import (EntryOutOfRange, LengthMismatch, NonUniformProfile, NotSelfDual,
+from srlab import wordenum
+from srlab.errors import (BudgetExceeded, EntryOutOfRange, LengthMismatch, NonUniformProfile, NotSelfDual,
                           ProfileMismatch, ZeroCode)
 from srlab.field import extension, prime_field
 from srlab.jsonio import sr_code_from_obj, sr_code_to_obj
 from srlab.linalg import MatrixGF
 from srlab.sumrank import BlockProfile, SumRankCode
-from srlab.wordenum import packable_sum_rank, sr_min_weight_generic
+from srlab.wordenum import (block_rank_lut, packable_sum_rank, sr_min_weight_generic,
+                             sr_min_weight_packed)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -172,6 +175,105 @@ def test_blocks_past_16_bits_take_the_walker():
     assert time.time() - t0 < 1.0
     rows = [list(r) for r in c.generator.rows]
     assert d == sr_min_weight_generic(F2, rows, p.weight, 2**20) == _brute_min(c)
+
+
+def _table_weights(blocks, rows):
+    """Walker-free reference: the sum-rank weight of every codeword, message
+    index order (first row least significant).  Ranks are read from rank
+    tables, or for wide two-row blocks from the two rows as integers."""
+    words = np.zeros(1, dtype=np.uint64)
+    for r in rows:
+        words = np.concatenate([words, words ^ np.uint64(sum(v << j for j, v in enumerate(r)))])
+    acc = np.zeros(len(words), dtype=np.int64)
+    off = 0
+    for m, n in blocks:
+        block = ((words >> np.uint64(off)) & np.uint64((1 << m * n) - 1)).astype(np.int64)
+        if m != 2 or m * n <= 10:
+            acc += block_rank_lut(m, n)[block]
+        else:
+            r1, r2 = block & ((1 << n) - 1), block >> n
+            acc += (r1 | r2 != 0).astype(np.int64) + ((r1 != 0) & (r2 != 0) & (r1 != r2))
+        off += m * n
+    return acc
+
+
+def _random_blocks(rnd, shapes, most=64):
+    blocks, total = [], 0
+    while not blocks or rnd.random() < 0.8:
+        fits = [b for b in shapes if total + b[0] * b[1] <= most]
+        if not fits:
+            break
+        blocks.append(rnd.choice(fits))
+        total += blocks[-1][0] * blocks[-1][1]
+    return blocks
+
+
+_SHAPES = [(2, n) for n in range(2, 9)] + [(1, n) for n in range(1, 7)] + [(3, 3), (4, 4)]
+
+
+@pytest.mark.parametrize("cap, piece", [(None, None), (16, 4)])
+def test_packed_kernel_matches_walker_and_tables(monkeypatch, cap, piece):
+    # small caps make every code cross several prefix shards and pieces
+    if cap is not None:
+        monkeypatch.setattr(wordenum, "_SUFFIX_CAP", cap)
+        monkeypatch.setattr(wordenum, "_PIECE", piece)
+    rnd = random.Random(51 if cap is None else 53)
+    for trial in range(100):
+        blocks = _random_blocks(rnd, _SHAPES + [(2, 12)] * (trial % 10 == 0))
+        assert packable_sum_rank(F2, blocks)
+        p = BlockProfile(F2, blocks)
+        k = rnd.randint(1, min(7, p.total))
+        rows = [list(r) for r in SumRankCode.from_rows(
+            p, [_random_word(rnd, p) for _ in range(k)]).generator.rows]
+        if not rows:
+            continue
+        want = int(_table_weights(blocks, rows)[1:].min())
+        assert sr_min_weight_generic(F2, rows, p.weight, 2**20) == want
+        assert sr_min_weight_packed(F2, rows, blocks, 2**20) == want
+        assert sr_min_weight_packed(F2, rows, blocks, 2**20, jobs=2) == want
+
+
+def test_packed_kernel_across_prefix_shards():
+    # k = 19..21 over the real shard size: 2..8 prefix shards
+    rnd = random.Random(57)
+    for blocks, k in (([(2, 2)] * 16, 21), ([(2, 12), (2, 3), (3, 3), (2, 5)], 19),
+                      ([(4, 4), (2, 7), (1, 5), (2, 2), (2, 8)], 20)):
+        p = BlockProfile(F2, blocks)
+        rows = [list(r) for r in SumRankCode.from_rows(
+            p, [_random_word(rnd, p) for _ in range(k)]).generator.rows]
+        assert len(rows) == k
+        weights = _table_weights(blocks, rows)
+        want = int(weights[1:].min())
+        assert sr_min_weight_packed(F2, rows, blocks, 2**22) == want
+        assert sr_min_weight_packed(F2, rows, blocks, 2**22, jobs=2) == want
+        # over budget: whole shards of 2**18 messages, prefix (first rows) digits
+        # least significant
+        shards = 3 if k > 19 else 1
+        enumerated = weights.reshape(2**18, 2 ** (k - 18))[:, :shards]
+        with pytest.raises(BudgetExceeded) as exc:
+            sr_min_weight_packed(F2, rows, blocks, shards * 2**18 + 5)
+        assert exc.value.enumerated == shards * 2**18
+        assert exc.value.best == int(enumerated.ravel()[1:].min())
+
+
+def test_rank_tables_are_built_once_per_shape(monkeypatch):
+    calls = []
+    rank_bits = wordenum.f2_matrix_rank_bits
+    monkeypatch.setattr(wordenum, "f2_matrix_rank_bits",
+                        lambda *a: calls.append(a) or rank_bits(*a))
+    block_rank_lut.cache_clear()
+    p = BlockProfile(F2, [(4, 4)])
+    rnd = random.Random(59)
+    c = SumRankCode.from_rows(p, [_random_word(rnd, p) for _ in range(3)])
+    assert c.dim == 3
+    counts = []
+    for _ in range(2):
+        before = len(calls)
+        assert c.min_distance() == _brute_min(c)
+        counts.append(len(calls) - before)
+    assert counts == [2**16, 0]
+    assert not block_rank_lut(4, 4).flags.writeable
+    block_rank_lut.cache_clear()  # later callers rebuild through the real function
 
 
 def test_linear_code_distance_equals_min_weight():
