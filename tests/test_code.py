@@ -214,7 +214,9 @@ def _flat_blocks(field, rows, n, depth):
     packed = packable_char2(field, n)
     for sets, words in low_weight_blocks(field, rows, n, depth):
         assert sets.ndim == 2
-        assert [len(w) for w in words] == [len(sets)] * 2 if packed else len(words) == len(sets)
+        assert len(words) == (2 if packed else len(sets))
+        if packed:
+            assert len(words[0]) == len(words[1]) == len(sets)
         for c, positions in enumerate(sets):
             block = (words[0][c], words[1][c]) if packed else words[c]
             out.append((tuple(int(p) for p in positions), block))
