@@ -10,18 +10,28 @@ row-space intersection.  Each code computes its hull dimension on first use
 and keeps it, so repeated duality predicates share one elimination.
 Distance search is exact whenever q**k fits the budget and otherwise raises
 BudgetExceeded with the best bound found.
+
+Past any budget the minimum distance is certified by windows (Brouwer and
+Zimmermann; Grassl, "Searching for linear codes with large minimum
+distance", 2006): generators systematic on r disjoint information sets.  A
+codeword's restriction to a window is its message under that window's
+generator, and a word of weight <= H weighs <= H // r on some window, so
+listing the messages of weight <= w under every window lists every codeword
+of weight <= r (w + 1) - 1.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .errors import LengthMismatch, NotF4, NotSelfDual, ZeroCode
+from .errors import BudgetExceeded, LengthMismatch, NotF4, NotSelfDual, ZeroCode
 from .linalg import MatrixGF, check_entries
 from .wordenum import (
     all_codewords,
     combine,
+    lightest_char2,
+    listing_cost,
     low_weight_blocks,
     low_weight_min_char2,
     min_weight_char2,
@@ -44,13 +54,14 @@ DEFAULT_WORD_BUDGET = 2**28
 class LinearCode:
     """A linear [n, k] code over `field`, canonical rref generator."""
 
-    __slots__ = ("field", "n", "generator", "_hull")
+    __slots__ = ("field", "n", "generator", "_hull", "_windows")
 
     def __init__(self, field, n: int, generator: MatrixGF):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "_hull", None)
+        object.__setattr__(self, "_windows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearCode is immutable")
@@ -95,8 +106,7 @@ class LinearCode:
         return self.generator.row_space_contains(list(word))
 
     def codeword(self, message: Sequence[int]):
-        table = scaled_rows(self.field, self.generator.rows, message)
-        return combine(self.field, table, enumerate(message[: self.k]), [0] * self.n)
+        return _combination(self.field, self.generator.rows, self.n, message)
 
     def codewords(self) -> Iterator[list]:
         """All q**k codewords; callers are responsible for k being small."""
@@ -121,26 +131,111 @@ class LinearCode:
             return min_weight_char2(self.field, rows, self.n, budget, jobs)
         return min_weight_generic(self.field, rows, self.n, budget)
 
-    def low_weight_scan(self, max_message_weight: int):
-        """Lightest codeword among messages of Hamming weight <= w.
+    def windows(self):
+        """((positions, rows), ...): generators systematic on disjoint
+        information sets, computed on the first call.
 
-        Because the generator is in rref, a codeword's message is its
-        restriction to the pivot columns, so every codeword of weight <= w
-        comes from a message of weight <= w: the scan is complete for
-        codewords up to that weight.  Returns (weight, witness) or
+        The rref generator (its pivot columns) comes first; each further
+        window is the rref of the generator with the unused columns moved to
+        the front, kept while those columns still have rank k.
+        """
+        if self._windows is None:
+            rows = [list(r) for r in self.generator.rows]
+            wins = [(_pivots(rows), tuple(map(tuple, rows)))]
+            used = set(wins[0][0])
+            while self.k and self.n - len(used) >= self.k:
+                order = [j for j in range(self.n) if j not in used]
+                order += sorted(used)
+                moved = MatrixGF(self.field, [[r[j] for j in order] for r in rows], self.n).rref()
+                pivots = _pivots(moved.rows)
+                if pivots[-1] >= self.n - len(used):  # rank < k on the unused columns
+                    break
+                back = [[0] * self.n for _ in moved.rows]
+                for src, j in enumerate(order):
+                    for row, prow in zip(back, moved.rows):
+                        row[j] = prow[src]
+                wins.append((tuple(order[p] for p in pivots), tuple(map(tuple, back))))
+                used.update(wins[-1][0])
+            object.__setattr__(self, "_windows", tuple(wins))
+        return self._windows
+
+    def listing_windows(self, weight: int):
+        """(generators, depth) to list every codeword of weight <= `weight`:
+        the windows' row lists through message weight weight // r, or the
+        rref generator's alone through depth k (the whole code) where that is
+        no dearer (`listing_cost`).  Windows cost an elimination each, so they
+        are found only when some window count could make them cheaper."""
+        q, k = self.field.order, self.k
+
+        def whole_wins(r):
+            return q**k <= listing_cost(self.field, k, r, weight // r)
+
+        if all(map(whole_wins, range(1, self.n // max(1, k) + 1))) or whole_wins(len(self.windows())):
+            return [self.generator.rows], k
+        return [rows for _, rows in self.windows()], weight // len(self.windows())
+
+    def lightest_row(self) -> int:
+        """Weight of the lightest rref generator row, a codeword."""
+        return min(self.n - row.count(0) for row in self.generator.rows)
+
+    def low_weight_scan(self, max_message_weight: int):
+        """Lightest codeword among the messages of Hamming weight <= w under
+        every window.
+
+        With r windows the scan is complete for codewords of weight up to
+        r (w + 1) - 1, and for all codewords once w >= k (then the rref
+        generator alone lists them).  Returns (weight, witness) or
         (None, None) if nothing was found.
         """
-        f = self.field
-        rows = self.generator.rows
-        if packable_char2(f, self.n):
-            best, msg = low_weight_min_char2(f, rows, self.n, max_message_weight)
-            if best is None:
-                return None, None
-            return best, self.codeword([msg.get(i, 0) for i in range(self.k)])
-        words = (w for _, blocks in low_weight_blocks(f, rows, self.n, max_message_weight)
-                 for block in blocks for w in block)
-        witness = min(words, key=lambda w: self.n - w.count(0), default=None)
-        return (None, None) if witness is None else (self.n - witness.count(0), witness)
+        f, n = self.field, self.n
+        if max_message_weight >= self.k:
+            if self.k and packable_char2(f, n):
+                best, msg = lightest_char2(f, self.generator.rows, n)
+                return best, self.codeword(msg)
+            gens = [self.generator.rows]
+        else:
+            gens = [rows for _, rows in self.windows()]
+        best, witness = None, None
+        for rows in gens:
+            if packable_char2(f, n):
+                found, msg = low_weight_min_char2(f, rows, n, max_message_weight)
+                if found is not None and (best is None or found < best):
+                    best = found
+                    witness = _combination(f, rows, n, [msg.get(i, 0) for i in range(self.k)])
+                continue
+            words = (w for _, blocks in low_weight_blocks(f, rows, n, max_message_weight)
+                     for block in blocks for w in block)
+            word = min(words, key=lambda w: n - w.count(0), default=None)
+            if word is not None and (best is None or n - word.count(0) < best):
+                best, witness = n - word.count(0), word
+        return best, witness
+
+    def certified_distance(self, budget: Optional[int] = None):
+        """(d, witness, depth): the exact minimum distance, a codeword of that
+        weight, and the message weight the scan reached.
+
+        The generator rows are codewords, so the lightest row's weight b
+        bounds d.  Where `listing_windows(b)` picks the whole code, the scan
+        lists it (depth k); else it deepens the window scan from depth 1
+        until the lightest word found is within its completeness bound.  A
+        scan that would cost more than `budget` words (`listing_cost`)
+        raises BudgetExceeded carrying the lightest weight found.
+        """
+        if self.k == 0:
+            raise ZeroCode("the zero code has no nonzero codeword")
+        best = self.lightest_row()
+        gens, top = self.listing_windows(best)
+        r = len(gens)
+        depth = self.k if top >= self.k else 1
+        while True:
+            cost = listing_cost(self.field, self.k, r, depth)
+            if budget is not None and cost > budget:
+                raise BudgetExceeded(f"a listing of {cost} words exceeds budget {budget}",
+                                     best=best, enumerated=0)
+            best, witness = self.low_weight_scan(depth)
+            if depth >= self.k or best <= r * (depth + 1) - 1:
+                return best, witness, depth
+            depth += 1
 
     # -- duality predicates -------------------------------------------------
 
@@ -167,6 +262,17 @@ class LinearCode:
             list(self.dual().generator.rows) + list(other.dual().generator.rows),
         )
         return du.dual()
+
+
+def _combination(field, rows, n: int, message: Sequence[int]):
+    """The codeword sum message[i] * rows[i]."""
+    table = scaled_rows(field, rows, message)
+    return combine(field, table, enumerate(message[: len(rows)]), [0] * n)
+
+
+def _pivots(rows) -> tuple:
+    """Leading columns of rref rows."""
+    return tuple(next(j for j, v in enumerate(row) if v) for row in rows)
 
 
 def _rotation_closed(code: LinearCode, step: int) -> bool:

@@ -23,12 +23,13 @@ the claimed identity are materialized and compared as canonical rrefs.
 from __future__ import annotations
 
 import functools
+import types
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .code import LinearCode, f4_selfdual_distance_cap
+from .code import DEFAULT_WORD_BUDGET, LinearCode, f4_selfdual_distance_cap
 from .errors import (
     BudgetExceeded,
     DistanceExceedsLength,
@@ -40,7 +41,7 @@ from .errors import (
 from .field import Basis, FieldSpec
 from .linalg import MatrixGF
 from .sumrank import BlockProfile, SumRankCode
-from .wordenum import check_budget, low_weight_blocks, packable_char2, popcount, support_masks
+from .wordenum import check_budget, listing_cost, packable_char2, popcount, support_masks
 
 __all__ = [
     "Bounds",
@@ -164,6 +165,15 @@ def _check_rank_table_pattern(table: dict) -> None:
             raise AssertionError(f"rank table violates the zero pattern at {(a0, a1)}: {r}")
 
 
+@functools.lru_cache(maxsize=None)
+def _checked_rank_table(ext: FieldSpec):
+    """The power-basis rank table of GF(4), validated against the zero
+    pattern; built and checked once per field, read-only."""
+    table = qpoly_rank_table(power_basis(ext))
+    _check_rank_table_pattern(table)
+    return types.MappingProxyType(table)
+
+
 def qpoly_code(codes: Sequence[LinearCode], basis: Optional[Basis] = None) -> SumRankCode:
     """Sum-rank code built from m coefficient codes over GF(q^m).
 
@@ -198,18 +208,25 @@ def qpoly_code(codes: Sequence[LinearCode], basis: Optional[Basis] = None) -> Su
 
 
 def pair_distance(c0: LinearCode, c1: LinearCode, budget: int = DEFAULT_PAIR_BUDGET) -> int:
-    """Exact distance of the q = m = 2 stacked code by pair enumeration.
+    """Exact distance of the q = m = 2 stacked code by support-class crossing.
 
     For coefficient pairs over GF(4) the block rank is 1 where both
-    codewords are nonzero and 2 where exactly one is, so the weight of a
-    pair depends only on the two supports.  Distinct supports are invariant
-    under scalar multiples, which shrinks the enumeration from |C0| * |C1|
-    pairs to one per support-class pair without changing the minimum.  The
-    block rank of x -> a0 x + a1 x^2 does not depend on the basis, so the
-    zero pattern is validated in the power basis.
-    Budget counts weight evaluations; BudgetExceeded carries the best bound
-    assembled from one-sided sweeps and a light partial scan.  Supports are
-    uint64 masks, so the codes may be at most 64 long.
+    codewords are nonzero and 2 where exactly one is, so a pair of supports
+    A, B weighs |A & B| + 2 |A ^ B| >= max(|A|, |B|); distinct supports are
+    invariant under scalar multiples, so one pair per support-class pair
+    gives the minimum.  The block rank of x -> a0 x + a1 x^2 does not
+    depend on the basis, so the zero pattern is validated in the power
+    basis (once per field).
+
+    One-sided words weigh 2 |A|, so U = 2 min d_H bounds the distance, and
+    only the support classes lighter than U on each side (`support_masks`)
+    can beat it.  They are crossed level by level in max(|A|, |B|), which
+    stops once the best weight found is at most the next level.  Budget
+    counts crossed support-class pairs; past it BudgetExceeded carries the
+    lightest pair found (at worst U).  A d_H certificate or class listing
+    that would cost more than DEFAULT_WORD_BUDGET words raises it too, with
+    the best bound known.  Supports are uint64 masks, so the codes may be at
+    most 64 long.
     """
     check_budget(budget)
     ext = c0.field
@@ -221,37 +238,74 @@ def pair_distance(c0: LinearCode, c1: LinearCode, budget: int = DEFAULT_PAIR_BUD
         raise MethodUnavailable(f"support masks are 64-bit; length {c0.n} is too long")
     if c0.k == 0 and c1.k == 0:
         raise MethodUnavailable("both codes are zero")
-    _check_rank_table_pattern(qpoly_rank_table(power_basis(ext)))
+    _checked_rank_table(ext)
 
-    def side_masks(c):
-        """(support classes, complete?): every class when at most 2**22
-        codewords, else the classes of messages of weight <= 3."""
-        rows = c.generator.rows
-        if 4**c.k <= 2**22:  # keeps peak memory modest
-            return support_masks(ext, rows, c.n), True
-        planes = low_weight_blocks(ext, rows, c.n, 3)
-        masks = np.unique(np.concatenate([(lo | hi).ravel() for _, (lo, hi) in planes]))
-        return masks[masks != np.uint64(0)], False
+    def listing(c, weight, bound):
+        """Support classes of c through `weight`; `bound` is the best pair known."""
+        gens, depth = c.listing_windows(weight)
+        cost = listing_cost(ext, c.k, len(gens), depth)
+        if cost > DEFAULT_WORD_BUDGET:
+            raise BudgetExceeded(f"a support listing of {cost} words exceeds budget "
+                                 f"{DEFAULT_WORD_BUDGET}", best=bound, enumerated=0)
+        return support_masks(ext, gens, c.n, depth, weight)
 
-    (la, full_a), (lb, full_b) = side_masks(c0), side_masks(c1)
-    # one-sided codewords (the other coefficient zero) weigh 2 per support
-    best = min((2 * int(popcount(m).min()) for m in (la, lb) if len(m)), default=None)
-    complete = full_a and full_b and len(la) * len(lb) <= budget
-    if not complete:
-        # cross only the lightest support classes of each side
-        cap = max(1, min(4096, int(budget**0.5)))
-        la, lb = (m[np.argsort(popcount(m), kind="stable")][:cap] for m in (la, lb))
-    if len(la) and len(lb):
-        rows_per_block = max(1, (1 << 22) // len(lb))  # bounds the temporaries
-        for lo in range(0, len(la), rows_per_block):
-            a = la[lo : lo + rows_per_block, None]
-            w = int((popcount(a & lb[None, :]) + 2 * popcount(a ^ lb[None, :])).min())
-            best = w if best is None else min(best, w)
-    if complete:
-        return best
-    raise BudgetExceeded(
-        f"support-class pairs exceed budget {budget}", best=best, enumerated=len(la) * len(lb)
-    )
+    def one_sided(c):
+        """d_H of c, and its support classes through 2 b - 1 (b the lightest
+        row) where the whole code is the cheaper listing: the lightest class
+        is then d_H, and no certificate runs."""
+        b = c.lightest_row()
+        if c.listing_windows(b)[1] < c.k:
+            try:
+                return c.certified_distance(DEFAULT_WORD_BUDGET)[0], None
+            except BudgetExceeded as exc:
+                raise BudgetExceeded(str(exc), best=2 * exc.best, enumerated=0) from None
+        masks = listing(c, 2 * b - 1, 2 * b)
+        return int(popcount(masks[0])), masks
+
+    sides = {c: one_sided(c) for c in (c0, c1) if c.k}
+    best = 2 * min(d for d, _ in sides.values())
+
+    def light(c):
+        """Support classes of c lighter than `best`."""
+        if not c.k:
+            return np.zeros(0, dtype=np.uint64)
+        masks = sides[c][1]
+        masks = listing(c, best - 1, best) if masks is None else masks
+        return masks[popcount(masks) < best]
+
+    la, lb = light(c0), light(c1)
+    wa, wb = popcount(la), popcount(lb)  # both ascending
+    crossed = 0
+    for level in np.unique(np.concatenate([wa, wb])).tolist():
+        if best <= level:  # every pair left weighs at least `level`
+            break
+        a0, a1, b0, b1 = (int(np.searchsorted(w, level, side)) for w in (wa, wb)
+                          for side in ("left", "right"))
+        for a, b in ((la[a0:a1], lb[:b1]), (la[:a0], lb[b0:b1])):
+            take = min(len(a) * len(b), budget - crossed)
+            found = _cross_min(a, b, take)
+            best = best if found is None else min(best, found)
+            crossed += take
+            if take < len(a) * len(b):
+                raise BudgetExceeded(f"support-class pairs exceed budget {budget}",
+                                     best=best, enumerated=crossed)
+    return best
+
+
+def _cross_min(a: np.ndarray, b: np.ndarray, take: int) -> Optional[int]:
+    """Lightest |A & B| + 2 |A ^ B| over the first `take` pairs of a x b in
+    row-major order; None when take is 0."""
+    best = None
+    full, rest = divmod(take, len(b)) if take else (0, 0)
+    rows_per_block = max(1, (1 << 22) // max(1, len(b)))  # bounds the temporaries
+    blocks = [(a[lo : min(lo + rows_per_block, full), None], b)
+              for lo in range(0, full, rows_per_block)]
+    if rest:
+        blocks.append((a[full : full + 1, None], b[:rest]))
+    for x, y in blocks:
+        w = int((popcount(x & y) + 2 * popcount(x ^ y)).min())
+        best = w if best is None else min(best, w)
+    return best
 
 
 # -- basis expansion route -----------------------------------------------------

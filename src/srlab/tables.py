@@ -4,14 +4,15 @@ Each manifest row names its inputs (BCH parameters or generator-polynomial
 strings) and the printed expectations.  The runner rebuilds every object from
 those inputs, computes dimensions, distances and bounds, and compares
 according to the row's expectation kind.  Each distance a row states is one
-evidence interval lo <= d <= hi: [d, d] from an exhaustive search; over budget
-a scan or formula bound and the lightest word found.
+evidence interval lo <= d <= hi: [d, d] from an exhaustive search or a
+window certificate; over budget a formula bound and the lightest word found.
 
 Printed values are mostly comparison targets, but some still feed
-computations: a row's printed d_H sets the depth of the low-weight scan, the
-formula-only rows of tables 1 and 7 evaluate the bounds at the printed d_H,
-and the `d` column of tables 2 and 4 feeds the table 5/9 bound formulas and
-the scan depth of tables 3/8.  ROADMAP item 3 replaces these inputs.
+computations: the formula-only rows of tables 1 and 7 evaluate the bounds at
+the printed d_H, and the `d` column of tables 2 and 4 feeds the table 5/9
+bound formulas.  No printed value sets a search depth: over the word budget
+d_H comes from the code's window certificate.  ROADMAP item 5 replaces the
+remaining inputs.
 
 Row statuses:
   match          every check of the row's expectation kind passed
@@ -154,22 +155,20 @@ class _Ctx:
     def hamming(self, sc: _RowScratch, spec: dict, printed: int,
                 what: str) -> Tuple[LinearCode, _Interval]:
         """The code of `spec` and its d_H interval, checked against the printed
-        value in `sc`.  Over budget, the scan through the printed weight lists
-        every codeword that light (the generator is in rref)."""
+        value in `sc`: exhaustive within the word budget, else certified by
+        the code's window scan with its lightest word as the witness."""
         key, code = self.code_from_spec(spec)
-        if (key, printed) not in self.dham:
-            try:
+        if key not in self.dham:
+            if code.field.order**code.k <= self.word_budget:
                 d = code.min_distance(budget=self.word_budget, jobs=self.jobs)
-                res = _Interval(d, d, note=f"d_H={d} exact")
-            except BudgetExceeded as exc:
-                floor, witness = code.low_weight_scan(printed)
-                note = (f"budget {self.word_budget}: sweep floor {exc.best}, low-weight "
-                        f"scan floor {floor} (complete through weight {printed})")
-                lo = floor if floor is not None and floor <= printed else printed + 1
-                res = _Interval(lo, _lightest(exc.best, floor), witness, note)
-            self.dham[key, printed] = res
-        sc.check_hamming(self.dham[key, printed], printed, what)
-        return code, self.dham[key, printed]
+                self.dham[key] = _Interval(d, d, note=f"d_H={d} exact")
+            else:
+                d, witness, depth = code.certified_distance()
+                self.dham[key] = _Interval(d, d, witness, (
+                    f"d_H={d} certified by {len(code.windows())} windows through "
+                    f"message weight {depth}"))
+        sc.check_hamming(self.dham[key], printed, what)
+        return code, self.dham[key]
 
 
 def _best_selfdual_code(field, n: int) -> LinearCode:

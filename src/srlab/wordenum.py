@@ -15,7 +15,10 @@
   mixed-radix order, each codeword scored by a weight callback;
 - `low_weight_blocks`, the low-weight lister: the messages of each weight
   in batches of position sets, each packed word the XOR of two words over
-  half-size sets built once (meet in the middle).
+  half-size sets built once (meet in the middle).  Run under generators
+  systematic on disjoint information sets (windows), it lists every light
+  codeword, and `support_masks` reads the light support classes off it (or
+  off the whole code, where `listing_cost` says that is no dearer).
 
 Budgets count enumerated codewords.  A search that would exceed its budget
 enumerates what fits (whole shards when packed), then raises BudgetExceeded
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -41,6 +45,8 @@ __all__ = [
     "combine",
     "all_codewords",
     "min_weight_char2",
+    "lightest_char2",
+    "listing_cost",
     "support_masks",
     "min_weight_generic",
     "low_weight_blocks",
@@ -163,12 +169,14 @@ def _plane_table(field, packed_rows, size=None):
     return lo, hi
 
 
-def _sharded_min(field, rows, budget: int, jobs: int, weight, worst: int) -> int:
-    """Minimum of weight(lo, hi) over every nonzero combination of `rows`.
+def _sharded_min(field, rows, budget: int, jobs: int, weight, worst: int):
+    """(minimum, message index) of weight(lo, hi) over every nonzero
+    combination of `rows`, the least index on ties; the index is mixed
+    radix, the first row its least significant digit.
 
-    `weight` maps the planes of a shard's codewords to an integer array;
-    `worst` is the answer for an empty row set.  Raises BudgetExceeded past
-    the budget.
+    `weight` maps the planes of a shard's codewords to a fresh integer
+    array; `worst` is the answer for an empty row set.  Raises
+    BudgetExceeded past the budget.
     """
     check_budget(budget)
     q = field.order
@@ -183,17 +191,17 @@ def _sharded_min(field, rows, budget: int, jobs: int, weight, worst: int) -> int
     limit_prefixes = n_prefixes if total <= budget else budget // chunk
     pre_lo, pre_hi = _plane_table(field, packed[:k_hi], limit_prefixes)
 
-    def shard(pidx: int) -> int:
+    def shard(pidx: int):
         plo, phi = pre_lo[pidx], pre_hi[pidx]
-        best = worst
+        best = (worst, 0)
         for start in range(0, chunk, _PIECE):
             lo = suf_lo[start : start + _PIECE] ^ plo
             hi = suf_hi[start : start + _PIECE]
             w = weight(lo, hi ^ phi if phi else hi)
             if pidx == 0 and start == 0:
-                w = w[1:]  # the zero word
-            if len(w):
-                best = min(best, int(w.min()))
+                w[0] = worst  # the zero word
+            i = int(w.argmin())
+            best = min(best, (int(w[i]), pidx + n_prefixes * (start + i)))
         return best
 
     if limit_prefixes == 0:
@@ -206,7 +214,7 @@ def _sharded_min(field, rows, budget: int, jobs: int, weight, worst: int) -> int
     if limit_prefixes < n_prefixes:
         raise BudgetExceeded(
             f"enumerated {limit_prefixes * chunk} of {total} codewords",
-            best=best,
+            best=best[0],
             enumerated=limit_prefixes * chunk,
         )
     return best
@@ -217,15 +225,54 @@ def min_weight_char2(field, rows, n: int, budget: int, jobs: int = 1) -> int:
 
     GF(2)/GF(4) only, n <= 64.  Raises BudgetExceeded past the budget.
     """
-    return _sharded_min(field, rows, budget, jobs, lambda lo, hi: popcount(lo | hi), n + 1)
+    return _sharded_min(field, rows, budget, jobs, lambda lo, hi: popcount(lo | hi), n + 1)[0]
 
 
-def support_masks(field, rows, n: int) -> np.ndarray:
-    """Sorted distinct support masks of the nonzero codewords (q**k of
-    them are built; the caller bounds k)."""
-    lo, hi = _plane_table(field, [pack_row_planes(field, r) for r in rows])
-    masks = np.unique(lo | hi)
-    return masks[masks != np.uint64(0)]
+def lightest_char2(field, rows, n: int):
+    """(weight, message) of a lightest nonzero combination of `rows` over
+    the whole code, the message a list of scalars (the first in message
+    order on ties); packed as in `min_weight_char2`, with no budget."""
+    q = field.order
+    weight, index = _sharded_min(field, rows, q ** len(rows), 1,
+                                 lambda lo, hi: popcount(lo | hi), n + 1)
+    return weight, [index // q**j % q for j in range(len(rows))]
+
+
+def listing_cost(field, k: int, windows: int, depth: int) -> int:
+    """Words a listing through message weight `depth` under each of
+    `windows` generators of dimension k costs: its messages plus one lister
+    batch (_PIECE words, the per-call overhead) per generator; q**k, the
+    whole code under one generator, once depth >= k."""
+    q = field.order
+    if depth >= k:
+        return q**k
+    return windows * (_PIECE + sum(math.comb(k, i) * (q - 1) ** i for i in range(1, depth + 1)))
+
+
+def support_masks(field, windows, n: int, depth: int, max_weight: int) -> np.ndarray:
+    """Distinct supports of weight 1..max_weight of the codewords of the
+    messages of weight <= depth under each generator of `windows` (row
+    lists), as uint64 masks sorted by weight, then value.
+
+    With generators systematic on r disjoint information sets, these are
+    all supports of weight <= min(max_weight, r (depth + 1) - 1).  A depth
+    >= k lists the whole code of the first generator: in one plane table up
+    to _SUFFIX_CAP words, else in lister batches, which bound the memory.
+    """
+    k = len(windows[0])
+    if depth >= k:
+        windows = windows[:1]
+    if depth >= k and field.order**k <= _SUFFIX_CAP:
+        planes = [_plane_table(field, [pack_row_planes(field, row) for row in windows[0]])]
+    else:
+        planes = (words for rows in windows for _, words in low_weight_blocks(field, rows, n, depth))
+    parts = [np.zeros(0, dtype=np.uint64)]  # depth 0 lists nothing
+    for lo, hi in planes:
+        masks = np.bitwise_or(lo, hi).ravel()
+        parts.append(masks[popcount(masks) <= max_weight])
+    masks = np.unique(np.concatenate(parts))
+    masks = masks[masks != np.uint64(0)]
+    return masks[np.argsort(popcount(masks), kind="stable")]
 
 
 # -- plain-Python walker --------------------------------------------------------
@@ -439,7 +486,7 @@ def sr_min_weight_packed(field, rows, blocks, budget: int, jobs: int = 1) -> int
             acc += lut[((words >> off) & mask).astype(np.intp)]
         return acc
 
-    return _sharded_min(field, rows, budget, jobs, weight, sum(m for m, _ in blocks) + 1)
+    return _sharded_min(field, rows, budget, jobs, weight, sum(m for m, _ in blocks) + 1)[0]
 
 
 def sr_min_weight_generic(field, rows, rank_fn, budget: int) -> int:

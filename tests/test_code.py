@@ -9,9 +9,11 @@ from srlab.code import (
     f4_selfdual_bound_holds,
     f4_selfdual_distance_cap,
 )
+from srlab.cyclic import cyclic_code, parse_poly
 from srlab.errors import BudgetExceeded, LengthMismatch, NotF4, NotSelfDual, ZeroCode
 from srlab.field import extension, prime_field
 from srlab.linalg import MatrixGF
+from srlab.tables import load_manifest
 from srlab import wordenum
 from srlab.wordenum import low_weight_blocks, low_weight_min_char2, packable_char2
 
@@ -97,6 +99,74 @@ def test_low_weight_scan_complete():
         assert found == d
         assert sum(1 for v in witness if v) == d
         assert c.contains(witness)
+
+
+def _assert_windows(c):
+    """Each window is an information set, disjoint from the others, and its
+    generator spans the code and is the identity on it."""
+    seen = set()
+    for positions, rows in c.windows():
+        assert len(positions) == c.k and not seen & set(positions)
+        seen |= set(positions)
+        assert LinearCode.from_rows(c.field, c.n, rows) == c
+        for i, row in enumerate(rows):
+            assert [row[p] for p in positions] == [int(i == j) for j in range(c.k)]
+    assert c.windows()[0][1] == c.generator.rows
+
+
+def test_windows_are_disjoint_information_sets():
+    rnd = random.Random(53)
+    for field in (F2, F4, F3):
+        for _ in range(20):
+            n = rnd.randint(2, 14)
+            c = _random_code(rnd, field, n, kmax=min(n, 6))
+            _assert_windows(c)
+            if c.k:
+                assert len(c.windows()) <= n // c.k
+    # the columns left after the first window have rank 1: one window only
+    c = LinearCode.from_rows(F4, 4, [[1, 0, 1, 0], [0, 1, 0, 0]])
+    assert [positions for positions, _ in c.windows()] == [(0, 1)]
+    # in a cyclic code any k consecutive positions are an information set, so
+    # every self-dual [2k, k] code of tables 11 and 12 has the windows
+    # [0, k) and [k, 2k)
+    for tid in (11, 12):
+        for row in load_manifest(tid)["rows"]:
+            n = row.get("n", row["t"])
+            for text in row["generators"]:
+                c = cyclic_code(parse_poly(F4, text), n)
+                _assert_windows(c)
+                assert [positions for positions, _ in c.windows()] == [
+                    tuple(range(c.k)), tuple(range(c.k, n))]
+
+
+def test_certified_distance_equals_min_distance(monkeypatch):
+    # a small lister batch makes the windowed listing the cheaper one for
+    # these codes, so both the windowed and the whole-code paths run
+    monkeypatch.setattr(wordenum, "_PIECE", 8)
+    rnd = random.Random(59)
+    paths = set()
+    for trial in range(60):
+        field = (F2, F4)[trial % 2]
+        n = rnd.randint(4, 24)
+        c = _random_code(rnd, field, n, kmax=min(n, 9))
+        if c.k == 0:
+            with pytest.raises(ZeroCode):
+                c.certified_distance()
+            continue
+        d, witness, depth = c.certified_distance()
+        assert d == c.min_distance()
+        assert c.contains(witness) and sum(1 for v in witness if v) == d
+        paths.add("whole" if depth >= c.k else f"{min(len(c.windows()), 2)} windows")
+    assert paths == {"whole", "1 windows", "2 windows"}
+
+
+def test_certified_distance_budget():
+    c = LinearCode.from_rows(F4, 12, [[1] * 12] + [[0] * i + [1, 1] + [0] * (10 - i)
+                                                     for i in range(5)])
+    with pytest.raises(BudgetExceeded) as exc:
+        c.certified_distance(budget=0)
+    assert exc.value.best >= c.min_distance()
+    assert c.certified_distance(budget=4**c.k)[0] == c.min_distance()
 
 
 def test_selfdual_and_lcd_examples():

@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from srlab import construct, wordenum
 from srlab.code import LinearCode
 from srlab.construct import (
     basis_expand_code,
@@ -30,6 +32,7 @@ from srlab.errors import (
 from srlab.field import Basis, extension, prime_field
 from srlab.linalg import MatrixGF
 from srlab.sumrank import BlockProfile, SumRankCode
+from srlab.tables import load_manifest
 
 F2 = prime_field(2)
 F4 = extension(F2, 2)
@@ -161,6 +164,70 @@ def test_pair_distance_budget():
     with pytest.raises(BudgetExceeded) as exc:
         pair_distance(c0, c1, budget=100)
     assert exc.value.best is not None
+
+
+def _brute_pair_distance(c0, c1):
+    """Lightest stacked pair by brute force: every codeword's support mask,
+    from all q**k messages, and the pair weight |A & B| + 2 |A ^ B| of each
+    pair of supports, the weight of every codeword pair with those supports
+    (as perfbench/codes.py's `_pair_weights` sums the block ranks)."""
+    def supports(c):
+        words = np.zeros((1, c.n), dtype=np.int64)
+        for row in c.generator.rows:
+            mults = np.array([[F4.mul(d, v) for v in row] for d in range(4)])
+            words = (words[None, :, :] ^ mults[:, None, :]).reshape(-1, c.n)
+        return np.unique(((words != 0) << np.arange(c.n)).sum(axis=1).astype(np.uint64))
+
+    sa, sb = supports(c0), supports(c1)
+    best = None
+    for lo in range(0, len(sa), 256):
+        a = sa[lo : lo + 256, None]
+        w = (np.bitwise_count(a & sb) + 2 * np.bitwise_count(a ^ sb)).astype(np.int64)
+        w[(a == 0) & (sb == 0)] = 4 * c0.n  # the zero pair
+        best = int(w.min()) if best is None else min(best, int(w.min()))
+    return best
+
+
+def test_pair_distance_matches_brute_force(monkeypatch):
+    # a small lister batch makes the windowed support listing the cheaper
+    # one at k = 6..8, so the window path runs
+    monkeypatch.setattr(wordenum, "_PIECE", 8)
+    rnd = random.Random(61)
+    windowed = 0
+    for k0, k1 in ((6, 6), (7, 5), (8, 4), (6, 2), (8, 0), (7, 7)):
+        c0, c1 = _rand_code(rnd, F4, 2 * k0, k0), _rand_code(rnd, F4, 2 * k0, k1)
+        bound = 2 * min(c.min_distance() for c in (c0, c1) if c.k)
+        windowed += len(c0.listing_windows(bound - 1)[0]) > 1
+        assert pair_distance(c0, c1) == _brute_pair_distance(c0, c1), (k0, k1)
+    assert windowed >= 4
+
+
+def test_pair_distance_of_table11_codes_matches_brute_force():
+    for row in load_manifest(11)["rows"]:
+        t = row["t"]
+        if t > 16:
+            continue
+        codes = [cyclic_code(parse_poly(F4, g), t) for g in row["generators"]]
+        c0, c1 = (codes * 2)[:2]
+        assert pair_distance(c0, c1) == _brute_pair_distance(c0, c1), t
+
+
+def test_rank_table_is_validated_once_per_field(monkeypatch):
+    real = construct.qpoly_rank_table
+    built = []
+    c = _rand_code(random.Random(67), F4, 6, 3)
+    construct._checked_rank_table.cache_clear()
+    try:
+        monkeypatch.setattr(construct, "qpoly_rank_table", lambda b: built.append(b) or real(b))
+        assert pair_distance(c, c) == pair_distance(c, c) == c.min_distance()
+        assert len(built) == 1
+        # a table that breaks the zero pattern is refused before the first use
+        construct._checked_rank_table.cache_clear()
+        monkeypatch.setattr(construct, "qpoly_rank_table", lambda b: {**real(b), (1, 1): 2})
+        with pytest.raises(AssertionError):
+            pair_distance(c, c)
+    finally:
+        construct._checked_rank_table.cache_clear()
 
 
 def test_pair_distance_requires_f4():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from golden import GOLDEN_ROWS, assert_golden
+from srlab import tables
 from srlab.errors import UnknownTable
 from srlab.tables import (
     TABLE_IDS,
@@ -103,14 +104,35 @@ def test_a_scan_that_finds_a_word_at_its_depth_settles_d_h():
 
 def test_pair_rows_settle_when_the_found_weight_meets_the_formula():
     # over the pair budget, d_sr lies between the formula lower bound and the
-    # lightest weight found; where the two meet the row is exact
+    # lightest weight found; where the two meet the row is exact.  Rows that
+    # the one-sided bound 2 min d_H settles cross no pair and stay in budget
     full = {r.row: r for r in run_tables([3])}
     res = {r.row: r for r in run_tables([3], pair_budget=10)}
-    for row in ("r1", "r3", "r5", "r6", "r7", "r8"):
-        assert res[row].status == "match", res[row]
+    for row in ("r1", "r2", "r5"):
+        assert (res[row].status, res[row].computed) == (full[row].status, full[row].computed)
+        assert "d_sr=" in res[row].computed
+        assert "meets the formula lower bound" in res[row].note, res[row]
+    for row in ("r3", "r6", "r7", "r8", "r9"):
+        assert res[row].status == "match" and res[row].note == "", res[row]
         assert res[row].computed == full[row].computed and "d_sr=" in res[row].computed
-        assert "meets the formula lower bound" in res[row].note
-    for row in ("r2", "r4"):
-        assert res[row].status == "budget-limited", res[row]
-        assert res[row].computed.endswith("d_sr<=10")
+    assert res["r4"].status == "budget-limited", res["r4"]
+    assert res["r4"].computed.endswith("d_sr<=10")
     assert report_exit_code(list(res.values())) == 2
+
+
+def test_over_budget_d_h_witnesses_are_codewords():
+    # past the word budget d_H comes from the window certificate, whose
+    # witness is a codeword of exactly the certified weight
+    ctx = tables._Ctx(tables.DEFAULT_TABLE_WORD_BUDGET, tables.DEFAULT_TABLE_PAIR_BUDGET, 1)
+    over = set()
+    for tid in (11, 12):
+        for row in load_manifest(tid)["rows"]:
+            for text in row["generators"]:
+                spec = {"gen": text, "n": row.get("n", row["t"])}
+                code, h = ctx.hamming(tables._RowScratch(), spec, row["d_hamming"], text)
+                if code.field.order**code.k > ctx.word_budget:
+                    over.add((spec["n"], text))
+                    assert (h.lo, h.hi) == (row["d_hamming"],) * 2, (text, h)
+                    assert code.contains(h.witness)
+                    assert sum(1 for v in h.witness if v) == h.hi
+    assert {n for n, _ in over} == {26, 28, 30}
