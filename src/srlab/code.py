@@ -30,7 +30,6 @@ from .linalg import MatrixGF, check_entries
 from .wordenum import (
     all_codewords,
     combine,
-    lightest_char2,
     listing_cost,
     low_weight_blocks,
     low_weight_min_char2,
@@ -189,9 +188,6 @@ class LinearCode:
         """
         f, n = self.field, self.n
         if max_message_weight >= self.k:
-            if self.k and packable_char2(f, n):
-                best, msg = lightest_char2(f, self.generator.rows, n)
-                return best, self.codeword(msg)
             gens = [self.generator.rows]
         else:
             gens = [rows for _, rows in self.windows()]
@@ -211,8 +207,9 @@ class LinearCode:
         return best, witness
 
     def certified_distance(self, budget: Optional[int] = None):
-        """(d, witness, depth): the exact minimum distance, a codeword of that
-        weight, and the message weight the scan reached.
+        """(d, witness, r, depth): the exact minimum distance, a codeword of
+        that weight, how many generators the scan listed, and the message
+        weight it reached under each.
 
         The generator rows are codewords, so the lightest row's weight b
         bounds d.  Where `listing_windows(b)` picks the whole code, the scan
@@ -234,7 +231,7 @@ class LinearCode:
                                      best=best, enumerated=0)
             best, witness = self.low_weight_scan(depth)
             if depth >= self.k or best <= r * (depth + 1) - 1:
-                return best, witness, depth
+                return best, witness, r, depth
             depth += 1
 
     # -- duality predicates -------------------------------------------------

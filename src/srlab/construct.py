@@ -262,7 +262,7 @@ def pair_distance(c0: LinearCode, c1: LinearCode, budget: int = DEFAULT_PAIR_BUD
         masks = listing(c, 2 * b - 1, 2 * b)
         return int(popcount(masks[0])), masks
 
-    sides = {c: one_sided(c) for c in (c0, c1) if c.k}
+    sides = {c: one_sided(c) for c in dict.fromkeys((c0, c1)) if c.k}
     best = 2 * min(d for d, _ in sides.values())
 
     def light(c):
@@ -273,7 +273,8 @@ def pair_distance(c0: LinearCode, c1: LinearCode, budget: int = DEFAULT_PAIR_BUD
         masks = listing(c, best - 1, best) if masks is None else masks
         return masks[popcount(masks) < best]
 
-    la, lb = light(c0), light(c1)
+    la = light(c0)
+    lb = la if c1 == c0 else light(c1)
     wa, wb = popcount(la), popcount(lb)  # both ascending
     crossed = 0
     for level in np.unique(np.concatenate([wa, wb])).tolist():

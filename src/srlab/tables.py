@@ -163,10 +163,10 @@ class _Ctx:
                 d = code.min_distance(budget=self.word_budget, jobs=self.jobs)
                 self.dham[key] = _Interval(d, d, note=f"d_H={d} exact")
             else:
-                d, witness, depth = code.certified_distance()
-                self.dham[key] = _Interval(d, d, witness, (
-                    f"d_H={d} certified by {len(code.windows())} windows through "
-                    f"message weight {depth}"))
+                d, witness, r, depth = code.certified_distance()
+                how = ("listing the whole code" if depth >= code.k
+                       else f"{r} windows through message weight {depth}")
+                self.dham[key] = _Interval(d, d, witness, f"d_H={d} certified by {how}")
         sc.check_hamming(self.dham[key], printed, what)
         return code, self.dham[key]
 

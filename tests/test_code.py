@@ -15,7 +15,7 @@ from srlab.field import extension, prime_field
 from srlab.linalg import MatrixGF
 from srlab.tables import load_manifest
 from srlab import wordenum
-from srlab.wordenum import low_weight_blocks, low_weight_min_char2, packable_char2
+from srlab.wordenum import low_weight_blocks, low_weight_min_char2, packable_char2, support_masks
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -153,11 +153,35 @@ def test_certified_distance_equals_min_distance(monkeypatch):
             with pytest.raises(ZeroCode):
                 c.certified_distance()
             continue
-        d, witness, depth = c.certified_distance()
+        d, witness, r, depth = c.certified_distance()
         assert d == c.min_distance()
         assert c.contains(witness) and sum(1 for v in witness if v) == d
-        paths.add("whole" if depth >= c.k else f"{min(len(c.windows()), 2)} windows")
+        assert r == (1 if depth >= c.k else len(c.windows()))
+        paths.add("whole" if depth >= c.k else f"{min(r, 2)} windows")
     assert paths == {"whole", "1 windows", "2 windows"}
+
+
+def test_support_masks_match_the_codeword_supports(monkeypatch):
+    # a 16-word suffix table splits every whole listing below into shards
+    monkeypatch.setattr(wordenum, "_SUFFIX_CAP", 16)
+    rnd = random.Random(61)
+    for trial in range(40):
+        field = (F2, F4)[trial % 2]
+        n = rnd.randint(4, 16)
+        c = _random_code(rnd, field, n, kmax=min(n, 7))
+        if c.k == 0:
+            continue
+        supports = {sum(1 << j for j, v in enumerate(w) if v) for w in c.codewords()} - {0}
+        top = rnd.randint(1, n)
+        want = sorted((m for m in supports if bin(m).count("1") <= top),
+                      key=lambda m: (bin(m).count("1"), m))
+        assert support_masks(field, [c.generator.rows], n, c.k, top).tolist() == want
+        # through message weight 1 under r windows: every support of weight
+        # <= 2 r - 1, and only supports of codewords
+        gens = [rows for _, rows in c.windows()]
+        got = set(support_masks(field, gens, n, 1, top).tolist())
+        assert got <= supports
+        assert {m for m in want if bin(m).count("1") <= 2 * len(gens) - 1} <= got
 
 
 def test_certified_distance_budget():

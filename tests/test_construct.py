@@ -212,6 +212,23 @@ def test_pair_distance_of_table11_codes_matches_brute_force():
         assert pair_distance(c0, c1) == _brute_pair_distance(c0, c1), t
 
 
+def test_equal_coefficient_codes_are_listed_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return wordenum.support_masks(*args)
+
+    monkeypatch.setattr(construct, "support_masks", counted)
+    c0, c1 = _rand_code(random.Random(67), F4, 8, 4), _rand_code(random.Random(71), F4, 8, 4)
+    assert c0 != c1
+    want = _brute_pair_distance(c0, c0)
+    assert pair_distance(c0, LinearCode.from_rows(F4, 8, c0.generator.rows)) == want
+    assert len(calls) == 1
+    pair_distance(c0, c1)
+    assert len(calls) == 3
+
+
 def test_rank_table_is_validated_once_per_field(monkeypatch):
     real = construct.qpoly_rank_table
     built = []
