@@ -112,10 +112,9 @@ class LinearCode:
         return all_codewords(self.field, self.generator.rows, self.n)
 
     def dual(self) -> "LinearCode":
-        """Kernel of the generator; dim n - k, all cross products zero."""
-        if self.k == 0:
-            return LinearCode.full(self.field, self.n)
-        return LinearCode(self.field, self.n, self.generator.kernel_basis().rref())
+        """Kernel of the generator (already rref); dim n - k, all cross
+        products zero."""
+        return LinearCode(self.field, self.n, self.generator.kernel_basis())
 
     def min_distance(self, budget: int = DEFAULT_WORD_BUDGET, jobs: int = 1) -> int:
         """Exact minimum nonzero Hamming weight by exhausting the code.
@@ -135,26 +134,20 @@ class LinearCode:
         information sets, computed on the first call.
 
         The rref generator (its pivot columns) comes first; each further
-        window is the rref of the generator with the unused columns moved to
-        the front, kept while those columns still have rank k.
+        window reduces the generator with pivots searched among the unused
+        columns first, kept while those columns still have rank k.
         """
         if self._windows is None:
-            rows = [list(r) for r in self.generator.rows]
-            wins = [(_pivots(rows), tuple(map(tuple, rows)))]
+            gen = self.generator
+            wins = [(_pivots(gen.rows), gen.rows)]
             used = set(wins[0][0])
             while self.k and self.n - len(used) >= self.k:
-                order = [j for j in range(self.n) if j not in used]
-                order += sorted(used)
-                moved = MatrixGF(self.field, [[r[j] for j in order] for r in rows], self.n).rref()
-                pivots = _pivots(moved.rows)
-                if pivots[-1] >= self.n - len(used):  # rank < k on the unused columns
+                order = [j for j in range(self.n) if j not in used] + sorted(used)
+                rows, pivots = gen._echelon(order)
+                if pivots[-1] in used:  # rank < k on the unused columns
                     break
-                back = [[0] * self.n for _ in moved.rows]
-                for src, j in enumerate(order):
-                    for row, prow in zip(back, moved.rows):
-                        row[j] = prow[src]
-                wins.append((tuple(order[p] for p in pivots), tuple(map(tuple, back))))
-                used.update(wins[-1][0])
+                wins.append((tuple(pivots), tuple(map(tuple, rows))))
+                used.update(pivots)
             object.__setattr__(self, "_windows", tuple(wins))
         return self._windows
 

@@ -5,6 +5,10 @@ stored row-major as tuples.  Elimination uses deterministic pivoting (first
 nonzero entry scanning columns left to right, rows top to bottom), so the
 reduced row-echelon form is identical across runs and platforms.  Canonical
 code equality is defined through that rref.
+
+The same elimination can search its pivot columns in another order and keep
+the columns in place.  Run right to left it yields the kernel already in rref,
+so a dual costs one elimination of the k x n generator (`kernel_basis`).
 """
 
 from __future__ import annotations
@@ -85,13 +89,19 @@ class MatrixGF:
 
     # -- elimination ---------------------------------------------------
 
-    def _echelon(self):
-        """Return (rref rows as lists, pivot column list)."""
+    def _echelon(self, order=None):
+        """Return (reduced rows as lists, pivot column list).
+
+        Pivot columns are searched in `order` (default: left to right) and the
+        rows keep the original column layout, so they are the rref of the
+        matrix with its columns in `order`, moved back; pivots are listed in
+        the order they were found, row i holding a 1 at pivots[i].
+        """
         f = self.field
         rows = [list(r) for r in self.rows]
         pivots = []
         r = 0
-        for c in range(self.ncols):
+        for c in range(self.ncols) if order is None else order:
             sel = None
             for i in range(r, len(rows)):
                 if rows[i][c] != 0:
@@ -123,9 +133,18 @@ class MatrixGF:
         return len(self._echelon()[0])
 
     def kernel_basis(self) -> "MatrixGF":
-        """Rows span {x : M x^T = 0}; always cols - rank of them."""
+        """Rows span {x : M x^T = 0}: cols - rank of them, in rref.
+
+        One elimination with pivots searched right to left finds the
+        right-greedy information set P, and each reduced row is zero right of
+        its pivot, so each free column f is a combination of the pivot
+        columns to its right.  The kernel row for f, e_f minus row_p[f] e_p
+        over p in P (row_p the reduced row with pivot p), is then zero left
+        of f and on every other free column: these rows, by increasing f,
+        are the rref of the kernel, whose pivots are the complement of P.
+        """
         f = self.field
-        rows, pivots = self._echelon()
+        rows, pivots = self._echelon(range(self.ncols - 1, -1, -1))
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
         basis = []

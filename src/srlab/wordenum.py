@@ -12,7 +12,9 @@
   and reduce by min, so the result does not depend on how many threads run
   them;
 - `_walk_min`, the plain-Python walker for everything else: messages in
-  mixed-radix order, each codeword scored by a weight callback;
+  the mixed-radix order of `itertools.product`, each codeword scored by a
+  weight callback.  `all_codewords` keeps one prefix sum per digit, so each
+  next codeword costs one row addition (not k (q - 1) / q of them);
 - `low_weight_blocks`, the low-weight lister: the messages of each weight
   in batches of position sets, each packed word the XOR of two words over
   half-size sets built once (meet in the middle).  Run under generators
@@ -28,8 +30,8 @@ carrying the lightest weight seen, an upper bound on the true minimum.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -122,10 +124,39 @@ def combine(field, table, message, word):
 
 
 def all_codewords(field, rows, n: int):
-    """Every codeword, messages in mixed-radix order (the zero word first)."""
-    table = scaled_rows(field, rows)
-    for msg in itertools.product(range(field.order), repeat=len(rows)):
-        yield combine(field, table, enumerate(msg), [0] * n)
+    """Every codeword, each a fresh list, messages in the mixed-radix order
+    of `itertools.product` (the zero word first, the last digit fastest).
+
+    One prefix sum per digit: base[i] is the word of the digits before i.
+    The next message raises one digit i and clears the digits after it, so
+    its word is base[i] + d_i * rows[i], one row addition, and it becomes
+    base[j] for every j > i.  The digits are an explicit stack, so any k
+    runs without recursion, and row i's multiples are tabulated when its
+    digit first moves, so a budget-cut walk of a long code stays cheap.
+    """
+    # characteristic 2 adds by XOR, without a Python call per entry
+    add = operator.xor if field.characteristic == 2 else field.add
+    q, k = field.order, len(rows)
+    table = [None] * k
+    yield [0] * n
+    base = [[0] * n] * k
+    digits = [0] * k
+    i = k - 1
+    while i >= 0:
+        d = digits[i] + 1
+        if d == q:
+            digits[i] = 0
+            i -= 1
+            continue
+        digits[i] = d
+        if table[i] is None:
+            table[i] = scaled_rows(field, rows[i:i + 1])[0]
+        word = list(map(add, base[i], table[i][d]))
+        if i < k - 1:
+            base[i + 1:] = [word] * (k - 1 - i)
+            i = k - 1
+            word = word[:]  # base keeps its own copy
+        yield word
 
 
 # -- packed bitplanes -----------------------------------------------------------

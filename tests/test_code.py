@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -86,6 +87,36 @@ def test_min_distance_budget():
     with pytest.raises(BudgetExceeded) as exc:
         c.min_distance(budget=1000)
     assert exc.value.best is None or exc.value.best >= c.min_distance()
+
+
+def test_all_codewords_is_product_order():
+    rnd = random.Random(43)
+    for field in (F2, F3, F4, extension(F3, 2)):
+        for k in range(7):
+            if field.order**k > 20000:
+                continue
+            n = rnd.randint(1, 5)
+            rows = [[rnd.randrange(field.order) for _ in range(n)] for _ in range(k)]
+            table = wordenum.scaled_rows(field, rows)
+            want = [wordenum.combine(field, table, enumerate(msg), [0] * n)
+                    for msg in itertools.product(range(field.order), repeat=k)]
+            got = []
+            for word in wordenum.all_codewords(field, rows, n):
+                got.append(list(word))
+                word[:] = [field.order] * n  # later words must not see this
+            assert got == want, (field.order, k)
+
+
+def test_walker_budget_cut_of_a_long_code():
+    # 2000 digits: the walker keeps its digits on an explicit stack (nested
+    # generators would raise RecursionError) and tabulates a row's multiples
+    # only once its digit moves
+    c = LinearCode.full(F3, 2000)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as exc:
+        c.min_distance(budget=1000)
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.enumerated == 1000 and exc.value.best == 1
 
 
 def test_low_weight_scan_complete():

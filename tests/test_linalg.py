@@ -2,12 +2,15 @@ import random
 
 import pytest
 
+from srlab.code import LinearCode
 from srlab.errors import DimensionMismatch
 from srlab.field import extension, prime_field
 from srlab.linalg import MatrixGF
 
 F2 = prime_field(2)
 F4 = extension(F2, 2)
+F3 = prime_field(3)
+FIELDS = (F2, F3, F4, prime_field(5), extension(F2, 3), extension(F3, 2))
 
 
 def _random_matrix(rnd, field, r, c):
@@ -62,6 +65,80 @@ def test_kernel_basis():
         if k.nrows:
             prod = m.mat_mul(k.transpose())
             assert prod.is_zero()
+
+
+def _kernel_then_rref(m):
+    """The kernel as built before it came out in rref: free-column vectors
+    read off the left-to-right rref, then a second elimination."""
+    f = m.field
+    rows, pivots = m._echelon()
+    basis = []
+    for fc in (c for c in range(m.ncols) if c not in pivots):
+        v = [0] * m.ncols
+        v[fc] = 1
+        for row, pc in zip(rows, pivots):
+            v[pc] = f.neg(row[fc])
+        basis.append(v)
+    return MatrixGF(f, basis, m.ncols).rref()
+
+
+def _kernel_cases(rnd, field):
+    """Zero-row, all-zero, rank-deficient, full-rank, wide and tall matrices."""
+    yield MatrixGF(field, [], ncols=rnd.randint(1, 6))
+    yield MatrixGF.zeros(field, rnd.randint(1, 4), rnd.randint(1, 6))
+    for _ in range(12):
+        r, c = rnd.randint(1, 5), rnd.randint(2, 9)
+        m = _random_matrix(rnd, field, r, c)
+        yield m  # wide
+        yield _random_matrix(rnd, field, c, r)  # tall
+        # rank-deficient: the last row a combination of the others
+        extra = m.rows[0] if r == 1 else [field.add(a, field.mul(2 % field.order, b))
+                                          for a, b in zip(m.rows[0], m.rows[-1])]
+        yield MatrixGF(field, list(m.rows) + [extra], c)
+    yield MatrixGF.identity(field, 4)  # full rank, empty kernel
+
+
+def test_kernel_basis_is_rref_and_matches_second_elimination():
+    rnd = random.Random(21)
+    for field in FIELDS:
+        for m in _kernel_cases(rnd, field):
+            k = m.kernel_basis()
+            assert k.ncols == m.ncols
+            assert k.nrows == m.ncols - m.rank()
+            assert k.rref() == k
+            assert k == _kernel_then_rref(m)
+            if k.nrows and m.nrows:
+                assert m.mat_mul(k.transpose()).is_zero()
+
+
+def test_dual_is_one_elimination(monkeypatch):
+    rnd = random.Random(22)
+    c = LinearCode.from_rows(F3, 9, [[rnd.randrange(3) for _ in range(9)] for _ in range(4)])
+    calls = []
+    echelon = MatrixGF._echelon
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.shape)
+        return echelon(self, *args, **kwargs)
+
+    monkeypatch.setattr(MatrixGF, "_echelon", counted)
+    d = c.dual()
+    assert calls == [(c.k, 9)]
+    assert d.k == 9 - c.k
+
+
+def test_echelon_in_a_column_order_is_the_moved_rref():
+    rnd = random.Random(23)
+    for field in FIELDS:
+        for _ in range(10):
+            m = _random_matrix(rnd, field, rnd.randint(1, 4), rnd.randint(1, 7))
+            order = list(range(m.ncols))
+            rnd.shuffle(order)
+            rows, pivots = m._echelon(order)
+            moved = MatrixGF(field, [[r[j] for j in order] for r in m.rows], m.ncols).rref()
+            assert [[r[j] for j in order] for r in rows] == [list(r) for r in moved.rows]
+            assert [order.index(p) for p in pivots] == [
+                next(j for j, v in enumerate(r) if v) for r in moved.rows]
 
 
 def test_rank_equals_transpose_rank():
