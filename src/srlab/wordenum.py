@@ -14,7 +14,7 @@
 - `_walk_min`, the plain-Python walker for everything else: messages in
   the mixed-radix order of `itertools.product`, each codeword scored by a
   weight callback.  `all_codewords` keeps one prefix sum per digit, so each
-  next codeword costs one row addition (not k (q - 1) / q of them);
+  next codeword costs one row addition;
 - `low_weight_blocks`, the low-weight lister: the messages of each weight
   in batches of position sets, each packed word the XOR of two words over
   half-size sets built once (meet in the middle).  Run under generators

@@ -68,8 +68,8 @@ def test_kernel_basis():
 
 
 def _kernel_then_rref(m):
-    """The kernel as built before it came out in rref: free-column vectors
-    read off the left-to-right rref, then a second elimination."""
+    """Reference kernel: free-column vectors read off the left-to-right
+    rref, put in rref by a second elimination."""
     f = m.field
     rows, pivots = m._echelon()
     basis = []
