@@ -29,14 +29,12 @@ from .errors import BudgetExceeded, LengthMismatch, NotF4, NotSelfDual, ZeroCode
 from .linalg import MatrixGF, check_entries
 from .wordenum import (
     all_codewords,
-    combine,
     listing_cost,
     low_weight_blocks,
     low_weight_min_char2,
     min_weight_char2,
     min_weight_generic,
     packable_char2,
-    scaled_rows,
 )
 
 __all__ = [
@@ -103,9 +101,6 @@ class LinearCode:
 
     def contains(self, word: Sequence[int]) -> bool:
         return self.generator.row_space_contains(list(word))
-
-    def codeword(self, message: Sequence[int]):
-        return _combination(self.field, self.generator.rows, self.n, message)
 
     def codewords(self) -> Iterator[list]:
         """All q**k codewords; callers are responsible for k being small."""
@@ -187,16 +182,14 @@ class LinearCode:
         best, witness = None, None
         for rows in gens:
             if packable_char2(f, n):
-                found, msg = low_weight_min_char2(f, rows, n, max_message_weight)
-                if found is not None and (best is None or found < best):
-                    best = found
-                    witness = _combination(f, rows, n, [msg.get(i, 0) for i in range(self.k)])
-                continue
-            words = (w for _, blocks in low_weight_blocks(f, rows, n, max_message_weight)
-                     for block in blocks for w in block)
-            word = min(words, key=lambda w: n - w.count(0), default=None)
-            if word is not None and (best is None or n - word.count(0) < best):
-                best, witness = n - word.count(0), word
+                found, word = low_weight_min_char2(f, rows, n, max_message_weight)
+            else:
+                words = (w for _, blocks in low_weight_blocks(f, rows, n, max_message_weight)
+                         for block in blocks for w in block)
+                word = min(words, key=lambda w: n - w.count(0), default=None)
+                found = None if word is None else n - word.count(0)
+            if found is not None and (best is None or found < best):
+                best, witness = found, word
         return best, witness
 
     def certified_distance(self, budget: Optional[int] = None):
@@ -252,12 +245,6 @@ class LinearCode:
             list(self.dual().generator.rows) + list(other.dual().generator.rows),
         )
         return du.dual()
-
-
-def _combination(field, rows, n: int, message: Sequence[int]):
-    """The codeword sum message[i] * rows[i]."""
-    table = scaled_rows(field, rows, message)
-    return combine(field, table, enumerate(message[: len(rows)]), [0] * n)
 
 
 def _pivots(rows) -> tuple:

@@ -59,10 +59,7 @@ __all__ = [
     "selfdual_sr_distance_cap",
     "duality_transport_qpoly",
     "duality_transport_expansion",
-    "DEFAULT_PAIR_BUDGET",
 ]
-
-DEFAULT_PAIR_BUDGET = 2**28
 
 
 @dataclass(frozen=True)
@@ -207,7 +204,7 @@ def qpoly_code(codes: Sequence[LinearCode], basis: Optional[Basis] = None) -> Su
     return _expanded_code(basis, profile, words, m * sum(c.k for c in codes))
 
 
-def pair_distance(c0: LinearCode, c1: LinearCode, budget: int = DEFAULT_PAIR_BUDGET) -> int:
+def pair_distance(c0: LinearCode, c1: LinearCode, budget: int = DEFAULT_WORD_BUDGET) -> int:
     """Exact distance of the q = m = 2 stacked code by support-class crossing.
 
     For coefficient pairs over GF(4) the block rank is 1 where both

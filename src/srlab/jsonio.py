@@ -37,7 +37,6 @@ __all__ = [
     "sr_code_to_obj",
     "sr_code_from_obj",
     "poly_to_obj",
-    "poly_from_obj",
     "dumps",
     "loads",
 ]
@@ -139,12 +138,6 @@ def sr_code_from_obj(obj: dict) -> SumRankCode:
 
 def poly_to_obj(p: Polynomial) -> dict:
     return {"coeffs": list(p.coeffs)}
-
-
-def poly_from_obj(field: FieldSpec, obj: dict) -> Polynomial:
-    coeffs = _ints(_key(_object(obj, "polynomial"), "coeffs", "polynomial"), "coeffs")
-    check_entries(field, [coeffs])
-    return Polynomial(field, coeffs)
 
 
 def dumps(obj: dict) -> str:

@@ -155,9 +155,6 @@ class Polynomial:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def divides(self, other: "Polynomial") -> bool:
-        return (other % self).is_zero
-
     def monic(self) -> "Polynomial":
         if self.is_zero or self.is_monic:
             return self

@@ -60,13 +60,11 @@ __all__ = [
     "report_to_json",
     "report_to_csv",
     "DEFAULT_TABLE_WORD_BUDGET",
-    "DEFAULT_TABLE_PAIR_BUDGET",
 ]
 
 TABLE_IDS = (1, 2, 3, 4, 5, 7, 8, 9, 11, 12)
 
 DEFAULT_TABLE_WORD_BUDGET = 2**24
-DEFAULT_TABLE_PAIR_BUDGET = 2**27
 
 
 @dataclass
@@ -114,11 +112,11 @@ def _lightest(*weights) -> Optional[int]:
 
 
 class _Ctx:
-    """Shared state for one run: budgets and cross-table caches."""
+    """Shared state for one run: the word budget, the thread count and
+    cross-table caches."""
 
-    def __init__(self, word_budget: int, pair_budget: int, jobs: int):
+    def __init__(self, word_budget: int, jobs: int):
         self.word_budget = word_budget
-        self.pair_budget = pair_budget
         self.jobs = jobs
         self.f2 = prime_field(2)
         self.f4 = extension(self.f2, 2)
@@ -322,7 +320,7 @@ def _pair_row(ctx: _Ctx, sc: _RowScratch, c0, c1, h0: _Interval, h1: _Interval,
 
     printed = _spec_bounds(dsr_spec)
     fb = sr_distance_bounds(2, [h0.lo, h1.lo])
-    iv = _dsr_interval(lambda: pair_distance(c0, c1, budget=ctx.pair_budget), fb, "pair")
+    iv = _dsr_interval(lambda: pair_distance(c0, c1, budget=ctx.word_budget), fb, "pair")
     _check_dsr(sc, iv, fb, dsr_spec)
     sc.check(printed.upper <= selfdual_sr_distance_cap(t) or not both_sd, "self-dual cap")
     return S
@@ -442,7 +440,7 @@ def _table_8_row(ctx: _Ctx, sc: _RowScratch, row: dict) -> str:
     sc.check(M.is_lcd() == c.is_lcd(), "LCD transfer")
     fb = expansion_distance_bounds(h.lo, M.profile)
     dsr = _expansion_distance(ctx, sc, M, fb, row["dsr"], h)
-    sym = symbol_sum_rank_weight(c.codeword(tuple([1] + [0] * (c.k - 1))), ctx.f4, M.profile)
+    sym = symbol_sum_rank_weight(c.generator.rows[0], ctx.f4, M.profile)
     sc.check(sym >= dsr.lo, "symbol-route weight of a codeword below the minimum")
     return _expected(row)
 
@@ -510,7 +508,6 @@ def _run_rows(ctx: _Ctx, tid: int, manifest: dict) -> List[RowResult]:
 def run_tables(
     table_ids,
     word_budget: int = DEFAULT_TABLE_WORD_BUDGET,
-    pair_budget: int = DEFAULT_TABLE_PAIR_BUDGET,
     jobs: int = 1,
 ) -> List[RowResult]:
     """Run the tables in order; `jobs` threads the enumeration shards."""
@@ -518,7 +515,7 @@ def run_tables(
     for tid in ids:
         if tid not in _RUNNERS:
             raise UnknownTable(f"table {tid} is not part of the manifest set {TABLE_IDS}")
-    ctx = _Ctx(word_budget, pair_budget, jobs)
+    ctx = _Ctx(word_budget, jobs)
     manifests = {tid: load_manifest(tid) for tid in ids}
     return [r for tid in ids for r in _run_rows(ctx, tid, manifests[tid])]
 

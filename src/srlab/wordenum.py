@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -104,13 +105,10 @@ def check_budget(budget: int) -> None:
 # -- message -> codeword ------------------------------------------------------
 
 
-def scaled_rows(field, rows, scalars=None):
-    """table[i][d] = d * rows[i] for every scalar d of the field, or only for
-    d = scalars[i] when `scalars` is given."""
+def scaled_rows(field, rows):
+    """table[i][d] = d * rows[i] for every scalar d of the field."""
     mul = field.mul
-    if scalars is None:
-        return [[[mul(d, v) for v in row] for d in range(field.order)] for row in rows]
-    return [{d: [mul(d, v) for v in row]} for row, d in zip(rows, scalars)]
+    return [[[mul(d, v) for v in row] for d in range(field.order)] for row in rows]
 
 
 def combine(field, table, message, word):
@@ -212,8 +210,9 @@ def _sharded_min(field, rows, budget: int, jobs: int, weight, worst: int) -> int
     """Minimum of weight(lo, hi) over every nonzero combination of `rows`.
 
     `weight` maps the planes of a shard's codewords to an integer array;
-    `worst` is the answer for an empty row set.  Raises BudgetExceeded past
-    the budget.
+    `worst` is the answer for an empty row set.  Up to `jobs` threads, never
+    more than the shards or the cores, run the shards.  Raises
+    BudgetExceeded past the budget.
     """
     check_budget(budget)
     q = field.order
@@ -241,10 +240,11 @@ def _sharded_min(field, rows, budget: int, jobs: int, weight, worst: int) -> int
 
     if limit_prefixes == 0:
         raise BudgetExceeded("budget smaller than one shard", best=None, enumerated=0)
-    if jobs <= 1 or limit_prefixes <= 1:
+    workers = min(jobs, limit_prefixes, os.cpu_count() or 1)
+    if workers <= 1:
         best = min(map(shard, range(limit_prefixes)))
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             best = min(pool.map(shard, range(limit_prefixes)))
     if limit_prefixes < n_prefixes:
         raise BudgetExceeded(
@@ -416,23 +416,21 @@ def low_weight_blocks(field, rows, n: int, max_msg_weight: int):
 def low_weight_min_char2(field, rows, n: int, max_msg_weight: int):
     """Lightest codeword among messages of Hamming weight <= max_msg_weight.
 
-    Returns (weight, message) where message maps row index -> scalar, or
+    Returns (weight, word), the word a list of n field elements, or
     (None, None) when the cap is 0 or the code is empty.  The first
     lightest in lister order wins.  With an rref generator this scan is
     complete for all codewords of weight up to the cap, since such a
     codeword's message is its pivot-column restriction.
     """
-    base = field.order - 1
-    best = None
-    best_msg = None
-    for sets, (lo, hi) in low_weight_blocks(field, rows, n, max_msg_weight):
-        w = popcount(np.bitwise_or(lo, hi, out=lo))
+    best, word = None, None
+    for _, (lo, hi) in low_weight_blocks(field, rows, n, max_msg_weight):
+        w = popcount(lo | hi)
         i = int(w.argmin())  # row-major: the first lightest of the batch
-        c, idx = divmod(i, w.shape[1])
-        if best is None or int(w[c, idx]) < best:
-            best = int(w[c, idx])
-            best_msg = {int(p): 1 + idx // base**j % base for j, p in enumerate(sets[c])}
-    return best, best_msg
+        if best is None or int(w.flat[i]) < best:
+            best = int(w.flat[i])
+            a, b = int(lo.flat[i]), int(hi.flat[i])
+            word = [(a >> j & 1) | (b >> j & 1) << 1 for j in range(n)]
+    return best, word
 
 
 # -- sum-rank weight enumeration ----------------------------------------------

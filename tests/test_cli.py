@@ -130,6 +130,16 @@ def test_mindist_budget_exit_code(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "code", "mindist", str(c), "--budget", "64")
     assert rc == 2
     assert json.loads(out)["exact"] is False
+    # the pair distance takes the same budget, counted in support-class pairs
+    code = code_from_obj(json.loads(c.read_text()))
+    rc, out, _ = run_cli(capsys, "sr", "mindist", str(c), str(c), "--budget", "10")
+    obj = json.loads(out)
+    assert rc == 2 and obj["exact"] is False and obj["enumerated"] == 10
+    assert obj["d"] >= pair_distance(code, code)
+    # and runs no threads, so any other --jobs is a usage error
+    rc, out, err = run_cli(capsys, "sr", "mindist", str(c), str(c), "--jobs", "7")
+    assert_input_error(rc, out, err)
+    assert "--jobs 7" in err
 
 
 def test_usage_error_exit_code(capsys, tmp_path):
@@ -263,6 +273,7 @@ def test_verbs_declare_their_own_arguments(tmp_path, capsys):
                  ["code", "info", str(c), "--budget", "5"],
                  ["code", "info", str(c), "--budget", "5", "--jobs", "9"],
                  ["code", "dual", str(c), "--pair-budget", "5"],
+                 ["sr", "mindist", str(c), str(c), "--pair-budget", "5"],
                  ["sr", "mindist", str(sr), "--method", "pairs"],
                  ["sr", "mindist", str(c), str(c), str(c)],
                  ["sr", "construct-matb", str(c), str(c)],
@@ -305,6 +316,9 @@ def test_tables_cli(tmp_path, capsys):
     assert len(lines) == 4
     rc, _, err = run_cli(capsys, "tables", "6")
     assert rc == 1  # no manifest for table 6
+    rc, out, err = run_cli(capsys, "tables", "2", "--pair-budget", "5")
+    assert_input_error(rc, out, err)
+    assert "unrecognized arguments: --pair-budget 5" in err
 
 
 F4_TOWER = {"characteristic": 2, "tower": [[2, [1, 1, 1]]]}
@@ -325,8 +339,7 @@ def test_negative_budget_is_a_named_error(tmp_path, capsys):
     sr.write_text(out)
     assert_input_error(*run_cli(capsys, "code", "mindist", str(c), "--budget", "-5"))
     assert_input_error(*run_cli(capsys, "sr", "mindist", str(sr), "--budget", "-5"))
-    assert_input_error(*run_cli(capsys, "sr", "mindist", str(c), str(c),
-                                "--pair-budget", "-5"))
+    assert_input_error(*run_cli(capsys, "sr", "mindist", str(c), str(c), "--budget", "-5"))
     code = code_from_obj(json.loads(c.read_text()))
     with pytest.raises(NegativeBudget):
         code.min_distance(budget=-5)

@@ -119,6 +119,35 @@ def test_walker_budget_cut_of_a_long_code():
     assert exc.value.enumerated == 1000 and exc.value.best == 1
 
 
+def test_shard_threads_are_capped_at_the_cores(monkeypatch):
+    # a fake pool records its size and maps serially, so no thread starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(wordenum, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(wordenum.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(wordenum, "_SUFFIX_CAP", 16)  # 64 shards of 16 words
+    rnd = random.Random(53)
+    rows = [[rnd.randrange(2) for _ in range(20)] for _ in range(10)]
+    want = wordenum.min_weight_char2(F2, rows, 20, 2**10)
+    for jobs, workers in ((1, []), (2, [2]), (10**6, [3])):
+        sizes.clear()
+        assert wordenum.min_weight_char2(F2, rows, 20, 2**10, jobs) == want
+        assert sizes == workers, jobs
+
+
 def test_low_weight_scan_complete():
     rnd = random.Random(41)
     for _ in range(15):
@@ -374,17 +403,16 @@ def test_low_weight_lister_matches_plain_loop(monkeypatch):
 
 
 def _plain_low_weight_min(c, depth):
-    """Per-set reference: the first lightest message in lister order."""
-    best, best_msg = None, None
-    base = c.field.order - 1
+    """Per-set reference: the word of the first lightest message in lister
+    order (rref rows are independent, so the word names its message)."""
+    best, best_word = None, None
     for w in range(1, min(depth, c.k) + 1):
         for positions in itertools.combinations(range(c.k), w):
-            for i, word in enumerate(_message_words(c, positions)):
+            for word in _message_words(c, positions):
                 wt = sum(1 for v in word if v)
                 if best is None or wt < best:
-                    best = wt
-                    best_msg = {p: 1 + i // base**j % base for j, p in enumerate(positions)}
-    return best, best_msg
+                    best, best_word = wt, word
+    return best, best_word
 
 
 def test_low_weight_min_matches_plain_loop(monkeypatch):

@@ -86,7 +86,7 @@ def test_each_known_discrepancy_is_stated_once():
 def test_tiny_budgets_give_budget_limited_rows():
     # budgets below one enumeration shard: every exact search falls back to
     # its budget-limited evidence instead of aborting the run
-    res = run_tables([2, 3, 7, 8], word_budget=10, pair_budget=10)
+    res = run_tables([2, 3, 7, 8], word_budget=10)
     assert len(res) == 30
     assert report_exit_code(res) == 3
     assert [(r.table, r.row) for r in res if r.status == "mismatch"] == [(8, "delta=13,b=1")]
@@ -103,11 +103,11 @@ def test_a_scan_that_finds_a_word_at_its_depth_settles_d_h():
 
 
 def test_pair_rows_settle_when_the_found_weight_meets_the_formula():
-    # over the pair budget, d_sr lies between the formula lower bound and the
+    # over the word budget, d_sr lies between the formula lower bound and the
     # lightest weight found; where the two meet the row is exact.  Rows that
     # the one-sided bound 2 min d_H settles cross no pair and stay in budget
     full = {r.row: r for r in run_tables([3])}
-    res = {r.row: r for r in run_tables([3], pair_budget=10)}
+    res = {r.row: r for r in run_tables([3], word_budget=10)}
     for row in ("r1", "r2", "r5"):
         assert (res[row].status, res[row].computed) == (full[row].status, full[row].computed)
         assert "d_sr=" in res[row].computed
@@ -123,7 +123,7 @@ def test_pair_rows_settle_when_the_found_weight_meets_the_formula():
 def test_over_budget_d_h_witnesses_are_codewords():
     # past the word budget d_H comes from the window certificate, whose
     # witness is a codeword of exactly the certified weight
-    ctx = tables._Ctx(tables.DEFAULT_TABLE_WORD_BUDGET, tables.DEFAULT_TABLE_PAIR_BUDGET, 1)
+    ctx = tables._Ctx(tables.DEFAULT_TABLE_WORD_BUDGET, 1)
     over = set()
     for tid in (11, 12):
         for row in load_manifest(tid)["rows"]:
