@@ -342,6 +342,8 @@ class Basis:
         self.sub = sub
         self.elements = elements
         self._to_coords = None  # inverse coordinate matrix, built lazily
+        # expand() results by element; log-table fields only, so it stays small
+        self._expanded = {} if field.order <= _LOG_TABLE_MAX else None
         cols = [self._sub_coords(e) for e in elements]
         mat = MatrixGF(sub, [[cols[j][i] for j in range(m)] for i in range(m)], m)
         if mat.rank() != m:
@@ -366,19 +368,32 @@ class Basis:
         return vals
 
     def expand(self, x: int):
-        """Coefficients of x over this basis (tuple of sub-field integers)."""
+        """Coefficients of x over this basis (tuple of sub-field integers).
+
+        Over a log-table field each result is kept, so the element is
+        validated and solved for once; an element only becomes a key once it
+        passed the range check.
+        """
+        memo = self._expanded
+        if memo is not None:
+            hit = memo.get(x)
+            if hit is not None:
+                return hit
         check_entries(self.field, [(x,)])
         if self._to_coords is None:
             self._to_coords = self._coord_matrix.invert()
         s = self._sub_coords(x)
         inv = self._to_coords
         sub = self.sub
-        return tuple(
+        out = tuple(
             functools.reduce(
                 sub.add, (sub.mul(inv.rows[i][j], s[j]) for j in range(len(s))), 0
             )
             for i in range(self.size)
         )
+        if memo is not None:
+            memo[x] = out
+        return out
 
     def combine(self, coords) -> int:
         if len(coords) != self.size:

@@ -13,6 +13,8 @@ so a dual costs one elimination of the k x n generator (`kernel_basis`).
 
 from __future__ import annotations
 
+import operator
+
 from .errors import DimensionMismatch, EntryOutOfRange, LengthTooLarge
 
 __all__ = ["MAX_LENGTH", "MatrixGF", "check_entries", "check_length"]
@@ -98,6 +100,9 @@ class MatrixGF:
         the order they were found, row i holding a 1 at pivots[i].
         """
         f = self.field
+        mul = f.mul
+        # characteristic 2 subtracts by XOR, without a Python call per entry
+        sub = operator.xor if f.characteristic == 2 else f.sub
         rows = [list(r) for r in self.rows]
         pivots = []
         r = 0
@@ -112,12 +117,13 @@ class MatrixGF:
             rows[r], rows[sel] = rows[sel], rows[r]
             inv = f.inv(rows[r][c])
             if inv != 1:
-                rows[r] = [f.mul(inv, e) for e in rows[r]]
+                rows[r] = [mul(inv, e) for e in rows[r]]
+            rr = rows[r]
             for i in range(len(rows)):
-                if i != r and rows[i][c] != 0:
-                    factor = rows[i][c]
-                    ri, rr = rows[i], rows[r]
-                    rows[i] = [f.sub(ri[j], f.mul(factor, rr[j])) for j in range(self.ncols)]
+                factor = rows[i][c]
+                if i != r and factor != 0:
+                    scaled = rr if factor == 1 else [mul(factor, e) for e in rr]
+                    rows[i] = list(map(sub, rows[i], scaled))
             pivots.append(c)
             r += 1
             if r == len(rows):

@@ -15,14 +15,28 @@ follows the matrix definition rather than the shortcut).
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence, Tuple
 
 from .code import DEFAULT_WORD_BUDGET, LinearCode, _rotation_closed
 from .errors import LengthMismatch, NonUniformProfile, NotSelfDual, ProfileMismatch, ZeroCode
 from .linalg import MatrixGF, check_entries
-from .wordenum import packable_sum_rank, sr_min_weight_generic, sr_min_weight_packed
+from .wordenum import (block_rank_fn, packable_sum_rank, sr_min_weight_generic,
+                       sr_min_weight_packed)
 
 __all__ = ["BlockProfile", "SumRankCode"]
+
+_BITS = bytes.maketrans(b"\x00\x01", b"01")  # GF(2) entries as binary digits
+
+
+@functools.lru_cache(maxsize=None)
+def _f2_blocks(blocks) -> Tuple[tuple, ...]:
+    """(offset, mask, rank function) of each block of a packed GF(2) word."""
+    out, off = [], 0
+    for m, n in blocks:
+        out.append((off, (1 << m * n) - 1, block_rank_fn(m, n)))
+        off += m * n
+    return tuple(out)
 
 
 class BlockProfile:
@@ -73,8 +87,17 @@ class BlockProfile:
         )
 
     def weight(self, word: Sequence[int]) -> int:
-        """Sum-rank weight: the sum of the block ranks."""
-        return sum(mat.rank() for mat in self.matrices(word))
+        """Sum-rank weight: the sum of the block ranks.
+
+        Over GF(2) the word is packed into one int, bit j its entry j, and
+        each block's bits are ranked by `block_rank_fn`; other fields
+        eliminate each block's MatrixGF.
+        """
+        if self.field.order != 2:
+            return sum(mat.rank() for mat in self.matrices(word))
+        self._check(word)
+        x = int(bytes(reversed(word)).translate(_BITS) or b"0", 2)
+        return sum(rank((x >> off) & mask) for off, mask, rank in _f2_blocks(self.blocks))
 
     def trace_ip(self, u: Sequence[int], v: Sequence[int]) -> int:
         """sum_i Tr(M_i N_i^T), computed from the definition."""

@@ -37,7 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import BudgetExceeded, NegativeBudget
+from .errors import BudgetExceeded, NegativeBudget, ZeroCode
 
 __all__ = [
     "packable_char2",
@@ -460,6 +460,16 @@ def block_rank_lut(m: int, n: int) -> np.ndarray:
     return lut
 
 
+@functools.lru_cache(maxsize=None)
+def block_rank_fn(m: int, n: int):
+    """rank(pattern) of an m x n matrix over GF(2) packed row-major into an
+    int: read from the shape's rank table when it has at most 2**_LUT_BITS
+    entries, else eliminated, so no wide block builds a table."""
+    if m * n <= _LUT_BITS:
+        return bytes(block_rank_lut(m, n)).__getitem__
+    return functools.partial(f2_matrix_rank_bits, m=m, n=n)
+
+
 def _fold(x: np.ndarray, n: int, tmp: np.ndarray) -> None:
     """In place: bit j of x becomes the OR of its bits j .. j + n - 1."""
     span = 1
@@ -522,5 +532,10 @@ def sr_min_weight_packed(field, rows, blocks, budget: int, jobs: int = 1) -> int
 
 
 def sr_min_weight_generic(field, rows, rank_fn, budget: int) -> int:
-    """Fallback for any field or length: rank_fn(flat_word) -> sum-rank weight."""
-    return _walk_min(field, rows, len(rows[0]) if rows else 0, budget, rank_fn)
+    """Fallback for any field or length: rank_fn(flat_word) -> sum-rank weight.
+
+    Raises ZeroCode without rows: their length, and so the largest weight,
+    is unknown."""
+    if not rows:
+        raise ZeroCode("the zero code has no nonzero codeword")
+    return _walk_min(field, rows, len(rows[0]), budget, rank_fn)

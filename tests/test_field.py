@@ -236,3 +236,31 @@ def test_outside_ints_are_range_checked():
         trace_to(F4, 4, F2)
     with pytest.raises(EntryOutOfRange):
         symbol_sum_rank_weight([5, 0], F4, BlockProfile(F2, [(2, 2)]))
+
+
+@pytest.mark.parametrize("field, sub", [(F4, F2), (extension(F4, 2), F4), (extension(F4, 2), F2)],
+                         ids=["GF(4)/GF(2)", "GF(16)/GF(4)", "GF(16)/GF(2)"])
+def test_expand_is_kept_and_equals_a_fresh_solve(field, sub):
+    m = field.degree_over(sub)
+    g = field.primitive_element
+    els = [field.pow(g, i) for i in range(m)]
+    # every coordinate vector, combined: the map expand inverts
+    coords = [()]
+    for _ in range(m):
+        coords = [c + (d,) for c in coords for d in range(sub.order)]
+    b = Basis(field, els, sub)
+    solved = {b.combine(c): c for c in coords}
+    assert len(solved) == field.order
+    for bad in (field.order, -1):
+        with pytest.raises(EntryOutOfRange):
+            b.expand(bad)
+    first = {x: b.expand(x) for x in range(field.order)}
+    for x in range(field.order):
+        assert first[x] == solved[x] == Basis(field, els, sub).expand(x)
+        again = b.expand(x)
+        assert again == first[x] and isinstance(again, tuple)
+        with pytest.raises(TypeError):
+            again[0] = 1
+    for bad in (field.order, -1, field.order + 7):
+        with pytest.raises(EntryOutOfRange):
+            b.expand(bad)

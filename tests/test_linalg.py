@@ -180,3 +180,53 @@ def test_empty_matrix():
     e = MatrixGF(F4, [], ncols=3)
     assert e.rank() == 0
     assert e.kernel_basis().nrows == 3
+
+
+def _reference_echelon(m, order=None):
+    """Gauss-Jordan elimination one entry at a time through the field's
+    own add/mul/inv, in the pivot search order of `_echelon`."""
+    f = m.field
+    rows = [list(r) for r in m.rows]
+    pivots = []
+    for c in range(m.ncols) if order is None else order:
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = f.inv(rows[r][c])
+        rows[r] = [f.mul(inv, e) for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                factor = rows[i][c]
+                rows[i] = [f.add(a, f.neg(f.mul(factor, b))) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def _echelon_cases(rnd, field):
+    """Random, wide, rank-deficient and zero-row matrices, and one without rows."""
+    yield MatrixGF(field, [], ncols=4)
+    for _ in range(12):
+        r, c = rnd.randint(1, 5), rnd.randint(1, 7)
+        yield _random_matrix(rnd, field, r, c)
+        yield _random_matrix(rnd, field, r, rnd.randint(12, 24))  # wide
+        base = _random_matrix(rnd, field, rnd.randint(1, 3), c).rows
+        mixed = []  # combinations of a few rows, zero rows among them
+        for _ in range(rnd.randint(2, 6)):
+            coef = [rnd.randrange(field.order) for _ in base]
+            row = [0] * c
+            for a, b in zip(coef, base):
+                row = [field.add(x, field.mul(a, y)) for x, y in zip(row, b)]
+            mixed.append(row)
+        mixed.insert(rnd.randint(0, len(mixed)), [0] * c)
+        yield MatrixGF(field, mixed, c)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, prime_field(5), extension(F3, 2)], ids=repr)
+def test_echelon_matches_per_entry_elimination(field):
+    rnd = random.Random(29 + field.order)
+    for m in _echelon_cases(rnd, field):
+        for order in (None, range(m.ncols - 1, -1, -1), rnd.sample(range(m.ncols), m.ncols)):
+            assert m._echelon(order) == _reference_echelon(m, order)
+        assert m.rank() == len(_reference_echelon(m)[1])

@@ -69,6 +69,36 @@ def test_flat_word_methods_check_their_input():
             call([5, 0, 0, 7])
 
 
+@pytest.mark.parametrize("field, blocks", [
+    (F2, [(1, 1), (1, 7), (1, 20), (1, 3)]),
+    (F2, [(2, 9), (2, 12), (2, 3)]),
+    (F2, [(4, 4), (3, 5), (2, 2)]),  # 16 bits: rank table
+    (F2, [(4, 5), (1, 2), (4, 4)]),  # 20 bits: eliminated, no table
+    (F3, [(2, 3), (3, 3)]),
+    (F4, [(1, 2), (2, 4)]),
+], ids=str)
+def test_weight_is_the_sum_of_block_ranks(field, blocks):
+    p = BlockProfile(field, blocks)
+    rnd = random.Random(sum(m * n for m, n in blocks))
+    words = [[0] * p.total, [1] * p.total] + [_random_word(rnd, p) for _ in range(60)]
+    # sparse words reach every rank, not only full rank
+    words += [[v if rnd.random() < 0.15 else 0 for v in w] for w in words[2:]]
+    for w in words:
+        assert p.weight(w) == sum(mat.rank() for mat in p.matrices(w))
+        assert p.weight(tuple(w)) == p.weight(w)
+    with pytest.raises(LengthMismatch):
+        p.weight([0] * (p.total - 1))
+    for bad in (field.order, -1):
+        with pytest.raises(EntryOutOfRange):
+            p.weight([0] * (p.total - 1) + [bad])
+
+
+def test_generic_search_of_no_rows_is_an_error():
+    # no rows: no length, so no max + 1 to return
+    with pytest.raises(ZeroCode):
+        sr_min_weight_generic(F2, [], BlockProfile(F2, [(2, 2)]).weight, 10)
+
+
 def test_trace_ip_examples_and_flatten_identity():
     p = BlockProfile(F2, [(2, 2)])
     ident = [1, 0, 0, 1]
