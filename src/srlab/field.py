@@ -50,6 +50,10 @@ __all__ = [
 ]
 
 _LOG_TABLE_MAX = 1 << 16
+# largest field whose Basis keeps every expand() result: expanding all of
+# GF(2^8)/GF(2) adds about 30 KB of RSS, all of GF(2^16)/GF(2) about 16 MB;
+# the constructions expand GF(4)/GF(2) and other small extensions
+_EXPAND_MEMO_MAX = 1 << 8
 _MAX_ORDER_BITS = 32
 _MAX_ORDER = 1 << _MAX_ORDER_BITS  # GF(4^10) = 2^20 is the largest field in use
 
@@ -342,8 +346,9 @@ class Basis:
         self.sub = sub
         self.elements = elements
         self._to_coords = None  # inverse coordinate matrix, built lazily
-        # expand() results by element; log-table fields only, so it stays small
-        self._expanded = {} if field.order <= _LOG_TABLE_MAX else None
+        # expand() results by element, for fields of at most _EXPAND_MEMO_MAX
+        # elements
+        self._expanded = {} if field.order <= _EXPAND_MEMO_MAX else None
         cols = [self._sub_coords(e) for e in elements]
         mat = MatrixGF(sub, [[cols[j][i] for j in range(m)] for i in range(m)], m)
         if mat.rank() != m:
@@ -370,9 +375,9 @@ class Basis:
     def expand(self, x: int):
         """Coefficients of x over this basis (tuple of sub-field integers).
 
-        Over a log-table field each result is kept, so the element is
-        validated and solved for once; an element only becomes a key once it
-        passed the range check.
+        Over a field of at most _EXPAND_MEMO_MAX elements each result is
+        kept, so the element is validated and solved for once; an element
+        only becomes a key once it passed the range check.
         """
         memo = self._expanded
         if memo is not None:

@@ -66,6 +66,11 @@ _PIECE = 1 << 15
 # entries, built in Python at about 3.6 us each) the packed sum-rank search
 # builds
 _LUT_BITS = 16
+# bits of the largest block shape whose ranks `block_rank_fn` keeps: a memo
+# of every 16-bit pattern adds 5.5 MB of RSS; a 20-bit shape would need 16
+# times that, and a memo capped at 2**16 of its patterns added 17 MB while
+# holding at most 1/16 of them
+_MEMO_BITS = 16
 
 
 if hasattr(np, "bitwise_count"):
@@ -463,11 +468,10 @@ def block_rank_lut(m: int, n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def block_rank_fn(m: int, n: int):
     """rank(pattern) of an m x n matrix over GF(2) packed row-major into an
-    int: read from the shape's rank table when it has at most 2**_LUT_BITS
-    entries, else eliminated, so no wide block builds a table."""
-    if m * n <= _LUT_BITS:
-        return bytes(block_rank_lut(m, n)).__getitem__
-    return functools.partial(f2_matrix_rank_bits, m=m, n=n)
+    int, by elimination.  Up to _MEMO_BITS bits each pattern is eliminated
+    once and then looked up, so no call builds a rank table."""
+    rank = functools.partial(f2_matrix_rank_bits, m=m, n=n)
+    return functools.cache(rank) if m * n <= _MEMO_BITS else rank
 
 
 def _fold(x: np.ndarray, n: int, tmp: np.ndarray) -> None:

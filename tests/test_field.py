@@ -264,3 +264,14 @@ def test_expand_is_kept_and_equals_a_fresh_solve(field, sub):
     for bad in (field.order, -1, field.order + 7):
         with pytest.raises(EntryOutOfRange):
             b.expand(bad)
+
+
+def test_expand_keeps_nothing_past_the_memo_bound():
+    big = extension(F2, 9)  # 512 elements
+    g = big.primitive_element
+    b = Basis(big, [big.pow(g, i) for i in range(9)])
+    for x in range(big.order):
+        assert b.combine(b.expand(x)) == x
+    assert b._expanded is None
+    with pytest.raises(EntryOutOfRange):
+        b.expand(big.order)

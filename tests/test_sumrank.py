@@ -72,8 +72,8 @@ def test_flat_word_methods_check_their_input():
 @pytest.mark.parametrize("field, blocks", [
     (F2, [(1, 1), (1, 7), (1, 20), (1, 3)]),
     (F2, [(2, 9), (2, 12), (2, 3)]),
-    (F2, [(4, 4), (3, 5), (2, 2)]),  # 16 bits: rank table
-    (F2, [(4, 5), (1, 2), (4, 4)]),  # 20 bits: eliminated, no table
+    (F2, [(4, 4), (3, 5), (2, 2)]),  # 16 bits: ranks kept
+    (F2, [(4, 5), (1, 2), (4, 4)]),  # 20 bits: eliminated on every call
     (F3, [(2, 3), (3, 3)]),
     (F4, [(1, 2), (2, 4)]),
 ], ids=str)
@@ -91,6 +91,22 @@ def test_weight_is_the_sum_of_block_ranks(field, blocks):
     for bad in (field.order, -1):
         with pytest.raises(EntryOutOfRange):
             p.weight([0] * (p.total - 1) + [bad])
+
+
+def test_first_weight_builds_no_rank_table():
+    # a rank table of a 13-16 bit shape took 50-260 ms to build in Python;
+    # one word's blocks take a few eliminations of about 5 us each
+    wordenum.block_rank_fn.cache_clear()
+    built = block_rank_lut.cache_info().misses
+    rnd = random.Random(61)
+    for blocks in ([(4, 4)], [(2, 8), (3, 5)]):
+        p = BlockProfile(F2, blocks)
+        w = _random_word(rnd, p)
+        t0 = time.perf_counter()
+        got = p.weight(w)
+        assert time.perf_counter() - t0 < 0.02
+        assert got == sum(mat.rank() for mat in p.matrices(w))
+    assert block_rank_lut.cache_info().misses == built
 
 
 def test_generic_search_of_no_rows_is_an_error():
@@ -287,19 +303,20 @@ def test_packed_kernel_across_prefix_shards():
 
 
 def test_rank_tables_are_built_once_per_shape(monkeypatch):
+    p = BlockProfile(F2, [(4, 4)])
+    rnd = random.Random(59)
+    c = SumRankCode.from_rows(p, [_random_word(rnd, p) for _ in range(3)])
+    assert c.dim == 3
+    want = _brute_min(c)  # weight() eliminates too: only the search is counted
     calls = []
     rank_bits = wordenum.f2_matrix_rank_bits
     monkeypatch.setattr(wordenum, "f2_matrix_rank_bits",
                         lambda *a: calls.append(a) or rank_bits(*a))
     block_rank_lut.cache_clear()
-    p = BlockProfile(F2, [(4, 4)])
-    rnd = random.Random(59)
-    c = SumRankCode.from_rows(p, [_random_word(rnd, p) for _ in range(3)])
-    assert c.dim == 3
     counts = []
     for _ in range(2):
         before = len(calls)
-        assert c.min_distance() == _brute_min(c)
+        assert c.min_distance() == want
         counts.append(len(calls) - before)
     assert counts == [2**16, 0]
     assert not block_rank_lut(4, 4).flags.writeable
