@@ -110,6 +110,15 @@ def _int_list(text: str):
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of integers")
 
 
+def _at_least(low: int):
+    """An argparse type: an int of at least `low`, else a usage error."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    return integer
+
+
 def _decimal(text: str, what: str) -> int:
     if not text.isdecimal() or len(text) > _MAX_DIGITS:
         raise UsageError(f"{what} {text[:24]!r} is not a nonnegative integer "
@@ -300,7 +309,7 @@ def _add_code_verbs(verbs, read, write, info):
         p.set_defaults(fn=_cmd_verb, read=read, write=write, info=info)
     # the loop ends on mindist, the one verb that searches
     p.add_argument("--budget", type=int, default=DEFAULT_TABLE_WORD_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     return p
 
 
@@ -358,14 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verbs.add_parser("verify-duality", help="check trace-duality transport on random codes")
     p.add_argument("--kind", choices=["sr", "matb"], default="sr")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_at_least(0), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_verify_duality)
 
     p = sub.add_parser("tables", help="reproduce the published parameter tables")
     p.add_argument("ids", nargs="+", type=int, help="table numbers, e.g. 2 3 9")
     p.add_argument("--budget", type=int, default=DEFAULT_TABLE_WORD_BUDGET)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(fn=_cmd_tables)

@@ -23,7 +23,6 @@ the claimed identity are materialized and compared as canonical rrefs.
 from __future__ import annotations
 
 import functools
-import types
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -153,22 +152,14 @@ def qpoly_rank_table(basis: Basis) -> dict:
     }
 
 
-def _check_rank_table_pattern(table: dict) -> None:
-    # rank should be 0 for (0,0), 1 when both coefficients are nonzero,
-    # 2 when exactly one is; the pair enumeration below relies on it
-    for (a0, a1), r in table.items():
-        expected = 0 if (a0 == 0 and a1 == 0) else (1 if (a0 != 0 and a1 != 0) else 2)
-        if r != expected:
-            raise AssertionError(f"rank table violates the zero pattern at {(a0, a1)}: {r}")
-
-
 @functools.lru_cache(maxsize=None)
-def _checked_rank_table(ext: FieldSpec):
-    """The power-basis rank table of GF(4), validated against the zero
-    pattern; built and checked once per field, read-only."""
-    table = qpoly_rank_table(power_basis(ext))
-    _check_rank_table_pattern(table)
-    return types.MappingProxyType(table)
+def _checked_rank_table(ext: FieldSpec) -> None:
+    """Checks once per field that the power-basis rank table of GF(4) has
+    the zero pattern the pair enumeration relies on: rank 0 at (0, 0), 1
+    where both coefficients are nonzero, 2 where exactly one is."""
+    for (a0, a1), r in qpoly_rank_table(power_basis(ext)).items():
+        if r != (0, 2, 1)[(a0 != 0) + (a1 != 0)]:
+            raise AssertionError(f"rank table violates the zero pattern at {(a0, a1)}: {r}")
 
 
 def qpoly_code(codes: Sequence[LinearCode], basis: Optional[Basis] = None) -> SumRankCode:
@@ -375,8 +366,8 @@ def sr_distance_bounds(m: int, distances: Sequence[int]) -> Bounds:
     max(min_i (m-i) d_i, min_i (i+1) d_i) <= d_sr <= m * min_i d_i
     """
     ds = list(distances)
-    if len(ds) != m or any(d < 1 for d in ds):
-        raise LengthMismatch("need m positive distances")
+    if m < 1 or len(ds) != m or any(d < 1 for d in ds):
+        raise LengthMismatch(f"need m >= 1 and m positive distances, got m={m} and {len(ds)}")
     lower = max(
         min((m - i) * d for i, d in enumerate(ds)),
         min((i + 1) * d for i, d in enumerate(ds)),

@@ -16,13 +16,14 @@ follows the matrix definition rather than the shortcut).
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Sequence, Tuple
 
 from .code import DEFAULT_WORD_BUDGET, LinearCode, _rotation_closed
 from .errors import LengthMismatch, NonUniformProfile, NotSelfDual, ProfileMismatch, ZeroCode
 from .linalg import MatrixGF, check_entries
-from .wordenum import (block_rank_fn, packable_sum_rank, sr_min_weight_generic,
-                       sr_min_weight_packed)
+from .wordenum import (_LUT_BITS, block_rank_lut, f2_matrix_rank_bits, packable_sum_rank,
+                       sr_min_weight_generic, sr_min_weight_packed)
 
 __all__ = ["BlockProfile", "SumRankCode"]
 
@@ -31,12 +32,14 @@ _BITS = bytes.maketrans(b"\x00\x01", b"01")  # GF(2) entries as binary digits
 
 @functools.lru_cache(maxsize=None)
 def _f2_blocks(blocks) -> Tuple[tuple, ...]:
-    """(offset, mask, rank function) of each block of a packed GF(2) word."""
-    out, off = [], 0
-    for m, n in blocks:
-        out.append((off, (1 << m * n) - 1, block_rank_fn(m, n)))
-        off += m * n
-    return tuple(out)
+    """(offset, mask, m, n, rank table) of each block of a packed GF(2)
+    word.  A table is the shape's `block_rank_lut` as bytes, so that an
+    index is a Python int (a NumPy 2 uint8 sum would wrap past 255), and
+    None past _LUT_BITS bits."""
+    tables = {(m, n): block_rank_lut(m, n).tobytes() if m * n <= _LUT_BITS else None
+              for m, n in set(blocks)}
+    offsets = itertools.accumulate((m * n for m, n in blocks), initial=0)
+    return tuple((off, (1 << m * n) - 1, m, n, tables[m, n]) for off, (m, n) in zip(offsets, blocks))
 
 
 class BlockProfile:
@@ -52,12 +55,9 @@ class BlockProfile:
                 raise ProfileMismatch(f"block ({m},{n}) violates m <= n")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "blocks", blocks)
-        offs, acc = [], 0
-        for m, n in blocks:
-            offs.append(acc)
-            acc += m * n
-        object.__setattr__(self, "offsets", tuple(offs))
-        object.__setattr__(self, "total", acc)
+        *offsets, total = itertools.accumulate((m * n for m, n in blocks), initial=0)
+        object.__setattr__(self, "offsets", tuple(offsets))
+        object.__setattr__(self, "total", total)
 
     def __setattr__(self, name, value):
         raise AttributeError("BlockProfile is immutable")
@@ -90,14 +90,15 @@ class BlockProfile:
         """Sum-rank weight: the sum of the block ranks.
 
         Over GF(2) the word is packed into one int, bit j its entry j, and
-        each block's bits are ranked by `block_rank_fn`; other fields
-        eliminate each block's MatrixGF.
+        each block's bits index its shape's rank table, or past _LUT_BITS
+        bits are eliminated; other fields eliminate each block's MatrixGF.
         """
         if self.field.order != 2:
             return sum(mat.rank() for mat in self.matrices(word))
         self._check(word)
         x = int(bytes(reversed(word)).translate(_BITS) or b"0", 2)
-        return sum(rank((x >> off) & mask) for off, mask, rank in _f2_blocks(self.blocks))
+        return sum(table[x >> off & mask] if table else f2_matrix_rank_bits(x >> off & mask, m, n)
+                   for off, mask, m, n, table in _f2_blocks(self.blocks))
 
     def trace_ip(self, u: Sequence[int], v: Sequence[int]) -> int:
         """sum_i Tr(M_i N_i^T), computed from the definition."""

@@ -50,6 +50,7 @@ from .cyclic import bch_generator, cyclic_code, frobenius_coeffs, parse_poly
 from .errors import BudgetExceeded, UnknownTable
 from .field import Basis, extension, prime_field
 from .sumrank import BlockProfile
+from .wordenum import check_budget
 
 __all__ = [
     "TABLE_IDS",
@@ -511,6 +512,7 @@ def run_tables(
     jobs: int = 1,
 ) -> List[RowResult]:
     """Run the tables in order; `jobs` threads the enumeration shards."""
+    check_budget(word_budget)  # before any row, budgeted or not, runs
     ids = list(table_ids)
     for tid in ids:
         if tid not in _RUNNERS:

@@ -62,15 +62,11 @@ _SUFFIX_CAP = 1 << 18  # suffix-table entries per shard
 # temporaries stay in cache, which runs the weight kernels 3-4x faster than
 # on a whole shard
 _PIECE = 1 << 15
-# bits of the largest block other than two-row whose rank table (2**bits
-# entries, built in Python at about 3.6 us each) the packed sum-rank search
-# builds
+# bits of the largest block shape given a rank table (`block_rank_lut`,
+# 2**bits bytes, 0.5-3 ms to build at 16 bits); the packed sum-rank search
+# reads it for blocks other than two-row ones, `BlockProfile.weight` for every
+# GF(2) block, and wider blocks are eliminated pattern by pattern
 _LUT_BITS = 16
-# bits of the largest block shape whose ranks `block_rank_fn` keeps: a memo
-# of every 16-bit pattern adds 5.5 MB of RSS; a 20-bit shape would need 16
-# times that, and a memo capped at 2**16 of its patterns added 17 MB while
-# holding at most 1/16 of them
-_MEMO_BITS = 16
 
 
 if hasattr(np, "bitwise_count"):
@@ -96,8 +92,9 @@ def packable_char2(field, n: int) -> bool:
 def packable_sum_rank(field, blocks) -> bool:
     """Whether `sr_min_weight_packed` takes a GF(2) code of these block
     shapes: at most 64 flat bits, and each block two-row (bit-sliced) or
-    with a rank table of at most 2**_LUT_BITS entries; the walker is exact
-    and budgeted for the rest."""
+    of at most _LUT_BITS bits (read from the shape's rank table, the one
+    `BlockProfile.weight` reads too); the walker is exact and budgeted for
+    the rest."""
     return (field.order == 2 and sum(m * n for m, n in blocks) <= 64
             and all(m == 2 or m * n <= _LUT_BITS for m, n in blocks))
 
@@ -445,33 +442,32 @@ def f2_matrix_rank_bits(pattern: int, m: int, n: int) -> int:
     """Rank over GF(2) of an m x n matrix packed row-major into `pattern`."""
     mask = (1 << n) - 1
     basis = []
-    rank = 0
     for i in range(m):
         row = (pattern >> (i * n)) & mask
         for b in basis:
             row = min(row, row ^ b)
         if row:
             basis.append(row)
-            rank += 1
-    return rank
+    return len(basis)
 
 
 @functools.lru_cache(maxsize=None)
 def block_rank_lut(m: int, n: int) -> np.ndarray:
     """Read-only rank table of every m x n matrix over GF(2), built once
-    per shape."""
-    lut = np.array([f2_matrix_rank_bits(p, m, n) for p in range(1 << (m * n))], dtype=np.uint8)
+    per shape: `f2_matrix_rank_bits`'s elimination run on every pattern at
+    once, a zero row reducing nothing."""
+    patterns = np.arange(1 << (m * n), dtype=np.uint32)
+    mask = np.uint32((1 << n) - 1)
+    lut = np.zeros(len(patterns), dtype=np.uint8)
+    basis = []
+    for i in range(m):
+        row = (patterns >> np.uint32(i * n)) & mask
+        for b in basis:
+            np.minimum(row, row ^ b, out=row)
+        basis.append(row)
+        lut[row != 0] += 1
     lut.flags.writeable = False
     return lut
-
-
-@functools.lru_cache(maxsize=None)
-def block_rank_fn(m: int, n: int):
-    """rank(pattern) of an m x n matrix over GF(2) packed row-major into an
-    int, by elimination.  Up to _MEMO_BITS bits each pattern is eliminated
-    once and then looked up, so no call builds a rank table."""
-    rank = functools.partial(f2_matrix_rank_bits, m=m, n=n)
-    return functools.cache(rank) if m * n <= _MEMO_BITS else rank
 
 
 def _fold(x: np.ndarray, n: int, tmp: np.ndarray) -> None:

@@ -347,6 +347,31 @@ def test_negative_budget_is_a_named_error(tmp_path, capsys):
         pair_distance(code, code, budget=-5)
 
 
+def test_counts_below_their_least_are_usage_errors(tmp_path, capsys):
+    rc, out, _ = run_cli(capsys, "cyclic", "--q", "4", "--n", "2", "--gen", "1+x")
+    c = tmp_path / "c.json"
+    c.write_text(out)
+    rc, out, _ = run_cli(capsys, "sr", "construct-sr", str(c), str(c))
+    sr = tmp_path / "sr.json"
+    sr.write_text(out)
+    for jobs in ("0", "-3"):
+        for argv in (["code", "mindist", str(c)], ["sr", "mindist", str(sr)],
+                     ["sr", "mindist", str(c), str(c)], ["tables", "2"]):
+            rc, out, err = run_cli(capsys, *argv, "--jobs", jobs)
+            assert_input_error(rc, out, err)
+            assert "--jobs: must be at least 1" in err
+    rc, out, err = run_cli(capsys, "sr", "verify-duality", "--trials", "-1")
+    assert_input_error(rc, out, err)
+    assert "--trials: must be at least 0" in err
+    rc, out, _ = run_cli(capsys, "sr", "verify-duality", "--trials", "0")
+    assert rc == 0 and json.loads(out)["trials"] == 0
+    # a table with no budgeted search refuses a negative budget as one that has
+    for table in ("1", "2"):
+        assert_input_error(*run_cli(capsys, "tables", table, "--budget", "-4"))
+    for argv in (["0"], ["-1"], ["0", "5"]):
+        assert_input_error(*run_cli(capsys, "sr", "bounds", "--theorem23", *argv))
+
+
 def test_pairs_on_codes_longer_than_64(tmp_path, capsys):
     from srlab.code import LinearCode
 

@@ -431,6 +431,15 @@ def test_sr_distance_bounds_examples():
         sr_distance_bounds(2, [1])
 
 
+def test_sr_distance_bounds_need_a_positive_m():
+    # m = 0 with no distances once reached min() of an empty sequence
+    for m in (0, -1):
+        with pytest.raises(LengthMismatch):
+            sr_distance_bounds(m, [])
+    with pytest.raises(LengthMismatch):
+        sr_distance_bounds(0, [3])
+
+
 def test_bounds_sandwich_random():
     rnd = random.Random(53)
     for _ in range(25):

@@ -4,15 +4,15 @@ import time
 import numpy as np
 import pytest
 
-from srlab import wordenum
+from srlab import sumrank, wordenum
 from srlab.errors import (BudgetExceeded, EntryOutOfRange, LengthMismatch, NonUniformProfile, NotSelfDual,
                           ProfileMismatch, ZeroCode)
 from srlab.field import extension, prime_field
 from srlab.jsonio import sr_code_from_obj, sr_code_to_obj
 from srlab.linalg import MatrixGF
 from srlab.sumrank import BlockProfile, SumRankCode
-from srlab.wordenum import (block_rank_lut, packable_sum_rank, sr_min_weight_generic,
-                             sr_min_weight_packed)
+from srlab.wordenum import (block_rank_lut, f2_matrix_rank_bits, packable_sum_rank,
+                             sr_min_weight_generic, sr_min_weight_packed)
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -93,11 +93,11 @@ def test_weight_is_the_sum_of_block_ranks(field, blocks):
             p.weight([0] * (p.total - 1) + [bad])
 
 
-def test_first_weight_builds_no_rank_table():
-    # a rank table of a 13-16 bit shape took 50-260 ms to build in Python;
-    # one word's blocks take a few eliminations of about 5 us each
-    wordenum.block_rank_fn.cache_clear()
-    built = block_rank_lut.cache_info().misses
+def test_first_weight_builds_each_rank_table_once():
+    # a shape's rank table is built vectorised in a few ms; built in Python,
+    # one pattern at a time, a 13-16 bit shape took 50-260 ms
+    block_rank_lut.cache_clear()
+    sumrank._f2_blocks.cache_clear()
     rnd = random.Random(61)
     for blocks in ([(4, 4)], [(2, 8), (3, 5)]):
         p = BlockProfile(F2, blocks)
@@ -106,7 +106,44 @@ def test_first_weight_builds_no_rank_table():
         got = p.weight(w)
         assert time.perf_counter() - t0 < 0.02
         assert got == sum(mat.rank() for mat in p.matrices(w))
-    assert block_rank_lut.cache_info().misses == built
+    assert block_rank_lut.cache_info().misses == 3
+    p = BlockProfile(F2, [(3, 5), (4, 4), (4, 4)])  # a new profile of built shapes
+    w = _random_word(rnd, p)
+    assert p.weight(w) == sum(mat.rank() for mat in p.matrices(w))
+    assert block_rank_lut.cache_info().misses == 3
+
+
+def test_rank_tables_equal_elimination():
+    # every pattern of every shape of at most 12 bits, sampled ones of the
+    # 15-16 bit shapes (sparse samples reach the low ranks)
+    for m in range(1, 4):
+        for n in range(m, 12 // m + 1):
+            lut = block_rank_lut(m, n)
+            assert lut.tolist() == [f2_matrix_rank_bits(x, m, n) for x in range(1 << m * n)]
+    rnd = random.Random(67)
+    for m, n in ((4, 4), (2, 8), (3, 5)):
+        lut = block_rank_lut(m, n)
+        samples = [rnd.getrandbits(m * n) for _ in range(500)]
+        samples += [rnd.getrandbits(m * n) & rnd.getrandbits(m * n) & rnd.getrandbits(m * n)
+                    for _ in range(500)]
+        assert set(int(lut[x]) for x in samples) == set(range(m + 1))
+        for x in samples:
+            assert lut[x] == f2_matrix_rank_bits(x, m, n)
+
+
+def test_packed_search_and_weight_share_one_table():
+    block_rank_lut.cache_clear()
+    sumrank._f2_blocks.cache_clear()
+    p = BlockProfile(F2, [(4, 4), (3, 3)])
+    rnd = random.Random(71)
+    c = SumRankCode.from_rows(p, [_random_word(rnd, p) for _ in range(4)])
+    assert packable_sum_rank(F2, p.blocks) and c.dim == 4
+    d = c.min_distance()
+    info = block_rank_lut.cache_info()
+    assert info.misses == 2
+    assert d == _brute_min(c)  # every codeword through weight()
+    assert block_rank_lut.cache_info().misses == 2
+    assert block_rank_lut.cache_info().hits == info.hits + 2  # weight() read both tables
 
 
 def test_generic_search_of_no_rows_is_an_error():
@@ -302,25 +339,18 @@ def test_packed_kernel_across_prefix_shards():
         assert exc.value.best == int(enumerated.ravel()[1:].min())
 
 
-def test_rank_tables_are_built_once_per_shape(monkeypatch):
+def test_rank_tables_are_built_once_per_shape():
     p = BlockProfile(F2, [(4, 4)])
     rnd = random.Random(59)
     c = SumRankCode.from_rows(p, [_random_word(rnd, p) for _ in range(3)])
     assert c.dim == 3
-    want = _brute_min(c)  # weight() eliminates too: only the search is counted
-    calls = []
-    rank_bits = wordenum.f2_matrix_rank_bits
-    monkeypatch.setattr(wordenum, "f2_matrix_rank_bits",
-                        lambda *a: calls.append(a) or rank_bits(*a))
+    want = _brute_min(c)
     block_rank_lut.cache_clear()
-    counts = []
     for _ in range(2):
-        before = len(calls)
         assert c.min_distance() == want
-        counts.append(len(calls) - before)
-    assert counts == [2**16, 0]
+        assert block_rank_lut.cache_info().misses == 1
+    assert block_rank_lut.cache_info().hits == 1
     assert not block_rank_lut(4, 4).flags.writeable
-    block_rank_lut.cache_clear()  # later callers rebuild through the real function
 
 
 def test_linear_code_distance_equals_min_weight():

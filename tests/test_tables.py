@@ -4,7 +4,7 @@ import pytest
 
 from golden import GOLDEN_ROWS, assert_golden
 from srlab import tables
-from srlab.errors import UnknownTable
+from srlab.errors import NegativeBudget, UnknownTable
 from srlab.tables import (
     TABLE_IDS,
     load_manifest,
@@ -24,6 +24,13 @@ def test_manifest_loading():
         load_manifest(6)
     with pytest.raises(UnknownTable):
         run_tables([10])
+
+
+def test_a_negative_budget_is_refused_before_any_row():
+    # table 2 runs no budgeted search, so only an up-front check refuses it
+    for ids in ([2], [1], [2, 10]):
+        with pytest.raises(NegativeBudget):
+            run_tables(ids, word_budget=-4)
 
 
 def test_table2_all_match():
