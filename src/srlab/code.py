@@ -25,7 +25,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional, Sequence
 
-from .errors import BudgetExceeded, LengthMismatch, NotF4, NotSelfDual, ZeroCode
+import numpy as np
+
+from .errors import (BudgetExceeded, LengthMismatch, MethodUnavailable, NotF4, NotSelfDual,
+                     ZeroCode)
 from .linalg import MatrixGF, check_entries
 from .wordenum import (
     all_codewords,
@@ -34,6 +37,7 @@ from .wordenum import (
     low_weight_min_char2,
     min_weight_char2,
     min_weight_generic,
+    pack_row_planes,
     packable_char2,
 )
 
@@ -161,20 +165,30 @@ class LinearCode:
             return [self.generator.rows], k
         return [rows for _, rows in self.windows()], weight // len(self.windows())
 
-    def lightest_row(self) -> int:
-        """Weight of the lightest rref generator row, a codeword."""
-        return min(self.n - row.count(0) for row in self.generator.rows)
+    def lightest_row(self, weight=None) -> int:
+        """Weight of the lightest rref generator row, a codeword: Hamming,
+        or `weight` (see `low_weight_scan`) of the rows' planes."""
+        rows = self.generator.rows
+        if weight is None:
+            return min(self.n - row.count(0) for row in rows)
+        lo, hi = np.array([pack_row_planes(self.field, r) for r in rows], dtype=np.uint64).T
+        return int(weight(lo, hi).min())
 
-    def low_weight_scan(self, max_message_weight: int):
+    def low_weight_scan(self, max_message_weight: int, weight=None):
         """Lightest codeword among the messages of Hamming weight <= w under
         every window.
 
-        With r windows the scan is complete for codewords of weight up to
-        r (w + 1) - 1, and for all codewords once w >= k (then the rref
-        generator alone lists them).  Returns (weight, witness) or
-        (None, None) if nothing was found.
+        With r windows the scan is complete for codewords of Hamming weight
+        up to r (w + 1) - 1, and for all codewords once w >= k (then the
+        rref generator alone lists them).  Codewords are scored by their
+        Hamming weight, or by `weight`, a map of packed (lo, hi) planes to
+        integer weights, for codes that pack (`packable_char2`).  Returns
+        (weight, witness) or (None, None) if nothing was found.
         """
         f, n = self.field, self.n
+        if weight is not None and not packable_char2(f, n):
+            raise MethodUnavailable(f"a weight of packed planes needs GF(2)/GF(4) and n <= 64, "
+                                    f"not GF({f.order}) and n = {n}")
         if max_message_weight >= self.k:
             gens = [self.generator.rows]
         else:
@@ -182,7 +196,7 @@ class LinearCode:
         best, witness = None, None
         for rows in gens:
             if packable_char2(f, n):
-                found, word = low_weight_min_char2(f, rows, n, max_message_weight)
+                found, word = low_weight_min_char2(f, rows, n, max_message_weight, weight)
             else:
                 words = (w for _, blocks in low_weight_blocks(f, rows, n, max_message_weight)
                          for block in blocks for w in block)
@@ -192,22 +206,25 @@ class LinearCode:
                 best, witness = found, word
         return best, witness
 
-    def certified_distance(self, budget: Optional[int] = None):
+    def certified_distance(self, budget: Optional[int] = None, weight=None, cover=lambda d: d):
         """(d, witness, r, depth): the exact minimum distance, a codeword of
         that weight, how many generators the scan listed, and the message
         weight it reached under each.
 
-        The generator rows are codewords, so the lightest row's weight b
-        bounds d.  Where `listing_windows(b)` picks the whole code, the scan
-        lists it (depth k); else it deepens the window scan from depth 1
-        until the lightest word found is within its completeness bound.  A
-        scan that would cost more than `budget` words (`listing_cost`)
-        raises BudgetExceeded carrying the lightest weight found.
+        The distance is Hamming, or that of `weight` (see `low_weight_scan`)
+        with `cover(d)` bounding the Hamming weight of every codeword that
+        weighs less than d in it.  The generator rows are codewords, so the
+        lightest row's weight b bounds d.  Where `listing_windows(cover(b))`
+        picks the whole code, the scan lists it (depth k); else it deepens
+        the window scan from depth 1 until the listing is complete through
+        Hamming weight cover(best), best the lightest weight found.  A scan
+        that would cost more than `budget` words (`listing_cost`) raises
+        BudgetExceeded carrying the lightest weight found.
         """
         if self.k == 0:
             raise ZeroCode("the zero code has no nonzero codeword")
-        best = self.lightest_row()
-        gens, top = self.listing_windows(best)
+        best = self.lightest_row(weight)
+        gens, top = self.listing_windows(cover(best))
         r = len(gens)
         depth = self.k if top >= self.k else 1
         while True:
@@ -215,8 +232,8 @@ class LinearCode:
             if budget is not None and cost > budget:
                 raise BudgetExceeded(f"a listing of {cost} words exceeds budget {budget}",
                                      best=best, enumerated=0)
-            best, witness = self.low_weight_scan(depth)
-            if depth >= self.k or best <= r * (depth + 1) - 1:
+            best, witness = self.low_weight_scan(depth, weight)
+            if depth >= self.k or cover(best) <= r * (depth + 1) - 1:
                 return best, witness, r, depth
             depth += 1
 

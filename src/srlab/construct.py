@@ -52,6 +52,7 @@ __all__ = [
     "basis_expand_code",
     "default_expansion_profile",
     "symbol_sum_rank_weight",
+    "uniform22_certified_distance",
     "sr_distance_bounds",
     "expansion_distance_bounds",
     "uniform22_distance_bounds",
@@ -355,6 +356,41 @@ def symbol_sum_rank_weight(word: Sequence[int], ext: FieldSpec, profile: BlockPr
     if sum(n for _, n in profile.blocks) != len(word):
         raise ProfileMismatch("profile does not cover the word")
     return profile.weight(_expand_word(power_basis(ext, sub), profile, word))
+
+
+_EVEN_BITS = np.uint64(0x5555555555555555)
+
+
+def _pair_block_ranks(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sum-rank weights of packed GF(4) words read in (2,2) blocks: the
+    coordinates a = x_{2i}, b = x_{2i+1} span a block of rank
+    [a | b != 0] + [a != 0, b != 0, a != b], each flag read at bit 2i."""
+    one = np.uint64(1)
+    nonzero = lo | hi
+    differ = (lo ^ (lo >> one)) | (hi ^ (hi >> one))
+    rank2 = nonzero & (nonzero >> one) & differ
+    return popcount((nonzero | (nonzero >> one)) & _EVEN_BITS) + popcount(rank2 & _EVEN_BITS)
+
+
+def uniform22_certified_distance(code: LinearCode, budget: int = DEFAULT_WORD_BUDGET):
+    """(d, witness, r, depth): the sum-rank distance of the GF(4) code's
+    expansion into (2,2) blocks, block i holding coordinates 2i and 2i + 1
+    (the default profile of `basis_expand_code` at even length), a codeword
+    of the GF(4) code of that weight, and the window count and message
+    weight of its certificate (`LinearCode.certified_distance`).
+
+    A block's rank is the GF(2) dimension its two coordinates span, in any
+    basis, so the GF(4) code's own packed words are scored.  A word of
+    sum-rank weight below D has at most D - 1 nonzero blocks, so Hamming
+    weight at most 2 (D - 1): the window scan deepens until it lists every
+    such word.  Where the next depth's listing would cost more than
+    `budget` words, BudgetExceeded carries the lightest weight found.
+    """
+    check_budget(budget)
+    if code.field.order != 4 or code.n % 2 or not packable_char2(code.field, code.n):
+        raise MethodUnavailable(f"(2,2) blocks of GF(4) words need an even length <= 64, "
+                                f"not GF({code.field.order}) and n = {code.n}")
+    return code.certified_distance(budget, _pair_block_ranks, lambda d: 2 * (d - 1))
 
 
 # -- bounds ---------------------------------------------------------------------

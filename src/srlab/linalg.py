@@ -177,23 +177,22 @@ class MatrixGF:
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
         f = self.field
+        add, mul = f.add, f.mul
+        xor = f.characteristic == 2
         ocols = other.ncols
-        orows = other.rows
         out = []
         for arow in self.rows:
             acc = [0] * ocols
-            for k, a in enumerate(arow):
-                if a == 0:
+            for a, brow in zip(arow, other.rows):
+                if not a:
                     continue
-                brow = orows[k]
-                if a == 1:
-                    for j in range(ocols):
-                        if brow[j]:
-                            acc[j] = f.add(acc[j], brow[j])
-                else:
-                    for j in range(ocols):
-                        if brow[j]:
-                            acc[j] = f.add(acc[j], f.mul(a, brow[j]))
+                if xor:  # one map per row, without a Python call per entry
+                    scaled = brow if a == 1 else [mul(a, e) for e in brow]
+                    acc = list(map(operator.xor, acc, scaled))
+                else:  # a call per entry, so zero entries are skipped
+                    for j, e in enumerate(brow):
+                        if e:
+                            acc[j] = add(acc[j], mul(a, e))
             out.append(acc)
         return MatrixGF(f, out, ocols)
 
@@ -223,13 +222,15 @@ class MatrixGF:
     def reduce_vector(self, vec):
         """Reduce `vec` against these rows (assumed rref). Returns the residue."""
         f = self.field
+        mul = f.mul
+        sub = operator.xor if f.characteristic == 2 else f.sub
         v = list(vec)
         for row in self.rows:
             p = next((j for j, e in enumerate(row) if e != 0), None)
             if p is None or v[p] == 0:
                 continue
-            factor = f.mul(v[p], f.inv(row[p]))
-            v = [f.sub(v[j], f.mul(factor, row[j])) for j in range(len(v))]
+            factor = mul(v[p], f.inv(row[p]))
+            v = list(map(sub, v, row if factor == 1 else [mul(factor, e) for e in row]))
         return v
 
     def row_space_contains(self, vec) -> bool:

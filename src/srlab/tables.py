@@ -4,15 +4,24 @@ Each manifest row names its inputs (BCH parameters or generator-polynomial
 strings) and the printed expectations.  The runner rebuilds every object from
 those inputs, computes dimensions, distances and bounds, and compares
 according to the row's expectation kind.  Each distance a row states is one
-evidence interval lo <= d <= hi: [d, d] from an exhaustive search or a
-window certificate; over budget a formula bound and the lightest word found.
+evidence interval lo <= d <= hi, of one of these kinds:
+
+  exhaustive   [d, d]; for d_H only where the whole code fits the word
+               budget and a certificate would list the whole code anyway
+  certificate  [d, d] from a window scan (`LinearCode.certified_distance`)
+               with its lightest word as the witness: d_H otherwise, with
+               no word budget; d_sr of a GF(4) code expanded into (2,2)
+               blocks past the word budget, run only while the listing of
+               its next depth fits the budget, and accepted once the
+               witness's symbol weight is d
+  pair         [d, d] from support-class crossing (tables 1, 3 and 11)
+  over budget  [formula lower bound, lightest weight found]
 
 Printed values are mostly comparison targets, but some still feed
 computations: the formula-only rows of tables 1 and 7 evaluate the bounds at
 the printed d_H, and the `d` column of tables 2 and 4 feeds the table 5/9
-bound formulas.  No printed value sets a search depth: over the word budget
-d_H comes from the code's window certificate.  ROADMAP item 5 replaces the
-remaining inputs.
+bound formulas.  No printed value sets a search depth.  ROADMAP item 7
+replaces the remaining inputs.
 
 Row statuses:
   match          every check of the row's expectation kind passed
@@ -44,6 +53,7 @@ from .construct import (
     selfdual_sr_distance_cap,
     sr_distance_bounds,
     symbol_sum_rank_weight,
+    uniform22_certified_distance,
     uniform22_distance_bounds,
 )
 from .cyclic import bch_generator, cyclic_code, frobenius_coeffs, parse_poly
@@ -154,11 +164,15 @@ class _Ctx:
     def hamming(self, sc: _RowScratch, spec: dict, printed: int,
                 what: str) -> Tuple[LinearCode, _Interval]:
         """The code of `spec` and its d_H interval, checked against the printed
-        value in `sc`: exhaustive within the word budget, else certified by
-        the code's window scan with its lightest word as the witness."""
+        value in `sc`.  The exhaustive search runs where it is the cheaper
+        evidence: the whole code fits the word budget, and a certificate
+        would list the whole code anyway (`listing_windows` of the lightest
+        row's weight).  Else the code's window certificate, unbudgeted,
+        gives d_H with its lightest word as the witness."""
         key, code = self.code_from_spec(spec)
         if key not in self.dham:
-            if code.field.order**code.k <= self.word_budget:
+            if (code.field.order**code.k <= self.word_budget
+                    and code.listing_windows(code.lightest_row())[1] >= code.k):
                 d = code.min_distance(budget=self.word_budget, jobs=self.jobs)
                 self.dham[key] = _Interval(d, d, note=f"d_H={d} exact")
             else:
@@ -227,11 +241,12 @@ class _RowScratch:
 
 
 def _dsr_interval(search, fb: Bounds, what: str, witness_weight=lambda: None) -> _Interval:
-    """d_sr by the exhaustive `search`; over budget [formula lower bound,
-    lightest weight found], which settles d_sr when the two ends meet."""
+    """d_sr by `search`, which returns (d, witness, note); over budget
+    [formula lower bound, lightest weight found], which settles d_sr when
+    the two ends meet."""
     try:
-        d = search()
-        return _Interval(d, d)
+        d, witness, note = search()
+        return _Interval(d, d, witness, note)
     except BudgetExceeded as exc:
         hi = _lightest(exc.best, witness_weight())
         if hi is not None and hi <= fb.lower:
@@ -294,12 +309,24 @@ def _selfdual_generators(ctx: _Ctx, sc: _RowScratch, row: dict, n: int) -> list:
     return out
 
 
-def _expansion_distance(ctx: _Ctx, sc: _RowScratch, M, fb: Bounds, spec: dict,
-                        h: _Interval) -> _Interval:
-    """d_sr of a basis expansion; over budget the Hamming witness's sum-rank
-    weight also bounds it from above."""
+def _expansion_distance(ctx: _Ctx, sc: _RowScratch, c: LinearCode, M, fb: Bounds,
+                        spec: dict, h: _Interval) -> _Interval:
+    """d_sr of M, the basis expansion of c: exhaustive within the word
+    budget; past it, for (2,2) blocks, the window certificate on c's own
+    words, accepted once its witness's symbol weight is the certified d.
+    Past the budget of either, the Hamming witness's sum-rank weight also
+    bounds d_sr from above."""
+    def search():
+        if (M.field.order**M.dim <= ctx.word_budget
+                or any(block != (2, 2) for block in M.profile.blocks)):
+            return M.min_distance(budget=ctx.word_budget, jobs=ctx.jobs), None, ""
+        d, witness, r, depth = uniform22_certified_distance(c, ctx.word_budget)
+        if symbol_sum_rank_weight(witness, ctx.f4, M.profile) != d:
+            raise AssertionError(f"the (2,2) certificate's witness does not weigh {d}")
+        return d, witness, f"d_sr={d} certified by {r} windows through message weight {depth}"
+
     iv = _dsr_interval(
-        lambda: M.min_distance(budget=ctx.word_budget, jobs=ctx.jobs), fb, "expansion",
+        search, fb, "expansion",
         lambda: None if h.witness is None else symbol_sum_rank_weight(h.witness, ctx.f4, M.profile))
     if not iv.open:
         sc.computed.append(f"dim={M.dim}")
@@ -321,7 +348,8 @@ def _pair_row(ctx: _Ctx, sc: _RowScratch, c0, c1, h0: _Interval, h1: _Interval,
 
     printed = _spec_bounds(dsr_spec)
     fb = sr_distance_bounds(2, [h0.lo, h1.lo])
-    iv = _dsr_interval(lambda: pair_distance(c0, c1, budget=ctx.word_budget), fb, "pair")
+    iv = _dsr_interval(lambda: (pair_distance(c0, c1, budget=ctx.word_budget), None, ""), fb,
+                       "pair")
     _check_dsr(sc, iv, fb, dsr_spec)
     sc.check(printed.upper <= selfdual_sr_distance_cap(t) or not both_sd, "self-dual cap")
     return S
@@ -426,7 +454,7 @@ def _table_7_row(ctx: _Ctx, sc: _RowScratch, row: dict) -> str:
         sc.check(M.dim == row["dim"], f"expansion dimension {M.dim}")
         _check_selfdual_transfer(sc, M)
         fb = uniform22_distance_bounds(h.lo, t)
-        _expansion_distance(ctx, sc, M, fb, row["dsr"], h)
+        _expansion_distance(ctx, sc, c, M, fb, row["dsr"], h)
     else:
         fb = uniform22_distance_bounds(d, t)
         sc.computed.append(f"formula bounds {fb.lower}..{fb.upper}")
@@ -440,7 +468,7 @@ def _table_8_row(ctx: _Ctx, sc: _RowScratch, row: dict) -> str:
     _check_dim(sc, row, M.dim, f"expansion dimension {M.dim}")
     sc.check(M.is_lcd() == c.is_lcd(), "LCD transfer")
     fb = expansion_distance_bounds(h.lo, M.profile)
-    dsr = _expansion_distance(ctx, sc, M, fb, row["dsr"], h)
+    dsr = _expansion_distance(ctx, sc, c, M, fb, row["dsr"], h)
     sym = symbol_sum_rank_weight(c.generator.rows[0], ctx.f4, M.profile)
     sc.check(sym >= dsr.lo, "symbol-route weight of a codeword below the minimum")
     return _expected(row)
@@ -476,7 +504,7 @@ def _table_12_row(ctx: _Ctx, sc: _RowScratch, row: dict) -> str:
     _check_selfdual_transfer(sc, M)
     sc.check(M.is_cyclic(), "cyclic transfer")
     fb = uniform22_distance_bounds(h.lo, t)
-    _expansion_distance(ctx, sc, M, fb, row["dsr"], h)
+    _expansion_distance(ctx, sc, c, M, fb, row["dsr"], h)
     return _expected(row)
 
 

@@ -19,8 +19,10 @@
   in batches of position sets, each packed word the XOR of two words over
   half-size sets built once (meet in the middle).  Run under generators
   systematic on disjoint information sets (windows), it lists every light
-  codeword, and `support_masks` reads the light support classes off it (or
-  off the whole code, where `listing_cost` says that is no dearer).
+  codeword: `low_weight_min_char2` keeps the lightest under a vectorized
+  weight of the planes (Hamming by default), and `support_masks` reads the
+  light support classes off it (or off the whole code, where
+  `listing_cost` says that is no dearer).
 
 Budgets count enumerated codewords.  A search that would exceed its budget
 enumerates what fits (whole shards when packed), then raises BudgetExceeded
@@ -415,18 +417,20 @@ def low_weight_blocks(field, rows, n: int, max_msg_weight: int):
             yield sets, (lo, hi)
 
 
-def low_weight_min_char2(field, rows, n: int, max_msg_weight: int):
+def low_weight_min_char2(field, rows, n: int, max_msg_weight: int, weight=None):
     """Lightest codeword among messages of Hamming weight <= max_msg_weight.
 
-    Returns (weight, word), the word a list of n field elements, or
-    (None, None) when the cap is 0 or the code is empty.  The first
-    lightest in lister order wins.  With an rref generator this scan is
-    complete for all codewords of weight up to the cap, since such a
-    codeword's message is its pivot-column restriction.
+    `weight` maps a batch's (lo, hi) planes to an integer array of the
+    same shape; None scores the Hamming weight.  Returns (weight, word),
+    the word a list of n field elements, or (None, None) when the cap is 0
+    or the code is empty.  The first lightest in lister order wins.  With
+    an rref generator this scan is complete for all codewords of Hamming
+    weight up to the cap, since such a codeword's message is its
+    pivot-column restriction.
     """
     best, word = None, None
     for _, (lo, hi) in low_weight_blocks(field, rows, n, max_msg_weight):
-        w = popcount(lo | hi)
+        w = popcount(lo | hi) if weight is None else weight(lo, hi)
         i = int(w.argmin())  # row-major: the first lightest of the batch
         if best is None or int(w.flat[i]) < best:
             best = int(w.flat[i])

@@ -19,6 +19,7 @@ from srlab.construct import (
     selfdual_sr_distance_cap,
     sr_distance_bounds,
     symbol_sum_rank_weight,
+    uniform22_certified_distance,
     uniform22_distance_bounds,
 )
 from srlab.cyclic import bch_generator, cyclic_code, parse_poly
@@ -404,6 +405,56 @@ def test_qpoly_code_of_cyclic_codes_is_cyclic():
     c1 = cyclic_code(bch_generator(F4, 5, 2, 0), 5)
     assert qpoly_code([c0, c0]).is_cyclic()
     assert qpoly_code([c1, c1]).is_cyclic()
+
+
+def _check_uniform22_certificate(c, basis=B_SD):
+    """The (2,2) certificate of c against the exhaustive distance of its
+    expansion; its witness, expanded, is a codeword of that weight.
+    Returns the certificate."""
+    m = basis_expand_code(c, basis)
+    assert m.profile.blocks == ((2, 2),) * (c.n // 2)
+    cert = d, witness, r, depth = uniform22_certified_distance(c)
+    assert d == m.min_distance(), c.generator.rows
+    assert c.contains(witness)
+    flat = construct._expand_word(basis, m.profile, witness)
+    assert m.contains(flat) and m.profile.weight(flat) == d
+    assert symbol_sum_rank_weight(witness, F4, m.profile) == d
+    return cert
+
+
+def test_uniform22_certificate_on_table12_codes():
+    firsts = [load_manifest(12)["rows"][t - 1] for t in range(1, 13)]
+    got = [_check_uniform22_certificate(cyclic_code(parse_poly(F4, row["generators"][0]), row["n"]))
+           for row in firsts]
+    assert [d for d, *_ in got] == [1, 2, 2, 2, 2, 4, 3, 2, 4, 2, 5, 4]
+    assert any(r > 1 for _, _, r, _ in got)  # some rows certify through windows
+
+
+def test_uniform22_certificate_on_random_codes(monkeypatch):
+    # a small lister batch makes windows the cheaper listing, so the
+    # deepening window scan runs, not only the whole-code listing
+    monkeypatch.setattr(wordenum, "_PIECE", 8)
+    rnd = random.Random(83)
+    paths = []
+    for trial in range(60):
+        n = 2 * rnd.randint(1, 8)
+        # every rate, and rates near 1/2, where windows pay off
+        k = rnd.randint(1, min(n, 8)) if trial % 2 else max(1, min(n // 2 + rnd.randint(-1, 1), 8))
+        c = _rand_code(rnd, F4, n, k)
+        if c.k:
+            _, _, r, depth = _check_uniform22_certificate(c, rnd.choice((B_1W, B_SD)))
+            paths.append((r > 1, depth < c.k))
+    assert sum(w for w, _ in paths) >= 8 and sum(p for _, p in paths) >= 20
+
+
+def test_uniform22_certificate_budget_and_shapes():
+    c = cyclic_code(parse_poly(F4, load_manifest(12)["rows"][5]["generators"][0]), 12)
+    with pytest.raises(BudgetExceeded) as exc:
+        uniform22_certified_distance(c, budget=10)
+    assert exc.value.best >= uniform22_certified_distance(c)[0]
+    for field, n in ((F4, 13), (F8, 4), (F4, 66)):
+        with pytest.raises(MethodUnavailable):
+            uniform22_certified_distance(LinearCode.from_rows(field, n, [[1] * n]))
 
 
 def test_table8_row():

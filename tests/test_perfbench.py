@@ -17,6 +17,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CHECK = """
@@ -38,6 +40,34 @@ def test_every_span_binds():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "none missed" in proc.stdout and "every word count binds" in proc.stdout, proc.stdout
+
+
+SPAN_CALLS = """
+import sys
+sys.path.insert(0, "perfbench")
+import run, spans
+from srlab.tables import run_tables
+workload = sys.argv[1]
+tracer = spans.Tracer()
+spans.install(tracer)
+assert not spans.unpatched(tracer)
+run_tables(run.WORKLOADS[workload])
+# tables.row is opened by child.py's RowResult hooks, which this run lacks
+idle = [name for name, loads in spans.EXPECTED.items()
+        if workload in loads and name != spans.ROW_SPAN and not tracer.records[name].calls]
+print("spans without calls:", idle)
+"""
+
+
+@pytest.mark.parametrize("workload", ["tables-bch", "tables-selfdual"])
+def test_every_expected_span_records_calls(workload):
+    # a traced benchmark run calls itself incorrect when a span listed for its
+    # workload records no call; the table workloads are one run_tables each,
+    # so the same check runs here
+    proc = subprocess.run([sys.executable, "-c", SPAN_CALLS, workload], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "spans without calls: []" in proc.stdout, proc.stdout
 
 
 def _srlab_calls(path):

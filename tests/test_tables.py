@@ -143,3 +143,47 @@ def test_over_budget_d_h_witnesses_are_codewords():
                     assert code.contains(h.witness)
                     assert sum(1 for v in h.witness if v) == h.hi
     assert {n for n, _ in over} == {26, 28, 30}
+
+
+def _table_hamming_specs():
+    """(spec, printed d_H) of every code whose d_H tables 2, 3, 4, 8, 11 and
+    12 check."""
+    ctx = tables._Ctx(tables.DEFAULT_TABLE_WORD_BUDGET, 1)
+    for tid in (2, 4, 8):
+        for row in load_manifest(tid)["rows"]:
+            if row.get("d_check", "exact") == "exact":
+                yield row, ctx.printed_d(row)
+    for row in load_manifest(3)["rows"]:
+        yield from ((row[c], ctx.printed_d(row[c])) for c in ("c0", "c1"))
+    for tid in (11, 12):
+        for row in load_manifest(tid)["rows"]:
+            for text in row["generators"]:
+                yield {"gen": text, "n": row.get("n", row["t"])}, row["d_hamming"]
+
+
+def test_d_h_by_certificate_equals_the_exhaustive_search():
+    # within the word budget d_H is exhaustive only where a certificate would
+    # list the whole code anyway; every code that a certificate settles
+    # instead has the exhaustive value
+    ctx = tables._Ctx(tables.DEFAULT_TABLE_WORD_BUDGET, 1)
+    certified = set()
+    for spec, printed in _table_hamming_specs():
+        code, h = ctx.hamming(tables._RowScratch(), spec, printed, "the code")
+        if code.field.order**code.k <= ctx.word_budget:
+            assert (h.lo, h.hi) == (code.min_distance(),) * 2, (spec, h)
+            if "certified" in h.note:
+                certified.add(code)
+    assert len(certified) >= 10  # 11 of the 27 codes in budget
+
+
+def test_only_two_by_two_expansions_reach_the_certificate(monkeypatch):
+    # table 8 expands length 13 into a (2,3) block and (2,2) blocks, where the
+    # (2,2) weight would be wrong; table 7 t=2 is all (2,2) and over budget
+    calls = []
+    real = tables.uniform22_certified_distance
+    monkeypatch.setattr(tables, "uniform22_certified_distance",
+                        lambda c, budget: calls.append(c.n) or real(c, budget))
+    run_tables([8], word_budget=10)
+    assert calls == []
+    run_tables([7], word_budget=10)
+    assert calls == [4]
