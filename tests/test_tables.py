@@ -145,10 +145,9 @@ def test_over_budget_d_h_witnesses_are_codewords():
     assert {n for n, _ in over} == {26, 28, 30}
 
 
-def _table_hamming_specs():
+def _table_hamming_specs(ctx):
     """(spec, printed d_H) of every code whose d_H tables 2, 3, 4, 8, 11 and
     12 check."""
-    ctx = tables._Ctx(tables.DEFAULT_TABLE_WORD_BUDGET, 1)
     for tid in (2, 4, 8):
         for row in load_manifest(tid)["rows"]:
             if row.get("d_check", "exact") == "exact":
@@ -167,7 +166,7 @@ def test_d_h_by_certificate_equals_the_exhaustive_search():
     # instead has the exhaustive value
     ctx = tables._Ctx(tables.DEFAULT_TABLE_WORD_BUDGET, 1)
     certified = set()
-    for spec, printed in _table_hamming_specs():
+    for spec, printed in _table_hamming_specs(ctx):
         code, h = ctx.hamming(tables._RowScratch(), spec, printed, "the code")
         if code.field.order**code.k <= ctx.word_budget:
             assert (h.lo, h.hi) == (code.min_distance(),) * 2, (spec, h)
