@@ -206,14 +206,16 @@ class LinearCode:
                 best, witness = found, word
         return best, witness
 
-    def certified_distance(self, budget: Optional[int] = None, weight=None, cover=lambda d: d):
+    def certified_distance(self, budget: Optional[int] = None, weight=None,
+                           cover=lambda d: d - 1):
         """(d, witness, r, depth): the exact minimum distance, a codeword of
         that weight, how many generators the scan listed, and the message
         weight it reached under each.
 
-        The distance is Hamming, or that of `weight` (see `low_weight_scan`)
-        with `cover(d)` bounding the Hamming weight of every codeword that
-        weighs less than d in it.  The generator rows are codewords, so the
+        The distance is Hamming, or that of `weight` (see `low_weight_scan`);
+        `cover(d)` bounds the Hamming weight of every codeword that weighs
+        less than d (by default d - 1, a lighter codeword's Hamming weight
+        at most).  The generator rows are codewords, so the
         lightest row's weight b bounds d.  Where `listing_windows(cover(b))`
         picks the whole code, the scan lists it (depth k); else it deepens
         the window scan from depth 1 until the listing is complete through

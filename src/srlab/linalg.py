@@ -9,11 +9,24 @@ code equality is defined through that rref.
 The same elimination can search its pivot columns in another order and keep
 the columns in place.  Run right to left it yields the kernel already in rref,
 so a dual costs one elimination of the k x n generator (`kernel_basis`).
+
+The arithmetic runs on whole numpy arrays (`_tables`).  Over a field of at
+most 256 elements the entries are uint8 and products, negated products,
+inverses and sums are read from tables built once per field; addition is XOR
+in characteristic 2.  An elimination step scales the pivot row through the
+inverse's row of the product table and clears its column in every row with
+one gather and one addition.  A product over a prime field is one integer
+matrix product reduced mod p; over an extension field each row of the left
+factor gathers its multiples of the right factor's rows and sums them.
+Larger fields run the same code on object arrays through the field's own
+`mul`/`add`/`neg`/`inv`.  Results are converted back to Python ints.
 """
 
 from __future__ import annotations
 
-import operator
+import functools
+
+import numpy as np
 
 from .errors import DimensionMismatch, EntryOutOfRange, LengthTooLarge
 
@@ -36,6 +49,118 @@ def check_length(n: int, what: str = "length") -> None:
     work proportional to it is done."""
     if n > MAX_LENGTH:
         raise LengthTooLarge(f"{what} {n} exceeds the bound {MAX_LENGTH}")
+
+
+# fields of at most this many elements compute on uint8 tables
+_TABLE_MAX = 256
+
+
+class _Tables:
+    """The arithmetic of one field of at most _TABLE_MAX elements on uint8
+    arrays, by lookups in read-only tables: `mul[a, b]` = a b,
+    `neg_mul[a, b]` = -(a b), `inv[a]` = 1/a (`inv[0]` = 0) and the flat
+    `add[a q + b]` = a + b, None in characteristic 2, where addition is XOR."""
+
+    dtype = np.uint8
+
+    def __init__(self, field):
+        q = field.order
+        els = range(q)
+        self.mul = np.array([[field.mul(a, b) for b in els] for a in els], np.uint8)
+        neg = np.array([field.neg(a) for a in els], np.uint8)
+        self.neg_mul = self.mul if field.characteristic == 2 else neg[self.mul]
+        self.inv = np.array([0] + [field.inv(a) for a in els[1:]], np.uint8)
+        self.add = None
+        if field.characteristic != 2:
+            self.add = np.array([field.add(a, b) for a in els for b in els], np.uint8)
+        for table in (self.mul, self.neg_mul, self.inv, self.add):
+            if table is not None:
+                table.flags.writeable = False
+        self.q = np.uint16(q)  # a q + b without uint8 overflow
+        self.p = q if field.base is None else None
+
+    def array(self, rows, ncols):
+        """A new (len(rows), ncols) array of the entries."""
+        flat = bytearray(b"".join(map(bytes, rows)))
+        return np.frombuffer(flat, np.uint8).reshape(len(rows), ncols)
+
+    def zeros(self, shape):
+        return np.zeros(shape, self.dtype)
+
+    def inverse(self, a):
+        return self.inv[a]
+
+    def times(self, x, y):
+        """x y entry by entry, broadcast."""
+        return self.mul.take(x * self.q + y)
+
+    def negate(self, x):
+        return self.neg_mul[1].take(x)
+
+    def neg_outer(self, col, row):
+        """-(col[i] row[j]) for every i, j."""
+        return self.neg_mul.take(row, axis=1).take(col, axis=0)
+
+    def plus(self, x, y):
+        return x ^ y if self.add is None else self.add.take(x * self.q + y)
+
+    def total(self, block):
+        """The sum of the rows of a 2-D block."""
+        if self.add is None:
+            return np.bitwise_xor.reduce(block, axis=0)
+        return functools.reduce(self.plus, block, self.zeros(block.shape[1]))
+
+    def product(self, x, y):
+        """x @ y: over a prime field one integer product reduced mod p, else
+        per row of x one gather of its multiples of y's rows, summed."""
+        if self.p is not None:
+            # exact: every entry is at most n (p - 1)^2 < 2^63
+            return (x.astype(np.int64) @ y.astype(np.int64) % self.p).astype(self.dtype)
+        out = self.zeros((x.shape[0], y.shape[1]))
+        for i, row in enumerate(x):
+            out[i] = self.total(self.times(row[:, None], y))
+        return out
+
+
+class _Objects(_Tables):
+    """The same operations for fields past _TABLE_MAX, on object arrays of
+    Python ints through the field's own arithmetic."""
+
+    dtype = object
+
+    def __init__(self, field):
+        self.mul = np.frompyfunc(field.mul, 2, 1)
+        self.neg_mul = np.frompyfunc(lambda a, b: field.neg(field.mul(a, b)), 2, 1)
+        self.inv = field.inv
+        self.add = np.frompyfunc(field.add, 2, 1)
+        self.p = None
+
+    def array(self, rows, ncols):
+        out = np.zeros((len(rows), ncols), object)
+        if rows:
+            out[...] = rows
+        return out
+
+    def inverse(self, a):
+        return self.inv(a)
+
+    def times(self, x, y):
+        return self.mul(x, y)
+
+    def negate(self, x):
+        return self.neg_mul(1, x)
+
+    def neg_outer(self, col, row):
+        return self.neg_mul(col[:, None], row)
+
+    def plus(self, x, y):
+        return self.add(x, y)
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(field):
+    """The array arithmetic of `field`, built on first use."""
+    return _Tables(field) if field.order <= _TABLE_MAX else _Objects(field)
 
 
 class MatrixGF:
@@ -98,37 +223,29 @@ class MatrixGF:
         rows keep the original column layout, so they are the rref of the
         matrix with its columns in `order`, moved back; pivots are listed in
         the order they were found, row i holding a 1 at pivots[i].
+
+        Each pivot scales its row by the inverse of its pivot entry, swaps it
+        up and clears its column in every other row with one table gather and
+        one addition over the whole array.
         """
-        f = self.field
-        mul = f.mul
-        # characteristic 2 subtracts by XOR, without a Python call per entry
-        sub = operator.xor if f.characteristic == 2 else f.sub
-        rows = [list(r) for r in self.rows]
+        t = _tables(self.field)
+        a = t.array(self.rows, self.ncols)
         pivots = []
         r = 0
         for c in range(self.ncols) if order is None else order:
-            sel = None
-            for i in range(r, len(rows)):
-                if rows[i][c] != 0:
-                    sel = i
-                    break
-            if sel is None:
+            if r == self.nrows:
+                break
+            hit = a[r:, c].nonzero()[0]
+            if not len(hit):
                 continue
-            rows[r], rows[sel] = rows[sel], rows[r]
-            inv = f.inv(rows[r][c])
-            if inv != 1:
-                rows[r] = [mul(inv, e) for e in rows[r]]
-            rr = rows[r]
-            for i in range(len(rows)):
-                factor = rows[i][c]
-                if i != r and factor != 0:
-                    scaled = rr if factor == 1 else [mul(factor, e) for e in rr]
-                    rows[i] = list(map(sub, rows[i], scaled))
+            s = r + hit[0]
+            pivot_row = t.times(t.inverse(a[s, c]), a[s])
+            a[s] = a[r]  # rows r and s now hold 0 in column c
+            a = t.plus(a, t.neg_outer(a[:, c], pivot_row))
+            a[r] = pivot_row
             pivots.append(c)
             r += 1
-            if r == len(rows):
-                break
-        return rows[:r], pivots
+        return a[:r].tolist(), pivots
 
     def rref(self) -> "MatrixGF":
         """Reduced row-echelon form with zero rows dropped."""
@@ -149,52 +266,29 @@ class MatrixGF:
         of f and on every other free column: these rows, by increasing f,
         are the rref of the kernel, whose pivots are the complement of P.
         """
-        f = self.field
+        t = _tables(self.field)
         rows, pivots = self._echelon(range(self.ncols - 1, -1, -1))
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for fc in free:
-            v = [0] * self.ncols
-            v[fc] = 1
-            for i, pc in enumerate(pivots):
-                v[pc] = f.neg(rows[i][fc])
-            basis.append(v)
-        return MatrixGF(f, basis, self.ncols)
+        basis = t.zeros((len(free), self.ncols))
+        basis[range(len(free)), free] = 1
+        basis[:, pivots] = t.negate(t.array(rows, self.ncols)[:, free]).T
+        return MatrixGF(self.field, basis.tolist(), self.ncols)
 
     # -- arithmetic ----------------------------------------------------
 
     def transpose(self) -> "MatrixGF":
-        return MatrixGF(
-            self.field,
-            [[self.rows[r][c] for r in range(self.nrows)] for c in range(self.ncols)],
-            self.nrows,
-        )
+        cols = list(zip(*self.rows)) if self.rows else [()] * self.ncols
+        return MatrixGF(self.field, cols, self.nrows)
 
     def mat_mul(self, other: "MatrixGF") -> "MatrixGF":
         if self.field is not other.field:
             raise DimensionMismatch("fields differ")
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-        f = self.field
-        add, mul = f.add, f.mul
-        xor = f.characteristic == 2
-        ocols = other.ncols
-        out = []
-        for arow in self.rows:
-            acc = [0] * ocols
-            for a, brow in zip(arow, other.rows):
-                if not a:
-                    continue
-                if xor:  # one map per row, without a Python call per entry
-                    scaled = brow if a == 1 else [mul(a, e) for e in brow]
-                    acc = list(map(operator.xor, acc, scaled))
-                else:  # a call per entry, so zero entries are skipped
-                    for j, e in enumerate(brow):
-                        if e:
-                            acc[j] = add(acc[j], mul(a, e))
-            out.append(acc)
-        return MatrixGF(f, out, ocols)
+        t = _tables(self.field)
+        prod = t.product(t.array(self.rows, self.ncols), t.array(other.rows, other.ncols))
+        return MatrixGF(self.field, prod.tolist(), other.ncols)
 
     def __matmul__(self, other):
         return self.mat_mul(other)
@@ -220,18 +314,13 @@ class MatrixGF:
     # -- row-space helpers ----------------------------------------------
 
     def reduce_vector(self, vec):
-        """Reduce `vec` against these rows (assumed rref). Returns the residue."""
-        f = self.field
-        mul = f.mul
-        sub = operator.xor if f.characteristic == 2 else f.sub
-        v = list(vec)
-        for row in self.rows:
-            p = next((j for j, e in enumerate(row) if e != 0), None)
-            if p is None or v[p] == 0:
-                continue
-            factor = mul(v[p], f.inv(row[p]))
-            v = list(map(sub, v, row if factor == 1 else [mul(factor, e) for e in row]))
-        return v
+        """Reduce `vec` against these rows (assumed rref): v - v[pivots] G,
+        the residue, as a list."""
+        t = _tables(self.field)
+        g = t.array(self.rows, self.ncols)
+        v = t.array([vec], self.ncols)
+        coef = t.negate(v[:, (g != 0).argmax(axis=1)])
+        return t.plus(v, t.product(coef, g))[0].tolist()
 
     def row_space_contains(self, vec) -> bool:
         if len(vec) != self.ncols:

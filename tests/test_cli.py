@@ -64,6 +64,20 @@ def test_cyclic_gen_selfdual(tmp_path, capsys):
     assert json.loads(out3)["generator"] == json.loads(out)["generator"]
 
 
+def test_code_dual_prints_plain_json(capsys, tmp_path):
+    f4 = extension(prime_field(2), 2)
+    from srlab.code import LinearCode
+
+    c = LinearCode.from_rows(f4, 6, [[1, 2, 3, 0, 1, 2], [0, 1, 1, 3, 2, 2]])
+    p = tmp_path / "c.json"
+    p.write_text(dumps(code_to_obj(c)))
+    rc, out, _ = run_cli(capsys, "code", "dual", str(p))
+    assert rc == 0
+    assert out == dumps(json.loads(out)) + "\n"
+    gen = json.loads(out)["generator"]
+    assert len(gen) == 4 and all(type(e) is int for row in gen for e in row)
+
+
 def test_code_dual_of_zero(capsys, tmp_path, monkeypatch):
     f4 = extension(prime_field(2), 2)
     from srlab.code import LinearCode

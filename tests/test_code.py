@@ -244,6 +244,17 @@ def test_support_masks_match_the_codeword_supports(monkeypatch):
         assert {m for m in want if bin(m).count("1") <= 2 * len(gens) - 1} <= got
 
 
+def test_length_28_table_12_code_certifies_at_message_weight_1():
+    # a codeword lighter than d = 4 weighs at most 3, and two windows through
+    # message weight 1 list every codeword of weight <= 2 (1 + 1) - 1 = 3
+    row = next(r for r in load_manifest(12)["rows"] if r["n"] == 28)
+    c = cyclic_code(parse_poly(F4, row["generators"][0]), 28)
+    d, witness, r, depth = c.certified_distance()
+    assert (d, r, depth) == (4, 2, 1)
+    assert c.contains(witness) and sum(1 for v in witness if v) == d
+    assert d == c.min_distance()
+
+
 def test_certified_distance_budget():
     c = LinearCode.from_rows(F4, 12, [[1] * 12] + [[0] * i + [1, 1] + [0] * (10 - i)
                                                      for i in range(5)])

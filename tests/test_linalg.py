@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from srlab.code import LinearCode
 from srlab.errors import DimensionMismatch
 from srlab.field import extension, prime_field
-from srlab.linalg import MatrixGF
+from srlab.linalg import MatrixGF, _tables
 
 F2 = prime_field(2)
 F4 = extension(F2, 2)
@@ -230,3 +231,115 @@ def test_echelon_matches_per_entry_elimination(field):
         for order in (None, range(m.ncols - 1, -1, -1), rnd.sample(range(m.ncols), m.ncols)):
             assert m._echelon(order) == _reference_echelon(m, order)
         assert m.rank() == len(_reference_echelon(m)[1])
+
+
+# GF(512) and GF(17^2) are past the table fields and run on object arrays
+ORACLE_FIELDS = (F2, F3, F4, prime_field(5), extension(F2, 3), extension(F3, 2),
+                 extension(F2, 4), extension(F2, 9), extension(prime_field(17), 2))
+
+
+def _reference_mat_mul(a, b):
+    f = a.field
+    cols = [[b.rows[i][j] for i in range(b.nrows)] for j in range(b.ncols)]
+    return [[functools.reduce(f.add, map(f.mul, row, col), 0) for col in cols]
+            for row in a.rows]
+
+
+def _reference_kernel(m):
+    """Free-column vectors of the per-entry rref, put in rref per entry."""
+    f = m.field
+    rows, pivots = _reference_echelon(m)
+    basis = []
+    for fc in (c for c in range(m.ncols) if c not in pivots):
+        v = [0] * m.ncols
+        v[fc] = 1
+        for row, pc in zip(rows, pivots):
+            v[pc] = f.neg(row[fc])
+        basis.append(v)
+    return _reference_echelon(MatrixGF(f, basis, m.ncols))[0]
+
+
+def _reference_reduce(m, vec):
+    """Rows subtracted one at a time, each scaled by its leading entry."""
+    f = m.field
+    v = list(vec)
+    for row in m.rows:
+        p = next(j for j, e in enumerate(row) if e)
+        factor = f.mul(v[p], f.inv(row[p]))
+        v = [f.sub(a, f.mul(factor, b)) for a, b in zip(v, row)]
+    return v
+
+
+def _oracle_cases(rnd, field):
+    """No rows, 1 x 1, zero rows, wide, tall, square and rank-deficient."""
+    yield MatrixGF(field, [], ncols=5)
+    yield MatrixGF(field, [[0]])
+    yield MatrixGF(field, [[rnd.randrange(1, field.order)]])
+    yield MatrixGF.zeros(field, 3, 4)
+    for _ in range(6):
+        r, c = rnd.randint(1, 4), rnd.randint(5, 12)
+        wide = _random_matrix(rnd, field, r, c)
+        yield wide
+        yield _random_matrix(rnd, field, c, r)  # tall
+        yield _random_matrix(rnd, field, r, r)  # square
+        zero_row = [[0] * c]
+        yield MatrixGF(field, zero_row + list(wide.rows) + list(wide.rows[:1]), c)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=repr)
+def test_linear_algebra_matches_per_entry_oracle(field):
+    rnd = random.Random(31 + field.order)
+    for m in _oracle_cases(rnd, field):
+        rows, pivots = _reference_echelon(m)
+        r = m.rref()
+        assert [list(row) for row in r.rows] == rows
+        assert m.rank() == len(pivots)
+        k = m.kernel_basis()
+        assert [list(row) for row in k.rows] == _reference_kernel(m)
+        if k.nrows:
+            assert not any(map(any, _reference_mat_mul(m, k.transpose())))
+        other = _random_matrix(rnd, field, m.ncols, rnd.randint(0, 4))
+        assert [list(row) for row in m.mat_mul(other).rows] == _reference_mat_mul(m, other)
+        words = [[rnd.randrange(field.order) for _ in range(m.ncols)]]
+        if m.nrows:  # a codeword: a combination of the rows
+            words.append(_reference_mat_mul(MatrixGF(field, [words[0][:m.nrows]]), m)[0])
+        for v in words:
+            assert r.reduce_vector(v) == _reference_reduce(r, v)
+            grown = MatrixGF(field, list(r.rows) + [v], m.ncols)
+            assert r.row_space_contains(v) == (len(_reference_echelon(grown)[1]) == r.nrows)
+        if m.nrows == m.ncols:
+            n = m.nrows
+            aug = MatrixGF(field, [list(row) + [int(i == j) for j in range(n)]
+                                   for i, row in enumerate(m.rows)], 2 * n)
+            rows, pivots = _reference_echelon(aug)
+            if pivots == list(range(n)):
+                assert [list(row) for row in m.invert().rows] == [row[n:] for row in rows]
+            else:
+                with pytest.raises(DimensionMismatch):
+                    m.invert()
+
+
+def test_results_hold_python_ints():
+    rnd = random.Random(37)
+    for field in (F2, F3, F4, extension(F2, 9)):
+        m = _random_matrix(rnd, field, 4, 7)
+        square = _random_matrix(rnd, field, 3, 3)
+        while square.rank() < 3:
+            square = _random_matrix(rnd, field, 3, 3)
+        results = [m.rref(), m.kernel_basis(), m.mat_mul(m.transpose()), square.invert()]
+        entries = [e for res in results for row in res.rows for e in row]
+        entries += m.rref().reduce_vector(m.rows[0]) + m._echelon()[0][0]
+        assert entries and all(type(e) is int for e in entries)
+
+
+def test_field_tables_are_read_only():
+    for field in (F2, F3, F4, prime_field(5), extension(F3, 2)):
+        t = _tables(field)
+        assert _tables(field) is t
+        assert (t.add is None) == (field.characteristic == 2)
+        for table in (t.mul, t.neg_mul, t.inv, t.add):
+            if table is None:
+                continue
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1
