@@ -87,8 +87,9 @@ class _Tables:
     def zeros(self, shape):
         return np.zeros(shape, self.dtype)
 
-    def inverse(self, a):
-        return self.inv[a]
+    def divide(self, row, a):
+        """row / a for a nonzero scalar a."""
+        return self.mul[self.inv[a]].take(row)
 
     def times(self, x, y):
         """x y entry by entry, broadcast."""
@@ -141,8 +142,8 @@ class _Objects(_Tables):
             out[...] = rows
         return out
 
-    def inverse(self, a):
-        return self.inv(a)
+    def divide(self, row, a):
+        return self.mul(self.inv(a), row)
 
     def times(self, x, y):
         return self.mul(x, y)
@@ -166,10 +167,10 @@ def _tables(field):
 class MatrixGF:
     """Immutable matrix; `field` supplies integer arithmetic."""
 
-    __slots__ = ("field", "rows", "nrows", "ncols")
+    __slots__ = ("field", "rows", "nrows", "ncols", "_entries")
 
     def __init__(self, field, rows, ncols=None):
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(map(tuple, rows))
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
@@ -180,6 +181,7 @@ class MatrixGF:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "_entries", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixGF is immutable")
@@ -214,6 +216,16 @@ class MatrixGF:
     def is_zero(self) -> bool:
         return all(all(e == 0 for e in row) for row in self.rows)
 
+    def _array(self):
+        """The entries as a read-only array (see `_tables`), built on the
+        first call and kept: a generator is reduced once per window and
+        tested once per rotated row."""
+        if self._entries is None:
+            a = _tables(self.field).array(self.rows, self.ncols)
+            a.flags.writeable = False
+            object.__setattr__(self, "_entries", a)
+        return self._entries
+
     # -- elimination ---------------------------------------------------
 
     def _echelon(self, order=None):
@@ -224,12 +236,12 @@ class MatrixGF:
         matrix with its columns in `order`, moved back; pivots are listed in
         the order they were found, row i holding a 1 at pivots[i].
 
-        Each pivot scales its row by the inverse of its pivot entry, swaps it
-        up and clears its column in every other row with one table gather and
-        one addition over the whole array.
+        Each pivot scales its row by the inverse of its pivot entry, clears
+        its column in every other row with one table gather and one addition
+        over the whole array, and takes its place at row r.
         """
         t = _tables(self.field)
-        a = t.array(self.rows, self.ncols)
+        a = self._array()
         pivots = []
         r = 0
         for c in range(self.ncols) if order is None else order:
@@ -239,9 +251,12 @@ class MatrixGF:
             if not len(hit):
                 continue
             s = r + hit[0]
-            pivot_row = t.times(t.inverse(a[s, c]), a[s])
-            a[s] = a[r]  # rows r and s now hold 0 in column c
+            pivot_row = a[s] if a[s, c] == 1 else t.divide(a[s], a[s, c])
+            # plus returns a new array, so the kept `_array` is never written
+            # and pivot_row, which may view the old one, survives; row s is 0
             a = t.plus(a, t.neg_outer(a[:, c], pivot_row))
+            if s != r:
+                a[s] = a[r]  # row r holds 0 in column c
             a[r] = pivot_row
             pivots.append(c)
             r += 1
@@ -287,7 +302,7 @@ class MatrixGF:
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
         t = _tables(self.field)
-        prod = t.product(t.array(self.rows, self.ncols), t.array(other.rows, other.ncols))
+        prod = t.product(self._array(), other._array())
         return MatrixGF(self.field, prod.tolist(), other.ncols)
 
     def __matmul__(self, other):
@@ -317,7 +332,7 @@ class MatrixGF:
         """Reduce `vec` against these rows (assumed rref): v - v[pivots] G,
         the residue, as a list."""
         t = _tables(self.field)
-        g = t.array(self.rows, self.ncols)
+        g = self._array()
         v = t.array([vec], self.ncols)
         coef = t.negate(v[:, (g != 0).argmax(axis=1)])
         return t.plus(v, t.product(coef, g))[0].tolist()

@@ -276,7 +276,7 @@ def _oracle_cases(rnd, field):
     yield MatrixGF(field, [[0]])
     yield MatrixGF(field, [[rnd.randrange(1, field.order)]])
     yield MatrixGF.zeros(field, 3, 4)
-    for _ in range(6):
+    for _ in range(4):
         r, c = rnd.randint(1, 4), rnd.randint(5, 12)
         wide = _random_matrix(rnd, field, r, c)
         yield wide
