@@ -22,7 +22,6 @@ of weight <= r (w + 1) - 1.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -46,7 +45,6 @@ __all__ = [
     "DEFAULT_WORD_BUDGET",
     "f4_selfdual_distance_cap",
     "f4_selfdual_bound_holds",
-    "all_rref_generators",
 ]
 
 DEFAULT_WORD_BUDGET = 2**28
@@ -272,8 +270,11 @@ def _pivots(rows) -> tuple:
 
 
 def _rotation_closed(code: LinearCode, step: int) -> bool:
-    """Whether the row space is closed under rotating the coordinates right by `step`."""
-    return all(code.contains(row[-step:] + row[:-step]) for row in code.generator.rows)
+    """Whether the row space is closed under rotating the coordinates right by
+    `step`: a rotation permutes coordinates, so it is iff the rotated rows
+    reduce to the same rref."""
+    rotated = [row[-step:] + row[:-step] for row in code.generator.rows]
+    return MatrixGF(code.field, rotated, code.n).rref() == code.generator
 
 
 def f4_selfdual_distance_cap(n: int) -> int:
@@ -292,25 +293,3 @@ def f4_selfdual_bound_holds(code: LinearCode, distance: int) -> bool:
         raise NotSelfDual("bound applies to self-dual codes")
     return distance <= f4_selfdual_distance_cap(code.n)
 
-
-def all_rref_generators(field, n: int, k: int):
-    """Yield every k-dimensional subspace of F_q^n as rref generator rows.
-
-    Exhaustive by pivot-column pattern; intended for tiny spaces (searches
-    and oracle-style tests).
-    """
-    q = field.order
-    for pivots in itertools.combinations(range(n), k):
-        free_slots = [
-            (i, j)
-            for i in range(k)
-            for j in range(n)
-            if j not in pivots and j > pivots[i]
-        ]
-        for values in itertools.product(range(q), repeat=len(free_slots)):
-            rows = [[0] * n for _ in range(k)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, j), v in zip(free_slots, values):
-                rows[i][j] = v
-            yield rows

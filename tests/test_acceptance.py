@@ -9,6 +9,7 @@ import time
 from contextlib import contextmanager
 
 from golden import assert_golden
+from subspaces import all_rref_generators
 from srlab.code import LinearCode, f4_selfdual_distance_cap
 from srlab.construct import (
     basis_expand_code,
@@ -179,10 +180,15 @@ def test_c04_table7_8():
         c1 = cyclic_code(parse_poly(F4, "1+x"), 2)
         m1 = basis_expand_code(c1, B_SD)
         assert (m1.dim, m1.min_distance()) == (2, 1)
-        from srlab.tables import _best_selfdual_code
-
-        c2 = _best_selfdual_code(F4, 4)
+        # the pinned t=2 code is self-dual [4,2,3], and no self-dual [4,2]
+        # code over GF(4) has a larger d_H
+        spec = next(r["code"] for r in load_manifest(7)["rows"] if r["id"] == "t=2")
+        c2 = LinearCode.from_rows(F4, spec["n"], spec["rows"])
+        assert c2.is_self_dual()
         assert (c2.n, c2.k, c2.min_distance()) == (4, 2, 3)
+        selfdual = [c for c in (LinearCode.from_rows(F4, 4, rows)
+                                for rows in all_rref_generators(F4, 4, 2)) if c.is_self_dual()]
+        assert selfdual and max(c.min_distance() for c in selfdual) == 3
         m2 = basis_expand_code(c2, B_SD)
         assert (m2.dim, m2.min_distance()) == (4, 2)
         # table 8: dimension identity and exact distances

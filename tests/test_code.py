@@ -4,12 +4,7 @@ import time
 
 import pytest
 
-from srlab.code import (
-    LinearCode,
-    all_rref_generators,
-    f4_selfdual_bound_holds,
-    f4_selfdual_distance_cap,
-)
+from srlab.code import LinearCode, f4_selfdual_bound_holds, f4_selfdual_distance_cap
 from srlab.cyclic import cyclic_code, parse_poly
 from srlab.errors import BudgetExceeded, LengthMismatch, NotF4, NotSelfDual, ZeroCode
 from srlab.field import extension, prime_field
@@ -17,6 +12,7 @@ from srlab.linalg import MatrixGF
 from srlab.tables import load_manifest
 from srlab import wordenum
 from srlab.wordenum import low_weight_blocks, low_weight_min_char2, packable_char2, support_masks
+from subspaces import all_rref_generators
 
 F2 = prime_field(2)
 F3 = prime_field(3)

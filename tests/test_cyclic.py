@@ -3,6 +3,7 @@ import random
 import pytest
 
 import srlab.field
+from srlab.code import LinearCode
 from srlab.cyclic import (
     bch_cosets,
     bch_generator,
@@ -27,6 +28,7 @@ from srlab.errors import (
 from srlab.field import extension, prime_field
 from srlab.linalg import MAX_LENGTH
 from srlab.poly import Polynomial, is_irreducible, poly_gcd, poly_lcm, smallest_irreducible
+from subspaces import all_rref_generators
 
 F2 = prime_field(2)
 F4 = extension(F2, 2)
@@ -232,6 +234,19 @@ def test_cyclic_dual_routes_agree():
             dual_poly_route = cyclic_code(cyclic_dual_generator(g, n), n)
             assert dual_poly_route == c.dual()
             assert is_cyclic(c.dual())
+
+
+def test_is_cyclic_rejects_all_but_the_cyclic_codes():
+    # x^n - 1 = (x - 1)^n when n is a power of the characteristic, so each
+    # space holds one cyclic code of each dimension; no other subspace is
+    F3 = prime_field(3)
+    for field, n, k, gen in ((F4, 4, 2, "(x+1)(x+1)"), (F3, 3, 1, "(x+2)(x+2)")):
+        codes = [LinearCode.from_rows(field, n, rows) for rows in all_rref_generators(field, n, k)]
+        cyclic = [c for c in codes if is_cyclic(c)]
+        assert cyclic == [cyclic_code(parse_poly(field, gen), n)]
+        for c in codes:
+            shifted = (row[-1:] + row[:-1] for row in c.generator.rows)
+            assert is_cyclic(c) == all(map(c.contains, shifted))
 
 
 def test_parse_poly():

@@ -1,10 +1,13 @@
 import json
+import re
 
 import pytest
 
 from golden import GOLDEN_ROWS, assert_golden
 from srlab import tables
+from srlab.construct import default_expansion_profile, symbol_sum_rank_weight
 from srlab.errors import NegativeBudget, UnknownTable
+from srlab.sumrank import BlockProfile
 from srlab.tables import (
     TABLE_IDS,
     load_manifest,
@@ -24,6 +27,23 @@ def test_manifest_loading():
         load_manifest(6)
     with pytest.raises(UnknownTable):
         run_tables([10])
+
+
+def test_every_manifest_code_spec_is_a_kind_the_runner_builds():
+    # a stale or misspelt spec kind fails here, not inside a table run
+    ctx = tables._Ctx(tables.DEFAULT_TABLE_WORD_BUDGET, 1)
+    kinds = set()
+    for tid in TABLE_IDS:
+        for row in load_manifest(tid)["rows"]:
+            specs = [row[key] for key in ("code", "c0", "c1") if key in row]
+            specs += [row] if "bch" in row or "gen" in row else []
+            for spec in specs:
+                key, code = ctx.code_from_spec(spec)
+                assert code.n == (spec["bch"][1] if "bch" in spec else spec["n"]), (tid, row["id"])
+                kinds.add(key[0])
+    assert kinds == {"bch", "gen", "rows"}
+    with pytest.raises(UnknownTable):
+        ctx.code_from_spec({"search_best_selfdual": {"n": 4}})
 
 
 def test_a_negative_budget_is_refused_before_any_row():
@@ -51,6 +71,26 @@ def test_table8_flags_known_dimension_discrepancy():
     assert "known discrepancy" in flagged.note
     assert "d_sr=6" in flagged.computed
     assert report_exit_code(res) == 3
+
+
+def test_table9_d_sr_equals_the_least_symbol_weight():
+    # a small code's expansion d_sr is the least span-based sum-rank weight of
+    # its GF(4) codewords; the expansion's search keeps its own budget, so a
+    # word budget of 10 leaves the rows as they are
+    res = run_tables([9], word_budget=10)
+    assert_golden(res)
+    reported = {r.row: int(m.group(1)) for r in res
+                for m in [re.search(r"d_sr=(\d+)", r.computed)] if m}
+    ctx = tables._Ctx(tables.DEFAULT_TABLE_WORD_BUDGET, 1)
+    least = {}
+    for row in load_manifest(9)["rows"]:
+        _, c = ctx.code_from_spec(row)
+        if c.k <= 5:
+            profile = BlockProfile(ctx.f2, default_expansion_profile(2, c.n))
+            least[row["id"]] = min(symbol_sum_rank_weight(w, ctx.f4, profile)
+                                   for w in c.codewords() if any(w))
+    assert reported == least
+    assert sorted(least.values()) == [102, 142]
 
 
 def test_table1_formula_rows():
