@@ -19,6 +19,8 @@ import functools
 import itertools
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from .code import DEFAULT_WORD_BUDGET, LinearCode, _rotation_closed
 from .errors import LengthMismatch, NonUniformProfile, NotSelfDual, ProfileMismatch, ZeroCode
 from .linalg import MatrixGF, check_entries
@@ -40,6 +42,26 @@ def _f2_blocks(blocks) -> Tuple[tuple, ...]:
               for m, n in set(blocks)}
     offsets = itertools.accumulate((m * n for m, n in blocks), initial=0)
     return tuple((off, (1 << m * n) - 1, m, n, tables[m, n]) for off, (m, n) in zip(offsets, blocks))
+
+
+@functools.lru_cache(maxsize=None)
+def _f2_shapes(blocks) -> Tuple[tuple, tuple]:
+    """The blocks of a GF(2) profile grouped for `BlockProfile.weights`:
+    (columns, bit values, rank table) per shape of at most _LUT_BITS bits,
+    the columns one row of flat positions per block of the shape, and the
+    wider blocks as (columns, shapes)."""
+    groups, wide_cols, wide = {}, [], []
+    offsets = itertools.accumulate((m * n for m, n in blocks), initial=0)
+    for off, (m, n) in zip(offsets, blocks):
+        cols = range(off, off + m * n)
+        if m * n <= _LUT_BITS:
+            groups.setdefault((m, n), []).append(cols)
+        else:
+            wide_cols.extend(cols)
+            wide.append((m, n))
+    shapes = tuple((np.array(cols, dtype=np.intp), 1 << np.arange(m * n, dtype=np.intp),
+                    block_rank_lut(m, n)) for (m, n), cols in groups.items())
+    return shapes, (np.array(wide_cols, dtype=np.intp), tuple(wide))
 
 
 class BlockProfile:
@@ -99,6 +121,31 @@ class BlockProfile:
         x = int(bytes(reversed(word)).translate(_BITS) or b"0", 2)
         return sum(table[x >> off & mask] if table else f2_matrix_rank_bits(x >> off & mask, m, n)
                    for off, mask, m, n, table in _f2_blocks(self.blocks))
+
+    def weights(self, words) -> np.ndarray:
+        """Sum-rank weight of each row of a 2-D array of flat words (a chunk
+        of `wordenum.codeword_chunks`), as an intp array.
+
+        Over GF(2) the blocks of each shape of at most _LUT_BITS bits are
+        scored together: each block's bits times powers of 2 index the
+        shape's rank table.  Wider blocks and other fields are scored row by
+        row through `weight`.
+        """
+        words = np.asarray(words)
+        if words.ndim != 2 or words.shape[1] != self.total:
+            raise LengthMismatch(f"words of shape {words.shape} are not rows of length {self.total}")
+        if words.size and (words.min() < 0 or words.max() >= self.field.order):
+            check_entries(self.field, words.tolist())
+        if self.field.order != 2:
+            return np.array([self.weight(w) for w in words.tolist()], dtype=np.intp)
+        shapes, (wide_cols, wide) = _f2_shapes(self.blocks)
+        acc = np.zeros(len(words), dtype=np.intp)
+        for cols, bits, lut in shapes:
+            acc += lut[words[:, cols] @ bits].sum(axis=1, dtype=np.intp)
+        if wide:
+            ranks = map(BlockProfile(self.field, wide).weight, words[:, wide_cols].tolist())
+            acc += np.fromiter(ranks, dtype=np.intp, count=len(words))
+        return acc
 
     def trace_ip(self, u: Sequence[int], v: Sequence[int]) -> int:
         """sum_i Tr(M_i N_i^T), computed from the definition."""
@@ -212,7 +259,7 @@ class SumRankCode:
         rows = [list(r) for r in self.generator.rows]
         if packable_sum_rank(self.field, self.profile.blocks):
             return sr_min_weight_packed(self.field, rows, self.profile.blocks, budget, jobs)
-        return sr_min_weight_generic(self.field, rows, self.profile.weight, budget)
+        return sr_min_weight_generic(self.field, rows, self.profile.weights, budget)
 
     # -- structure ---------------------------------------------------------------
 

@@ -11,10 +11,12 @@
   blocks read from rank tables built once per shape).  Shards share nothing
   and reduce by min, so the result does not depend on how many threads run
   them;
-- `_walk_min`, the plain-Python walker for everything else: messages in
-  the mixed-radix order of `itertools.product`, each codeword scored by a
-  weight callback.  `all_codewords` keeps one prefix sum per digit, so each
-  next codeword costs one row addition;
+- `_walk_min`, the array walker for everything else: `codeword_chunks`
+  yields the codewords as 2-D arrays of entries (uint8 over fields of at
+  most 256 elements, Python ints in object arrays above that), each a
+  suffix table of every codeword of the last rows plus one prefix codeword
+  of the first rows (`all_codewords`), so messages keep the mixed-radix
+  order of `itertools.product`; a weight callback scores a whole chunk;
 - `low_weight_blocks`, the low-weight lister: the messages of each weight
   in batches of position sets, each packed word the XOR of two words over
   half-size sets built once (meet in the middle).  Run under generators
@@ -25,7 +27,8 @@
   `listing_cost` says that is no dearer).
 
 Budgets count enumerated codewords.  A search that would exceed its budget
-enumerates what fits (whole shards when packed), then raises BudgetExceeded
+enumerates what fits (whole shards when packed, exactly `budget` codewords
+on the walker), then raises BudgetExceeded
 carrying the lightest weight seen, an upper bound on the true minimum.
 """
 
@@ -40,6 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import BudgetExceeded, NegativeBudget, ZeroCode
+from .linalg import _tables
 
 __all__ = [
     "packable_char2",
@@ -49,6 +53,7 @@ __all__ = [
     "scaled_rows",
     "combine",
     "all_codewords",
+    "codeword_chunks",
     "min_weight_char2",
     "listing_cost",
     "support_masks",
@@ -59,15 +64,16 @@ __all__ = [
     "popcount",
 ]
 
-_SUFFIX_CAP = 1 << 18  # suffix-table entries per shard
+_SUFFIX_CAP = 1 << 18  # suffix-table entries per shard or walker chunk
 # words scored at once, as a piece of a shard or a lister batch: their
 # temporaries stay in cache, which runs the weight kernels 3-4x faster than
 # on a whole shard
 _PIECE = 1 << 15
 # bits of the largest block shape given a rank table (`block_rank_lut`,
 # 2**bits bytes, 0.5-3 ms to build at 16 bits); the packed sum-rank search
-# reads it for blocks other than two-row ones, `BlockProfile.weight` for every
-# GF(2) block, and wider blocks are eliminated pattern by pattern
+# reads it for blocks other than two-row ones, `BlockProfile.weight` and
+# `weights` for every GF(2) block, and wider blocks are eliminated pattern by
+# pattern
 _LUT_BITS = 16
 
 
@@ -133,13 +139,15 @@ def all_codewords(field, rows, n: int):
     The next message raises one digit i and clears the digits after it, so
     its word is base[i] + d_i * rows[i], one row addition, and it becomes
     base[j] for every j > i.  The digits are an explicit stack, so any k
-    runs without recursion, and row i's multiples are tabulated when its
-    digit first moves, so a budget-cut walk of a long code stays cheap.
+    runs without recursion, and d * rows[i] is computed when digit i first
+    takes the value d, so a budget-cut walk of a long code or over a large
+    field stays cheap.
     """
     # characteristic 2 adds by XOR, without a Python call per entry
     add = operator.xor if field.characteristic == 2 else field.add
+    mul = field.mul
     q, k = field.order, len(rows)
-    table = [None] * k
+    table = [{} for _ in range(k)]  # table[i][d] = d * rows[i]
     yield [0] * n
     base = [[0] * n] * k
     digits = [0] * k
@@ -151,9 +159,10 @@ def all_codewords(field, rows, n: int):
             i -= 1
             continue
         digits[i] = d
-        if table[i] is None:
-            table[i] = scaled_rows(field, rows[i:i + 1])[0]
-        word = list(map(add, base[i], table[i][d]))
+        multiple = table[i].get(d)
+        if multiple is None:
+            multiple = table[i][d] = [mul(d, v) for v in rows[i]]
+        word = list(map(add, base[i], multiple))
         if i < k - 1:
             base[i + 1:] = [word] * (k - 1 - i)
             i = k - 1
@@ -313,32 +322,64 @@ def support_masks(field, windows, n: int, depth: int, max_weight: int) -> np.nda
     return masks[np.argsort(popcount(masks), kind="stable")]
 
 
-# -- plain-Python walker --------------------------------------------------------
+# -- array walker ---------------------------------------------------------------
+
+
+def codeword_chunks(field, rows, n: int, count=None):
+    """The first `count` codewords (all by default), messages in the order
+    of `all_codewords`, as 2-D arrays of entries (`linalg._tables`: uint8,
+    or object past 256 elements) of at most _PIECE rows and _SUFFIX_CAP
+    entries.
+
+    The codewords of the last j rows are tabulated once, as large as those
+    bounds and `count` allow; each chunk is that table plus one codeword of
+    the first k - j rows, in one array addition, and the last is cut at
+    `count`.  The prefix digits are the more significant, so the chunks
+    follow one another in message order.  A chunk may be the table itself,
+    so callers must not write to it.
+    """
+    t = _tables(field)
+    q, k = field.order, len(rows)
+    left = q**k if count is None else min(count, q**k)
+    j = 0
+    while j < k and q ** (j + 1) <= min(_PIECE, left) and q ** (j + 1) * n <= _SUFFIX_CAP:
+        j += 1
+    scalars = t.array([[d] for d in range(q)], 1)
+    table = t.zeros((1, n))
+    for row in rows[k - j:]:
+        multiples = t.times(scalars, t.array([row], n))  # (q, n): d * row
+        table = t.plus(table[:, None, :], multiples[None, :, :]).reshape(-1, n)
+    for word in all_codewords(field, rows[:k - j], n):
+        if not left:
+            return
+        chunk = (t.plus(table, t.array([word], n)) if any(word) else table)[:left]
+        left -= len(chunk)
+        yield chunk
 
 
 def _walk_min(field, rows, n: int, budget: int, weight):
-    """Minimum of weight(word) over the nonzero codewords, None without any.
+    """Minimum of weight(chunk) over the nonzero codewords, None without
+    any; `weight` maps a 2-D chunk of `codeword_chunks` to one integer per
+    row.
 
-    Raises BudgetExceeded once `budget` messages have been visited.
+    Raises BudgetExceeded, carrying the minimum over the first `budget`
+    messages, when the code has more codewords than that.
     """
     check_budget(budget)
-    total = field.order ** len(rows)
     best = None
-    for count, word in enumerate(all_codewords(field, rows, n)):
-        if count >= budget:
-            raise BudgetExceeded(
-                f"enumerated {count} of {total} codewords", best=best, enumerated=count
-            )
-        if count:  # message 0 is the only zero message
-            w = weight(word)
-            if best is None or w < best:
-                best = w
+    for i, chunk in enumerate(codeword_chunks(field, rows, n, budget)):
+        w = weight(chunk)[0 if i else 1:]  # message 0 is the only zero message
+        if len(w) and (best is None or w.min() < best):
+            best = int(w.min())
+    total = field.order ** len(rows)
+    if budget < total:
+        raise BudgetExceeded(f"enumerated {budget} of {total} codewords", best=best, enumerated=budget)
     return best
 
 
 def min_weight_generic(field, rows, n: int, budget: int) -> int:
     """Minimum Hamming weight through the walker; n + 1 without rows."""
-    best = _walk_min(field, rows, n, budget, lambda word: n - word.count(0))
+    best = _walk_min(field, rows, n, budget, lambda words: np.count_nonzero(words, axis=1))
     return n + 1 if best is None else best
 
 
@@ -536,7 +577,9 @@ def sr_min_weight_packed(field, rows, blocks, budget: int, jobs: int = 1) -> int
 
 
 def sr_min_weight_generic(field, rows, rank_fn, budget: int) -> int:
-    """Fallback for any field or length: rank_fn(flat_word) -> sum-rank weight.
+    """Fallback for any field or length through the walker: rank_fn maps a
+    2-D chunk of flat codewords to their sum-rank weights
+    (`BlockProfile.weights`).
 
     Raises ZeroCode without rows: their length, and so the largest weight,
     is unknown."""

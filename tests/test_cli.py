@@ -156,6 +156,20 @@ def test_mindist_budget_exit_code(tmp_path, capsys):
     assert "--jobs 7" in err
 
 
+def test_walker_budget_counts_messages(tmp_path, capsys):
+    # a GF(3) code takes the array walker: the budget counts messages from the
+    # zero one on, and a cut search prints the lightest word it saw
+    c = tmp_path / "g3.json"
+    c.write_text(json.dumps({"q_tower": {"characteristic": 3, "tower": []}, "n": 4,
+                             "generator": [[1, 2, 0, 1]]}))
+    for budget, want in (("2", '{"d":3,"enumerated":2,"exact":false}'),
+                         ("0", '{"d":null,"enumerated":0,"exact":false}')):
+        rc, out, _ = run_cli(capsys, "code", "mindist", str(c), "--budget", budget)
+        assert (rc, out.strip()) == (2, want)
+    rc, out, _ = run_cli(capsys, "code", "mindist", str(c), "--budget", "3")
+    assert (rc, out.strip()) == (0, '{"d":3,"exact":true}')
+
+
 def test_usage_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 from srlab.code import LinearCode, f4_selfdual_bound_holds, f4_selfdual_distance_cap
@@ -101,6 +102,83 @@ def test_all_codewords_is_product_order():
                 got.append(list(word))
                 word[:] = [field.order] * n  # later words must not see this
             assert got == want, (field.order, k)
+
+
+_WALK_FIELDS = [F2, F3, F4, prime_field(5), extension(F2, 3), extension(F3, 2),
+                extension(prime_field(17), 2)]  # GF(289): object arrays
+_SMALL_CHUNKS = [(None, None), (64, 256)]  # (_PIECE, _SUFFIX_CAP)
+
+
+def _small_chunks(monkeypatch, piece, cap):
+    # small caps split even a short code into many chunks, down to one word
+    if piece is not None:
+        monkeypatch.setattr(wordenum, "_PIECE", piece)
+        monkeypatch.setattr(wordenum, "_SUFFIX_CAP", cap)
+
+
+@pytest.mark.parametrize("piece, cap", _SMALL_CHUNKS)
+def test_codeword_chunks_follow_all_codewords(monkeypatch, piece, cap):
+    _small_chunks(monkeypatch, piece, cap)
+    rnd = random.Random(45)
+    for field in _WALK_FIELDS:
+        for k in range(5):
+            if field.order**k > 5000:
+                continue
+            n = rnd.choice([1, 3, 9])
+            rows = [[rnd.randrange(field.order) for _ in range(n)] for _ in range(k)]
+            chunks = list(wordenum.codeword_chunks(field, rows, n))
+            assert all(len(c) <= (piece or wordenum._PIECE) for c in chunks)
+            got = [list(map(int, w)) for c in chunks for w in c]
+            assert got == list(wordenum.all_codewords(field, rows, n)), (field.order, k)
+
+
+def _outcome(search):
+    try:
+        return "exact", search()
+    except BudgetExceeded as exc:
+        return "cut", exc.best, exc.enumerated
+
+
+def _reference_outcome(weights, total, budget, empty):
+    """What a walk of `budget` messages must report, from the weights of the
+    first codewords in message order."""
+    if budget < total:
+        return "cut", min(weights[1:budget], default=None), budget
+    return "exact", min(weights[1:], default=empty)
+
+
+@pytest.mark.parametrize("piece, cap", _SMALL_CHUNKS)
+def test_array_walker_matches_a_per_word_walk(monkeypatch, piece, cap):
+    # the reference scores every word of `all_codewords` one at a time; the
+    # budgets cut before, inside and after a chunk and at the end of the code
+    _small_chunks(monkeypatch, piece, cap)
+    rnd = random.Random(47)
+    cases = 0
+    for field in _WALK_FIELDS:
+        for k in range(7):
+            for n in (1, 7, 70, 300):
+                q, total = field.order, field.order**k
+                most = 10_000 // n  # words the reference may score
+                rows = [[rnd.randrange(q) for _ in range(n)] for _ in range(k)]
+                chunk = len(next(wordenum.codeword_chunks(field, rows, n, most)))
+                budgets = {0, 1, chunk // 2 + 1, chunk + chunk // 2 + 1}
+                if total + 1 <= most:
+                    budgets |= {total - 1, total, total + 1}
+                budgets = sorted(b for b in budgets if b <= most)
+                words = list(itertools.islice(wordenum.all_codewords(field, rows, n),
+                                              min(total, budgets[-1])))
+                hamming = [n - w.count(0) for w in words]
+                plain = [sum(w) for w in words]
+                for budget in budgets:
+                    got = _outcome(lambda: wordenum.min_weight_generic(field, rows, n, budget))
+                    assert got == _reference_outcome(hamming, total, budget, n + 1), \
+                        (q, k, n, budget)
+                    got = _outcome(lambda: wordenum._walk_min(
+                        field, rows, n, budget, lambda c: c.astype(np.int64).sum(axis=1)))
+                    assert got == _reference_outcome(plain, total, budget, None), \
+                        (q, k, n, budget)
+                    cases += 1
+    assert cases > 500
 
 
 def test_walker_budget_cut_of_a_long_code():

@@ -45,13 +45,17 @@ def test_every_span_binds():
 SPAN_CALLS = """
 import sys
 sys.path.insert(0, "perfbench")
-import run, spans
+import codes, run, spans
 from srlab.tables import run_tables
 workload = sys.argv[1]
 tracer = spans.Tracer()
 spans.install(tracer)
 assert not spans.unpatched(tracer)
-run_tables(run.WORKLOADS[workload])
+if run.WORKLOADS[workload] is None:  # codes-seeded: one pass of seed 1's requests
+    for req in codes.generate(1):
+        codes.execute(codes.wire(req))
+else:
+    run_tables(run.WORKLOADS[workload])
 # tables.row is opened by child.py's RowResult hooks, which this run lacks
 idle = [name for name, loads in spans.EXPECTED.items()
         if workload in loads and name != spans.ROW_SPAN and not tracer.records[name].calls]
@@ -59,11 +63,12 @@ print("spans without calls:", idle)
 """
 
 
-@pytest.mark.parametrize("workload", ["tables-bch", "tables-selfdual"])
+@pytest.mark.parametrize("workload", ["tables-bch", "tables-selfdual", "codes-seeded"])
 def test_every_expected_span_records_calls(workload):
     # a traced benchmark run calls itself incorrect when a span listed for its
-    # workload records no call; the table workloads are one run_tables each,
-    # so the same check runs here
+    # workload records no call; the table workloads are one run_tables each and
+    # codes-seeded one pass of its requests, so the same check runs here (a
+    # change that routes the generic requests off the walker spans fails it)
     proc = subprocess.run([sys.executable, "-c", SPAN_CALLS, workload], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr

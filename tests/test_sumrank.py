@@ -93,6 +93,44 @@ def test_weight_is_the_sum_of_block_ranks(field, blocks):
             p.weight([0] * (p.total - 1) + [bad])
 
 
+@pytest.mark.parametrize("field, blocks", [
+    # (1,17) and (4,5) are past _LUT_BITS: scored row by row
+    (F2, [(2, 2), (1, 17), (2, 3), (3, 3), (4, 5), (2, 2), (3, 3), (2, 3)]),
+    (F2, [(2, 3), (3, 3), (2, 2), (2, 2)]),
+    (F2, [(4, 5), (1, 17)]),
+    (F3, [(2, 2), (1, 3), (2, 3), (2, 2)]),
+])
+def test_weights_equal_weight_row_by_row(field, blocks):
+    p = BlockProfile(field, blocks)
+    rnd = random.Random(len(blocks) * field.order)
+    words = [[0] * p.total, [1] * p.total] + [_random_word(rnd, p) for _ in range(80)]
+    words += [[v if rnd.random() < 0.15 else 0 for v in w] for w in words[2:]]
+    want = [p.weight(w) for w in words]
+    chunk = np.array(words, dtype=np.uint8)
+    got = p.weights(chunk)
+    assert got.dtype == np.intp and got.tolist() == want
+    assert p.weights(words).tolist() == want  # plain lists of words too
+    assert p.weights(chunk[:0]).tolist() == []
+    for bad in (chunk[:, 1:], chunk[0]):
+        with pytest.raises(LengthMismatch):
+            p.weights(bad)
+    with pytest.raises(EntryOutOfRange):
+        p.weights(np.vstack([chunk[:3], [[field.order] + [0] * (p.total - 1)]]))
+
+
+def test_weights_sum_past_255_without_wrapping():
+    # 150 (2,2) and 3 (3,3) identity blocks: weight 309, past a uint8 sum
+    p = BlockProfile(F2, [(2, 2)] * 150 + [(3, 3)] * 3)
+    ident = [1, 0, 0, 1] * 150 + [1, 0, 0, 0, 1, 0, 0, 0, 1] * 3
+    w = p.weights(np.array([ident, [0] * p.total], dtype=np.uint8))
+    assert w.dtype == np.intp and w.tolist() == [309, 0]
+    acc = np.zeros(2, dtype=np.int64)
+    acc += w  # a NumPy 2 uint64 sum would not cast into int64 here
+    assert acc.dtype == np.int64 and acc.tolist() == [309, 0]
+    assert type(SumRankCode.from_rows(p, [ident]).min_distance()) is int
+    assert SumRankCode.from_rows(p, [ident]).min_distance() == p.weight(ident) == 309
+
+
 def test_first_weight_builds_each_rank_table_once():
     # a shape's rank table is built vectorised in a few ms; built in Python,
     # one pattern at a time, a 13-16 bit shape took 50-260 ms
@@ -149,7 +187,7 @@ def test_packed_search_and_weight_share_one_table():
 def test_generic_search_of_no_rows_is_an_error():
     # no rows: no length, so no max + 1 to return
     with pytest.raises(ZeroCode):
-        sr_min_weight_generic(F2, [], BlockProfile(F2, [(2, 2)]).weight, 10)
+        sr_min_weight_generic(F2, [], BlockProfile(F2, [(2, 2)]).weights, 10)
 
 
 def test_trace_ip_examples_and_flatten_identity():
@@ -230,7 +268,7 @@ def test_min_distance_packed_vs_generic():
         assert c.min_distance() == brute
         assert c.min_distance(jobs=2) == brute
         rows = [list(r) for r in c.generator.rows]
-        assert sr_min_weight_generic(F2, rows, p.weight, 2**20) == brute
+        assert sr_min_weight_generic(F2, rows, p.weights, 2**20) == brute
 
 
 def test_min_distance_generic_field():
@@ -257,7 +295,7 @@ def test_blocks_past_16_bits_take_the_walker():
     d = c.min_distance()
     assert time.time() - t0 < 1.0
     rows = [list(r) for r in c.generator.rows]
-    assert d == sr_min_weight_generic(F2, rows, p.weight, 2**20) == _brute_min(c)
+    assert d == sr_min_weight_generic(F2, rows, p.weights, 2**20) == _brute_min(c)
 
 
 def _table_weights(blocks, rows):
@@ -311,7 +349,7 @@ def test_packed_kernel_matches_walker_and_tables(monkeypatch, cap, piece):
         if not rows:
             continue
         want = int(_table_weights(blocks, rows)[1:].min())
-        assert sr_min_weight_generic(F2, rows, p.weight, 2**20) == want
+        assert sr_min_weight_generic(F2, rows, p.weights, 2**20) == want
         assert sr_min_weight_packed(F2, rows, blocks, 2**20) == want
         assert sr_min_weight_packed(F2, rows, blocks, 2**20, jobs=2) == want
 
