@@ -99,7 +99,7 @@ def test_weight_is_the_sum_of_block_ranks(field, blocks):
     (F2, [(2, 3), (3, 3), (2, 2), (2, 2)]),
     (F2, [(4, 5), (1, 17)]),
     (F3, [(2, 2), (1, 3), (2, 3), (2, 2)]),
-])
+], ids=str)
 def test_weights_equal_weight_row_by_row(field, blocks):
     p = BlockProfile(field, blocks)
     rnd = random.Random(len(blocks) * field.order)
