@@ -121,7 +121,7 @@ class LinearCode:
         """
         if self.k == 0:
             raise ZeroCode("the zero code has no nonzero codeword")
-        rows = [list(r) for r in self.generator.rows]
+        rows = self.generator.rows
         if packable_char2(self.field, self.n):
             return min_weight_char2(self.field, rows, self.n, budget, jobs)
         return min_weight_generic(self.field, rows, self.n, budget)
@@ -196,10 +196,12 @@ class LinearCode:
             if packable_char2(f, n):
                 found, word = low_weight_min_char2(f, rows, n, max_message_weight, weight)
             else:
-                words = (w for _, blocks in low_weight_blocks(f, rows, n, max_message_weight)
-                         for block in blocks for w in block)
-                word = min(words, key=lambda w: n - w.count(0), default=None)
-                found = None if word is None else n - word.count(0)
+                found, word = None, None
+                for _, words in low_weight_blocks(f, rows, n, max_message_weight):
+                    w = np.count_nonzero(words, axis=2)
+                    i = int(w.argmin())  # row-major: the first lightest of the batch
+                    if found is None or w.flat[i] < found:
+                        found, word = int(w.flat[i]), words.reshape(-1, n)[i].tolist()
             if found is not None and (best is None or found < best):
                 best, witness = found, word
         return best, witness

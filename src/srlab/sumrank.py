@@ -24,25 +24,10 @@ import numpy as np
 from .code import DEFAULT_WORD_BUDGET, LinearCode, _rotation_closed
 from .errors import LengthMismatch, NonUniformProfile, NotSelfDual, ProfileMismatch, ZeroCode
 from .linalg import MatrixGF, check_entries
-from .wordenum import (_LUT_BITS, block_rank_lut, f2_matrix_rank_bits, packable_sum_rank,
-                       sr_min_weight_generic, sr_min_weight_packed)
+from .wordenum import (_LUT_BITS, block_rank_lut, packable_sum_rank, sr_min_weight_generic,
+                       sr_min_weight_packed)
 
 __all__ = ["BlockProfile", "SumRankCode"]
-
-_BITS = bytes.maketrans(b"\x00\x01", b"01")  # GF(2) entries as binary digits
-
-
-@functools.lru_cache(maxsize=None)
-def _f2_blocks(blocks) -> Tuple[tuple, ...]:
-    """(offset, mask, m, n, rank table) of each block of a packed GF(2)
-    word.  A table is the shape's `block_rank_lut` as bytes, so that an
-    index is a Python int (a NumPy 2 uint8 sum would wrap past 255), and
-    None past _LUT_BITS bits."""
-    tables = {(m, n): block_rank_lut(m, n).tobytes() if m * n <= _LUT_BITS else None
-              for m, n in set(blocks)}
-    offsets = itertools.accumulate((m * n for m, n in blocks), initial=0)
-    return tuple((off, (1 << m * n) - 1, m, n, tables[m, n]) for off, (m, n) in zip(offsets, blocks))
-
 
 @functools.lru_cache(maxsize=None)
 def _f2_shapes(blocks) -> Tuple[tuple, tuple]:
@@ -108,19 +93,17 @@ class BlockProfile:
             for off, (m, n) in zip(self.offsets, self.blocks)
         )
 
-    def weight(self, word: Sequence[int]) -> int:
-        """Sum-rank weight: the sum of the block ranks.
+    def _ranks(self, words) -> np.ndarray:
+        """Sum of the blocks' `MatrixGF.rank` for each of a list of flat
+        words, as an intp array."""
+        ranks = (sum(mat.rank() for mat in self.matrices(w)) for w in words)
+        return np.fromiter(ranks, dtype=np.intp, count=len(words))
 
-        Over GF(2) the word is packed into one int, bit j its entry j, and
-        each block's bits index its shape's rank table, or past _LUT_BITS
-        bits are eliminated; other fields eliminate each block's MatrixGF.
-        """
-        if self.field.order != 2:
-            return sum(mat.rank() for mat in self.matrices(word))
+    def weight(self, word: Sequence[int]) -> int:
+        """Sum-rank weight: the sum of the block ranks, `weights` of the one
+        word."""
         self._check(word)
-        x = int(bytes(reversed(word)).translate(_BITS) or b"0", 2)
-        return sum(table[x >> off & mask] if table else f2_matrix_rank_bits(x >> off & mask, m, n)
-                   for off, mask, m, n, table in _f2_blocks(self.blocks))
+        return int(self.weights([word])[0])
 
     def weights(self, words) -> np.ndarray:
         """Sum-rank weight of each row of a 2-D array of flat words (a chunk
@@ -128,8 +111,8 @@ class BlockProfile:
 
         Over GF(2) the blocks of each shape of at most _LUT_BITS bits are
         scored together: each block's bits times powers of 2 index the
-        shape's rank table.  Wider blocks and other fields are scored row by
-        row through `weight`.
+        shape's rank table.  Wider blocks and other fields eliminate each
+        block's MatrixGF, row by row.
         """
         words = np.asarray(words)
         if words.ndim != 2 or words.shape[1] != self.total:
@@ -137,14 +120,13 @@ class BlockProfile:
         if words.size and (words.min() < 0 or words.max() >= self.field.order):
             check_entries(self.field, words.tolist())
         if self.field.order != 2:
-            return np.array([self.weight(w) for w in words.tolist()], dtype=np.intp)
+            return self._ranks(words.tolist())
         shapes, (wide_cols, wide) = _f2_shapes(self.blocks)
         acc = np.zeros(len(words), dtype=np.intp)
         for cols, bits, lut in shapes:
             acc += lut[words[:, cols] @ bits].sum(axis=1, dtype=np.intp)
         if wide:
-            ranks = map(BlockProfile(self.field, wide).weight, words[:, wide_cols].tolist())
-            acc += np.fromiter(ranks, dtype=np.intp, count=len(words))
+            acc += BlockProfile(self.field, wide)._ranks(words[:, wide_cols].tolist())
         return acc
 
     def trace_ip(self, u: Sequence[int], v: Sequence[int]) -> int:
@@ -256,7 +238,7 @@ class SumRankCode:
         """Exact minimum nonzero sum-rank weight by exhausting the code."""
         if self.dim == 0:
             raise ZeroCode("the zero code has no nonzero codeword")
-        rows = [list(r) for r in self.generator.rows]
+        rows = self.generator.rows
         if packable_sum_rank(self.field, self.profile.blocks):
             return sr_min_weight_packed(self.field, rows, self.profile.blocks, budget, jobs)
         return sr_min_weight_generic(self.field, rows, self.profile.weights, budget)

@@ -1,7 +1,5 @@
-"""Bulk codeword enumeration kernels, built from four pieces:
+"""Bulk codeword enumeration kernels, built from three pieces:
 
-- `scaled_rows` + `combine`, the message -> codeword helper: a table of
-  every scalar multiple of every row, summed into a word;
 - `_sharded_min`, the packed min-reduce: characteristic-2 codewords of
   length <= 64 live in uint64 bitplanes (one plane for GF(2), low/high for
   GF(4)), walked in prefix shards that each cover a precomputed suffix
@@ -18,13 +16,14 @@
   of the first rows (`all_codewords`), so messages keep the mixed-radix
   order of `itertools.product`; a weight callback scores a whole chunk;
 - `low_weight_blocks`, the low-weight lister: the messages of each weight
-  in batches of position sets, each packed word the XOR of two words over
-  half-size sets built once (meet in the middle).  Run under generators
-  systematic on disjoint information sets (windows), it lists every light
-  codeword: `low_weight_min_char2` keeps the lightest under a vectorized
-  weight of the planes (Hamming by default), and `support_masks` reads the
-  light support classes off it (or off the whole code, where
-  `listing_cost` says that is no dearer).
+  in batches of position sets, each word the sum of two words over
+  half-size sets built once (meet in the middle), as packed planes where
+  the code packs and as arrays of entries (as the walker's) elsewhere.  Run
+  under generators systematic on disjoint information sets (windows), it
+  lists every light codeword: `low_weight_min_char2` keeps the lightest
+  under a vectorized weight of the planes (Hamming by default), and
+  `support_masks` reads the light support classes off it (or off the whole
+  code, where `listing_cost` says that is no dearer).
 
 Budgets count enumerated codewords.  A search that would exceed its budget
 enumerates what fits (whole shards when packed, exactly `budget` codewords
@@ -50,8 +49,6 @@ __all__ = [
     "packable_sum_rank",
     "pack_row_planes",
     "check_budget",
-    "scaled_rows",
-    "combine",
     "all_codewords",
     "codeword_chunks",
     "min_weight_char2",
@@ -71,9 +68,8 @@ _SUFFIX_CAP = 1 << 18  # suffix-table entries per shard or walker chunk
 _PIECE = 1 << 15
 # bits of the largest block shape given a rank table (`block_rank_lut`,
 # 2**bits bytes, 0.5-3 ms to build at 16 bits); the packed sum-rank search
-# reads it for blocks other than two-row ones, `BlockProfile.weight` and
-# `weights` for every GF(2) block, and wider blocks are eliminated pattern by
-# pattern
+# reads it for blocks other than two-row ones and `BlockProfile.weights` for
+# every GF(2) block; `weights` eliminates wider blocks as MatrixGFs
 _LUT_BITS = 16
 
 
@@ -101,7 +97,7 @@ def packable_sum_rank(field, blocks) -> bool:
     """Whether `sr_min_weight_packed` takes a GF(2) code of these block
     shapes: at most 64 flat bits, and each block two-row (bit-sliced) or
     of at most _LUT_BITS bits (read from the shape's rank table, the one
-    `BlockProfile.weight` reads too); the walker is exact and budgeted for
+    `BlockProfile.weights` reads too); the walker is exact and budgeted for
     the rest."""
     return (field.order == 2 and sum(m * n for m, n in blocks) <= 64
             and all(m == 2 or m * n <= _LUT_BITS for m, n in blocks))
@@ -113,22 +109,6 @@ def check_budget(budget: int) -> None:
 
 
 # -- message -> codeword ------------------------------------------------------
-
-
-def scaled_rows(field, rows):
-    """table[i][d] = d * rows[i] for every scalar d of the field."""
-    mul = field.mul
-    return [[[mul(d, v) for v in row] for d in range(field.order)] for row in rows]
-
-
-def combine(field, table, message, word):
-    """word + sum of d * rows[i] over the (i, d) pairs of `message`, read
-    from a `scaled_rows` table."""
-    add = field.add
-    for i, d in message:
-        if d:
-            word = list(map(add, word, table[i][d]))
-    return word
 
 
 def all_codewords(field, rows, n: int):
@@ -386,17 +366,18 @@ def min_weight_generic(field, rows, n: int, budget: int) -> int:
 # -- low-weight lister ----------------------------------------------------------
 
 
-def _join(first, second, batch: int):
+def _join(first, second, batch: int, add):
     """Unions of a set of `first` with a set of `second` that starts after
     it ends, in lexicographic order, `batch` sets at a time.
 
-    Each side is (sets, lo, hi): a (C, size) array of position sets in
-    lexicographic order and their (C, words) planes.  A union's words are
-    every XOR of a `first` word and a `second` word, the `first` index the
-    less significant digit.
+    Each side is (sets, planes): a (C, size) array of position sets in
+    lexicographic order and a tuple of (C, words, ...) arrays of their
+    words (packed lo/hi planes, or one array of entries with a trailing
+    axis).  A union's words are every `add` of a `first` word and a
+    `second` word, the `first` index the less significant digit.
     """
-    sa, lo_a, hi_a = first
-    sb, lo_b, hi_b = second
+    sa, planes_a = first
+    sb, planes_b = second
     last_a = sa[:, -1] if sa.shape[1] else np.full(len(sa), -1)
     after = np.searchsorted(sb[:, 0], last_a, side="right")  # first b set past a's end
     counts = len(sb) - after
@@ -406,10 +387,9 @@ def _join(first, second, batch: int):
         pair = np.arange(start, min(start + batch, total))
         i = np.searchsorted(ends, pair, side="right")
         j = after[i] + pair - (ends[i] - counts[i])
-        size = len(pair)
-        lo = (lo_b[j][:, :, None] ^ lo_a[i][:, None, :]).reshape(size, -1)
-        hi = (hi_b[j][:, :, None] ^ hi_a[i][:, None, :]).reshape(size, -1)
-        yield np.concatenate([sa[i], sb[j]], axis=1), lo, hi
+        yield np.concatenate([sa[i], sb[j]], axis=1), tuple(
+            add(b[j][:, :, None], a[i][:, None]).reshape(len(pair), -1, *b.shape[2:])
+            for a, b in zip(planes_a, planes_b))
 
 
 def low_weight_blocks(field, rows, n: int, max_msg_weight: int):
@@ -419,43 +399,38 @@ def low_weight_blocks(field, rows, n: int, max_msg_weight: int):
     `sets` is a (C, w) array of row-position sets; row c of `words` holds
     the (q-1)**w codewords of the messages nonzero exactly on sets[c].  In
     a row, the first position is the least significant base-(q-1) digit of
-    the index, digit j standing for the scalar j + 1.
+    the index, digit j standing for the scalar j + 1.  Each row is the sum
+    of a row over the first w // 2 positions and one over the rest, and the
+    words of the sets of each half size are built once (meet in the
+    middle).
 
     When the code packs, `words` is a pair of fresh (C, (q-1)**w) lo/hi
-    plane arrays of at most _PIECE words (or one set).  Each row is the XOR
-    of a row over the first w // 2 positions and one over the rest, and the
-    planes of the sets of each half size are built once (meet in the
-    middle).  Else `words` holds one list of words per set, one set per
-    batch.
+    plane arrays of at most _PIECE words; else it is a fresh (C, (q-1)**w,
+    n) array of entries (`linalg._tables`) of at most _PIECE words and
+    _SUFFIX_CAP entries.  A batch holds one set at least.
     """
     q = field.order
     k = len(rows)
     top = min(max_msg_weight, k)
-    if not packable_char2(field, n):
-        table = scaled_rows(field, rows)
-
-        def grow(prefix, block, left):
-            if not left:
-                yield np.array([prefix]), [block]
-                return
-            for p in range(prefix[-1] + 1 if prefix else 0, k - left + 1):
-                grown = [combine(field, table, ((p, d),), w) for d in range(1, q) for w in block]
-                yield from grow(prefix + (p,), grown, left - 1)
-
-        for wt in range(1, top + 1):
-            yield from grow((), [[0] * n], wt)
-        return
-    mults = np.array([_scalar_multiples(field, *pack_row_planes(field, r))[1:] for r in rows],
-                     dtype=np.uint64).reshape(k, q - 1, 2)
-    zero = np.zeros((1, 1), dtype=np.uint64)
-    levels = [(np.zeros((1, 0), dtype=np.intp), zero, zero),
-              (np.arange(k)[:, None], mults[:, :, 0], mults[:, :, 1])]
+    packed = packable_char2(field, n)
+    if packed:
+        mults = np.array([_scalar_multiples(field, *pack_row_planes(field, r))[1:] for r in rows],
+                         dtype=np.uint64).reshape(k, q - 1, 2)
+        zero = np.zeros((1, 1), dtype=np.uint64)
+        add, cap = np.bitwise_xor, _PIECE  # words per batch
+        planes = (zero, zero), (mults[:, :, 0], mults[:, :, 1])
+    else:
+        t = _tables(field)
+        scalars = t.array([[d] for d in range(1, q)], 1)
+        add, cap = t.plus, min(_PIECE, _SUFFIX_CAP // max(n, 1))
+        planes = (t.zeros((1, 1, n)),), (t.times(scalars[None], t.array(rows, n)[:, None]),)
+    levels = [(np.zeros((1, 0), dtype=np.intp), planes[0]), (np.arange(k)[:, None], planes[1])]
     while len(levels) <= (top + 1) // 2:  # sets of every half size, in one batch each
-        levels.append(next(_join(levels[-1], levels[1], len(levels[-1][0]) * k)))
+        levels.append(next(_join(levels[-1], levels[1], len(levels[-1][0]) * k, add)))
     for wt in range(1, top + 1):
-        batch = max(1, _PIECE // (q - 1) ** wt)
-        for sets, lo, hi in _join(levels[wt // 2], levels[wt - wt // 2], batch):
-            yield sets, (lo, hi)
+        batch = max(1, cap // (q - 1) ** wt)
+        for sets, words in _join(levels[wt // 2], levels[wt - wt // 2], batch, add):
+            yield sets, words if packed else words[0]
 
 
 def low_weight_min_char2(field, rows, n: int, max_msg_weight: int, weight=None):

@@ -94,9 +94,12 @@ def test_all_codewords_is_product_order():
                 continue
             n = rnd.randint(1, 5)
             rows = [[rnd.randrange(field.order) for _ in range(n)] for _ in range(k)]
-            table = wordenum.scaled_rows(field, rows)
-            want = [wordenum.combine(field, table, enumerate(msg), [0] * n)
-                    for msg in itertools.product(range(field.order), repeat=k)]
+            want = []
+            for msg in itertools.product(range(field.order), repeat=k):
+                word = [0] * n
+                for d, row in zip(msg, rows):
+                    word = [field.add(a, field.mul(d, b)) for a, b in zip(word, row)]
+                want.append(word)
             got = []
             for word in wordenum.all_codewords(field, rows, n):
                 got.append(list(word))
@@ -456,22 +459,28 @@ def _flat_blocks(field, rows, n, depth):
         assert len(words) == (2 if packed else len(sets))
         if packed:
             assert len(words[0]) == len(words[1]) == len(sets)
+        else:
+            assert words.shape == (len(sets), (field.order - 1) ** sets.shape[1], n)
         for c, positions in enumerate(sets):
-            block = (words[0][c], words[1][c]) if packed else words[c]
+            block = (words[0][c], words[1][c]) if packed else words[c].tolist()
             out.append((tuple(int(p) for p in positions), block))
     return out
 
 
 def test_low_weight_lister_matches_plain_loop(monkeypatch):
     rnd = random.Random(43)
-    for piece, (field, n, k) in itertools.product(
+    codes = ((F4, 12, 4, 3), (F2, 20, 4, 3), (F4, 70, 4, 3), (F3, 9, 4, 3), (F4, 16, 7, 3),
+             (F2, 24, 9, 3), (prime_field(5), 10, 4, 3), (extension(F3, 2), 8, 4, 3),
+             (F2, 70, 8, 3),
+             (extension(prime_field(17), 2), 5, 1, 1))  # GF(289): object arrays
+    for piece, (field, n, k, depth) in itertools.product(
             (wordenum._PIECE, 8),  # 8 words: several batches per message weight
-            ((F4, 12, 4), (F2, 20, 4), (F4, 70, 4), (F3, 9, 4), (F4, 16, 7), (F2, 24, 9))):
+            codes):
         monkeypatch.setattr(wordenum, "_PIECE", piece)
         c = LinearCode.from_rows(field, n, [[rnd.randrange(field.order) for _ in range(n)]
                                             for _ in range(k)])
-        blocks = _flat_blocks(field, c.generator.rows, n, 3)
-        sets = [s for w in (1, 2, 3) for s in itertools.combinations(range(c.k), w)]
+        blocks = _flat_blocks(field, c.generator.rows, n, depth)
+        sets = [s for w in range(1, depth + 1) for s in itertools.combinations(range(c.k), w)]
         assert [positions for positions, _ in blocks] == sets
         for positions, block in blocks:
             words = _message_words(c, positions)
@@ -520,3 +529,23 @@ def test_low_weight_min_matches_plain_loop(monkeypatch):
         depth = rnd.randint(1, 4)
         want = _plain_low_weight_min(c, depth)
         assert low_weight_min_char2(field, c.generator.rows, n, depth) == want
+
+
+@pytest.mark.parametrize("piece", [None, 8])  # 8 words: several batches per message weight
+def test_unpacked_scan_keeps_the_first_lightest_word(monkeypatch, piece):
+    if piece is not None:
+        monkeypatch.setattr(wordenum, "_PIECE", piece)
+    rnd = random.Random(53)
+    for field, n in ((F3, 9), (prime_field(5), 8), (F2, 70), (F3, 12), (F2, 66)):
+        for trial in range(4):
+            k = rnd.randint(1, 5)
+            if trial % 2:  # light rows and repeated supports: many tied minima
+                rows = [[rnd.choice((0, 0, 0, 1, field.order - 1)) for _ in range(n)]
+                        for _ in range(k)]
+            else:
+                rows = [[rnd.randrange(field.order) for _ in range(n)] for _ in range(k)]
+            c = LinearCode.from_rows(field, n, rows)
+            if c.k == 0:
+                continue
+            assert not packable_char2(field, n)
+            assert c.low_weight_scan(c.k) == _plain_low_weight_min(c, c.k)

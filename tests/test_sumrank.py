@@ -105,7 +105,8 @@ def test_weights_equal_weight_row_by_row(field, blocks):
     rnd = random.Random(len(blocks) * field.order)
     words = [[0] * p.total, [1] * p.total] + [_random_word(rnd, p) for _ in range(80)]
     words += [[v if rnd.random() < 0.15 else 0 for v in w] for w in words[2:]]
-    want = [p.weight(w) for w in words]
+    want = [sum(m.rank() for m in p.matrices(w)) for w in words]
+    assert [p.weight(w) for w in words] == want
     chunk = np.array(words, dtype=np.uint8)
     got = p.weights(chunk)
     assert got.dtype == np.intp and got.tolist() == want
@@ -135,7 +136,7 @@ def test_first_weight_builds_each_rank_table_once():
     # a shape's rank table is built vectorised in a few ms; built in Python,
     # one pattern at a time, a 13-16 bit shape took 50-260 ms
     block_rank_lut.cache_clear()
-    sumrank._f2_blocks.cache_clear()
+    sumrank._f2_shapes.cache_clear()
     rnd = random.Random(61)
     for blocks in ([(4, 4)], [(2, 8), (3, 5)]):
         p = BlockProfile(F2, blocks)
@@ -171,7 +172,7 @@ def test_rank_tables_equal_elimination():
 
 def test_packed_search_and_weight_share_one_table():
     block_rank_lut.cache_clear()
-    sumrank._f2_blocks.cache_clear()
+    sumrank._f2_shapes.cache_clear()
     p = BlockProfile(F2, [(4, 4), (3, 3)])
     rnd = random.Random(71)
     c = SumRankCode.from_rows(p, [_random_word(rnd, p) for _ in range(4)])
