@@ -4,22 +4,21 @@
     srlab cyclic --q 4 --n 13 --bch 2 1
     srlab cyclic --q 4 --n 2 --gen "1+x"
     srlab code <info|dual|selfdual|lcd> [CODE.json]
-    srlab code mindist [CODE.json] [--budget N] [--jobs N]
+    srlab code mindist [CODE.json] [--budget N]
     srlab sr construct-sr C0.json C1.json ... [--basis 1,w]
     srlab sr construct-matb C.json [--profile 2x3,2x2*5] [--basis w,w^2]
     srlab sr <info|dual|selfdual|lcd> [SR.json]
-    srlab sr mindist [SR.json] [--budget N] [--jobs N]
+    srlab sr mindist [SR.json] [--budget N]
     srlab sr mindist C0.json C1.json [--budget N]
     srlab sr bounds --theorem23 m d0 d1 ... | --prop38 d PROFILE | --cor32 d t
     srlab sr verify-duality --kind sr|matb --trials N --seed N
-    srlab tables 2 3 9 [--budget N] [--jobs N] [--format json|csv]
+    srlab tables 2 3 9 [--budget N] [--format json|csv]
 
 Code arguments read JSON from a file path or, when omitted or "-", stdin;
 `sr mindist` with two linear codes gives the distance of their stacked pair.
 Each verb accepts only its own options, written after the verb.  Every
-search takes the one `--budget` (default 2**24): codewords enumerated, or
-support-class pairs crossed for a pair distance, which runs no threads and
-so takes only `--jobs 1`.
+search runs in one thread and takes the one `--budget` (default 2**24):
+codewords enumerated, or support-class pairs crossed for a pair distance.
 Exit codes: 0 success / all rows match, 1 usage or input error, 2 a budget
 was exceeded (result carries the best bound, flagged non-exact), 3 a table
 row mismatched.  `python -m srlab` runs the same front end.
@@ -211,7 +210,7 @@ def _cmd_verb(args) -> int:
     elif args.action == "lcd":
         _emit({"lcd": code.is_lcd()})
     else:
-        return _emit_distance(lambda: code.min_distance(budget=args.budget, jobs=args.jobs))
+        return _emit_distance(lambda: code.min_distance(budget=args.budget))
     return 0
 
 
@@ -219,9 +218,6 @@ def _cmd_sr_mindist(args) -> int:
     """One sum-rank code: its distance; two linear codes: their pair distance."""
     if args.other is None:
         return _cmd_verb(args)
-    if args.jobs != 1:
-        raise UsageError(f"--jobs {args.jobs}: the pair distance runs no threads, "
-                         "so it takes only --jobs 1")
     c0, c1 = (jsonio.code_from_obj(_read_json_arg(p)) for p in (args.input, args.other))
     return _emit_distance(lambda: pair_distance(c0, c1, budget=args.budget))
 
@@ -290,7 +286,7 @@ def _random_basis(rnd, ext) -> Basis:
 
 
 def _cmd_tables(args) -> int:
-    results = run_tables(args.ids, word_budget=args.budget, jobs=args.jobs)
+    results = run_tables(args.ids, word_budget=args.budget)
     text = report_to_csv(results) if args.format == "csv" else report_to_json(results)
     if args.out:
         with open(args.out, "w") as fh:
@@ -309,7 +305,6 @@ def _add_code_verbs(verbs, read, write, info):
         p.set_defaults(fn=_cmd_verb, read=read, write=write, info=info)
     # the loop ends on mindist, the one verb that searches
     p.add_argument("--budget", type=int, default=DEFAULT_TABLE_WORD_BUDGET)
-    p.add_argument("--jobs", type=_at_least(1), default=1)
     return p
 
 
@@ -374,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="reproduce the published parameter tables")
     p.add_argument("ids", nargs="+", type=int, help="table numbers, e.g. 2 3 9")
     p.add_argument("--budget", type=int, default=DEFAULT_TABLE_WORD_BUDGET)
-    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(fn=_cmd_tables)

@@ -113,7 +113,7 @@ class LinearCode:
         products zero."""
         return LinearCode(self.field, self.n, self.generator.kernel_basis())
 
-    def min_distance(self, budget: int = DEFAULT_WORD_BUDGET, jobs: int = 1) -> int:
+    def min_distance(self, budget: int = DEFAULT_WORD_BUDGET) -> int:
         """Exact minimum nonzero Hamming weight by exhausting the code.
 
         Raises ZeroCode for k = 0 and BudgetExceeded (carrying the best
@@ -123,7 +123,7 @@ class LinearCode:
             raise ZeroCode("the zero code has no nonzero codeword")
         rows = self.generator.rows
         if packable_char2(self.field, self.n):
-            return min_weight_char2(self.field, rows, self.n, budget, jobs)
+            return min_weight_char2(self.field, rows, self.n, budget)
         return min_weight_generic(self.field, rows, self.n, budget)
 
     def windows(self):

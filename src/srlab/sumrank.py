@@ -234,13 +234,13 @@ class SumRankCode:
 
     # -- metric ---------------------------------------------------------------
 
-    def min_distance(self, budget: int = DEFAULT_WORD_BUDGET, jobs: int = 1) -> int:
+    def min_distance(self, budget: int = DEFAULT_WORD_BUDGET) -> int:
         """Exact minimum nonzero sum-rank weight by exhausting the code."""
         if self.dim == 0:
             raise ZeroCode("the zero code has no nonzero codeword")
         rows = self.generator.rows
         if packable_sum_rank(self.field, self.profile.blocks):
-            return sr_min_weight_packed(self.field, rows, self.profile.blocks, budget, jobs)
+            return sr_min_weight_packed(self.field, rows, self.profile.blocks, budget)
         return sr_min_weight_generic(self.field, rows, self.profile.weights, budget)
 
     # -- structure ---------------------------------------------------------------

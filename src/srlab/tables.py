@@ -60,7 +60,7 @@ from .construct import (
     uniform22_distance_bounds,
 )
 from .cyclic import bch_generator, cyclic_code, frobenius_coeffs, parse_poly
-from .errors import BudgetExceeded, UnknownTable
+from .errors import BudgetExceeded, UnknownTable, UsageError
 from .field import Basis, extension, prime_field
 from .sumrank import BlockProfile
 from .wordenum import check_budget
@@ -126,12 +126,10 @@ def _lightest(*weights) -> Optional[int]:
 
 
 class _Ctx:
-    """Shared state for one run: the word budget, the thread count and
-    cross-table caches."""
+    """Shared state for one run: the word budget and cross-table caches."""
 
-    def __init__(self, word_budget: int, jobs: int):
+    def __init__(self, word_budget: int):
         self.word_budget = word_budget
-        self.jobs = jobs
         self.f2 = prime_field(2)
         self.f4 = extension(self.f2, 2)
         self.sd_basis = Basis(self.f4, [2, 3])  # {w, w^2}, self-dual
@@ -176,7 +174,7 @@ class _Ctx:
         if key not in self.dham:
             if (code.field.order**code.k <= self.word_budget
                     and code.listing_windows(code.lightest_row())[1] >= code.k):
-                d = code.min_distance(budget=self.word_budget, jobs=self.jobs)
+                d = code.min_distance(budget=self.word_budget)
                 self.dham[key] = _Interval(d, d, note=f"d_H={d} exact")
             else:
                 d, witness, r, depth = code.certified_distance()
@@ -313,7 +311,7 @@ def _expansion_distance(ctx: _Ctx, sc: _RowScratch, c: LinearCode, M, fb: Bounds
     def search():
         if (M.field.order**M.dim <= ctx.word_budget
                 or any(block != (2, 2) for block in M.profile.blocks)):
-            return M.min_distance(budget=ctx.word_budget, jobs=ctx.jobs), None, ""
+            return M.min_distance(budget=ctx.word_budget), None, ""
         d, witness, r, depth = uniform22_certified_distance(c, ctx.word_budget)
         if symbol_sum_rank_weight(witness, ctx.f4, M.profile) != d:
             raise AssertionError(f"the (2,2) certificate's witness does not weigh {d}")
@@ -481,7 +479,7 @@ def _table_9_row(ctx: _Ctx, sc: _RowScratch, row: dict) -> str:
     if c.k <= 5:
         # small enough (2^(2k) words) to search the expansion whole, under the
         # method's own budget: the run's word budget must not leave it open
-        best = basis_expand_code(c, ctx.sd_basis).min_distance(jobs=ctx.jobs)
+        best = basis_expand_code(c, ctx.sd_basis).min_distance()
         sc.computed.append(f"d_sr={best}")
         sc.check(fb.contains(best), f"exact d_sr {best} outside formula bounds")
         if not printed.contains(best):
@@ -534,13 +532,16 @@ def run_tables(
     word_budget: int = DEFAULT_TABLE_WORD_BUDGET,
     jobs: int = 1,
 ) -> List[RowResult]:
-    """Run the tables in order; `jobs` threads the enumeration shards."""
+    """Run the tables in order, in one thread.  `jobs` is kept for callers
+    that pass jobs=1; any other value is a UsageError."""
+    if jobs != 1:
+        raise UsageError(f"jobs={jobs}: the tables run in one thread")
     check_budget(word_budget)  # before any row, budgeted or not, runs
     ids = list(table_ids)
     for tid in ids:
         if tid not in _RUNNERS:
             raise UnknownTable(f"table {tid} is not part of the manifest set {TABLE_IDS}")
-    ctx = _Ctx(word_budget, jobs)
+    ctx = _Ctx(word_budget)
     manifests = {tid: load_manifest(tid) for tid in ids}
     return [r for tid in ids for r in _run_rows(ctx, tid, manifests[tid])]
 

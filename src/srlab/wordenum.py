@@ -1,20 +1,17 @@
-"""Bulk codeword enumeration kernels, built from three pieces:
+"""Bulk codeword enumeration kernels, built from two pieces:
 
-- `_sharded_min`, the packed min-reduce: characteristic-2 codewords of
-  length <= 64 live in uint64 bitplanes (one plane for GF(2), low/high for
-  GF(4)), walked in prefix shards that each cover a precomputed suffix
-  table, scored a cache-sized piece at a time.  A vectorized weight of the
-  (lo, hi) planes makes it the Hamming search (a popcount) or the GF(2)
-  sum-rank search (two-row blocks bit-sliced with shifts and masks, other
-  blocks read from rank tables built once per shape).  Shards share nothing
-  and reduce by min, so the result does not depend on how many threads run
-  them;
-- `_walk_min`, the array walker for everything else: `codeword_chunks`
-  yields the codewords as 2-D arrays of entries (uint8 over fields of at
-  most 256 elements, Python ints in object arrays above that), each a
-  suffix table of every codeword of the last rows plus one prefix codeword
-  of the first rows (`all_codewords`), so messages keep the mixed-radix
-  order of `itertools.product`; a weight callback scores a whole chunk;
+- `_walk_min`, the exhaustive min-reduce over `codeword_chunks`: 2-D
+  arrays of codewords, each a suffix table of every codeword of the last
+  rows plus one prefix codeword of the first rows (the digit stack of
+  `all_codewords`, on the same addition), so messages keep the mixed-radix
+  order of `itertools.product`; a weight callback scores a whole chunk.
+  Where the code packs (GF(2)/GF(4), length <= 64) a codeword is its uint64
+  bitplanes, added by XOR: a popcount makes the walk the Hamming search,
+  and two-row blocks bit-sliced with shifts and masks (other blocks read
+  from rank tables built once per shape) the GF(2) sum-rank search.
+  Elsewhere it is an array of entries (uint8 over fields of at most 256
+  elements, Python ints in object arrays above that) added through
+  `linalg._tables`;
 - `low_weight_blocks`, the low-weight lister: the messages of each weight
   in batches of position sets, each word the sum of two words over
   half-size sets built once (meet in the middle), as packed planes where
@@ -23,11 +20,10 @@
   lists every light codeword: `low_weight_min_char2` keeps the lightest
   under a vectorized weight of the planes (Hamming by default), and
   `support_masks` reads the light support classes off it (or off the whole
-  code, where `listing_cost` says that is no dearer).
+  code's chunks, where `listing_cost` says that is no dearer).
 
 Budgets count enumerated codewords.  A search that would exceed its budget
-enumerates what fits (whole shards when packed, exactly `budget` codewords
-on the walker), then raises BudgetExceeded
+enumerates exactly its first `budget` messages, then raises BudgetExceeded
 carrying the lightest weight seen, an upper bound on the true minimum.
 """
 
@@ -36,8 +32,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -61,10 +55,10 @@ __all__ = [
     "popcount",
 ]
 
-_SUFFIX_CAP = 1 << 18  # suffix-table entries per shard or walker chunk
-# words scored at once, as a piece of a shard or a lister batch: their
-# temporaries stay in cache, which runs the weight kernels 3-4x faster than
-# on a whole shard
+_SUFFIX_CAP = 1 << 18  # entries per walker chunk or lister batch
+# words scored at once, as a walker chunk or a lister batch: their
+# temporaries stay in cache, which runs the packed weight kernels 3-4x
+# faster than on 2**18 words
 _PIECE = 1 << 15
 # bits of the largest block shape given a rank table (`block_rank_lut`,
 # 2**bits bytes, 0.5-3 ms to build at 16 bits); the packed sum-rank search
@@ -97,8 +91,8 @@ def packable_sum_rank(field, blocks) -> bool:
     """Whether `sr_min_weight_packed` takes a GF(2) code of these block
     shapes: at most 64 flat bits, and each block two-row (bit-sliced) or
     of at most _LUT_BITS bits (read from the shape's rank table, the one
-    `BlockProfile.weights` reads too); the walker is exact and budgeted for
-    the rest."""
+    `BlockProfile.weights` reads too); `sr_min_weight_generic` is exact and
+    budgeted for the rest."""
     return (field.order == 2 and sum(m * n for m, n in blocks) <= 64
             and all(m == 2 or m * n <= _LUT_BITS for m, n in blocks))
 
@@ -111,25 +105,24 @@ def check_budget(budget: int) -> None:
 # -- message -> codeword ------------------------------------------------------
 
 
-def all_codewords(field, rows, n: int):
-    """Every codeword, each a fresh list, messages in the mixed-radix order
-    of `itertools.product` (the zero word first, the last digit fastest).
+def _message_words(rows, q: int, add, multiple, zero):
+    """The word of every message of `rows`, in the mixed-radix order of
+    `itertools.product` (the zero word first, the last digit fastest);
+    `add` adds two words and multiple(d, row) is d * row.
 
     One prefix sum per digit: base[i] is the word of the digits before i.
     The next message raises one digit i and clears the digits after it, so
-    its word is base[i] + d_i * rows[i], one row addition, and it becomes
+    its word is base[i] + d_i * rows[i], one addition, and it becomes
     base[j] for every j > i.  The digits are an explicit stack, so any k
     runs without recursion, and d * rows[i] is computed when digit i first
     takes the value d, so a budget-cut walk of a long code or over a large
-    field stays cheap.
+    field stays cheap.  A word may be kept as a base, so callers must not
+    write to it.
     """
-    # characteristic 2 adds by XOR, without a Python call per entry
-    add = operator.xor if field.characteristic == 2 else field.add
-    mul = field.mul
-    q, k = field.order, len(rows)
+    k = len(rows)
     table = [{} for _ in range(k)]  # table[i][d] = d * rows[i]
-    yield [0] * n
-    base = [[0] * n] * k
+    yield zero
+    base = [zero] * k
     digits = [0] * k
     i = k - 1
     while i >= 0:
@@ -139,18 +132,26 @@ def all_codewords(field, rows, n: int):
             i -= 1
             continue
         digits[i] = d
-        multiple = table[i].get(d)
-        if multiple is None:
-            multiple = table[i][d] = [mul(d, v) for v in rows[i]]
-        word = list(map(add, base[i], multiple))
+        m = table[i].get(d)
+        if m is None:
+            m = table[i][d] = multiple(d, rows[i])
+        word = add(base[i], m)
         if i < k - 1:
             base[i + 1:] = [word] * (k - 1 - i)
             i = k - 1
-            word = word[:]  # base keeps its own copy
         yield word
 
 
-# -- packed bitplanes -----------------------------------------------------------
+def all_codewords(field, rows, n: int):
+    """Every codeword, each a fresh list, messages in the mixed-radix order
+    of `itertools.product` (the zero word first, the last digit fastest):
+    `_message_words` on lists, one word at a time."""
+    # characteristic 2 adds by XOR, without a Python call per entry
+    add = operator.xor if field.characteristic == 2 else field.add
+    mul = field.mul
+    words = _message_words(rows, field.order, lambda a, b: list(map(add, a, b)),
+                           lambda d, row: [mul(d, v) for v in row], [0] * n)
+    return map(list, words)
 
 
 def pack_row_planes(field, row):
@@ -171,194 +172,96 @@ def _scalar_multiples(field, lo: int, hi: int):
     return [(0, 0), (lo, hi), (hi, hi ^ lo), (hi ^ lo, lo)]
 
 
-def _extend_plane(plane, mults, bit: int):
-    """Add each multiple's plane `bit` to every word; the multiple's row
-    becomes the most significant digit of the word index."""
-    return np.concatenate([plane ^ np.uint64(m[bit]) for m in mults])
-
-
-def _plane_table(field, packed_rows, size=None):
-    """Planes of the codewords of the rows, first row least significant
-    digit, index 0 = zero; all q**len(rows) of them, or the first `size`."""
-    lo = hi = np.zeros(1, dtype=np.uint64)
-    for rlo, rhi in packed_rows:
-        if size is not None and len(lo) >= size:
-            break
-        mults = _scalar_multiples(field, rlo, rhi)
-        lo = _extend_plane(lo, mults, 0)
-        hi = _extend_plane(hi, mults, 1)
-    return lo, hi
-
-
-def _prefix_rows(q: int, k: int) -> int:
-    """How many of k rows are prefix digits, so that the suffix table of the
-    rest holds at most _SUFFIX_CAP words."""
-    k_hi = k
-    while k_hi and q ** (k - k_hi + 1) <= _SUFFIX_CAP:
-        k_hi -= 1
-    return k_hi
-
-
-def _sharded_min(field, rows, budget: int, jobs: int, weight, worst: int) -> int:
-    """Minimum of weight(lo, hi) over every nonzero combination of `rows`.
-
-    `weight` maps the planes of a shard's codewords to an integer array;
-    `worst` is the answer for an empty row set.  Up to `jobs` threads, never
-    more than the shards or the cores, run the shards.  Raises
-    BudgetExceeded past the budget.
-    """
-    check_budget(budget)
-    q = field.order
-    packed = [pack_row_planes(field, r) for r in rows]
-    k_hi = _prefix_rows(q, len(rows))
-    suf_lo, suf_hi = _plane_table(field, packed[k_hi:])
-    chunk = len(suf_lo)
-    n_prefixes = q**k_hi
-    total = n_prefixes * chunk
-    limit_prefixes = n_prefixes if total <= budget else budget // chunk
-    pre_lo, pre_hi = _plane_table(field, packed[:k_hi], limit_prefixes)
-
-    def shard(pidx: int) -> int:
-        plo, phi = pre_lo[pidx], pre_hi[pidx]
-        best = worst
-        for start in range(0, chunk, _PIECE):
-            lo = suf_lo[start : start + _PIECE] ^ plo
-            hi = suf_hi[start : start + _PIECE]
-            w = weight(lo, hi ^ phi if phi else hi)
-            if pidx == 0 and start == 0:
-                w = w[1:]  # the zero word
-            if len(w):
-                best = min(best, int(w.min()))
-        return best
-
-    if limit_prefixes == 0:
-        raise BudgetExceeded("budget smaller than one shard", best=None, enumerated=0)
-    workers = min(jobs, limit_prefixes, os.cpu_count() or 1)
-    if workers <= 1:
-        best = min(map(shard, range(limit_prefixes)))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            best = min(pool.map(shard, range(limit_prefixes)))
-    if limit_prefixes < n_prefixes:
-        raise BudgetExceeded(
-            f"enumerated {limit_prefixes * chunk} of {total} codewords",
-            best=best,
-            enumerated=limit_prefixes * chunk,
-        )
-    return best
-
-
-def min_weight_char2(field, rows, n: int, budget: int, jobs: int = 1) -> int:
-    """Exact minimum Hamming weight over all nonzero combinations of `rows`.
-
-    GF(2)/GF(4) only, n <= 64.  Raises BudgetExceeded past the budget.
-    """
-    return _sharded_min(field, rows, budget, jobs, lambda lo, hi: popcount(lo | hi), n + 1)
-
-
-def listing_cost(field, k: int, windows: int, depth: int) -> int:
-    """Words a listing through message weight `depth` under each of
-    `windows` generators of dimension k costs: its messages plus _PIECE
-    words per generator; q**k, the whole code under one generator, once
-    depth >= k.
-
-    The _PIECE term stands for a window's elimination and the lister's
-    set-up.  On random GF(4) [2k, k] codes, k = 6..14, they took 0.2-0.9 ms
-    per generator, which is 2**12 to 2**17 words of a whole listing at its
-    measured 35-150 million words/s (2-core Intel Xeon, Python 3.11);
-    2**15 is the middle of that range."""
-    q = field.order
-    if depth >= k:
-        return q**k
-    return windows * (_PIECE + sum(math.comb(k, i) * (q - 1) ** i for i in range(1, depth + 1)))
-
-
-def support_masks(field, windows, n: int, depth: int, max_weight: int) -> np.ndarray:
-    """Distinct supports of weight 1..max_weight of the codewords of the
-    messages of weight <= depth under each generator of `windows` (row
-    lists), as uint64 masks sorted by weight, then value.
-
-    With generators systematic on r disjoint information sets, these are
-    all supports of weight <= min(max_weight, r (depth + 1) - 1).  A depth
-    >= k lists the whole code of the first generator instead, in shards of
-    at most _SUFFIX_CAP words as `_sharded_min` walks it, which bounds the
-    memory.
-    """
-    k = len(windows[0])
-    if depth >= k:
-        packed = [pack_row_planes(field, row) for row in windows[0]]
-        k_hi = _prefix_rows(field.order, k)
-        suf_lo, suf_hi = _plane_table(field, packed[k_hi:])
-        pre_lo, pre_hi = _plane_table(field, packed[:k_hi])
-        planes = ((suf_lo ^ plo, suf_hi ^ phi) for plo, phi in zip(pre_lo, pre_hi))
-    else:
-        planes = (words for rows in windows for _, words in low_weight_blocks(field, rows, n, depth))
-    parts = [np.zeros(0, dtype=np.uint64)]  # depth 0 lists nothing
-    for lo, hi in planes:
-        masks = np.bitwise_or(lo, hi).ravel()
-        parts.append(masks[popcount(masks) <= max_weight])
-    masks = np.unique(np.concatenate(parts))
-    masks = masks[masks != np.uint64(0)]
-    return masks[np.argsort(popcount(masks), kind="stable")]
-
-
-# -- array walker ---------------------------------------------------------------
-
-
-def codeword_chunks(field, rows, n: int, count=None):
+def codeword_chunks(field, rows, n: int, count=None, packed=False):
     """The first `count` codewords (all by default), messages in the order
-    of `all_codewords`, as 2-D arrays of entries (`linalg._tables`: uint8,
-    or object past 256 elements) of at most _PIECE rows and _SUFFIX_CAP
-    entries.
+    of `all_codewords`, as 2-D arrays of at most _PIECE rows and
+    _SUFFIX_CAP entries.  A row holds a codeword's entries
+    (`linalg._tables`: uint8, or object past 256 elements) or, `packed`
+    (GF(2)/GF(4), n <= 64), its uint64 bitplanes: lo over GF(2), lo and hi
+    over GF(4) (`pack_row_planes`).
 
     The codewords of the last j rows are tabulated once, as large as those
     bounds and `count` allow; each chunk is that table plus one codeword of
-    the first k - j rows, in one array addition, and the last is cut at
-    `count`.  The prefix digits are the more significant, so the chunks
-    follow one another in message order.  A chunk may be the table itself,
-    so callers must not write to it.
+    the first k - j rows (`_message_words` on the same addition), in one
+    array addition, and the last is cut at `count`.  The prefix digits are
+    the more significant, so the chunks follow one another in message
+    order.  A chunk may be the table itself, so callers must not write to
+    it.
     """
-    t = _tables(field)
     q, k = field.order, len(rows)
+    if packed:
+        width, add = (1 if q == 2 else 2), np.bitwise_xor
+        rows = [pack_row_planes(field, row) for row in rows]
+        zero = np.zeros(width, dtype=np.uint64)
+
+        def multiple(d, planes):  # d * row; its q multiples for d = slice(None)
+            return np.array(_scalar_multiples(field, *planes), dtype=np.uint64)[d, :width]
+    else:
+        t = _tables(field)
+        scalars = t.array([[d] for d in range(q)], 1)
+        width, add, zero = n, t.plus, t.zeros(n)
+
+        def multiple(d, row):  # d * row; its q multiples for d = slice(None)
+            return t.times(scalars[d], t.array([row], n)[0])
     left = q**k if count is None else min(count, q**k)
     j = 0
-    while j < k and q ** (j + 1) <= min(_PIECE, left) and q ** (j + 1) * n <= _SUFFIX_CAP:
+    while j < k and q ** (j + 1) <= min(_PIECE, left) and q ** (j + 1) * width <= _SUFFIX_CAP:
         j += 1
-    scalars = t.array([[d] for d in range(q)], 1)
-    table = t.zeros((1, n))
+    table = zero[None]
     for row in rows[k - j:]:
-        multiples = t.times(scalars, t.array([row], n))  # (q, n): d * row
-        table = t.plus(table[:, None, :], multiples[None, :, :]).reshape(-1, n)
-    for word in all_codewords(field, rows[:k - j], n):
+        table = add(table[:, None], multiple(slice(None), row)[None]).reshape(-1, width)
+    if packed:  # plane by plane: adding a word and reading a plane stay contiguous
+        table = np.asfortranarray(table)
+    for i, word in enumerate(_message_words(rows[:k - j], q, add, multiple, zero)):
         if not left:
             return
-        chunk = (t.plus(table, t.array([word], n)) if any(word) else table)[:left]
+        chunk = (add(table, word) if i else table)[:left]
         left -= len(chunk)
         yield chunk
 
 
-def _walk_min(field, rows, n: int, budget: int, weight):
+# -- exhaustive search ------------------------------------------------------------
+
+
+def _walk_min(field, rows, n: int, budget: int, weight, packed=False):
     """Minimum of weight(chunk) over the nonzero codewords, None without
-    any; `weight` maps a 2-D chunk of `codeword_chunks` to one integer per
-    row.
+    any; `weight` maps a 2-D chunk of `codeword_chunks` (`packed` or not)
+    to one integer per row.
 
     Raises BudgetExceeded, carrying the minimum over the first `budget`
     messages, when the code has more codewords than that.
     """
     check_budget(budget)
     best = None
-    for i, chunk in enumerate(codeword_chunks(field, rows, n, budget)):
+    for i, chunk in enumerate(codeword_chunks(field, rows, n, budget, packed)):
         w = weight(chunk)[0 if i else 1:]  # message 0 is the only zero message
-        if len(w) and (best is None or w.min() < best):
-            best = int(w.min())
+        if len(w):
+            least = int(w.min())
+            best = least if best is None else min(best, least)
     total = field.order ** len(rows)
     if budget < total:
         raise BudgetExceeded(f"enumerated {budget} of {total} codewords", best=best, enumerated=budget)
     return best
 
 
+def _support(chunk: np.ndarray) -> np.ndarray:
+    """The nonzero positions of each packed codeword of a chunk, as bits."""
+    return chunk[:, 0] | chunk[:, 1] if chunk.shape[1] == 2 else chunk[:, 0]
+
+
+def min_weight_char2(field, rows, n: int, budget: int) -> int:
+    """Exact minimum Hamming weight over all nonzero combinations of `rows`,
+    a popcount of the packed walk; n + 1 without rows.
+
+    GF(2)/GF(4) only, n <= 64.  Raises BudgetExceeded past the budget.
+    """
+    best = _walk_min(field, rows, n, budget, lambda chunk: popcount(_support(chunk)), packed=True)
+    return n + 1 if best is None else best
+
+
 def min_weight_generic(field, rows, n: int, budget: int) -> int:
-    """Minimum Hamming weight through the walker; n + 1 without rows."""
+    """Minimum Hamming weight through the walker on entry arrays; n + 1
+    without rows."""
     best = _walk_min(field, rows, n, budget, lambda words: np.count_nonzero(words, axis=1))
     return n + 1 if best is None else best
 
@@ -455,6 +358,47 @@ def low_weight_min_char2(field, rows, n: int, max_msg_weight: int, weight=None):
     return best, word
 
 
+def listing_cost(field, k: int, windows: int, depth: int) -> int:
+    """Words a listing through message weight `depth` under each of
+    `windows` generators of dimension k costs: its messages plus _PIECE
+    words per generator; q**k, the whole code under one generator, once
+    depth >= k.
+
+    The _PIECE term stands for a window's elimination and the lister's
+    set-up.  On random GF(4) [2k, k] codes, k = 6..14, they took 0.2-0.9 ms
+    per generator, which is 2**12 to 2**17 words of a whole listing at its
+    measured 35-150 million words/s (2-core Intel Xeon, Python 3.11);
+    2**15 is the middle of that range."""
+    q = field.order
+    if depth >= k:
+        return q**k
+    return windows * (_PIECE + sum(math.comb(k, i) * (q - 1) ** i for i in range(1, depth + 1)))
+
+
+def support_masks(field, windows, n: int, depth: int, max_weight: int) -> np.ndarray:
+    """Distinct supports of weight 1..max_weight of the codewords of the
+    messages of weight <= depth under each generator of `windows` (row
+    lists), as uint64 masks sorted by weight, then value.
+
+    With generators systematic on r disjoint information sets, these are
+    all supports of weight <= min(max_weight, r (depth + 1) - 1).  A depth
+    >= k reads the whole code of the first generator instead, a packed
+    chunk of `codeword_chunks` at a time, which bounds the memory.
+    """
+    k = len(windows[0])
+    if depth >= k:
+        supports = map(_support, codeword_chunks(field, windows[0], n, packed=True))
+    else:
+        supports = (np.bitwise_or(lo, hi).ravel() for rows in windows
+                    for _, (lo, hi) in low_weight_blocks(field, rows, n, depth))
+    parts = [np.zeros(0, dtype=np.uint64)]  # depth 0 lists nothing
+    for masks in supports:
+        parts.append(masks[popcount(masks) <= max_weight])
+    masks = np.unique(np.concatenate(parts))
+    masks = masks[masks != np.uint64(0)]
+    return masks[np.argsort(popcount(masks), kind="stable")]
+
+
 # -- sum-rank weight enumeration ----------------------------------------------
 
 
@@ -522,8 +466,10 @@ def _two_row_ranks(words: np.ndarray, n: int, firsts: np.uint64) -> np.ndarray:
     return acc
 
 
-def sr_min_weight_packed(field, rows, blocks, budget: int, jobs: int = 1) -> int:
-    """Exact minimum sum-rank weight over GF(2) for the `packable_sum_rank` shapes.
+def sr_min_weight_packed(field, rows, blocks, budget: int) -> int:
+    """Exact minimum sum-rank weight over GF(2) for the `packable_sum_rank`
+    shapes, through the packed walk; one more than the largest weight
+    without rows.
 
     `rows` are flattened generator rows; `blocks` the (m_i, n_i) shapes in
     flattening order.  Two-row blocks are scored bit-sliced, all blocks of
@@ -540,7 +486,8 @@ def sr_min_weight_packed(field, rows, blocks, budget: int, jobs: int = 1) -> int
         offset += m * n
     firsts = {n: np.uint64(bits) for n, bits in firsts.items()}
 
-    def weight(words, _hi):
+    def weight(chunk):
+        words = chunk[:, 0]
         acc = np.zeros(len(words), dtype=np.uint8)
         for n, bits in firsts.items():
             acc += _two_row_ranks(words, n, bits)
@@ -548,13 +495,14 @@ def sr_min_weight_packed(field, rows, blocks, budget: int, jobs: int = 1) -> int
             acc += lut[((words >> off) & mask).astype(np.intp)]
         return acc
 
-    return _sharded_min(field, rows, budget, jobs, weight, sum(m for m, _ in blocks) + 1)
+    best = _walk_min(field, rows, offset, budget, weight, packed=True)
+    return sum(m for m, _ in blocks) + 1 if best is None else best
 
 
 def sr_min_weight_generic(field, rows, rank_fn, budget: int) -> int:
-    """Fallback for any field or length through the walker: rank_fn maps a
-    2-D chunk of flat codewords to their sum-rank weights
-    (`BlockProfile.weights`).
+    """Fallback for any field or length through the walker on entry
+    arrays: rank_fn maps a 2-D chunk of flat codewords to their sum-rank
+    weights (`BlockProfile.weights`).
 
     Raises ZeroCode without rows: their length, and so the largest weight,
     is unknown."""

@@ -157,17 +157,22 @@ def test_mindist_budget_exit_code(tmp_path, capsys):
 
 
 def test_walker_budget_counts_messages(tmp_path, capsys):
-    # a GF(3) code takes the array walker: the budget counts messages from the
-    # zero one on, and a cut search prints the lightest word it saw
-    c = tmp_path / "g3.json"
-    c.write_text(json.dumps({"q_tower": {"characteristic": 3, "tower": []}, "n": 4,
-                             "generator": [[1, 2, 0, 1]]}))
-    for budget, want in (("2", '{"d":3,"enumerated":2,"exact":false}'),
-                         ("0", '{"d":null,"enumerated":0,"exact":false}')):
-        rc, out, _ = run_cli(capsys, "code", "mindist", str(c), "--budget", budget)
-        assert (rc, out.strip()) == (2, want)
-    rc, out, _ = run_cli(capsys, "code", "mindist", str(c), "--budget", "3")
-    assert (rc, out.strip()) == (0, '{"d":3,"exact":true}')
+    # a GF(3) code takes the array walker, a GF(4) code the packed one: the
+    # budget counts messages from the zero one on, and a cut search prints the
+    # lightest word it saw
+    f4 = extension(prime_field(2), 2)
+    g4 = code_to_obj(code_from_obj({"q_tower": field_to_obj(f4), "n": 4,
+                                    "generator": [[1, 2, 0, 1]]}))
+    g3 = {"q_tower": {"characteristic": 3, "tower": []}, "n": 4, "generator": [[1, 2, 0, 1]]}
+    for obj, total in ((g3, "3"), (g4, "4")):
+        c = tmp_path / "c.json"
+        c.write_text(json.dumps(obj))
+        for budget, want in (("2", '{"d":3,"enumerated":2,"exact":false}'),
+                             ("0", '{"d":null,"enumerated":0,"exact":false}')):
+            rc, out, _ = run_cli(capsys, "code", "mindist", str(c), "--budget", budget)
+            assert (rc, out.strip()) == (2, want), total
+        rc, out, _ = run_cli(capsys, "code", "mindist", str(c), "--budget", total)
+        assert (rc, out.strip()) == (0, '{"d":3,"exact":true}')
 
 
 def test_usage_error_exit_code(capsys, tmp_path):
@@ -382,12 +387,10 @@ def test_counts_below_their_least_are_usage_errors(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "sr", "construct-sr", str(c), str(c))
     sr = tmp_path / "sr.json"
     sr.write_text(out)
-    for jobs in ("0", "-3"):
-        for argv in (["code", "mindist", str(c)], ["sr", "mindist", str(sr)],
-                     ["sr", "mindist", str(c), str(c)], ["tables", "2"]):
-            rc, out, err = run_cli(capsys, *argv, "--jobs", jobs)
-            assert_input_error(rc, out, err)
-            assert "--jobs: must be at least 1" in err
+    # every search runs in one thread: no verb takes --jobs
+    rc, out, err = run_cli(capsys, "tables", "2", "--jobs", "2")
+    assert_input_error(rc, out, err)
+    assert "unrecognized arguments: --jobs 2" in err
     rc, out, err = run_cli(capsys, "sr", "verify-duality", "--trials", "-1")
     assert_input_error(rc, out, err)
     assert "--trials: must be at least 0" in err

@@ -75,7 +75,6 @@ def test_min_distance_matches_bruteforce():
                 if any(word)
             )
             assert c.min_distance() == brute
-            assert c.min_distance(jobs=2) == brute
 
 
 def test_min_distance_budget():
@@ -133,6 +132,23 @@ def test_codeword_chunks_follow_all_codewords(monkeypatch, piece, cap):
             assert all(len(c) <= (piece or wordenum._PIECE) for c in chunks)
             got = [list(map(int, w)) for c in chunks for w in c]
             assert got == list(wordenum.all_codewords(field, rows, n)), (field.order, k)
+    # packed, the same words as bitplanes (lo alone over GF(2)), cut at a count
+    # of none, one, mid-chunk and every word
+    for field in (F2, F4):
+        planes = 1 if field.order == 2 else 2
+        for k in range(9):
+            total = field.order**k
+            n = 64 if total <= 256 else rnd.choice([1, 3, 9])
+            rows = [[rnd.randrange(field.order) for _ in range(n)] for _ in range(k)]
+            first = len(next(wordenum.codeword_chunks(field, rows, n, packed=True)))
+            for count in {0, 1, first // 2 + 1, first + first // 2 + 1, total}:
+                chunks = list(wordenum.codeword_chunks(field, rows, n, count, packed=True))
+                assert all(c.shape[1] == planes and len(c) <= (piece or wordenum._PIECE)
+                           for c in chunks)
+                got = [w for c in chunks for w in c.tolist()]
+                want = [list(wordenum.pack_row_planes(field, w))[:planes]
+                        for c in wordenum.codeword_chunks(field, rows, n, count) for w in c.tolist()]
+                assert len(got) == min(count, total) and got == want, (field.order, k, count)
 
 
 def _outcome(search):
@@ -194,35 +210,6 @@ def test_walker_budget_cut_of_a_long_code():
         c.min_distance(budget=1000)
     assert time.perf_counter() - start < 1.0
     assert exc.value.enumerated == 1000 and exc.value.best == 1
-
-
-def test_shard_threads_are_capped_at_the_cores(monkeypatch):
-    # a fake pool records its size and maps serially, so no thread starts
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(wordenum, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(wordenum.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(wordenum, "_SUFFIX_CAP", 16)  # 64 shards of 16 words
-    rnd = random.Random(53)
-    rows = [[rnd.randrange(2) for _ in range(20)] for _ in range(10)]
-    want = wordenum.min_weight_char2(F2, rows, 20, 2**10)
-    for jobs, workers in ((1, []), (2, [2]), (10**6, [3])):
-        sizes.clear()
-        assert wordenum.min_weight_char2(F2, rows, 20, 2**10, jobs) == want
-        assert sizes == workers, jobs
 
 
 def test_low_weight_scan_complete():
@@ -299,7 +286,7 @@ def test_certified_distance_equals_min_distance(monkeypatch):
 
 
 def test_support_masks_match_the_codeword_supports(monkeypatch):
-    # a 16-word suffix table splits every whole listing below into shards
+    # a 16-entry cap splits every whole listing below into several chunks
     monkeypatch.setattr(wordenum, "_SUFFIX_CAP", 16)
     rnd = random.Random(61)
     for trial in range(40):

@@ -267,7 +267,6 @@ def test_min_distance_packed_vs_generic():
             continue
         brute = _brute_min(c)
         assert c.min_distance() == brute
-        assert c.min_distance(jobs=2) == brute
         rows = [list(r) for r in c.generator.rows]
         assert sr_min_weight_generic(F2, rows, p.weights, 2**20) == brute
 
@@ -335,7 +334,7 @@ _SHAPES = [(2, n) for n in range(2, 9)] + [(1, n) for n in range(1, 7)] + [(3, 3
 
 @pytest.mark.parametrize("cap, piece", [(None, None), (16, 4)])
 def test_packed_kernel_matches_walker_and_tables(monkeypatch, cap, piece):
-    # small caps make every code cross several prefix shards and pieces
+    # small caps make every code cross several chunks
     if cap is not None:
         monkeypatch.setattr(wordenum, "_SUFFIX_CAP", cap)
         monkeypatch.setattr(wordenum, "_PIECE", piece)
@@ -352,11 +351,10 @@ def test_packed_kernel_matches_walker_and_tables(monkeypatch, cap, piece):
         want = int(_table_weights(blocks, rows)[1:].min())
         assert sr_min_weight_generic(F2, rows, p.weights, 2**20) == want
         assert sr_min_weight_packed(F2, rows, blocks, 2**20) == want
-        assert sr_min_weight_packed(F2, rows, blocks, 2**20, jobs=2) == want
 
 
 def test_packed_kernel_across_prefix_shards():
-    # k = 19..21 over the real shard size: 2..8 prefix shards
+    # k = 19..21 over the real chunk size: 16..64 prefix codewords
     rnd = random.Random(57)
     for blocks, k in (([(2, 2)] * 16, 21), ([(2, 12), (2, 3), (3, 3), (2, 5)], 19),
                       ([(4, 4), (2, 7), (1, 5), (2, 2), (2, 8)], 20)):
@@ -364,18 +362,17 @@ def test_packed_kernel_across_prefix_shards():
         rows = [list(r) for r in SumRankCode.from_rows(
             p, [_random_word(rnd, p) for _ in range(k)]).generator.rows]
         assert len(rows) == k
-        weights = _table_weights(blocks, rows)
+        # the rows reversed put the first row on the most significant digit:
+        # message order of `all_codewords`
+        weights = _table_weights(blocks, rows[::-1])
         want = int(weights[1:].min())
         assert sr_min_weight_packed(F2, rows, blocks, 2**22) == want
-        assert sr_min_weight_packed(F2, rows, blocks, 2**22, jobs=2) == want
-        # over budget: whole shards of 2**18 messages, prefix (first rows) digits
-        # least significant
-        shards = 3 if k > 19 else 1
-        enumerated = weights.reshape(2**18, 2 ** (k - 18))[:, :shards]
+        # over budget: exactly the first `budget` messages, cut inside a chunk
+        budget = (3 if k > 19 else 1) * 2**18 + 5
         with pytest.raises(BudgetExceeded) as exc:
-            sr_min_weight_packed(F2, rows, blocks, shards * 2**18 + 5)
-        assert exc.value.enumerated == shards * 2**18
-        assert exc.value.best == int(enumerated.ravel()[1:].min())
+            sr_min_weight_packed(F2, rows, blocks, budget)
+        assert exc.value.enumerated == budget
+        assert exc.value.best == int(weights[1:budget].min())
 
 
 def test_rank_tables_are_built_once_per_shape():

@@ -6,7 +6,7 @@ import pytest
 from golden import GOLDEN_ROWS, assert_golden
 from srlab import tables
 from srlab.construct import default_expansion_profile, symbol_sum_rank_weight
-from srlab.errors import NegativeBudget, UnknownTable
+from srlab.errors import NegativeBudget, UnknownTable, UsageError
 from srlab.sumrank import BlockProfile
 from srlab.tables import (
     TABLE_IDS,
@@ -31,7 +31,7 @@ def test_manifest_loading():
 
 def test_every_manifest_code_spec_is_a_kind_the_runner_builds():
     # a stale or misspelt spec kind fails here, not inside a table run
-    ctx = tables._Ctx(tables.DEFAULT_TABLE_WORD_BUDGET, 1)
+    ctx = tables._Ctx(tables.DEFAULT_TABLE_WORD_BUDGET)
     kinds = set()
     for tid in TABLE_IDS:
         for row in load_manifest(tid)["rows"]:
@@ -81,7 +81,7 @@ def test_table9_d_sr_equals_the_least_symbol_weight():
     assert_golden(res)
     reported = {r.row: int(m.group(1)) for r in res
                 for m in [re.search(r"d_sr=(\d+)", r.computed)] if m}
-    ctx = tables._Ctx(tables.DEFAULT_TABLE_WORD_BUDGET, 1)
+    ctx = tables._Ctx(tables.DEFAULT_TABLE_WORD_BUDGET)
     least = {}
     for row in load_manifest(9)["rows"]:
         _, c = ctx.code_from_spec(row)
@@ -110,10 +110,9 @@ def test_report_formats():
     assert csv_text.splitlines()[0] == "table,row,status,expected,computed,note"
 
 
-def test_jobs_do_not_change_the_report():
-    a = run_tables([2, 8], jobs=1)
-    assert_golden(a)
-    assert report_to_json(a) == report_to_json(run_tables([2, 8], jobs=4))
+def test_tables_run_in_one_thread():
+    with pytest.raises(UsageError):
+        run_tables([2], jobs=2)
 
 
 def test_each_known_discrepancy_is_stated_once():
@@ -131,7 +130,7 @@ def test_each_known_discrepancy_is_stated_once():
 
 
 def test_tiny_budgets_give_budget_limited_rows():
-    # budgets below one enumeration shard: every exact search falls back to
+    # budgets far below the codes' sizes: every exact search falls back to
     # its budget-limited evidence instead of aborting the run
     res = run_tables([2, 3, 7, 8], word_budget=10)
     assert len(res) == 30
@@ -142,7 +141,7 @@ def test_tiny_budgets_give_budget_limited_rows():
 
 
 def test_a_scan_that_finds_a_word_at_its_depth_settles_d_h():
-    # a word budget below one shard sends every d_H to the low-weight scan,
+    # a word budget of 10 sends every d_H to the low-weight scan,
     # which lists every codeword through the printed weight
     res = run_tables([2], word_budget=10)
     assert [r.status for r in res] == ["match"] * 3
@@ -170,7 +169,7 @@ def test_pair_rows_settle_when_the_found_weight_meets_the_formula():
 def test_over_budget_d_h_witnesses_are_codewords():
     # past the word budget d_H comes from the window certificate, whose
     # witness is a codeword of exactly the certified weight
-    ctx = tables._Ctx(tables.DEFAULT_TABLE_WORD_BUDGET, 1)
+    ctx = tables._Ctx(tables.DEFAULT_TABLE_WORD_BUDGET)
     over = set()
     for tid in (11, 12):
         for row in load_manifest(tid)["rows"]:
@@ -204,7 +203,7 @@ def test_d_h_by_certificate_equals_the_exhaustive_search():
     # within the word budget d_H is exhaustive only where a certificate would
     # list the whole code anyway; every code that a certificate settles
     # instead has the exhaustive value
-    ctx = tables._Ctx(tables.DEFAULT_TABLE_WORD_BUDGET, 1)
+    ctx = tables._Ctx(tables.DEFAULT_TABLE_WORD_BUDGET)
     certified = set()
     for spec, printed in _table_hamming_specs(ctx):
         code, h = ctx.hamming(tables._RowScratch(), spec, printed, "the code")
