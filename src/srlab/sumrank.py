@@ -24,29 +24,23 @@ import numpy as np
 from .code import DEFAULT_WORD_BUDGET, LinearCode, _rotation_closed
 from .errors import LengthMismatch, NonUniformProfile, NotSelfDual, ProfileMismatch, ZeroCode
 from .linalg import MatrixGF, check_entries
-from .wordenum import (_LUT_BITS, block_rank_lut, packable_sum_rank, sr_min_weight_generic,
-                       sr_min_weight_packed)
+from .wordenum import (_LUT_BITS, block_rank_lut, block_ranks, packable_sum_rank,
+                       sr_min_weight_generic, sr_min_weight_packed)
 
 __all__ = ["BlockProfile", "SumRankCode"]
 
 @functools.lru_cache(maxsize=None)
-def _f2_shapes(blocks) -> Tuple[tuple, tuple]:
-    """The blocks of a GF(2) profile grouped for `BlockProfile.weights`:
-    (columns, bit values, rank table) per shape of at most _LUT_BITS bits,
-    the columns one row of flat positions per block of the shape, and the
-    wider blocks as (columns, shapes)."""
-    groups, wide_cols, wide = {}, [], []
+def _shapes(blocks, f2: bool) -> tuple:
+    """The blocks grouped for `BlockProfile.weights`: (shape, columns, bit
+    values, rank table) per shape, the columns a row of flat positions per
+    block, the table None unless `f2` (GF(2)) and mn <= _LUT_BITS."""
+    groups = {}
     offsets = itertools.accumulate((m * n for m, n in blocks), initial=0)
     for off, (m, n) in zip(offsets, blocks):
-        cols = range(off, off + m * n)
-        if m * n <= _LUT_BITS:
-            groups.setdefault((m, n), []).append(cols)
-        else:
-            wide_cols.extend(cols)
-            wide.append((m, n))
-    shapes = tuple((np.array(cols, dtype=np.intp), 1 << np.arange(m * n, dtype=np.intp),
-                    block_rank_lut(m, n)) for (m, n), cols in groups.items())
-    return shapes, (np.array(wide_cols, dtype=np.intp), tuple(wide))
+        groups.setdefault((m, n), []).append(range(off, off + m * n))
+    return tuple(((m, n), np.array(cols, dtype=np.intp), 1 << np.arange(m * n, dtype=np.intp),
+                  block_rank_lut(m, n) if f2 and m * n <= _LUT_BITS else None)
+                 for (m, n), cols in groups.items())
 
 
 class BlockProfile:
@@ -93,12 +87,6 @@ class BlockProfile:
             for off, (m, n) in zip(self.offsets, self.blocks)
         )
 
-    def _ranks(self, words) -> np.ndarray:
-        """Sum of the blocks' `MatrixGF.rank` for each of a list of flat
-        words, as an intp array."""
-        ranks = (sum(mat.rank() for mat in self.matrices(w)) for w in words)
-        return np.fromiter(ranks, dtype=np.intp, count=len(words))
-
     def weight(self, word: Sequence[int]) -> int:
         """Sum-rank weight: the sum of the block ranks, `weights` of the one
         word."""
@@ -109,24 +97,20 @@ class BlockProfile:
         """Sum-rank weight of each row of a 2-D array of flat words (a chunk
         of `wordenum.codeword_chunks`), as an intp array.
 
-        Over GF(2) the blocks of each shape of at most _LUT_BITS bits are
-        scored together: each block's bits times powers of 2 index the
-        shape's rank table.  Wider blocks and other fields eliminate each
-        block's MatrixGF, row by row.
+        The blocks of each shape are scored together: over GF(2) a shape of
+        at most _LUT_BITS bits reads its rank table at each block's bits
+        times powers of 2, any other shape is one `wordenum.block_ranks`.
         """
         words = np.asarray(words)
         if words.ndim != 2 or words.shape[1] != self.total:
             raise LengthMismatch(f"words of shape {words.shape} are not rows of length {self.total}")
         if words.size and (words.min() < 0 or words.max() >= self.field.order):
             check_entries(self.field, words.tolist())
-        if self.field.order != 2:
-            return self._ranks(words.tolist())
-        shapes, (wide_cols, wide) = _f2_shapes(self.blocks)
         acc = np.zeros(len(words), dtype=np.intp)
-        for cols, bits, lut in shapes:
-            acc += lut[words[:, cols] @ bits].sum(axis=1, dtype=np.intp)
-        if wide:
-            acc += BlockProfile(self.field, wide)._ranks(words[:, wide_cols].tolist())
+        for (m, n), cols, bits, lut in _shapes(self.blocks, self.field.order == 2):
+            ranks = (block_ranks(self.field, words[:, cols].reshape(-1, m, n)) if lut is None
+                     else lut[words[:, cols] @ bits])
+            acc += ranks.reshape(len(words), len(cols)).sum(axis=1, dtype=np.intp)
         return acc
 
     def trace_ip(self, u: Sequence[int], v: Sequence[int]) -> int:

@@ -23,8 +23,8 @@ lo <= d <= hi, of one of these kinds:
 Printed values are mostly comparison targets, but some still feed
 computations: the formula-only rows of tables 1 and 7 evaluate the bounds at
 the printed d_H, and the `d` column of tables 2 and 4 feeds the table 5/9
-bound formulas.  No printed value sets a search depth.  ROADMAP item 7
-replaces the remaining inputs.
+bound formulas.  No printed value sets a search depth.  The ROADMAP item
+"Printed values are never inputs" replaces the remaining inputs.
 
 Row statuses:
   match          every check of the row's expectation kind passed

@@ -22,6 +22,9 @@
   `support_masks` reads the light support classes off it (or off the whole
   code's chunks, where `listing_cost` says that is no dearer).
 
+Block ranks are read from GF(2) rank tables (`block_rank_lut`) or, over any
+field, eliminated for a whole array of blocks at once (`block_ranks`).
+
 Budgets count enumerated codewords.  A search that would exceed its budget
 enumerates exactly its first `budget` messages, then raises BudgetExceeded
 carrying the lightest weight seen, an upper bound on the true minimum.
@@ -52,6 +55,7 @@ __all__ = [
     "low_weight_blocks",
     "sr_min_weight_packed",
     "sr_min_weight_generic",
+    "block_ranks",
     "popcount",
 ]
 
@@ -63,7 +67,7 @@ _PIECE = 1 << 15
 # bits of the largest block shape given a rank table (`block_rank_lut`,
 # 2**bits bytes, 0.5-3 ms to build at 16 bits); the packed sum-rank search
 # reads it for blocks other than two-row ones and `BlockProfile.weights` for
-# every GF(2) block; `weights` eliminates wider blocks as MatrixGFs
+# every GF(2) block; `block_ranks` eliminates every other block
 _LUT_BITS = 16
 
 
@@ -432,6 +436,28 @@ def block_rank_lut(m: int, n: int) -> np.ndarray:
         lut[row != 0] += 1
     lut.flags.writeable = False
     return lut
+
+
+def block_ranks(field, blocks) -> np.ndarray:
+    """Rank of each matrix of an (N, m, n) array of entries (`linalg._tables`).
+
+    Each row is reduced against the kept rows by r <- b[p] r - r[p] b, p a
+    kept row's first nonzero column (1 stands in for a zero row's pivot
+    entry); the rank counts the rows left nonzero.  It never divides, so uint8
+    tables and object arrays run it alike."""
+    t = _tables(field)
+    blocks = np.asarray(blocks).astype(t.dtype, copy=False)
+    at = np.arange(len(blocks))
+    kept, ranks = [], np.zeros(len(blocks), dtype=np.intp)
+    for i in range(blocks.shape[1]):
+        r = blocks[:, i]
+        for b, p, lead in kept:
+            r = t.plus(t.times(lead, r), t.negate(t.times(r[at, p][:, None], b)))
+        nonzero = r != 0
+        p, live = nonzero.argmax(axis=1), nonzero.any(axis=1)
+        kept.append((r, p, np.where(live, r[at, p], 1)[:, None]))
+        ranks += live
+    return ranks
 
 
 def _fold(x: np.ndarray, n: int, tmp: np.ndarray) -> None:
