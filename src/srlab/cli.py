@@ -78,13 +78,17 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
-def _emit(obj) -> None:
-    if isinstance(obj, str):
-        sys.stdout.write(obj)
-        if not obj.endswith("\n"):
-            sys.stdout.write("\n")
+def _emit(obj, path=None) -> None:
+    """Write obj (text as is, anything else as JSON) and one final newline to
+    stdout, or to the file at `path`."""
+    text = obj if isinstance(obj, str) else jsonio.dumps(obj)
+    if not text.endswith("\n"):
+        text += "\n"
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(jsonio.dumps(obj) + "\n")
+        sys.stdout.write(text)
 
 
 def _read_json_arg(path):
@@ -288,11 +292,7 @@ def _random_basis(rnd, ext) -> Basis:
 def _cmd_tables(args) -> int:
     results = run_tables(args.ids, word_budget=args.budget)
     text = report_to_csv(results) if args.format == "csv" else report_to_json(results)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        _emit(text)
+    _emit(text, args.out)
     return report_exit_code(results)
 
 

@@ -32,7 +32,7 @@ from .code import LinearCode, _rotation_closed
 from .errors import BadDelta, BadPolynomial, NoNontrivialCoset, NotCoprime, NotDivisor
 from .field import FieldSpec, extension
 from .linalg import check_length
-from .poly import Polynomial, poly_lcm
+from .poly import Polynomial
 
 __all__ = [
     "CosetTable",
@@ -155,40 +155,40 @@ def bch_cosets(q: int, n: int, delta: int, b: int) -> List[Tuple[int, ...]]:
 
 
 def bch_generator(field: FieldSpec, n: int, delta: int, b: int) -> Polynomial:
-    """lcm of the minimal polynomials of beta^b .. beta^(b+delta-2); the
-    result is monic and divides x^n - 1."""
+    """lcm of the minimal polynomials of beta^b .. beta^(b+delta-2): the
+    product of the distinct cosets' minimal polynomials, which are coprime.
+    The result is monic and divides x^n - 1."""
     g = Polynomial.one(field)
     for coset in bch_cosets(field.order, n, delta, b):
-        g = poly_lcm(g, minimal_polynomial(field, n, coset[0]))
+        g = g * minimal_polynomial(field, n, coset[0])
     return g
+
+
+def _cofactor(g: Polynomial, n: int) -> Polynomial:
+    """(x^n - 1) / g; raises NotDivisor unless g divides x^n - 1."""
+    check_length(n)
+    if g:
+        h, r = divmod(Polynomial.x_pow_minus_one(g.field, n), g)
+        if r.is_zero:
+            return h
+    raise NotDivisor(f"{g} does not divide x^{n} - 1")
 
 
 def cyclic_code(g: Polynomial, n: int) -> LinearCode:
     """The length-n cyclic code generated by g; g must divide x^n - 1."""
-    field = g.field
-    check_length(n)
-    xn1 = Polynomial.x_pow_minus_one(field, n)
-    if g.is_zero or not (xn1 % g).is_zero:
-        raise NotDivisor(f"{g} does not divide x^{n} - 1")
-    deg = g.degree
+    _cofactor(g, n)
     rows = []
-    for i in range(n - deg):
+    for i in range(n - g.degree):
         row = [0] * n
         for j, c in enumerate(g.coeffs):
             row[i + j] = c
         rows.append(row)
-    return LinearCode.from_rows(field, n, rows)
+    return LinearCode.from_rows(g.field, n, rows)
 
 
 def cyclic_dual_generator(g: Polynomial, n: int) -> Polynomial:
     """Generator of the dual cyclic code: monic reciprocal of (x^n - 1)/g."""
-    field = g.field
-    check_length(n)
-    xn1 = Polynomial.x_pow_minus_one(field, n)
-    if g.is_zero or not (xn1 % g).is_zero:
-        raise NotDivisor(f"{g} does not divide x^{n} - 1")
-    h = xn1 // g
-    return h.reciprocal_monic()
+    return _cofactor(g, n).reciprocal_monic()
 
 
 def is_cyclic(code: LinearCode) -> bool:

@@ -9,6 +9,8 @@ of a field tower.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import Reducible
 
 __all__ = [
@@ -50,10 +52,6 @@ class Polynomial:
     @classmethod
     def x(cls, field) -> "Polynomial":
         return cls(field, (0, 1))
-
-    @classmethod
-    def constant(cls, field, c: int) -> "Polynomial":
-        return cls(field, (c,))
 
     @classmethod
     def x_pow_minus_one(cls, field, n: int) -> "Polynomial":
@@ -123,12 +121,6 @@ class Polynomial:
         if c == 0:
             return Polynomial.zero(f)
         return Polynomial(f, [f.mul(c, a) for a in self.coeffs])
-
-    def shift(self, k: int) -> "Polynomial":
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return Polynomial(self.field, (0,) * k + self.coeffs)
 
     def __divmod__(self, other):
         if other.is_zero:
@@ -242,32 +234,22 @@ def prime_factors(n: int):
 
 
 def is_irreducible(f: Polynomial) -> bool:
-    """Rabin's test over the coefficient field.
+    """Ben-Or's test over the coefficient field GF(q).
 
-    f of degree m is irreducible iff x^(q^m) = x mod f and, for every prime
-    p dividing m, gcd(x^(q^(m/p)) - x mod f, f) = 1.
+    f of degree m is irreducible iff gcd(x^(q^i) - x, f) = 1 for every
+    i = 1 .. floor(m/2): x^(q^i) - x is the product of the monic
+    irreducibles of degree dividing i, and a reducible f has a factor of
+    degree at most m/2.  The first shared factor ends the test.
     """
     m = f.degree
     if m <= 0:
         return False
-    if m == 1:
-        return True
     field = f.field
-    q = field.order
     x = Polynomial.x(field)
-
-    def x_q_power(k: int) -> Polynomial:
-        # x^(q^k) mod f by k successive q-th powers
-        t = x % f
-        for _ in range(k):
-            t = t.pow_mod(q, f)
-        return t
-
-    if x_q_power(m) != (x % f):
-        return False
-    for p in prime_factors(m):
-        h = x_q_power(m // p) - (x % f)
-        if poly_gcd(h, f).degree != 0:
+    t = x
+    for _ in range(m // 2):
+        t = t.pow_mod(field.order, f)
+        if poly_gcd(t - x, f).degree != 0:
             return False
     return True
 
@@ -279,14 +261,8 @@ def smallest_irreducible(field, m: int) -> Polynomial:
     (c_{m-1}, ..., c_0) with coefficients compared by canonical integer.
     This makes deterministic modulus selection reproducible across runs.
     """
-    q = field.order
-    for j in range(q**m):
-        digits = []
-        v = j
-        for _ in range(m):
-            digits.append(v % q)
-            v //= q
-        cand = Polynomial(field, digits + [1])
+    for digits in itertools.product(range(field.order), repeat=m):
+        cand = Polynomial(field, digits[::-1] + (1,))
         if is_irreducible(cand):
             return cand
     raise Reducible(f"no irreducible of degree {m} found (impossible)")

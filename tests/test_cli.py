@@ -6,6 +6,7 @@ import sys
 import time
 
 import pytest
+from golden import GOLDEN_PATH
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import srlab
@@ -352,6 +353,19 @@ def test_tables_cli(tmp_path, capsys):
     rc, out, err = run_cli(capsys, "tables", "2", "--pair-budget", "5")
     assert_input_error(rc, out, err)
     assert "unrecognized arguments: --pair-budget 5" in err
+
+
+def test_full_report_is_the_golden_file(tmp_path, capsys):
+    # the whole report, summary and formatting included, byte for byte on
+    # stdout and in the --out file
+    with open(GOLDEN_PATH, "rb") as fh:
+        golden = fh.read()
+    argv = ["tables", "1", "2", "3", "4", "5", "7", "8", "9", "11", "12", "--format", "json"]
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 3 and out.encode() == golden
+    path = tmp_path / "report.json"
+    rc, out, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert rc == 3 and out == "" and path.read_bytes() == golden
 
 
 F4_TOWER = {"characteristic": 2, "tower": [[2, [1, 1, 1]]]}

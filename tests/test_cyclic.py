@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 
 import pytest
@@ -27,7 +29,8 @@ from srlab.errors import (
 )
 from srlab.field import extension, prime_field
 from srlab.linalg import MAX_LENGTH
-from srlab.poly import Polynomial, is_irreducible, poly_gcd, poly_lcm, smallest_irreducible
+from srlab.poly import Polynomial, is_irreducible, poly_gcd, poly_lcm, prime_factors, smallest_irreducible
+from srlab.tables import load_manifest
 from subspaces import all_rref_generators
 
 F2 = prime_field(2)
@@ -67,6 +70,66 @@ def test_irreducibility():
     assert is_irreducible(Polynomial(F2, (1, 1, 1)))
     assert not is_irreducible(Polynomial(F2, (1, 0, 1)))  # (x+1)^2
     assert smallest_irreducible(F2, 2).coeffs == (1, 1, 1)
+
+
+def rabin_is_irreducible(f):
+    """Rabin's test, the oracle for Ben-Or's: f of degree m is irreducible iff
+    x^(q^m) = x mod f and gcd(x^(q^(m/p)) - x, f) = 1 for each prime p | m."""
+    m = f.degree
+    if m <= 0:
+        return False
+    field = f.field
+    x = Polynomial.x(field) % f
+
+    def x_q_power(k):
+        t = x
+        for _ in range(k):
+            t = t.pow_mod(field.order, f)
+        return t
+
+    if x_q_power(m) != x:
+        return False
+    return all(poly_gcd(x_q_power(m // p) - x, f).degree == 0 for p in prime_factors(m))
+
+
+FIELDS = {
+    2: F2,
+    3: prime_field(3),
+    4: F4,
+    5: prime_field(5),
+    9: extension(prime_field(3), 2),
+}
+
+
+def test_ben_or_matches_rabin():
+    rnd = random.Random(23)
+    for field in FIELDS.values():
+        q = field.order
+        for _ in range(200):
+            # leading coefficients other than 1 included
+            m = rnd.randint(0, 8)
+            f = Polynomial(field, [rnd.randrange(q) for _ in range(m)] + [rnd.randrange(1, q)])
+            assert is_irreducible(f) == rabin_is_irreducible(f), f
+
+
+def test_smallest_irreducible_is_the_first_the_oracle_accepts():
+    for q, top in ((2, 16), (3, 8), (4, 10)):
+        field = FIELDS[q]
+        for m in range(1, top + 1):
+            for j in itertools.count():
+                # c_0 is the least significant base-q digit of j
+                cand = Polynomial(field, [j // q**k % q for k in range(m)] + [1])
+                if rabin_is_irreducible(cand):
+                    break
+            assert smallest_irreducible(field, m) == cand, (q, m)
+
+
+def test_bch_generator_is_the_lcm_of_its_minimal_polynomials():
+    manifests = [row["bch"] for tid in (2, 4) for row in load_manifest(tid)["rows"]]
+    sweep = [(4, n, delta, b) for n in (13, 63, 205) for delta in range(2, 40) for b in (0, 1)]
+    for q, n, delta, b in manifests + sweep:
+        mins = [minimal_polynomial(F4, n, coset[0]) for coset in bch_cosets(q, n, delta, b)]
+        assert bch_generator(F4, n, delta, b) == functools.reduce(poly_lcm, mins), (n, delta, b)
 
 
 def test_reciprocal():
