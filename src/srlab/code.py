@@ -31,6 +31,7 @@ from .errors import (BudgetExceeded, LengthMismatch, MethodUnavailable, NotF4, N
 from .linalg import MatrixGF, check_entries
 from .wordenum import (
     all_codewords,
+    check_budget,
     listing_cost,
     low_weight_blocks,
     low_weight_min_char2,
@@ -223,6 +224,8 @@ class LinearCode:
         that would cost more than `budget` words (`listing_cost`) raises
         BudgetExceeded carrying the lightest weight found.
         """
+        if budget is not None:
+            check_budget(budget)
         if self.k == 0:
             raise ZeroCode("the zero code has no nonzero codeword")
         best = self.lightest_row(weight)

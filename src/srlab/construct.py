@@ -14,7 +14,9 @@ column of a base-field matrix: coordinate s of chunk i lands in column s of
 block i (the index formula is followed where prose and formula disagree).
 Both routes share that expansion: the matrix of x -> c x^(q^i) is the
 expansion of its images c b^(q^i) of the basis elements b, so route one is
-route two applied to the evaluation words (g_j b^(q^i)).
+route two applied to the evaluation words (g_j b^(q^i)).  The words of a
+construction are built as one array and expanded together
+(`Basis.coefficients`), every basis element's multiple at once.
 
 Duality transport for either route is checked constructively: both sides of
 the claimed identity are materialized and compared as canonical rrefs.
@@ -38,7 +40,7 @@ from .errors import (
     ProfileMismatch,
 )
 from .field import Basis, FieldSpec
-from .linalg import MatrixGF
+from .linalg import MatrixGF, _tables
 from .sumrank import BlockProfile, SumRankCode
 from .wordenum import check_budget, listing_cost, packable_char2, popcount, support_masks
 
@@ -110,29 +112,31 @@ def qpoly_matrix(coeffs: Sequence[int], basis: Basis) -> MatrixGF:
             t = ext.pow(t, q)
         images.append(img)
     profile = BlockProfile(basis.sub, [(m, m)])
-    return profile.matrices(_expand_word(basis, profile, images))[0]
+    return profile.matrices(_expand_words(basis, profile, [images])[0].tolist())[0]
 
 
-def _expand_word(basis: Basis, profile: BlockProfile, word: Sequence[int]) -> List[int]:
-    """The flat word whose block i expands chunk i of `word`: coordinate s of
-    the chunk becomes column s of the block."""
-    flat: List[int] = []
+def _expand_words(basis: Basis, profile: BlockProfile, words) -> np.ndarray:
+    """The flat words, one row per row of the 2-D array `words`, whose block
+    i expands chunk i of the word: coordinate s of the chunk becomes column s
+    of the block.  Every block has basis.size rows."""
+    coef = basis.coefficients(words)  # (words, coordinates, m)
+    out = np.empty((len(coef), profile.total), np.int64)
     pos = 0
-    for _, n_i in profile.blocks:
-        cols = [basis.expand(v) for v in word[pos : pos + n_i]]
-        for r in range(basis.size):
-            flat.extend(c[r] for c in cols)
-        pos += n_i
-    return flat
+    for off, (m, n) in zip(profile.offsets, profile.blocks):
+        out[:, off : off + m * n] = coef[:, pos : pos + n].swapaxes(1, 2).reshape(len(coef), m * n)
+        pos += n
+    return out
 
 
-def _expanded_code(basis: Basis, profile: BlockProfile, words, want: int) -> SumRankCode:
-    """F_q-span of lam * w for every basis element lam and word w, chunk i of
-    each scaled word expanded into block i; the dimension `want` is asserted."""
-    ext = basis.field
-    rows = [_expand_word(basis, profile, [ext.mul(lam, v) for v in word])
-            for word in words for lam in basis.elements]
-    out = SumRankCode.from_rows(profile, rows)
+def _expanded_code(basis: Basis, profile: BlockProfile, words: np.ndarray, want: int) -> SumRankCode:
+    """F_q-span of lam * w for every basis element lam and row w of the
+    array `words` (`linalg._tables` entries), chunk i of each scaled word
+    expanded into block i; the dimension `want` is asserted."""
+    t = _tables(basis.field)
+    lams = np.array(basis.elements, t.dtype)
+    scaled = t.times(words[:, None, :], lams[:, None])
+    scaled = scaled.reshape(len(words) * len(lams), words.shape[1])
+    out = SumRankCode.from_rows(profile, _expand_words(basis, profile, scaled).tolist())
     if out.dim != want:
         raise AssertionError(f"expanded code dimension {out.dim}, expected {want}")
     return out
@@ -188,12 +192,13 @@ def qpoly_code(codes: Sequence[LinearCode], basis: Optional[Basis] = None) -> Su
     # generator row g of code i gives the word (g_j * b^(q^i)) for j < t and
     # b in the basis, whose chunks expand into the blocks of its (m, m)^t row
     q = basis.sub.order
+    tab = _tables(ext)
     words = []
     for i, c in enumerate(codes):
-        powers = [ext.pow(b, q**i) for b in basis.elements]
-        words += [[ext.mul(g, p) for g in grow for p in powers] for grow in c.generator.rows]
+        powers = np.array([ext.pow(b, q**i) for b in basis.elements], tab.dtype)
+        words.append(tab.times(c.generator._array()[:, :, None], powers).reshape(c.k, t * m))
     profile = BlockProfile(basis.sub, [(m, m)] * t)
-    return _expanded_code(basis, profile, words, m * sum(c.k for c in codes))
+    return _expanded_code(basis, profile, np.concatenate(words), m * sum(c.k for c in codes))
 
 
 def pair_distance(c0: LinearCode, c1: LinearCode, budget: int = DEFAULT_WORD_BUDGET) -> int:
@@ -340,7 +345,7 @@ def basis_expand_code(
         if sum(n for _, n in profile.blocks) != code.n:
             raise ProfileMismatch("profile column counts must sum to the code length")
 
-    return _expanded_code(basis, profile, code.generator.rows, m * code.k)
+    return _expanded_code(basis, profile, code.generator._array(), m * code.k)
 
 
 def symbol_sum_rank_weight(word: Sequence[int], ext: FieldSpec, profile: BlockProfile) -> int:
@@ -355,7 +360,7 @@ def symbol_sum_rank_weight(word: Sequence[int], ext: FieldSpec, profile: BlockPr
         raise ProfileMismatch("profile rows must equal the extension degree")
     if sum(n for _, n in profile.blocks) != len(word):
         raise ProfileMismatch("profile does not cover the word")
-    return profile.weight(_expand_word(power_basis(ext, sub), profile, word))
+    return int(profile.weights(_expand_words(power_basis(ext, sub), profile, [word]))[0])
 
 
 _EVEN_BITS = np.uint64(0x5555555555555555)

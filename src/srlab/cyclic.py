@@ -166,6 +166,8 @@ def bch_generator(field: FieldSpec, n: int, delta: int, b: int) -> Polynomial:
 
 def _cofactor(g: Polynomial, n: int) -> Polynomial:
     """(x^n - 1) / g; raises NotDivisor unless g divides x^n - 1."""
+    if n < 1:
+        raise NotCoprime("n must be positive")
     check_length(n)
     if g:
         h, r = divmod(Polynomial.x_pow_minus_one(g.field, n), g)

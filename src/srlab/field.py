@@ -26,8 +26,11 @@ import functools
 import threading
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     DegreeMismatch,
+    DimensionMismatch,
     FieldMismatch,
     FieldTooLarge,
     LengthMismatch,
@@ -36,7 +39,7 @@ from .errors import (
     Reducible,
     SearchExceeded,
 )
-from .linalg import MatrixGF, check_entries
+from .linalg import MatrixGF, _tables, check_entries
 from .poly import Polynomial, is_irreducible, prime_factors, smallest_irreducible
 
 __all__ = [
@@ -50,10 +53,6 @@ __all__ = [
 ]
 
 _LOG_TABLE_MAX = 1 << 16
-# largest field whose Basis keeps every expand() result: expanding all of
-# GF(2^8)/GF(2) adds about 30 KB of RSS, all of GF(2^16)/GF(2) about 16 MB;
-# the constructions expand GF(4)/GF(2) and other small extensions
-_EXPAND_MEMO_MAX = 1 << 8
 _MAX_ORDER_BITS = 32
 _MAX_ORDER = 1 << _MAX_ORDER_BITS  # GF(4^10) = 2^20 is the largest field in use
 
@@ -329,8 +328,12 @@ def trace_to(field: FieldSpec, x: int, target: FieldSpec) -> int:
 class Basis:
     """Ordered basis of an extension over its immediate-or-deeper base.
 
-    `sub` defaults to the field's immediate base.  Expansion coefficients are
-    solved through the coordinate matrix, cached on first use.
+    `sub` defaults to the field's immediate base.  The encoding nests, so an
+    element's coordinates over `sub` are its m base-|sub| digits,
+    little-endian.  The coefficients over the basis are those digits times
+    the inverse of the digit matrix (column j the digits of element j), which
+    is solved once, when the basis is built; `coefficients` expands a whole
+    array in one product.
     """
 
     def __init__(self, field: FieldSpec, elements: Sequence[int], sub: Optional[FieldSpec] = None):
@@ -345,60 +348,36 @@ class Basis:
         self.field = field
         self.sub = sub
         self.elements = elements
-        self._to_coords = None  # inverse coordinate matrix, built lazily
-        # expand() results by element, for fields of at most _EXPAND_MEMO_MAX
-        # elements
-        self._expanded = {} if field.order <= _EXPAND_MEMO_MAX else None
-        cols = [self._sub_coords(e) for e in elements]
-        mat = MatrixGF(sub, [[cols[j][i] for j in range(m)] for i in range(m)], m)
-        if mat.rank() != m:
-            raise LengthMismatch("basis elements are linearly dependent")
-        self._coord_matrix = mat
+        self._places = sub.order ** np.arange(m, dtype=np.int64)
+        digits = np.array(elements, np.int64)[:, None] // self._places % sub.order
+        try:
+            inverse = MatrixGF(sub, digits.T.tolist(), m).invert()
+        except DimensionMismatch:
+            raise LengthMismatch("basis elements are linearly dependent") from None
+        self._inverse = _tables(sub).array(inverse.rows, m)
 
     @property
     def size(self) -> int:
         return len(self.elements)
 
-    def _sub_coords(self, value: int):
-        """Coordinates of a field element over `sub`, flattening the tower."""
-        f = self.field
-        chain = []
-        g = f
-        while g is not self.sub:
-            chain.append(g)
-            g = g.base
-        vals = [value]
-        for g in chain:
-            vals = [c for v in vals for c in g.coords(v)]
-        return vals
+    def coefficients(self, values) -> np.ndarray:
+        """Coefficients over this basis of every element of an int array: an
+        int64 array of the input's shape with one more axis, of length m.
+
+        The range is checked before the int64 conversion, so an int past
+        int64 raises EntryOutOfRange like any other.
+        """
+        values = np.asarray(values)
+        if values.size and (values.min() < 0 or values.max() >= self.field.order):
+            check_entries(self.field, [values.ravel().tolist()])
+        digits = values.astype(np.int64)[..., None] // self._places % self.sub.order
+        t = _tables(self.sub)
+        solved = t.product(self._inverse, digits.reshape(-1, self.size).T.astype(t.dtype))
+        return solved.T.astype(np.int64).reshape(digits.shape)
 
     def expand(self, x: int):
-        """Coefficients of x over this basis (tuple of sub-field integers).
-
-        Over a field of at most _EXPAND_MEMO_MAX elements each result is
-        kept, so the element is validated and solved for once; an element
-        only becomes a key once it passed the range check.
-        """
-        memo = self._expanded
-        if memo is not None:
-            hit = memo.get(x)
-            if hit is not None:
-                return hit
-        check_entries(self.field, [(x,)])
-        if self._to_coords is None:
-            self._to_coords = self._coord_matrix.invert()
-        s = self._sub_coords(x)
-        inv = self._to_coords
-        sub = self.sub
-        out = tuple(
-            functools.reduce(
-                sub.add, (sub.mul(inv.rows[i][j], s[j]) for j in range(len(s))), 0
-            )
-            for i in range(self.size)
-        )
-        if memo is not None:
-            memo[x] = out
-        return out
+        """Coefficients of x over this basis (tuple of sub-field integers)."""
+        return tuple(self.coefficients([x])[0].tolist())
 
     def combine(self, coords) -> int:
         if len(coords) != self.size:

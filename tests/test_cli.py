@@ -223,6 +223,15 @@ def test_cyclic_lengths_are_bounded(capsys):
         assert "exceeds the bound 4096" in err
 
 
+def test_nonpositive_cyclic_lengths_are_named_errors(capsys):
+    # x^0 - 1 is built as 1 and a negative exponent has no polynomial, so
+    # the length is refused before either is formed
+    for n in ("0", "-3"):
+        rc, out, err = run_cli(capsys, "cyclic", "--q", "4", "--n", n, "--gen", "1")
+        assert_input_error(rc, out, err)
+        assert "n must be positive" in err
+
+
 def test_outside_lengths_are_bounded(tmp_path, capsys):
     # a length read from JSON or from a profile argument is refused before
     # any work or allocation proportional to it
@@ -392,6 +401,8 @@ def test_negative_budget_is_a_named_error(tmp_path, capsys):
         code.min_distance(budget=-5)
     with pytest.raises(NegativeBudget):
         pair_distance(code, code, budget=-5)
+    with pytest.raises(NegativeBudget):
+        code.certified_distance(budget=-5)
 
 
 def test_counts_below_their_least_are_usage_errors(tmp_path, capsys):

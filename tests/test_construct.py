@@ -57,6 +57,20 @@ def _rand_code(rnd, field, n, k):
     )
 
 
+def _expand_word(basis, profile, word):
+    """Oracle: the flat word whose block i expands chunk i of `word`, one
+    element at a time; coordinate s of the chunk becomes column s of the
+    block."""
+    flat = []
+    pos = 0
+    for _, n_i in profile.blocks:
+        cols = [basis.expand(v) for v in word[pos : pos + n_i]]
+        for r in range(basis.size):
+            flat.extend(c[r] for c in cols)
+        pos += n_i
+    return flat
+
+
 # -- q-polynomial matrices -------------------------------------------------------
 
 
@@ -95,6 +109,29 @@ def test_qpoly_matrix_is_the_map():
             xc = MatrixGF(sub, [[c] for c in basis.expand(x)], 1)
             prod = qpoly_matrix(coeffs, basis).mat_mul(xc)
             assert tuple(r[0] for r in prod.rows) == basis.expand(img)
+
+
+@pytest.mark.parametrize("basis", [B_1W, B_SD, power_basis(extension(F4, 2)), power_basis(extension(F2, 9))],
+                         ids=["GF(4)/GF(2) power", "GF(4)/GF(2) self-dual", "GF(16)/GF(4)", "GF(512)/GF(2)"])
+def test_array_expansion_equals_the_per_word_loop(basis):
+    # a mixed (m, m + 1) + (m, m) profile, and codes of dimension 0 and length 0
+    rnd = random.Random(29)
+    ext, m = basis.field, basis.size
+    profile = BlockProfile(basis.sub, [(m, m + 1), (m, m)])
+    n = 2 * m + 1
+    words = np.array([[rnd.randrange(ext.order) for _ in range(n)] for _ in range(12)])
+    got = construct._expand_words(basis, profile, words)
+    assert got.tolist() == [_expand_word(basis, profile, w) for w in words.tolist()]
+    assert construct._expand_words(basis, profile, words[:0]).shape == (0, profile.total)
+    power = power_basis(ext, basis.sub)
+    for w in words.tolist():
+        assert symbol_sum_rank_weight(w, ext, profile) == profile.weight(_expand_word(power, profile, w))
+    for k in (0, 1, 3):
+        code = _rand_code(rnd, ext, n, k)
+        rows = [_expand_word(basis, profile, [ext.mul(lam, v) for v in row])
+                for row in code.generator.rows for lam in basis.elements]
+        assert basis_expand_code(code, basis, profile) == SumRankCode.from_rows(profile, rows)
+    assert basis_expand_code(LinearCode.zero(ext, 0), basis).dim == 0
 
 
 def test_qpoly_matrix_length_check():
@@ -416,7 +453,7 @@ def _check_uniform22_certificate(c, basis=B_SD):
     cert = d, witness, r, depth = uniform22_certified_distance(c)
     assert d == m.min_distance(), c.generator.rows
     assert c.contains(witness)
-    flat = construct._expand_word(basis, m.profile, witness)
+    flat = _expand_word(basis, m.profile, witness)
     assert m.contains(flat) and m.profile.weight(flat) == d
     assert symbol_sum_rank_weight(witness, F4, m.profile) == d
     return cert

@@ -282,6 +282,16 @@ def test_cyclic_code_examples():
         cyclic_code(parse_poly(F4, "1+x+x^2"), 4)
 
 
+def test_nonpositive_lengths_are_refused():
+    # x^0 - 1 would be built as 1, so length 0 is refused like any n < 1
+    one = Polynomial.one(F4)
+    for n in (0, -3):
+        with pytest.raises(NotCoprime, match="n must be positive"):
+            cyclic_code(one, n)
+        with pytest.raises(NotCoprime, match="n must be positive"):
+            cyclic_dual_generator(one, n)
+
+
 def test_cyclic_dual_routes_agree():
     rnd = random.Random(7)
     xs = [(F4, 13), (F4, 5), (F4, 2), (F2, 7), (F4, 6), (F4, 9)]

@@ -1,5 +1,7 @@
+import functools
 import random
 
+import numpy as np
 import pytest
 
 from srlab.construct import symbol_sum_rank_weight
@@ -7,6 +9,7 @@ from srlab.errors import (
     DegreeMismatch,
     EntryOutOfRange,
     FieldTooLarge,
+    LengthMismatch,
     NotPrime,
     NotSubfield,
     Reducible,
@@ -19,6 +22,7 @@ from srlab.field import (
     self_dual_basis,
     trace_to,
 )
+from srlab.linalg import MatrixGF
 from srlab.poly import Polynomial
 from srlab.sumrank import BlockProfile
 
@@ -236,6 +240,70 @@ def test_outside_ints_are_range_checked():
         trace_to(F4, 4, F2)
     with pytest.raises(EntryOutOfRange):
         symbol_sum_rank_weight([5, 0], F4, BlockProfile(F2, [(2, 2)]))
+    # ints past int64 are checked before any conversion
+    b = Basis(F4, [2, 3])
+    for bad in (-1, F4.order, 2**70, -(2**70)):
+        with pytest.raises(EntryOutOfRange):
+            b.expand(bad)
+        with pytest.raises(EntryOutOfRange):
+            b.coefficients([[0, 1], [bad, 2]])
+        with pytest.raises(EntryOutOfRange):
+            symbol_sum_rank_weight([bad, 0], F4, BlockProfile(F2, [(2, 2)]))
+
+
+def _per_element_solve(basis):
+    """Oracle: x -> its coefficients over `basis`, solved one element at a
+    time from x's coordinates over `sub`, read level by level down the
+    tower, times the inverse coordinate matrix."""
+    sub, m = basis.sub, basis.size
+
+    def sub_coords(v):
+        vals, g = [v], basis.field
+        while g is not sub:
+            vals = [c for u in vals for c in g.coords(u)]
+            g = g.base
+        return vals
+
+    cols = [sub_coords(e) for e in basis.elements]
+    inv = MatrixGF(sub, [[cols[j][i] for j in range(m)] for i in range(m)], m).invert()
+
+    def solve(x):
+        s = sub_coords(x)
+        return tuple(functools.reduce(sub.add, (sub.mul(inv.rows[i][j], s[j]) for j in range(m)), 0)
+                     for i in range(m))
+
+    return solve
+
+
+F16 = extension(F4, 2)
+F512 = extension(F2, 9)
+
+
+@pytest.mark.parametrize(
+    "field, sub",
+    [(F4, F2), (extension(F2, 3), F2), (extension(F3, 2), F3), (F16, F4), (F16, F2),
+     (F512, F2), (extension(F512, 2), F512)],
+    ids=["GF(4)/GF(2)", "GF(8)/GF(2)", "GF(9)/GF(3)", "GF(16)/GF(4)", "GF(16)/GF(2)",
+         "GF(512)/GF(2)", "GF(512^2)/GF(512)"])
+def test_coefficients_equal_the_per_element_solve(field, sub):
+    rnd = random.Random(field.order)
+    m = field.degree_over(sub)
+    g = field.primitive_element
+    bases = [Basis(field, [field.pow(g, i) for i in range(m)], sub)]
+    while len(bases) < 2:
+        try:
+            bases.append(Basis(field, [rnd.randrange(1, field.order) for _ in range(m)], sub))
+        except LengthMismatch:  # dependent draw
+            pass
+    xs = list(range(field.order)) if field.order <= 512 else [rnd.randrange(field.order) for _ in range(64)]
+    values = np.array(xs + xs).reshape(2, -1)
+    for basis in bases:
+        solve = _per_element_solve(basis)
+        got = basis.coefficients(values)
+        assert got.shape == values.shape + (m,)
+        assert [[tuple(c) for c in row] for row in got.tolist()] == \
+               [[solve(x) for x in row] for row in values.tolist()]
+        assert all(basis.expand(x) == solve(x) for x in xs[:16])
 
 
 @pytest.mark.parametrize("field, sub", [(F4, F2), (extension(F4, 2), F4), (extension(F4, 2), F2)],
@@ -272,6 +340,5 @@ def test_expand_keeps_nothing_past_the_memo_bound():
     b = Basis(big, [big.pow(g, i) for i in range(9)])
     for x in range(big.order):
         assert b.combine(b.expand(x)) == x
-    assert b._expanded is None
     with pytest.raises(EntryOutOfRange):
         b.expand(big.order)
