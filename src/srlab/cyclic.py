@@ -8,9 +8,17 @@ generator polynomials that depend on the choice of root are therefore only
 reproducible up to conjugation, which callers handle by comparing against
 frobenius_coeffs of the expected polynomial as well.
 
-The splitting field with its root and each minimal polynomial are built once
-per interpreter: both are pure functions of a singleton FieldSpec and ints,
-cached by functools.lru_cache.  Errors are raised before anything is cached.
+Minimal polynomials come from a linear dependency, not from a product of
+linear factors in the splitting field: the coordinates over GF(q) of
+alpha^0 .. alpha^d (alpha = beta^i, d the size of its coset) span a space of
+dimension d, and the one relation among them, made monic, is the minimal
+polynomial of alpha.  The coordinates are read from a table of beta's n
+powers as base-q digits (the encoding nests), built with n - 1 products.
+
+The splitting field with its root, the table of the root's powers and each
+minimal polynomial are built once per interpreter: all are pure functions of
+a singleton FieldSpec and ints, cached by functools.lru_cache.  Errors are
+raised before anything is cached.
 
 The expression parser accepts the surface syntax used in printed tables:
 sums of terms c*x^k with c in {1, w, w^2} and optional parenthesized factors
@@ -28,10 +36,12 @@ import re
 from dataclasses import dataclass
 from typing import List, Tuple
 
+import numpy as np
+
 from .code import LinearCode, _rotation_closed
 from .errors import BadDelta, BadPolynomial, NoNontrivialCoset, NotCoprime, NotDivisor
 from .field import FieldSpec, extension
-from .linalg import check_length
+from .linalg import MatrixGF, check_length
 from .poly import Polynomial
 
 __all__ = [
@@ -115,6 +125,8 @@ def splitting_root(field: FieldSpec, n: int):
     beta = prim**((q^m - 1)/n) in GF(q^m), m the order of q mod n.
     """
     q = field.order
+    if n < 1:
+        raise NotCoprime("n must be positive")
     check_length(n)
     if math.gcd(q, n) != 1:
         raise NotCoprime(f"gcd({q}, {n}) != 1")
@@ -125,20 +137,42 @@ def splitting_root(field: FieldSpec, n: int):
 
 
 @functools.lru_cache(maxsize=None)
-def minimal_polynomial(field: FieldSpec, n: int, i: int) -> Polynomial:
-    """Minimal polynomial over `field` of beta**i, beta the pinned n-th root."""
+def _root_digits(field: FieldSpec, n: int) -> np.ndarray:
+    """The coordinates over `field` of beta^0 .. beta^(n-1), beta the pinned
+    n-th root: a read-only (n, m) int64 array, m = [ext : field].
+
+    The encoding nests, so the coordinates of an element are its m base-q
+    digits, and over GF(q) itself (m = 1) the element alone.  The powers cost
+    n - 1 multiplications in the splitting field, once per (field, n).
+    """
     ext, beta = splitting_root(field, n)
-    coset = cyclotomic_cosets(field.order, n).coset_of(i)
-    prod = Polynomial.one(ext)
-    for j in coset:
-        root = ext.pow(beta, j)
-        prod = prod * Polynomial(ext, (ext.neg(root), 1))
-    coeffs = []
-    for c in prod.coeffs:
-        if c >= field.order:
-            raise AssertionError("minimal polynomial left the base field")
-        coeffs.append(c)
-    return Polynomial(field, coeffs)
+    powers = [1]
+    for _ in range(n - 1):
+        powers.append(ext.mul(powers[-1], beta))
+    places = field.order ** np.arange(ext.degree_over(field), dtype=np.int64)
+    digits = np.array(powers, np.int64)[:, None] // places % field.order
+    digits.flags.writeable = False
+    return digits
+
+
+@functools.lru_cache(maxsize=None)
+def minimal_polynomial(field: FieldSpec, n: int, i: int) -> Polynomial:
+    """Minimal polynomial over `field` of alpha = beta**i, beta the pinned n-th root.
+
+    With d the size of the coset of i, the coordinates over `field` of
+    alpha^0 .. alpha^d (alpha^k = beta^(ik mod n)) satisfy exactly one linear
+    relation, and its coefficients, scaled to make the x^d one 1, are the
+    polynomial's.
+    """
+    digits = _root_digits(field, n)
+    d = len(cyclotomic_cosets(field.order, n).coset_of(i))
+    rows = digits[i % n * np.arange(d + 1) % n]
+    kernel = MatrixGF(field, rows.T.tolist(), d + 1).kernel_basis()
+    if kernel.nrows != 1:
+        raise AssertionError("powers of the root have no single relation; tower arithmetic is broken")
+    coeffs = kernel.rows[0]
+    top = field.inv(coeffs[-1])
+    return Polynomial(field, [field.mul(top, c) for c in coeffs])
 
 
 def bch_cosets(q: int, n: int, delta: int, b: int) -> List[Tuple[int, ...]]:

@@ -10,8 +10,16 @@ subfield" is simply "value < suborder".
 
 Arithmetic on canonical integers lives on the FieldSpec: log/antilog tables
 are built for orders up to 2**16, larger extensions fall back to polynomial
-arithmetic on coordinate vectors.  Characteristic-2 addition is XOR at every
-tower level.
+arithmetic on coordinate vectors (`_raw_mul`).  Characteristic-2 addition is
+XOR at every tower level.
+
+An extension's antilog table g^0 .. g^(n-1) (n = order - 1, g the primitive
+element) is built a block at a time.  The first min(64, n) powers are a walk
+of `_raw_mul`.  Multiplication by g^64 is linear over the base, so each
+further block is the previous block's digit columns times that m x m base
+matrix (m `_raw_mul` calls), one `linalg._tables(base).product` per block.
+Fields of at most 65 elements are a single walk.  The log table inverts the
+antilog table; prime fields walk (v * g) mod p.
 
 Construction is deterministic end to end: unspecified moduli are the
 lexicographically smallest monic irreducibles (high-degree coefficients
@@ -53,6 +61,8 @@ __all__ = [
 ]
 
 _LOG_TABLE_MAX = 1 << 16
+# extension antilog tables past this many entries are built a block at a time
+_BLOCK = 64
 _MAX_ORDER_BITS = 32
 _MAX_ORDER = 1 << _MAX_ORDER_BITS  # GF(4^10) = 2^20 is the largest field in use
 
@@ -141,6 +151,8 @@ class FieldSpec:
         if e == 0:
             return 1
         if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero")
             return 0
         n = self.order - 1
         e %= n
@@ -193,18 +205,45 @@ class FieldSpec:
         if not (2 < self.order <= _LOG_TABLE_MAX):
             return
         n = self.order - 1
-        exp = [1] * (2 * n)
-        log = [0] * self.order
         g = self.primitive_element
-        v = 1
-        for i in range(n):
-            exp[i] = v
+        if self.base is None:
+            exp = [1] * n
+            for i in range(1, n):
+                exp[i] = exp[i - 1] * g % self.order
+        else:
+            exp = self._antilog(g, n)
+        log = [0] * self.order
+        for i, v in enumerate(exp):
             log[v] = i
-            v = self.mul(v, g)
-        for i in range(n, 2 * n):
-            exp[i] = exp[i - n]
-        self._exp = exp
+        self._exp = exp + exp
         self._log = log
+
+    def _antilog(self, g: int, n: int) -> list:
+        """g^0 .. g^(n-1) in an extension: the first _BLOCK by `_raw_mul`, then
+        block after block as digit columns times the base matrix of
+        multiplication by g^_BLOCK, one `_tables(base).product` per block."""
+        block = min(_BLOCK, n)
+        exp = [1]
+        for _ in range(block):
+            exp.append(self._raw_mul(exp[-1], g))
+        g_block = exp.pop()
+        if block == n:
+            return exp
+        q, m = self.base.order, self.degree_over_base
+        t = _tables(self.base)
+        places = q ** np.arange(m, dtype=np.int64)
+
+        def digit_columns(values):
+            return (np.array(values, np.int64) // places[:, None] % q).astype(t.dtype)
+
+        # column j: the digits of g^block x^j, x^j encoded as q^j
+        step = digit_columns([self._raw_mul(g_block, q**j) for j in range(m)])
+        cols = digit_columns(exp)
+        out = [np.array(exp, np.int64)]
+        for _ in range(1, -(-n // block)):
+            cols = t.product(step, cols)
+            out.append(places @ cols.astype(np.int64))
+        return np.concatenate(out)[:n].tolist()
 
     def _find_primitive(self) -> int:
         n = self.order - 1

@@ -19,6 +19,7 @@ from srlab.cyclic import (
     parse_poly,
     splitting_root,
 )
+from srlab.cyclic import _root_digits
 from srlab.errors import (
     BadDelta,
     BadPolynomial,
@@ -191,6 +192,7 @@ def test_splitting_root_is_built_once(monkeypatch):
 
     monkeypatch.setattr(srlab.field, "smallest_irreducible", counted)
     splitting_root.cache_clear()
+    _root_digits.cache_clear()
     minimal_polynomial.cache_clear()
     g3 = bch_generator(F4, 205, 3, 1)
     g5 = bch_generator(F4, 205, 5, 1)
@@ -201,12 +203,16 @@ def test_splitting_root_is_built_once(monkeypatch):
 
 def test_failures_are_not_cached():
     before = minimal_polynomial.cache_info().currsize
+    digits_before = _root_digits.cache_info().currsize
     for _ in range(2):
         with pytest.raises(NotCoprime):
             minimal_polynomial(F4, 4, 1)
         with pytest.raises(LengthTooLarge):
             splitting_root(F4, MAX_LENGTH + 1)
+        with pytest.raises(LengthTooLarge):
+            minimal_polynomial(F4, MAX_LENGTH + 1, 1)
     assert minimal_polynomial.cache_info().currsize == before
+    assert _root_digits.cache_info().currsize == digits_before
 
 
 def test_minimal_polynomial_examples():
@@ -221,6 +227,40 @@ def test_minimal_polynomial_examples():
     for coset in table.cosets:
         prod = prod * minimal_polynomial(F4, 13, coset[0])
     assert prod == Polynomial.x_pow_minus_one(F4, 13).monic()
+
+
+def product_of_linear_factors(field, n, i):
+    """The oracle for `minimal_polynomial`: the product of x - beta^j over the
+    coset of i, formed in the splitting field, whose coefficients lie in `field`."""
+    ext, beta = splitting_root(field, n)
+    prod = Polynomial.one(ext)
+    for j in cyclotomic_cosets(field.order, n).coset_of(i):
+        prod = prod * Polynomial(ext, (ext.neg(ext.pow(beta, j)), 1))
+    assert all(c < field.order for c in prod.coeffs), (field, n, i)
+    return Polynomial(field, prod.coeffs)
+
+
+F3 = prime_field(3)
+F9 = extension(F3, 2)
+
+
+# m = 1 (n divides q - 1, the root lies in `field` itself) at n = 1, 3 over
+# GF(4), 2, 8 over GF(3) and 8 over GF(9)
+_ORACLE_CASES = (
+    [(F2, n) for n in (1, 3, 7, 15, 21, 63, 205)]
+    + [(F4, n) for n in (1, 3, 5, 13, 63, 205)]
+    + [(F3, n) for n in (2, 8, 13)]
+    + [(F9, n) for n in (8, 10)]
+)
+
+
+@pytest.mark.parametrize("field, n", _ORACLE_CASES, ids=[f"GF({f.order})-n{n}" for f, n in _ORACLE_CASES])
+def test_minimal_polynomials_equal_the_product_of_linear_factors(field, n):
+    for coset in cyclotomic_cosets(field.order, n).cosets:
+        for i in (coset[0], coset[-1]):
+            mp = minimal_polynomial(field, n, i)
+            assert mp.field is field and mp.is_monic
+            assert mp == product_of_linear_factors(field, n, i), (field, n, i)
 
 
 def test_minimal_polynomial_degree_sum():
@@ -290,6 +330,11 @@ def test_nonpositive_lengths_are_refused():
             cyclic_code(one, n)
         with pytest.raises(NotCoprime, match="n must be positive"):
             cyclic_dual_generator(one, n)
+        # q^k mod n never reaches 1 for n < 0, so the order loop must not start
+        with pytest.raises(NotCoprime, match="n must be positive"):
+            splitting_root(F4, n)
+        with pytest.raises(NotCoprime, match="n must be positive"):
+            minimal_polynomial(F4, n, 1)
 
 
 def test_cyclic_dual_routes_agree():

@@ -231,6 +231,76 @@ def test_element_operators():
     assert F4.neg(2) == 2  # characteristic 2
 
 
+@pytest.mark.parametrize("field", [prime_field(5), F4, extension(F4, 10)], ids=["GF(5)", "GF(4)", "GF(4^10)"])
+def test_zero_to_a_negative_power_is_a_zero_division(field):
+    # 0^-e is (1/0)^e, as inv(0) says; 0^0 = 1 and 0^e = 0 for e > 0
+    for e in (-1, -2, -(field.order - 1)):
+        with pytest.raises(ZeroDivisionError):
+            field.pow(0, e)
+    with pytest.raises(ZeroDivisionError):
+        field.inv(0)
+    assert field.pow(0, 0) == 1 and field.pow(0, 3) == 0
+    assert field.pow(2, -1) == field.inv(2)
+
+
+def _walk_step(field, i):
+    """g^i from g^(i-1) by the table-free product, the oracle of the walk."""
+    return field._raw_mul(field._exp[i - 1], field.primitive_element) if i else 1
+
+
+def _raw_power(field, i):
+    """g^i by square and multiply on the table-free product."""
+    out, sq = 1, field.primitive_element
+    while i:
+        if i & 1:
+            out = field._raw_mul(out, sq)
+        sq = field._raw_mul(sq, sq)
+        i >>= 1
+    return out
+
+
+F256 = extension(F2, 8)
+# the primitive elements every field had while its table was a walk of _raw_mul
+_TABLE_FIELDS = {
+    "GF(2^6)": (extension(F2, 6), 2),
+    "GF(2^7)": (extension(F2, 7), 2),
+    "GF(2^8)": (F256, 3),
+    "GF(3^5)": (extension(F3, 5), 3),
+    "GF(5^4)": (extension(prime_field(5), 4), 6),
+    "GF(9^3)": (extension(extension(F3, 2), 3), 10),
+    "GF(16^2)": (extension(extension(F4, 2), 2), 18),
+    "GF(4^6)": (extension(F4, 6), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(_TABLE_FIELDS))
+def test_log_tables_equal_the_sequential_walk(name):
+    field, g = _TABLE_FIELDS[name]
+    assert field.primitive_element == g
+    walk = [1]
+    for _ in range(field.order - 2):
+        walk.append(field._raw_mul(walk[-1], g))
+    assert field._exp == walk + walk
+    assert [field._log[v] for v in walk] == list(range(len(walk)))
+
+
+@pytest.mark.parametrize("field, g", [(extension(F2, 16), 3), (extension(F256, 2), 264)],
+                         ids=["GF(2^16)", "GF(256^2)"])
+def test_largest_log_tables_equal_the_walk_at_every_block_boundary(field, g):
+    # order 2^16 is the largest with tables; these are built 64 powers a block
+    assert field.primitive_element == g
+    n = field.order - 1
+    exp, log = field._exp, field._log
+    assert len(exp) == 2 * n and exp[n:] == exp[:n]
+    sample = random.Random(16).sample(range(n), 2000)
+    for i in list(range(0, n, 64)) + list(range(63, n, 64)) + sample:
+        assert exp[i] == _walk_step(field, i), i
+        assert log[exp[i]] == i
+    for i in sample[:16]:
+        assert exp[i] == _raw_power(field, i), i
+    assert sorted(exp[:n]) == list(range(1, field.order))
+
+
 def test_outside_ints_are_range_checked():
     with pytest.raises(EntryOutOfRange):
         Basis(F4, [2, 4])
