@@ -161,7 +161,7 @@ def minimal_polynomial(field: FieldSpec, n: int, i: int) -> Polynomial:
 
     With d the size of the coset of i, the coordinates over `field` of
     alpha^0 .. alpha^d (alpha^k = beta^(ik mod n)) satisfy exactly one linear
-    relation, and its coefficients, scaled to make the x^d one 1, are the
+    relation; its coefficients, scaled so that the x^d one is 1, are the
     polynomial's.
     """
     digits = _root_digits(field, n)
