@@ -8,16 +8,19 @@
   Where the code packs (GF(2)/GF(4), length <= 64) a codeword is its uint64
   bitplanes, added by XOR: a popcount makes the walk the Hamming search,
   and two-row blocks bit-sliced with shifts and masks (other blocks read
-  from rank tables built once per shape) the GF(2) sum-rank search.
+  from rank tables built once per shape) the GF(2) sum-rank search.  The
+  packed chunks after the first share one buffer, and the weight kernels
+  write into temporaries made once per walk, so a walk allocates once.
   Elsewhere it is an array of entries (uint8 over fields of at most 256
   elements, Python ints in object arrays above that) added through
   `linalg._tables`;
 - `low_weight_blocks`, the low-weight lister: the messages of each weight
-  in batches of position sets, each word the sum of two words over
-  half-size sets built once (meet in the middle), as packed planes where
-  the code packs and as arrays of entries (as the walker's) elsewhere.  Run
-  under generators systematic on disjoint information sets (windows), it
-  lists every light codeword: `low_weight_min_char2` keeps the lightest
+  in batches of position sets, one word per line (scalar 1 at the first
+  position), each word the sum of two words over half-size sets built once
+  (meet in the middle), as packed planes where the code packs and as
+  arrays of entries (as the walker's) elsewhere.  Run under generators
+  systematic on disjoint information sets (windows), it lists a scalar
+  multiple of every light codeword: `low_weight_min_char2` keeps the lightest
   under a vectorized weight of the planes (Hamming by default), and
   `support_masks` reads the light support classes off it (or off the whole
   code's chunks, where `listing_cost` says that is no dearer).
@@ -25,9 +28,11 @@
 Block ranks are read from GF(2) rank tables (`block_rank_lut`) or, over any
 field, eliminated for a whole array of blocks at once (`block_ranks`).
 
-Budgets count enumerated codewords.  A search that would exceed its budget
-enumerates exactly its first `budget` messages, then raises BudgetExceeded
-carrying the lightest weight seen, an upper bound on the true minimum.
+Budgets count enumerated codewords, and listings the messages they cover
+(`listing_cost`), a (q-1)-th of which the lister scores.  A search that
+would exceed its budget enumerates exactly its first `budget` messages,
+then raises BudgetExceeded carrying the lightest weight seen, an upper
+bound on the true minimum.
 """
 
 from __future__ import annotations
@@ -73,18 +78,21 @@ _LUT_BITS = 16
 
 if hasattr(np, "bitwise_count"):
 
-    def popcount(arr: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(arr)
+    def popcount(arr: np.ndarray, out=None) -> np.ndarray:
+        return np.bitwise_count(arr, out=out)
 
 else:  # pragma: no cover - numpy >= 2.0 in practice
     _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
 
-    def popcount(arr: np.ndarray) -> np.ndarray:
+    def popcount(arr: np.ndarray, out=None) -> np.ndarray:
         a = arr.astype(np.uint64)
         acc = _POP16[(a & np.uint64(0xFFFF)).astype(np.int64)].astype(np.int64)
         for shift in (16, 32, 48):
             acc += _POP16[((a >> np.uint64(shift)) & np.uint64(0xFFFF)).astype(np.int64)]
-        return acc
+        if out is None:
+            return acc
+        out[...] = acc
+        return out
 
 
 def packable_char2(field, n: int) -> bool:
@@ -158,14 +166,17 @@ def all_codewords(field, rows, n: int):
     return map(list, words)
 
 
+# a GF(4) entry's low and high bit as an ASCII binary digit
+_LO_DIGIT = bytes.maketrans(bytes(range(4)), b"0101")
+_HI_DIGIT = bytes.maketrans(bytes(range(4)), b"0011")
+
+
 def pack_row_planes(field, row):
-    """(lo, hi) bitplane integers for a GF(2)/GF(4) row; hi is 0 over GF(2)."""
-    lo = 0
-    hi = 0
-    for j, v in enumerate(row):
-        lo |= (v & 1) << j
-        hi |= ((v >> 1) & 1) << j
-    return lo, hi
+    """(lo, hi) bitplane integers for a GF(2)/GF(4) row; hi is 0 over GF(2).
+    Entry j is bit j: the reversed entries, each read as one binary digit of
+    either plane, are the planes' numerals."""
+    entries = bytes(iter(row))[::-1]
+    return int(entries.translate(_LO_DIGIT) or b"0", 2), int(entries.translate(_HI_DIGIT) or b"0", 2)
 
 
 def _scalar_multiples(field, lo: int, hi: int):
@@ -190,8 +201,12 @@ def codeword_chunks(field, rows, n: int, count=None, packed=False):
     array addition, and the last is cut at `count`.  The prefix digits are
     the more significant, so the chunks follow one another in message
     order.  A chunk may be the table itself, so callers must not write to
-    it.
+    it; packed, the chunks after the table are written into one buffer of
+    the table's size, made at the second chunk, so a chunk is valid until
+    the next one is drawn.
     """
+    if count is not None:
+        check_budget(count)
     q, k = field.order, len(rows)
     if packed:
         width, add = (1 if q == 2 else 2), np.bitwise_xor
@@ -216,10 +231,18 @@ def codeword_chunks(field, rows, n: int, count=None, packed=False):
         table = add(table[:, None], multiple(slice(None), row)[None]).reshape(-1, width)
     if packed:  # plane by plane: adding a word and reading a plane stay contiguous
         table = np.asfortranarray(table)
+    buf = None
     for i, word in enumerate(_message_words(rows[:k - j], q, add, multiple, zero)):
         if not left:
             return
-        chunk = (add(table, word) if i else table)[:left]
+        if not i:
+            chunk = table
+        elif packed:
+            buf = np.empty_like(table) if buf is None else buf
+            chunk = add(table, word, out=buf)
+        else:
+            chunk = add(table, word)
+        chunk = chunk[:left]
         left -= len(chunk)
         yield chunk
 
@@ -235,7 +258,6 @@ def _walk_min(field, rows, n: int, budget: int, weight, packed=False):
     Raises BudgetExceeded, carrying the minimum over the first `budget`
     messages, when the code has more codewords than that.
     """
-    check_budget(budget)
     best = None
     for i, chunk in enumerate(codeword_chunks(field, rows, n, budget, packed)):
         w = weight(chunk)[0 if i else 1:]  # message 0 is the only zero message
@@ -248,9 +270,22 @@ def _walk_min(field, rows, n: int, budget: int, weight, packed=False):
     return best
 
 
-def _support(chunk: np.ndarray) -> np.ndarray:
+def _temporaries(*dtypes):
+    """A map of a chunk to one array per dtype, one entry per codeword:
+    made at the first chunk, the largest of a walk, and cut to each later
+    one, so a weight kernel allocates once per walk."""
+    made = []
+
+    def cut(chunk):
+        if not made:
+            made.extend(np.empty(len(chunk), dtype) for dtype in dtypes)
+        return [a[:len(chunk)] for a in made]
+    return cut
+
+
+def _support(chunk: np.ndarray, out=None) -> np.ndarray:
     """The nonzero positions of each packed codeword of a chunk, as bits."""
-    return chunk[:, 0] | chunk[:, 1] if chunk.shape[1] == 2 else chunk[:, 0]
+    return np.bitwise_or(chunk[:, 0], chunk[:, 1], out=out) if chunk.shape[1] == 2 else chunk[:, 0]
 
 
 def min_weight_char2(field, rows, n: int, budget: int) -> int:
@@ -259,7 +294,13 @@ def min_weight_char2(field, rows, n: int, budget: int) -> int:
 
     GF(2)/GF(4) only, n <= 64.  Raises BudgetExceeded past the budget.
     """
-    best = _walk_min(field, rows, n, budget, lambda chunk: popcount(_support(chunk)), packed=True)
+    temps = _temporaries(np.uint64, np.uint8)
+
+    def weight(chunk):
+        support, count = temps(chunk)
+        return popcount(_support(chunk, support), out=count)
+
+    best = _walk_min(field, rows, n, budget, weight, packed=True)
     return n + 1 if best is None else best
 
 
@@ -301,20 +342,24 @@ def _join(first, second, batch: int, add):
 
 def low_weight_blocks(field, rows, n: int, max_msg_weight: int):
     """Yield (sets, words) batches for the messages of Hamming weight
-    1..max_msg_weight, by weight, then lexicographically by support.
+    1..max_msg_weight, by weight, then lexicographically by support, one
+    word per line: the messages whose first nonzero digit is 1.  The others
+    are its nonzero scalar multiples, of the same support, Hamming weight
+    and block ranks.
 
     `sets` is a (C, w) array of row-position sets; row c of `words` holds
-    the (q-1)**w codewords of the messages nonzero exactly on sets[c].  In
-    a row, the first position is the least significant base-(q-1) digit of
-    the index, digit j standing for the scalar j + 1.  Each row is the sum
-    of a row over the first w // 2 positions and one over the rest, and the
-    words of the sets of each half size are built once (meet in the
-    middle).
+    the (q-1)**(w-1) codewords of the messages nonzero exactly on sets[c]
+    with scalar 1 at the first position.  In a row, the second position is
+    the least significant base-(q-1) digit of the index, digit j standing
+    for the scalar j + 1.  Each row is the sum of a row over the first
+    w // 2 positions, its first scalar 1, and one over the rest; the words
+    of the sets of each half size are built once (meet in the middle), and
+    those with scalar 1 first are every (q-1)-th of them.
 
-    When the code packs, `words` is a pair of fresh (C, (q-1)**w) lo/hi
-    plane arrays of at most _PIECE words; else it is a fresh (C, (q-1)**w,
-    n) array of entries (`linalg._tables`) of at most _PIECE words and
-    _SUFFIX_CAP entries.  A batch holds one set at least.
+    When the code packs, `words` is a pair of fresh (C, (q-1)**(w-1)) lo/hi
+    plane arrays of at most _PIECE words; else it is a fresh (C,
+    (q-1)**(w-1), n) array of entries (`linalg._tables`) of at most _PIECE
+    words and _SUFFIX_CAP entries.  A batch holds one set at least.
     """
     q = field.order
     k = len(rows)
@@ -334,22 +379,28 @@ def low_weight_blocks(field, rows, n: int, max_msg_weight: int):
     levels = [(np.zeros((1, 0), dtype=np.intp), planes[0]), (np.arange(k)[:, None], planes[1])]
     while len(levels) <= (top + 1) // 2:  # sets of every half size, in one batch each
         levels.append(next(_join(levels[-1], levels[1], len(levels[-1][0]) * k, add)))
+    # the first position is a level's least significant digit: scalar 1 at
+    # every (q-1)-th word
+    ones = [(sets, tuple(p[:, ::q - 1] for p in words)) for sets, words in levels]
     for wt in range(1, top + 1):
-        batch = max(1, cap // (q - 1) ** wt)
-        for sets, words in _join(levels[wt // 2], levels[wt - wt // 2], batch, add):
+        batch = max(1, cap // (q - 1) ** (wt - 1))
+        second = ones[1] if wt == 1 else levels[wt - wt // 2]
+        for sets, words in _join(ones[wt // 2], second, batch, add):
             yield sets, words if packed else words[0]
 
 
 def low_weight_min_char2(field, rows, n: int, max_msg_weight: int, weight=None):
-    """Lightest codeword among messages of Hamming weight <= max_msg_weight.
+    """Lightest codeword among messages of Hamming weight <= max_msg_weight,
+    one per line (`low_weight_blocks`).
 
     `weight` maps a batch's (lo, hi) planes to an integer array of the
-    same shape; None scores the Hamming weight.  Returns (weight, word),
-    the word a list of n field elements, or (None, None) when the cap is 0
-    or the code is empty.  The first lightest in lister order wins.  With
-    an rref generator this scan is complete for all codewords of Hamming
-    weight up to the cap, since such a codeword's message is its
-    pivot-column restriction.
+    same shape, and must not change under a nonzero scalar, as the Hamming
+    weight and block ranks do not; None scores the Hamming weight.  Returns
+    (weight, word), the word a list of n field elements, or (None, None)
+    when the cap is 0 or the code is empty.  The first lightest in lister
+    order wins.  With an rref generator this scan is complete, up to a
+    scalar, for all codewords of Hamming weight up to the cap, since such a
+    codeword's message is its pivot-column restriction.
     """
     best, word = None, None
     for _, (lo, hi) in low_weight_blocks(field, rows, n, max_msg_weight):
@@ -364,15 +415,18 @@ def low_weight_min_char2(field, rows, n: int, max_msg_weight: int, weight=None):
 
 def listing_cost(field, k: int, windows: int, depth: int) -> int:
     """Words a listing through message weight `depth` under each of
-    `windows` generators of dimension k costs: its messages plus _PIECE
-    words per generator; q**k, the whole code under one generator, once
-    depth >= k.
+    `windows` generators of dimension k costs: the messages it covers plus
+    _PIECE words per generator; q**k, the whole code under one generator,
+    once depth >= k.  The lister scores one word per line, a (q-1)-th of
+    the messages it covers, so over GF(4) a listing does about a third of
+    the work this counts.
 
     The _PIECE term stands for a window's elimination and the lister's
     set-up.  On random GF(4) [2k, k] codes, k = 6..14, they took 0.2-0.9 ms
     per generator, which is 2**12 to 2**17 words of a whole listing at its
-    measured 35-150 million words/s (2-core Intel Xeon, Python 3.11);
-    2**15 is the middle of that range."""
+    measured 35-150 million words/s (2-core Intel Xeon, Python 3.11, all
+    (q-1)**w multiples of each set scored); 2**15 is the middle of that
+    range."""
     q = field.order
     if depth >= k:
         return q**k
@@ -391,7 +445,9 @@ def support_masks(field, windows, n: int, depth: int, max_weight: int) -> np.nda
     """
     k = len(windows[0])
     if depth >= k:
-        supports = map(_support, codeword_chunks(field, windows[0], n, packed=True))
+        temps = _temporaries(np.uint64)
+        supports = (_support(chunk, *temps(chunk))
+                    for chunk in codeword_chunks(field, windows[0], n, packed=True))
     else:
         supports = (np.bitwise_or(lo, hi).ravel() for rows in windows
                     for _, (lo, hi) in low_weight_blocks(field, rows, n, depth))
@@ -460,36 +516,35 @@ def block_ranks(field, blocks) -> np.ndarray:
     return ranks
 
 
-def _fold(x: np.ndarray, n: int, tmp: np.ndarray) -> None:
-    """In place: bit j of x becomes the OR of its bits j .. j + n - 1."""
+def _fold(x: np.ndarray, n: int, tmp: np.ndarray, out: np.ndarray) -> None:
+    """out <- x with bit j the OR of x's bits j .. j + n - 1; out may be x."""
     span = 1
     while span < n:
         step = min(span, n - span)
         np.right_shift(x, np.uint64(step), out=tmp)
-        np.bitwise_or(x, tmp, out=x)
+        np.bitwise_or(x, tmp, out=out)
+        x = out
         span += step
+    if x is not out:  # n = 1: nothing to fold
+        np.copyto(out, x)
 
 
-def _two_row_ranks(words: np.ndarray, n: int, firsts: np.uint64) -> np.ndarray:
-    """Summed ranks of the two-row blocks of width n whose first bits are
-    set in `firsts`: a block of rows r1, r2 has rank [r1 | r2 != 0] +
-    [r1 != 0 and r2 != 0 and r1 != r2], each flag read off the block's
-    first bit after OR-folding a row onto its first bit."""
+def _add_two_row_ranks(acc, words: np.ndarray, n: int, firsts: np.uint64, temps) -> None:
+    """Adds to `acc` the summed ranks of the two-row blocks of width n whose
+    first bits are set in `firsts`: a block of rows r1, r2 has rank
+    [r2 != 0] + [r1 != 0 and r1 != r2], each flag read off a row's first
+    bit after OR-folding the row onto it, and both counted by one popcount.
+    `temps` are three uint64 arrays and one uint8 array like `acc`."""
+    tmp, differ, nonzero, count = temps
     shift = np.uint64(n)
-    tmp = np.right_shift(words, shift)
-    differ = np.bitwise_xor(words, tmp)  # row 1 ^ row 2 at row 1's bits
-    nonzero = words.copy()
-    _fold(nonzero, n, tmp)  # row 1 nonzero at the first bit, row 2 n bits up
-    _fold(differ, n, tmp)
-    np.right_shift(nonzero, shift, out=tmp)  # row 2 nonzero at the first bit
-    np.bitwise_and(differ, nonzero, out=differ)
-    np.bitwise_and(differ, tmp, out=differ)  # rank 2
-    np.bitwise_or(nonzero, tmp, out=nonzero)  # rank >= 1
-    nonzero &= firsts
+    np.right_shift(words, shift, out=tmp)
+    np.bitwise_xor(words, tmp, out=differ)  # row 1 ^ row 2 at row 1's bits
+    _fold(differ, n, tmp, differ)  # r1 != r2 at the first bit
+    _fold(words, n, tmp, nonzero)  # r1 != 0 at the first bit, r2 != 0 n bits up
     differ &= firsts
-    acc = popcount(nonzero)
-    acc += popcount(differ)
-    return acc
+    differ |= firsts << shift
+    differ &= nonzero
+    acc += popcount(differ, out=count)
 
 
 def sr_min_weight_packed(field, rows, blocks, budget: int) -> int:
@@ -511,14 +566,19 @@ def sr_min_weight_packed(field, rows, blocks, budget: int) -> int:
             tables.append((np.uint64(offset), np.uint64((1 << m * n) - 1), block_rank_lut(m, n)))
         offset += m * n
     firsts = {n: np.uint64(bits) for n, bits in firsts.items()}
+    temps = _temporaries(np.uint64, np.uint64, np.uint64, np.uint8, np.uint8)
 
     def weight(chunk):
         words = chunk[:, 0]
-        acc = np.zeros(len(words), dtype=np.uint8)
+        *scratch, acc = temps(chunk)
+        acc[:] = 0
         for n, bits in firsts.items():
-            acc += _two_row_ranks(words, n, bits)
+            _add_two_row_ranks(acc, words, n, bits, scratch)
+        index, count = scratch[0], scratch[3]
         for off, mask, lut in tables:
-            acc += lut[((words >> off) & mask).astype(np.intp)]
+            np.right_shift(words, off, out=index)
+            np.bitwise_and(index, mask, out=index)
+            acc += np.take(lut, index.view(np.int64), out=count)
         return acc
 
     best = _walk_min(field, rows, offset, budget, weight, packed=True)

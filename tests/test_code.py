@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -7,7 +8,8 @@ import pytest
 
 from srlab.code import LinearCode, f4_selfdual_bound_holds, f4_selfdual_distance_cap
 from srlab.cyclic import cyclic_code, parse_poly
-from srlab.errors import BudgetExceeded, LengthMismatch, NotF4, NotSelfDual, ZeroCode
+from srlab.errors import (BudgetExceeded, LengthMismatch, NegativeBudget, NotF4, NotSelfDual,
+                          ZeroCode)
 from srlab.field import extension, prime_field
 from srlab.linalg import MatrixGF
 from srlab.tables import load_manifest
@@ -128,9 +130,11 @@ def test_codeword_chunks_follow_all_codewords(monkeypatch, piece, cap):
                 continue
             n = rnd.choice([1, 3, 9])
             rows = [[rnd.randrange(field.order) for _ in range(n)] for _ in range(k)]
-            chunks = list(wordenum.codeword_chunks(field, rows, n))
-            assert all(len(c) <= (piece or wordenum._PIECE) for c in chunks)
-            got = [list(map(int, w)) for c in chunks for w in c]
+            # a chunk is valid until the next one is drawn: read each as drawn
+            got = []
+            for c in wordenum.codeword_chunks(field, rows, n):
+                assert len(c) <= (piece or wordenum._PIECE)
+                got += [list(map(int, w)) for w in c]
             assert got == list(wordenum.all_codewords(field, rows, n)), (field.order, k)
     # packed, the same words as bitplanes (lo alone over GF(2)), cut at a count
     # of none, one, mid-chunk and every word
@@ -142,13 +146,29 @@ def test_codeword_chunks_follow_all_codewords(monkeypatch, piece, cap):
             rows = [[rnd.randrange(field.order) for _ in range(n)] for _ in range(k)]
             first = len(next(wordenum.codeword_chunks(field, rows, n, packed=True)))
             for count in {0, 1, first // 2 + 1, first + first // 2 + 1, total}:
-                chunks = list(wordenum.codeword_chunks(field, rows, n, count, packed=True))
-                assert all(c.shape[1] == planes and len(c) <= (piece or wordenum._PIECE)
-                           for c in chunks)
-                got = [w for c in chunks for w in c.tolist()]
+                got = []
+                for c in wordenum.codeword_chunks(field, rows, n, count, packed=True):
+                    assert c.shape[1] == planes and len(c) <= (piece or wordenum._PIECE)
+                    got += c.tolist()
                 want = [list(wordenum.pack_row_planes(field, w))[:planes]
                         for c in wordenum.codeword_chunks(field, rows, n, count) for w in c.tolist()]
                 assert len(got) == min(count, total) and got == want, (field.order, k, count)
+
+
+@pytest.mark.parametrize("piece, cap", _SMALL_CHUNKS)
+def test_packed_chunks_after_the_table_share_one_buffer(monkeypatch, piece, cap):
+    # the table is the first chunk; every later one is written into one
+    # buffer, made only once a second chunk is drawn
+    _small_chunks(monkeypatch, piece, cap)
+    rnd = random.Random(46)
+    for field, k in ((F2, 3), (F2, 18), (F4, 2), (F4, 10)):
+        rows = [[rnd.randrange(field.order) for _ in range(9)] for _ in range(k)]
+        chunks = wordenum.codeword_chunks(field, rows, 9, packed=True)
+        table = next(chunks)
+        rest = list(chunks)  # every array kept alive, though only the last is valid
+        assert len(table) == field.order**k or rest
+        assert not any(np.shares_memory(table, c) for c in rest)
+        assert all(np.shares_memory(rest[0], c) for c in rest[1:])
 
 
 def _outcome(search):
@@ -423,14 +443,16 @@ def test_all_rref_generators_counts():
 
 def _message_words(c, positions):
     """Plain-loop reference: codewords of the messages nonzero exactly on
-    `positions`, the first position the least significant base-(q-1) digit."""
+    `positions` with first digit 1, one per line (the lister lists no other
+    scalar multiple), the second position the least significant base-(q-1)
+    digit."""
     f = c.field
     base = f.order - 1
     words = []
-    for i in range(base ** len(positions)):
+    for i in range(base ** (len(positions) - 1)):
         word = [0] * c.n
         for j, p in enumerate(positions):
-            d = 1 + i // base**j % base
+            d = 1 if j == 0 else 1 + i // base ** (j - 1) % base
             word = [f.add(a, f.mul(d, b)) for a, b in zip(word, c.generator.rows[p])]
         words.append(word)
     return words
@@ -447,7 +469,7 @@ def _flat_blocks(field, rows, n, depth):
         if packed:
             assert len(words[0]) == len(words[1]) == len(sets)
         else:
-            assert words.shape == (len(sets), (field.order - 1) ** sets.shape[1], n)
+            assert words.shape == (len(sets), (field.order - 1) ** (sets.shape[1] - 1), n)
         for c, positions in enumerate(sets):
             block = (words[0][c], words[1][c]) if packed else words[c].tolist()
             out.append((tuple(int(p) for p in positions), block))
@@ -484,8 +506,9 @@ def test_low_weight_lister_matches_plain_loop(monkeypatch):
 
 
 def _plain_low_weight_min(c, depth):
-    """Per-set reference: the word of the first lightest message in lister
-    order (rref rows are independent, so the word names its message)."""
+    """Per-set reference: the word of the first lightest message with first
+    digit 1 in lister order (rref rows are independent, so the word names
+    its message)."""
     best, best_word = None, None
     for w in range(1, min(depth, c.k) + 1):
         for positions in itertools.combinations(range(c.k), w):
@@ -536,3 +559,91 @@ def test_unpacked_scan_keeps_the_first_lightest_word(monkeypatch, piece):
                 continue
             assert not packable_char2(field, n)
             assert c.low_weight_scan(c.k) == _plain_low_weight_min(c, c.k)
+
+
+def test_gf2_lister_batches_are_unchanged(monkeypatch):
+    # over GF(2) every line is one word, so the lister's batches (sets,
+    # shapes and words) are those it gave when it listed every scalar
+    # multiple; the digest was taken from that lister on these codes
+    rnd = random.Random(71)
+    h = hashlib.sha256()
+    piece = wordenum._PIECE
+    for cap, (n, k, depth) in itertools.product((piece, 8), ((20, 9, 4), (64, 12, 5), (70, 8, 3))):
+        monkeypatch.setattr(wordenum, "_PIECE", cap)
+        c = LinearCode.from_rows(F2, n, [[rnd.randrange(2) for _ in range(n)] for _ in range(k)])
+        for sets, words in low_weight_blocks(F2, c.generator.rows, n, depth):
+            h.update(repr(sets.tolist()).encode())
+            for w in (words if isinstance(words, tuple) else (words,)):
+                h.update(repr((w.shape, w.tolist())).encode())
+    assert h.hexdigest() == "fff574f5787befadea10001bac52eda2becea6f871c7d6a76e4d7ccac1c39e6f"
+
+
+@pytest.mark.parametrize("piece", [None, 8])  # 8 words: several batches per message weight
+def test_scan_through_depth_k_equals_min_distance(monkeypatch, piece):
+    if piece is not None:
+        monkeypatch.setattr(wordenum, "_PIECE", piece)
+    rnd = random.Random(73)
+    fields = [(F3, 9), (F4, 10), (F4, 66), (prime_field(5), 7), (extension(F3, 2), 6),
+              (extension(prime_field(17), 2), 4)]  # GF(289): object arrays
+    for field, n in fields:
+        for trial in range(3):
+            k = rnd.randint(1, 4 if field.order < 100 else 2)
+            c = LinearCode.from_rows(field, n, [[rnd.randrange(field.order) for _ in range(n)]
+                                                for _ in range(k)])
+            if c.k == 0:
+                continue
+            found, witness = c.low_weight_scan(c.k)
+            assert found == c.min_distance() == sum(1 for v in witness if v), (field.order, n)
+            assert c.contains(witness)
+
+
+def test_every_light_gf4_codeword_has_a_multiple_in_the_listing(monkeypatch):
+    # r windows through message weight `depth` list, up to a scalar, every
+    # codeword of Hamming weight <= r (depth + 1) - 1
+    monkeypatch.setattr(wordenum, "_PIECE", 16)
+    rnd = random.Random(79)
+    for trial in range(24):
+        n = rnd.choice([rnd.randint(6, 16), 66])  # packed planes and entry arrays
+        c = _random_code(rnd, F4, n, kmax=min(n // 2, 6 if n < 64 else 4))
+        if c.k == 0:
+            continue
+        gens = [rows for _, rows in c.windows()]
+        depth = rnd.randint(1, c.k)
+        listed = set()
+        for rows in gens:
+            for _, words in low_weight_blocks(F4, rows, n, depth):
+                if packable_char2(F4, n):
+                    listed.update(zip(words[0].ravel().tolist(), words[1].ravel().tolist()))
+                else:
+                    listed.update(map(tuple, words.reshape(-1, n).tolist()))
+        top = len(gens) * (depth + 1) - 1
+        for word in c.codewords():
+            if 0 < sum(1 for v in word if v) <= top:
+                multiples = [[F4.mul(s, v) for v in word] for s in (1, 2, 3)]
+                keys = ([wordenum.pack_row_planes(F4, m) for m in multiples]
+                        if packable_char2(F4, n) else [tuple(m) for m in multiples])
+                assert any(key in listed for key in keys), (trial, word)
+
+
+def test_negative_budgets_are_named_errors_in_the_packed_kernels():
+    # the budget is checked before a walk sizes any chunk or temporary
+    rnd = random.Random(83)
+    rows = [[rnd.randrange(2) for _ in range(24)] for _ in range(20)]
+    with pytest.raises(NegativeBudget):
+        wordenum.sr_min_weight_packed(F2, rows, [(2, 2)] * 6, budget=-1)
+    with pytest.raises(NegativeBudget):
+        wordenum.min_weight_char2(F2, rows, 24, -1)
+    with pytest.raises(NegativeBudget):
+        next(wordenum.codeword_chunks(F2, rows, 24, -1, packed=True))
+
+
+def test_row_planes_equal_the_per_bit_loop():
+    # the reference sets bit j of each plane from entry j, one entry at a time
+    rnd = random.Random(89)
+    for n in list(range(8)) + [31, 63, 64]:
+        for q in (2, 4):
+            row = tuple(rnd.randrange(q) for _ in range(n))
+            lo = sum((v & 1) << j for j, v in enumerate(row))
+            hi = sum((v >> 1 & 1) << j for j, v in enumerate(row))
+            assert wordenum.pack_row_planes(F4, row) == wordenum.pack_row_planes(F4, list(row)) \
+                == (lo, hi), (q, row)
