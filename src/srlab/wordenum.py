@@ -10,7 +10,8 @@
   and two-row blocks bit-sliced with shifts and masks (other blocks read
   from rank tables built once per shape) the GF(2) sum-rank search.  The
   packed chunks after the first share one buffer, and the weight kernels
-  write into temporaries made once per walk, so a walk allocates once.
+  write into temporaries made once per walk, so a packed walk allocates
+  once.
   Elsewhere it is an array of entries (uint8 over fields of at most 256
   elements, Python ints in object arrays above that) added through
   `linalg._tables`;
