@@ -18,7 +18,9 @@ Code arguments read JSON from a file path or, when omitted or "-", stdin;
 `sr mindist` with two linear codes gives the distance of their stacked pair.
 Each verb accepts only its own options, written after the verb.  Every
 search runs in one thread and takes the one `--budget` (default 2**24):
-codewords enumerated, or support-class pairs crossed for a pair distance.
+messages covered, one word per line scored (an expansion of GF(4) symbols
+counts its symbol messages), or support-class pairs crossed for a pair
+distance.
 Exit codes: 0 success / all rows match, 1 usage or input error, 2 a budget
 was exceeded (result carries the best bound, flagged non-exact), 3 a table
 row mismatched.  `python -m srlab` runs the same front end.
@@ -147,6 +149,8 @@ def _parse_profile(field, text: str) -> BlockProfile:
 
 
 def _parse_basis(field, text: str) -> Basis:
+    if not text.strip():
+        raise UsageError("--basis is empty; give constants like 1,w")
     els = [parse_poly(field, t).evaluate(0) if "x" not in t else None for t in text.split(",")]
     if any(e is None for e in els):
         raise SrlabError("basis elements must be constants like 1,w,w^2")
@@ -228,15 +232,16 @@ def _cmd_sr_mindist(args) -> int:
 
 def _cmd_construct_sr(args) -> int:
     codes = [jsonio.code_from_obj(_read_json_arg(p)) for p in args.inputs]
-    basis = _parse_basis(codes[0].field, args.basis) if args.basis else None
+    basis = _parse_basis(codes[0].field, args.basis) if args.basis is not None else None
     _emit(jsonio.sr_code_to_obj(qpoly_code(codes, basis)))
     return 0
 
 
 def _cmd_construct_matb(args) -> int:
     code = jsonio.code_from_obj(_read_json_arg(args.input))
-    basis = _parse_basis(code.field, args.basis) if args.basis else power_basis(code.field)
-    profile = _parse_profile(basis.sub, args.profile) if args.profile else None
+    basis = (_parse_basis(code.field, args.basis) if args.basis is not None
+             else power_basis(code.field))
+    profile = _parse_profile(basis.sub, args.profile) if args.profile is not None else None
     _emit(jsonio.sr_code_to_obj(basis_expand_code(code, basis, profile)))
     return 0
 

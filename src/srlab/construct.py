@@ -128,18 +128,21 @@ def _expand_words(basis: Basis, profile: BlockProfile, words) -> np.ndarray:
     return out
 
 
-def _expanded_code(basis: Basis, profile: BlockProfile, words: np.ndarray, want: int) -> SumRankCode:
+def _expanded_code(basis: Basis, profile: BlockProfile, words: np.ndarray) -> SumRankCode:
     """F_q-span of lam * w for every basis element lam and row w of the
     array `words` (`linalg._tables` entries), chunk i of each scaled word
-    expanded into block i; the dimension `want` is asserted."""
+    expanded into block i, keeping `words` as its `symbols`.  The dimension
+    m = basis.size per word is asserted, which shows the words independent
+    over GF(q^m)."""
     t = _tables(basis.field)
     lams = np.array(basis.elements, t.dtype)
     scaled = t.times(words[:, None, :], lams[:, None])
     scaled = scaled.reshape(len(words) * len(lams), words.shape[1])
-    out = SumRankCode.from_rows(profile, _expand_words(basis, profile, scaled).tolist())
-    if out.dim != want:
-        raise AssertionError(f"expanded code dimension {out.dim}, expected {want}")
-    return out
+    flat = LinearCode.from_rows(profile.field, profile.total,
+                                _expand_words(basis, profile, scaled).tolist())
+    if flat.k != len(lams) * len(words):
+        raise AssertionError(f"expanded code dimension {flat.k}, expected {len(lams) * len(words)}")
+    return SumRankCode(profile, flat, MatrixGF(basis.field, words.tolist(), words.shape[1]))
 
 
 def qpoly_rank_table(basis: Basis) -> dict:
@@ -198,7 +201,7 @@ def qpoly_code(codes: Sequence[LinearCode], basis: Optional[Basis] = None) -> Su
         powers = np.array([ext.pow(b, q**i) for b in basis.elements], tab.dtype)
         words.append(tab.times(c.generator._array()[:, :, None], powers).reshape(c.k, t * m))
     profile = BlockProfile(basis.sub, [(m, m)] * t)
-    return _expanded_code(basis, profile, np.concatenate(words), m * sum(c.k for c in codes))
+    return _expanded_code(basis, profile, np.concatenate(words))
 
 
 def pair_distance(c0: LinearCode, c1: LinearCode, budget: int = DEFAULT_WORD_BUDGET) -> int:
@@ -345,7 +348,7 @@ def basis_expand_code(
         if sum(n for _, n in profile.blocks) != code.n:
             raise ProfileMismatch("profile column counts must sum to the code length")
 
-    return _expanded_code(basis, profile, code.generator._array(), m * code.k)
+    return _expanded_code(basis, profile, code.generator._array())
 
 
 def symbol_sum_rank_weight(word: Sequence[int], ext: FieldSpec, profile: BlockProfile) -> int:

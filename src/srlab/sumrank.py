@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -149,14 +149,18 @@ class SumRankCode:
     """F_q-linear subspace of a block profile, held as its flat LinearCode.
 
     Codes are equal iff their profiles and flat codes are; the trace dual is
-    the Euclidean dual of the flat code.
+    the Euclidean dual of the flat code.  A code built by expanding a code
+    over GF(q^m) keeps that code's independent rows as `symbols` (a
+    MatrixGF over GF(q^m), chunk i of a row expanding into block i), which
+    equality ignores; every other code has None.
     """
 
-    __slots__ = ("profile", "flat")
+    __slots__ = ("profile", "flat", "symbols")
 
-    def __init__(self, profile: BlockProfile, flat: LinearCode):
+    def __init__(self, profile: BlockProfile, flat: LinearCode, symbols: Optional[MatrixGF] = None):
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "symbols", symbols)
 
     def __setattr__(self, name, value):
         raise AttributeError("SumRankCode is immutable")
@@ -219,9 +223,19 @@ class SumRankCode:
     # -- metric ---------------------------------------------------------------
 
     def min_distance(self, budget: int = DEFAULT_WORD_BUDGET) -> int:
-        """Exact minimum nonzero sum-rank weight by exhausting the code."""
+        """Exact minimum nonzero sum-rank weight by exhausting the code, one
+        word per line.
+
+        The expansion of GF(4) symbols of length at most 64 over GF(2) walks
+        the lines of its symbol code (`sr_min_weight_packed`), so a budget
+        cut covers the symbol code's messages; 4**K of them are the code's
+        2**(2K) codewords.
+        """
         if self.dim == 0:
             raise ZeroCode("the zero code has no nonzero codeword")
+        sym = self.symbols
+        if sym is not None and sym.field.order == 4 and self.field.order == 2 and sym.ncols <= 64:
+            return sr_min_weight_packed(sym.field, sym.rows, self.profile.blocks, budget)
         rows = self.generator.rows
         if packable_sum_rank(self.field, self.profile.blocks):
             return sr_min_weight_packed(self.field, rows, self.profile.blocks, budget)

@@ -61,7 +61,7 @@ from .construct import (
 )
 from .cyclic import bch_generator, cyclic_code, frobenius_coeffs, parse_poly
 from .errors import BudgetExceeded, UnknownTable, UsageError
-from .field import Basis, extension, prime_field
+from .field import extension, prime_field, self_dual_basis
 from .sumrank import BlockProfile
 from .wordenum import check_budget
 
@@ -132,7 +132,7 @@ class _Ctx:
         self.word_budget = word_budget
         self.f2 = prime_field(2)
         self.f4 = extension(self.f2, 2)
-        self.sd_basis = Basis(self.f4, [2, 3])  # {w, w^2}, self-dual
+        self.sd_basis = self_dual_basis(self.f4)  # {w, w^2}
         self.codes: Dict[tuple, LinearCode] = {}
         self.dham: Dict[tuple, _Interval] = {}
         # printed distances of the BCH codes, the comparison targets of tables 2 and 4

@@ -5,13 +5,16 @@
   rows plus one prefix codeword of the first rows (the digit stack of
   `all_codewords`, on the same addition), so messages keep the mixed-radix
   order of `itertools.product`; a weight callback scores a whole chunk.
-  Where the code packs (GF(2)/GF(4), length <= 64) a codeword is its uint64
-  bitplanes, added by XOR: a popcount makes the walk the Hamming search,
-  and two-row blocks bit-sliced with shifts and masks (other blocks read
-  from rank tables built once per shape) the GF(2) sum-rank search.  The
-  packed chunks after the first share one buffer, and the weight kernels
-  write into temporaries made once per walk, so a packed walk allocates
-  once.
+  The kernels walk one word per line (the message whose first nonzero
+  digit is 1), as every weight they score is invariant under a nonzero
+  scalar.  Where the code packs (GF(2)/GF(4), length <= 64) a codeword is
+  its uint64 bitplanes, added by XOR: a popcount makes the walk the
+  Hamming search, and two-row blocks bit-sliced with shifts and masks
+  (other blocks read from rank tables built once per shape) the GF(2)
+  sum-rank search, which also walks a GF(4) code's own lines for its
+  expansion over GF(2).  The packed chunks after the first share one
+  buffer, and the weight kernels write into temporaries made once per walk,
+  so a packed walk allocates once.
   Elsewhere it is an array of entries (uint8 over fields of at most 256
   elements, Python ints in object arrays above that) added through
   `linalg._tables`;
@@ -29,22 +32,24 @@
 Block ranks are read from GF(2) rank tables (`block_rank_lut`) or, over any
 field, eliminated for a whole array of blocks at once (`block_ranks`).
 
-Budgets count enumerated codewords, and listings the messages they cover
-(`listing_cost`), a (q-1)-th of which the lister scores.  A search that
-would exceed its budget enumerates exactly its first `budget` messages,
-then raises BudgetExceeded carrying the lightest weight seen, an upper
-bound on the true minimum.
+Both the walker and the lister score one word per line, a (q-1)-th of
+the nonzero messages they cover, and budgets count the messages covered
+(`listing_cost` for listings).  A search that would exceed its budget
+covers exactly its first `budget` messages, scoring the lines that meet
+them, then raises BudgetExceeded carrying the lightest weight seen, an
+upper bound on the true minimum.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 
 import numpy as np
 
-from .errors import BudgetExceeded, NegativeBudget, ZeroCode
+from .errors import BudgetExceeded, NegativeBudget, ProfileMismatch, ZeroCode
 from .linalg import _tables
 
 __all__ = [
@@ -118,10 +123,12 @@ def check_budget(budget: int) -> None:
 # -- message -> codeword ------------------------------------------------------
 
 
-def _message_words(rows, q: int, add, multiple, zero):
+def _message_words(rows, q: int, add, multiple, zero, lines=False):
     """The word of every message of `rows`, in the mixed-radix order of
     `itertools.product` (the zero word first, the last digit fastest);
-    `add` adds two words and multiple(d, row) is d * row.
+    `add` adds two words and multiple(d, row) is d * row.  With `lines`,
+    only the zero word and each line's representative, the message whose
+    first nonzero digit is 1: a leading digit stops at 1.
 
     One prefix sum per digit: base[i] is the word of the digits before i.
     The next message raises one digit i and clears the digits after it, so
@@ -137,14 +144,16 @@ def _message_words(rows, q: int, add, multiple, zero):
     yield zero
     base = [zero] * k
     digits = [0] * k
+    lead = k  # the first nonzero digit, k before the first message
     i = k - 1
     while i >= 0:
         d = digits[i] + 1
-        if d == q:
+        if d == (2 if lines and lead >= i else q):
             digits[i] = 0
             i -= 1
             continue
         digits[i] = d
+        lead = min(lead, i)
         m = table[i].get(d)
         if m is None:
             m = table[i][d] = multiple(d, rows[i])
@@ -188,23 +197,30 @@ def _scalar_multiples(field, lo: int, hi: int):
     return [(0, 0), (lo, hi), (hi, hi ^ lo), (hi ^ lo, lo)]
 
 
-def codeword_chunks(field, rows, n: int, count=None, packed=False):
+def codeword_chunks(field, rows, n: int, count=None, packed=False, lines=False):
     """The first `count` codewords (all by default), messages in the order
     of `all_codewords`, as 2-D arrays of at most _PIECE rows and
     _SUFFIX_CAP entries.  A row holds a codeword's entries
     (`linalg._tables`: uint8, or object past 256 elements) or, `packed`
     (GF(2)/GF(4), n <= 64), its uint64 bitplanes: lo over GF(2), lo and hi
-    over GF(4) (`pack_row_planes`).
+    over GF(4) (`pack_row_planes`).  With `lines`, only each line's
+    representative among those messages, the message whose first nonzero
+    digit is 1; the zero word is none.
 
     The codewords of the last j rows are tabulated once, as large as those
     bounds and `count` allow; each chunk is that table plus one codeword of
     the first k - j rows (`_message_words` on the same addition), in one
     array addition, and the last is cut at `count`.  The prefix digits are
     the more significant, so the chunks follow one another in message
-    order.  A chunk may be the table itself, so callers must not write to
-    it; packed, the chunks after the table are written into one buffer of
-    the table's size, made at the second chunk, so a chunk is valid until
-    the next one is drawn.
+    order.  With `lines` the zero prefix takes the table's representatives,
+    its rows [q**m, 2 q**m) for m < j (every row but the first over GF(2)),
+    and every other prefix is a representative with the whole table.  A
+    chunk may be the table itself, so callers must not write to it; packed,
+    the chunks after the table are written into one buffer of the table's
+    size, made at the second chunk, so a chunk is valid until the next one
+    is drawn.  Over a field past GF(2) a walk of lines makes that buffer at
+    the first chunk, the representatives, and builds no table of the whole
+    code: those are each row's 1 plus the table of the rows after it.
     """
     if count is not None:
         check_budget(count)
@@ -227,41 +243,67 @@ def codeword_chunks(field, rows, n: int, count=None, packed=False):
     j = 0
     while j < k and q ** (j + 1) <= min(_PIECE, left) and q ** (j + 1) * width <= _SUFFIX_CAP:
         j += 1
-    table = zero[None]
-    for row in rows[k - j:]:
-        table = add(table[:, None], multiple(slice(None), row)[None]).reshape(-1, width)
+    # from the last row up, each row the most significant digit so far; with
+    # `lines` over GF(q > 2) the table's representatives are each row's 1
+    # plus the table before it, and a table of the whole code is not needed
+    table, firsts = zero[None], []
+    for row in reversed(rows[k - j:]):
+        mults = multiple(slice(None), row)
+        if lines and q > 2:
+            firsts.append(add(table, mults[1]))
+            if len(firsts) == k:
+                break
+        table = add(mults[:, None], table[None]).reshape(-1, width)
     if packed:  # plane by plane: adding a word and reading a plane stay contiguous
         table = np.asfortranarray(table)
     buf = None
-    for i, word in enumerate(_message_words(rows[:k - j], q, add, multiple, zero)):
-        if not left:
+    if firsts:  # packed, into the buffer of the later chunks, as large as the walk needs
+        reps = (q**j - 1) // (q - 1)
+        buf = np.empty_like(table, shape=(max(reps, len(table)), width)) if packed else None
+        first = np.concatenate(firsts, out=None if buf is None else buf[:reps])
+    else:  # over GF(2) every nonzero row is a line; at j = 0 there is none
+        first = table[1:] if lines else table
+    del firsts
+    if left and len(first):  # the table fits `left`: q**j <= left
+        yield first
+    del first
+    # the prefixes after the zero one, each given the index of its first
+    # message over the table's size
+    prefixes = (itertools.chain(*(range(q**m, 2 * q**m) for m in range(k - j))) if lines
+                else itertools.count(1))
+    words = _message_words(rows[:k - j], q, add, multiple, zero, lines)
+    next(words)  # the zero prefix, the first chunk's
+    for p, word in zip(prefixes, words):
+        start = p * len(table)
+        if start >= left:
             return
-        if not i:
-            chunk = table
-        elif packed:
+        if packed:
             buf = np.empty_like(table) if buf is None else buf
             chunk = add(table, word, out=buf)
         else:
             chunk = add(table, word)
-        chunk = chunk[:left]
-        left -= len(chunk)
-        yield chunk
+        yield chunk[:left - start]
 
 
 # -- exhaustive search ------------------------------------------------------------
 
 
-def _walk_min(field, rows, n: int, budget: int, weight, packed=False):
+def _walk_min(field, rows, n: int, budget: int, weight, packed=False, lines=False):
     """Minimum of weight(chunk) over the nonzero codewords, None without
     any; `weight` maps a 2-D chunk of `codeword_chunks` (`packed` or not)
-    to one integer per row.
+    to one integer per row.  With `lines` only each line's representative
+    is scored, so `weight` must not change under a nonzero scalar, as the
+    Hamming weight and block ranks do not.
 
     Raises BudgetExceeded, carrying the minimum over the first `budget`
-    messages, when the code has more codewords than that.
+    messages, when the code has more codewords than that.  A line's
+    representative is its least member in message order, so a walk of
+    lines cut there scores every line that meets those messages and finds
+    the same minimum.
     """
     best = None
-    for i, chunk in enumerate(codeword_chunks(field, rows, n, budget, packed)):
-        w = weight(chunk)[0 if i else 1:]  # message 0 is the only zero message
+    for i, chunk in enumerate(codeword_chunks(field, rows, n, budget, packed, lines)):
+        w = weight(chunk)[0 if i or lines else 1:]  # message 0 is the only zero message
         if len(w):
             least = int(w.min())
             best = least if best is None else min(best, least)
@@ -271,15 +313,18 @@ def _walk_min(field, rows, n: int, budget: int, weight, packed=False):
     return best
 
 
-def _temporaries(*dtypes):
+def _temporaries(q: int, *dtypes):
     """A map of a chunk to one array per dtype, one entry per codeword:
-    made at the first chunk, the largest of a walk, and cut to each later
-    one, so a weight kernel allocates once per walk."""
+    made at the first chunk of a walk over GF(q) and cut to each later one,
+    so a weight kernel allocates once per walk.  The first chunk is the
+    table, the largest, or in a walk of lines its (q**j - 1) / (q - 1)
+    representatives, so the arrays are made for (q - 1) times as many
+    entries plus one: the table's q**j rows at least."""
     made = []
 
     def cut(chunk):
         if not made:
-            made.extend(np.empty(len(chunk), dtype) for dtype in dtypes)
+            made.extend(np.empty((q - 1) * len(chunk) + 1, dtype) for dtype in dtypes)
         return [a[:len(chunk)] for a in made]
     return cut
 
@@ -291,24 +336,25 @@ def _support(chunk: np.ndarray, out=None) -> np.ndarray:
 
 def min_weight_char2(field, rows, n: int, budget: int) -> int:
     """Exact minimum Hamming weight over all nonzero combinations of `rows`,
-    a popcount of the packed walk; n + 1 without rows.
+    a popcount of the packed walk of lines; n + 1 without rows.
 
     GF(2)/GF(4) only, n <= 64.  Raises BudgetExceeded past the budget.
     """
-    temps = _temporaries(np.uint64, np.uint8)
+    temps = _temporaries(field.order, np.uint64, np.uint8)
 
     def weight(chunk):
         support, count = temps(chunk)
         return popcount(_support(chunk, support), out=count)
 
-    best = _walk_min(field, rows, n, budget, weight, packed=True)
+    best = _walk_min(field, rows, n, budget, weight, packed=True, lines=True)
     return n + 1 if best is None else best
 
 
 def min_weight_generic(field, rows, n: int, budget: int) -> int:
-    """Minimum Hamming weight through the walker on entry arrays; n + 1
-    without rows."""
-    best = _walk_min(field, rows, n, budget, lambda words: np.count_nonzero(words, axis=1))
+    """Minimum Hamming weight through the walker on entry arrays, one word
+    per line; n + 1 without rows."""
+    best = _walk_min(field, rows, n, budget, lambda words: np.count_nonzero(words, axis=1),
+                     lines=True)
     return n + 1 if best is None else best
 
 
@@ -418,9 +464,9 @@ def listing_cost(field, k: int, windows: int, depth: int) -> int:
     """Words a listing through message weight `depth` under each of
     `windows` generators of dimension k costs: the messages it covers plus
     _PIECE words per generator; q**k, the whole code under one generator,
-    once depth >= k.  The lister scores one word per line, a (q-1)-th of
-    the messages it covers, so over GF(4) a listing does about a third of
-    the work this counts.
+    once depth >= k.  The lister and the walker score one word per line, a
+    (q-1)-th of the messages they cover, so over GF(4) either does about a
+    third of the work this counts, and the two costs compare alike.
 
     The _PIECE term stands for a window's elimination and the lister's
     set-up.  On random GF(4) [2k, k] codes, k = 6..14, they took 0.2-0.9 ms
@@ -446,9 +492,9 @@ def support_masks(field, windows, n: int, depth: int, max_weight: int) -> np.nda
     """
     k = len(windows[0])
     if depth >= k:
-        temps = _temporaries(np.uint64)
+        temps = _temporaries(field.order, np.uint64)
         supports = (_support(chunk, *temps(chunk))
-                    for chunk in codeword_chunks(field, windows[0], n, packed=True))
+                    for chunk in codeword_chunks(field, windows[0], n, packed=True, lines=True))
     else:
         supports = (np.bitwise_or(lo, hi).ravel() for rows in windows
                     for _, (lo, hi) in low_weight_blocks(field, rows, n, depth))
@@ -530,51 +576,69 @@ def _fold(x: np.ndarray, n: int, tmp: np.ndarray, out: np.ndarray) -> None:
         np.copyto(out, x)
 
 
-def _add_two_row_ranks(acc, words: np.ndarray, n: int, firsts: np.uint64, temps) -> None:
+def _add_two_row_ranks(acc, words, n: int, firsts: np.uint64, temps, hi=None) -> None:
     """Adds to `acc` the summed ranks of the two-row blocks of width n whose
     first bits are set in `firsts`: a block of rows r1, r2 has rank
     [r2 != 0] + [r1 != 0 and r1 != r2], each flag read off a row's first
-    bit after OR-folding the row onto it, and both counted by one popcount.
-    `temps` are three uint64 arrays and one uint8 array like `acc`."""
+    bit after OR-folding the row onto it.  Row r1 lies at the block's bits
+    of `words`, and r2 n bits up, where both flags are counted by one
+    popcount, or at the same bits of `hi` where given.  `temps` are three
+    uint64 arrays and one uint8 array like `acc`."""
     tmp, differ, nonzero, count = temps
-    shift = np.uint64(n)
-    np.right_shift(words, shift, out=tmp)
-    np.bitwise_xor(words, tmp, out=differ)  # row 1 ^ row 2 at row 1's bits
+    second = np.right_shift(words, np.uint64(n), out=tmp) if hi is None else hi
+    np.bitwise_xor(words, second, out=differ)  # r1 ^ r2 at r1's bits
     _fold(differ, n, tmp, differ)  # r1 != r2 at the first bit
-    _fold(words, n, tmp, nonzero)  # r1 != 0 at the first bit, r2 != 0 n bits up
+    _fold(words, n, tmp, nonzero)  # r1 != 0 at the first bit, in `words` r2 != 0 n bits up
     differ &= firsts
-    differ |= firsts << shift
-    differ &= nonzero
+    if hi is None:
+        differ |= firsts << np.uint64(n)
+        differ &= nonzero
+    else:
+        differ &= nonzero
+        acc += popcount(differ, out=count)
+        _fold(hi, n, tmp, differ)  # r2 != 0 at the first bit
+        differ &= firsts
     acc += popcount(differ, out=count)
 
 
 def sr_min_weight_packed(field, rows, blocks, budget: int) -> int:
     """Exact minimum sum-rank weight over GF(2) for the `packable_sum_rank`
-    shapes, through the packed walk; one more than the largest weight
-    without rows.
+    shapes, through the packed walk of lines; one more than the largest
+    weight without rows.
 
     `rows` are flattened generator rows; `blocks` the (m_i, n_i) shapes in
     flattening order.  Two-row blocks are scored bit-sliced, all blocks of
     one width at once; the others through their rank tables.
+
+    Over GF(4), `rows` instead span a code of at most 64 symbols whose
+    expansion over GF(2) is the code searched, and every block is (2, n_i),
+    read off the next n_i symbols.  A block's rank is the GF(2) dimension
+    its symbols span, in any basis, so its rows are the symbols' lo and hi
+    planes, their {1, w} expansion.  A nonzero scalar of GF(4) keeps every
+    block's rank, so only the symbol code's lines are walked, and `budget`
+    counts the symbol code's messages.
     """
+    symbols = field.order == 4
     firsts = {}  # width -> first bits of the two-row blocks of that width
     tables = []  # (offset, mask, rank table) of the other blocks
     offset = 0
     for m, n in blocks:
         if m == 2:
             firsts[n] = firsts.get(n, 0) | 1 << offset
+        elif symbols:
+            raise ProfileMismatch(f"a block of GF(4) symbols has two rows, not {m}")
         else:
             tables.append((np.uint64(offset), np.uint64((1 << m * n) - 1), block_rank_lut(m, n)))
-        offset += m * n
+        offset += n if symbols else m * n
     firsts = {n: np.uint64(bits) for n, bits in firsts.items()}
-    temps = _temporaries(np.uint64, np.uint64, np.uint64, np.uint8, np.uint8)
+    temps = _temporaries(field.order, np.uint64, np.uint64, np.uint64, np.uint8, np.uint8)
 
     def weight(chunk):
-        words = chunk[:, 0]
+        words, hi = chunk[:, 0], (chunk[:, 1] if symbols else None)
         *scratch, acc = temps(chunk)
         acc[:] = 0
         for n, bits in firsts.items():
-            _add_two_row_ranks(acc, words, n, bits, scratch)
+            _add_two_row_ranks(acc, words, n, bits, scratch, hi)
         index, count = scratch[0], scratch[3]
         for off, mask, lut in tables:
             np.right_shift(words, off, out=index)
@@ -582,17 +646,17 @@ def sr_min_weight_packed(field, rows, blocks, budget: int) -> int:
             acc += np.take(lut, index.view(np.int64), out=count)
         return acc
 
-    best = _walk_min(field, rows, offset, budget, weight, packed=True)
+    best = _walk_min(field, rows, offset, budget, weight, packed=True, lines=True)
     return sum(m for m, _ in blocks) + 1 if best is None else best
 
 
 def sr_min_weight_generic(field, rows, rank_fn, budget: int) -> int:
-    """Fallback for any field or length through the walker on entry
-    arrays: rank_fn maps a 2-D chunk of flat codewords to their sum-rank
-    weights (`BlockProfile.weights`).
+    """Fallback for any field or length through the walker of lines on
+    entry arrays: rank_fn maps a 2-D chunk of flat codewords to their
+    sum-rank weights (`BlockProfile.weights`).
 
     Raises ZeroCode without rows: their length, and so the largest weight,
     is unknown."""
     if not rows:
         raise ZeroCode("the zero code has no nonzero codeword")
-    return _walk_min(field, rows, len(rows[0]), budget, rank_fn)
+    return _walk_min(field, rows, len(rows[0]), budget, rank_fn, lines=True)

@@ -122,6 +122,20 @@ def test_sr_matb_profile_flag(tmp_path, capsys):
     assert len(obj["generator"]) == 2
 
 
+def test_empty_basis_and_profile_are_usage_errors(tmp_path, capsys):
+    # an empty value is an argument given, not the default left in place
+    rc, out, _ = run_cli(capsys, "cyclic", "--q", "4", "--n", "13", "--bch", "13", "1")
+    c = tmp_path / "c.json"
+    c.write_text(out)
+    for argv in (("construct-matb", str(c), "--profile", ""),
+                 ("construct-matb", str(c), "--basis", ""),
+                 ("construct-matb", str(c), "--basis", " "),
+                 ("construct-sr", str(c), str(c), "--basis", "")):
+        rc, out, err = run_cli(capsys, "sr", *argv)
+        assert_input_error(rc, out, err)
+        assert "--basis" in err or "profile part ''" in err, (argv, err)
+
+
 def test_sr_bounds(capsys):
     rc, out, _ = run_cli(capsys, "sr", "bounds", "--theorem23", "2", "5", "13")
     assert rc == 0 and json.loads(out) == {"lower": 10, "upper": 10, "exact": True}

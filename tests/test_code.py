@@ -12,6 +12,7 @@ from srlab.errors import (BudgetExceeded, LengthMismatch, NegativeBudget, NotF4,
                           ZeroCode)
 from srlab.field import extension, prime_field
 from srlab.linalg import MatrixGF
+from srlab.sumrank import BlockProfile
 from srlab.tables import load_manifest
 from srlab import wordenum
 from srlab.wordenum import low_weight_blocks, low_weight_min_char2, packable_char2, support_masks
@@ -218,6 +219,116 @@ def test_array_walker_matches_a_per_word_walk(monkeypatch, piece, cap):
                         (q, k, n, budget)
                     cases += 1
     assert cases > 500
+
+
+def _leads_with_one(message):
+    """Whether a message is its line's representative: first nonzero digit 1."""
+    return next((d for d in message if d), 0) == 1
+
+
+@pytest.mark.parametrize("piece, cap", _SMALL_CHUNKS)
+def test_chunks_of_lines_are_the_representatives(monkeypatch, piece, cap):
+    # the reference keeps, among the first `count` messages of
+    # itertools.product, those whose first nonzero digit is 1, in order
+    _small_chunks(monkeypatch, piece, cap)
+    rnd = random.Random(48)
+    cases = 0
+    for field in _WALK_FIELDS:
+        q = field.order
+        for k in range(6):
+            total = q**k
+            if total > 5000:
+                continue
+            n = rnd.choice([1, 3, 9])
+            rows = [[rnd.randrange(q) for _ in range(n)] for _ in range(k)]
+            words = list(wordenum.all_codewords(field, rows, n))
+            messages = list(itertools.product(range(q), repeat=k))
+            first = len(next(wordenum.codeword_chunks(field, rows, n)))
+            for count in sorted({None, 0, 1, 2, q, first // 2 + 1, first, first + 1,
+                                 first + first // 2 + 1, total - 1, total, total + 1} - {-1},
+                                key=lambda c: -1 if c is None else c):
+                cut = total if count is None else min(count, total)
+                want = [w for m, w in zip(messages[:cut], words) if _leads_with_one(m)]
+                got = []
+                for c in wordenum.codeword_chunks(field, rows, n, count, lines=True):
+                    assert 0 < len(c) <= (piece or wordenum._PIECE)
+                    got += [list(map(int, w)) for w in c]
+                assert got == want, (q, k, count)
+                if q in (2, 4):
+                    planes = 1 if q == 2 else 2
+                    got = []
+                    for c in wordenum.codeword_chunks(field, rows, n, count, packed=True, lines=True):
+                        assert c.shape[1] == planes and 0 < len(c) <= (piece or wordenum._PIECE)
+                        got += c.tolist()
+                    assert got == [list(wordenum.pack_row_planes(field, w))[:planes] for w in want], \
+                        (q, k, count)
+                cases += 1
+    assert cases > 200
+
+
+@pytest.mark.parametrize("piece, cap", _SMALL_CHUNKS)
+def test_walks_of_lines_cut_like_the_message_walk(monkeypatch, piece, cap):
+    # a walk of lines cut at `budget` messages reports what the message walk
+    # reports: the lightest of the first `budget` codewords, and `budget`
+    _small_chunks(monkeypatch, piece, cap)
+    rnd = random.Random(49)
+    f3 = prime_field(3)
+    profile = BlockProfile(f3, [(2, 2), (1, 2), (2, 3)])
+    cases = 0
+    for k in range(8):
+        for trial in range(3):
+            kernels = []
+            rows = [[rnd.randrange(4) for _ in range(13)] for _ in range(k)]
+            words = list(wordenum.all_codewords(F4, rows, 13))
+            kernels.append((F4, [13 - w.count(0) for w in words], 14,
+                            lambda b, rows=rows: wordenum.min_weight_char2(F4, rows, 13, b)))
+            if 3**k <= 729:
+                rows = [[rnd.randrange(3) for _ in range(profile.total)] for _ in range(k)]
+                words = list(wordenum.all_codewords(f3, rows, profile.total))
+                kernels.append((f3, profile.weights(words).tolist(), None,
+                                lambda b, rows=rows: wordenum.sr_min_weight_generic(
+                                    f3, rows, profile.weights, b)))
+            for field, weights, empty, search in kernels:
+                total = field.order**k
+                if not k:
+                    continue  # no rows: the sum-rank kernel raises ZeroCode
+                chunk = len(next(wordenum.codeword_chunks(field, [[0]] * k, 1)))
+                for budget in sorted({0, 1, 2, chunk - 1, chunk, chunk + 1, chunk + chunk // 2 + 1,
+                                      total - 1, total, total + 1} - {-1}):
+                    assert _outcome(lambda: search(budget)) == \
+                        _reference_outcome(weights, total, budget, empty), (field.order, k, budget)
+                    cases += 1
+    assert cases > 150
+
+
+def test_every_exhaustive_kernel_scores_one_word_per_line(monkeypatch):
+    # the rows each kernel's walk draws: (q**k - 1) / (q - 1), the lines
+    drawn = []
+    chunks = wordenum.codeword_chunks
+
+    def counted(*args, **kwargs):
+        for chunk in chunks(*args, **kwargs):
+            drawn.append(len(chunk))
+            yield chunk
+    monkeypatch.setattr(wordenum, "codeword_chunks", counted)
+    rnd = random.Random(51)
+    f3 = prime_field(3)
+    for field, k in ((F2, 9), (F3, 6), (F4, 6)):
+        q, n = field.order, 12
+        rows = [[rnd.randrange(q) for _ in range(n)] for _ in range(k)]
+        profile = BlockProfile(field, [(2, 3), (2, 3)])
+        searches = [lambda: wordenum.min_weight_generic(field, rows, n, 2**20),
+                    lambda: wordenum.sr_min_weight_generic(field, rows, profile.weights, 2**20)]
+        if q != 3:
+            searches += [lambda: wordenum.min_weight_char2(field, rows, n, 2**20),
+                         lambda: wordenum.support_masks(field, [rows], n, k, n),
+                         # flat GF(2) rows of two (2,3) blocks, or GF(4) symbols of two (2,6)
+                         lambda: wordenum.sr_min_weight_packed(
+                             field, rows, [(2, 3 * q // 2)] * 2, 2**20)]
+        for search in searches:
+            drawn.clear()
+            search()
+            assert sum(drawn) == (q**k - 1) // (q - 1), (q, search)
 
 
 def test_walker_budget_cut_of_a_long_code():

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from srlab import construct, wordenum
+from srlab import construct, sumrank, wordenum
 from srlab.code import LinearCode
 from srlab.construct import (
     basis_expand_code,
@@ -30,7 +30,8 @@ from srlab.errors import (
     MethodUnavailable,
     ProfileMismatch,
 )
-from srlab.field import Basis, extension, prime_field
+from srlab.field import Basis, extension, prime_field, self_dual_basis
+from srlab.jsonio import sr_code_from_obj, sr_code_to_obj
 from srlab.linalg import MatrixGF
 from srlab.sumrank import BlockProfile, SumRankCode
 from srlab.tables import load_manifest
@@ -435,6 +436,82 @@ def test_expansion_isometry_code_level():
             if any(word)
         )
         assert m.min_distance() == symbol_min
+
+
+def _without_symbols(M):
+    """The same sum-rank code built from its flat rows: the flat walk."""
+    return SumRankCode.from_rows(M.profile, M.generator.rows)
+
+
+def _symbol_walks(monkeypatch):
+    """The field of every `sr_min_weight_packed` call `min_distance` makes."""
+    seen = []
+    kernel = sumrank.sr_min_weight_packed
+    monkeypatch.setattr(sumrank, "sr_min_weight_packed",
+                        lambda field, *args: seen.append(field.order) or kernel(field, *args))
+    return seen
+
+
+def test_expansions_walk_the_lines_of_their_symbol_code(monkeypatch):
+    # random GF(4) codes of every length 2..64, an odd one opening on a
+    # (2,3) block, in both bases; length 1 has no block of two rows
+    seen = _symbol_walks(monkeypatch)
+    rnd = random.Random(97)
+    with pytest.raises(ProfileMismatch):
+        basis_expand_code(_rand_code(rnd, F4, 1, 1))
+    for n in range(2, 65):
+        for basis in (B_1W, self_dual_basis(F4)):
+            c = _rand_code(rnd, F4, n, rnd.randint(1, min(n, 5)))
+            M = basis_expand_code(c, basis)
+            flat = _without_symbols(M)
+            assert M.symbols.field is F4 and M.symbols.nrows == c.k
+            assert flat.symbols is None and flat == M and hash(flat) == hash(M)
+            seen.clear()
+            d = M.min_distance()
+            assert seen == [4], (n, seen)
+            assert d == flat.min_distance(), (n, basis.elements)
+            if c.k <= 3:
+                assert d == min(symbol_sum_rank_weight(w, F4, M.profile)
+                                for w in c.codewords() if any(w)), (n, basis.elements)
+            assert M.dual().symbols is None
+
+
+def test_qpoly_codes_walk_the_lines_of_their_symbol_code(monkeypatch):
+    seen = _symbol_walks(monkeypatch)
+    rnd = random.Random(101)
+    for t in list(range(1, 9)) + [16, 31, 32]:
+        for basis in (B_1W, B_SD):
+            c0, c1 = (_rand_code(rnd, F4, t, rnd.randint(0, min(t, 2))) for _ in range(2))
+            if c0.k + c1.k == 0:
+                continue
+            M = qpoly_code([c0, c1], basis)
+            assert M.symbols.nrows == c0.k + c1.k and M.symbols.ncols == 2 * t
+            seen.clear()
+            d = M.min_distance()
+            assert seen == [4]
+            assert d == _without_symbols(M).min_distance(), (t, basis.elements)
+            if M.dim <= 6:  # every flat codeword, each block eliminated
+                assert d == min(sum(b.rank() for b in M.profile.matrices(w))
+                                for w in M.flat.codewords() if any(w))
+
+
+def test_a_budget_cut_of_an_expansion_covers_symbol_messages():
+    rnd = random.Random(103)
+    c = _rand_code(rnd, F4, 11, 5)
+    M = basis_expand_code(c, B_SD)
+    words = list(wordenum.all_codewords(F4, M.symbols.rows, 11))
+    weights = [symbol_sum_rank_weight(w, F4, M.profile) for w in words]
+    for budget in (0, 1, 2, 5, 17, 300, 4**5 - 1):
+        with pytest.raises(BudgetExceeded) as exc:
+            M.min_distance(budget)
+        assert exc.value.enumerated == budget
+        assert exc.value.best == min(weights[1:budget], default=None), budget
+    assert M.min_distance(4**5) == min(weights[1:])
+    # sum-rank codes read from JSON carry no symbols
+    assert sr_code_from_obj(sr_code_to_obj(M)).symbols is None
+    # a block of GF(4) symbols has two rows
+    with pytest.raises(ProfileMismatch):
+        wordenum.sr_min_weight_packed(F4, M.symbols.rows, [(1, 11)], 10)
 
 
 def test_qpoly_code_of_cyclic_codes_is_cyclic():
