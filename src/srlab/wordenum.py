@@ -218,9 +218,10 @@ def codeword_chunks(field, rows, n: int, count=None, packed=False, lines=False):
     chunk may be the table itself, so callers must not write to it; packed,
     the chunks after the table are written into one buffer of the table's
     size, made at the second chunk, so a chunk is valid until the next one
-    is drawn.  Over a field past GF(2) a walk of lines makes that buffer at
-    the first chunk, the representatives, and builds no table of the whole
-    code: those are each row's 1 plus the table of the rows after it.
+    is drawn.  Over a field past GF(2) the table's representatives are each
+    row's 1 plus the table of the rows after it, so a walk of lines does not
+    build a table that would be the whole code, and packed it writes them
+    into that buffer, made at the first chunk.
     """
     if count is not None:
         check_budget(count)
