@@ -9,7 +9,6 @@ published parameter tables.
 from .code import (
     DEFAULT_WORD_BUDGET,
     LinearCode,
-    f4_selfdual_bound_holds,
     f4_selfdual_distance_cap,
 )
 from .construct import (
@@ -84,7 +83,6 @@ __all__ = [
     "duality_transport_qpoly",
     "expansion_distance_bounds",
     "extension",
-    "f4_selfdual_bound_holds",
     "f4_selfdual_distance_cap",
     "frobenius_coeffs",
     "is_cyclic",

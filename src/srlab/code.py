@@ -26,8 +26,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import (BudgetExceeded, LengthMismatch, MethodUnavailable, NotF4, NotSelfDual,
-                     ZeroCode)
+from .errors import BudgetExceeded, LengthMismatch, MethodUnavailable, ZeroCode
 from .linalg import MatrixGF, check_entries
 from .wordenum import (
     all_codewords,
@@ -45,7 +44,6 @@ __all__ = [
     "LinearCode",
     "DEFAULT_WORD_BUDGET",
     "f4_selfdual_distance_cap",
-    "f4_selfdual_bound_holds",
 ]
 
 DEFAULT_WORD_BUDGET = 2**28
@@ -285,16 +283,4 @@ def _rotation_closed(code: LinearCode, step: int) -> bool:
 def f4_selfdual_distance_cap(n: int) -> int:
     """Distance cap 4*floor(n/12) + 4 for self-dual codes over GF(4)."""
     return 4 * (n // 12) + 4
-
-
-def f4_selfdual_bound_holds(code: LinearCode, distance: int) -> bool:
-    """Check the GF(4) self-dual distance cap for a code with known distance.
-
-    A False return signals an upstream bug, not a property of the code.
-    """
-    if code.field.order != 4:
-        raise NotF4("bound applies to codes over GF(4)")
-    if not code.is_self_dual():
-        raise NotSelfDual("bound applies to self-dual codes")
-    return distance <= f4_selfdual_distance_cap(code.n)
 

@@ -42,7 +42,8 @@ from .errors import (
 from .field import Basis, FieldSpec
 from .linalg import MatrixGF, _tables
 from .sumrank import BlockProfile, SumRankCode
-from .wordenum import check_budget, listing_cost, packable_char2, popcount, support_masks
+from .wordenum import (_add_two_row_ranks, check_budget, listing_cost, packable_char2, popcount,
+                       support_masks)
 
 __all__ = [
     "Bounds",
@@ -366,18 +367,21 @@ def symbol_sum_rank_weight(word: Sequence[int], ext: FieldSpec, profile: BlockPr
     return int(profile.weights(_expand_words(power_basis(ext, sub), profile, [word]))[0])
 
 
-_EVEN_BITS = np.uint64(0x5555555555555555)
+def _pair_ranks(n: int):
+    """The weight `uniform22_certified_distance` scores: a map of the
+    packed (lo, hi) planes of GF(4) words of even length n, arrays of any
+    shape, to their summed (2,2) block ranks, block i holding coordinates
+    2i and 2i + 1.  That is `sr_min_weight_packed`'s kernel of two-row
+    blocks of symbols at width 2: first bits every other bit below n, r1
+    the lo plane and r2 the hi plane."""
+    firsts = np.uint64(sum(1 << i for i in range(0, n, 2)))
 
-
-def _pair_block_ranks(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Sum-rank weights of packed GF(4) words read in (2,2) blocks: the
-    coordinates a = x_{2i}, b = x_{2i+1} span a block of rank
-    [a | b != 0] + [a != 0, b != 0, a != b], each flag read at bit 2i."""
-    one = np.uint64(1)
-    nonzero = lo | hi
-    differ = (lo ^ (lo >> one)) | (hi ^ (hi >> one))
-    rank2 = nonzero & (nonzero >> one) & differ
-    return popcount((nonzero | (nonzero >> one)) & _EVEN_BITS) + popcount(rank2 & _EVEN_BITS)
+    def weight(lo, hi):
+        acc = np.zeros(lo.shape, np.uint8)
+        temps = [np.empty(lo.shape, np.uint64) for _ in range(3)] + [np.empty(lo.shape, np.uint8)]
+        _add_two_row_ranks(acc, lo, 2, firsts, temps, hi)
+        return acc
+    return weight
 
 
 def uniform22_certified_distance(code: LinearCode, budget: int = DEFAULT_WORD_BUDGET):
@@ -398,7 +402,7 @@ def uniform22_certified_distance(code: LinearCode, budget: int = DEFAULT_WORD_BU
     if code.field.order != 4 or code.n % 2 or not packable_char2(code.field, code.n):
         raise MethodUnavailable(f"(2,2) blocks of GF(4) words need an even length <= 64, "
                                 f"not GF({code.field.order}) and n = {code.n}")
-    return code.certified_distance(budget, _pair_block_ranks, lambda d: 2 * (d - 1))
+    return code.certified_distance(budget, _pair_ranks(code.n), lambda d: 2 * (d - 1))
 
 
 # -- bounds ---------------------------------------------------------------------

@@ -67,10 +67,6 @@ class NotSelfDual(SrlabError):
     pass
 
 
-class NotF4(SrlabError):
-    pass
-
-
 class SearchExceeded(SrlabError):
     pass
 

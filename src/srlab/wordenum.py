@@ -5,16 +5,16 @@
   rows plus one prefix codeword of the first rows (the digit stack of
   `all_codewords`, on the same addition), so messages keep the mixed-radix
   order of `itertools.product`; a weight callback scores a whole chunk.
-  The kernels walk one word per line (the message whose first nonzero
-  digit is 1), as every weight they score is invariant under a nonzero
-  scalar.  Where the code packs (GF(2)/GF(4), length <= 64) a codeword is
-  its uint64 bitplanes, added by XOR: a popcount makes the walk the
-  Hamming search, and two-row blocks bit-sliced with shifts and masks
+  It walks one word per line (the message whose first nonzero digit is 1),
+  so a weight must be invariant under a nonzero scalar, as every one the
+  kernels score is.  Where the code packs (GF(2)/GF(4), length <= 64) a
+  codeword is its uint64 bitplanes, added by XOR: a popcount makes the walk
+  the Hamming search, and two-row blocks bit-sliced with shifts and masks
   (other blocks read from rank tables built once per shape) the GF(2)
   sum-rank search, which also walks a GF(4) code's own lines for its
-  expansion over GF(2).  The packed chunks after the first share one
-  buffer, and the weight kernels write into temporaries made once per walk,
-  so a packed walk allocates once.
+  expansion over GF(2).  The packed chunks after the first share one buffer,
+  and the weight kernels write into temporaries made once per walk, so a
+  packed walk allocates once.
   Elsewhere it is an array of entries (uint8 over fields of at most 256
   elements, Python ints in object arrays above that) added through
   `linalg._tables`;
@@ -197,31 +197,30 @@ def _scalar_multiples(field, lo: int, hi: int):
     return [(0, 0), (lo, hi), (hi, hi ^ lo), (hi ^ lo, lo)]
 
 
-def codeword_chunks(field, rows, n: int, count=None, packed=False, lines=False):
-    """The first `count` codewords (all by default), messages in the order
-    of `all_codewords`, as 2-D arrays of at most _PIECE rows and
-    _SUFFIX_CAP entries.  A row holds a codeword's entries
+def codeword_chunks(field, rows, n: int, count=None, packed=False):
+    """Each line's representative, the message whose first nonzero digit is
+    1, among the first `count` messages (all by default) in the order of
+    `all_codewords`, as 2-D arrays of at most _PIECE rows and _SUFFIX_CAP
+    entries; the zero word is none.  A row holds a codeword's entries
     (`linalg._tables`: uint8, or object past 256 elements) or, `packed`
     (GF(2)/GF(4), n <= 64), its uint64 bitplanes: lo over GF(2), lo and hi
-    over GF(4) (`pack_row_planes`).  With `lines`, only each line's
-    representative among those messages, the message whose first nonzero
-    digit is 1; the zero word is none.
+    over GF(4) (`pack_row_planes`).
 
     The codewords of the last j rows are tabulated once, as large as those
     bounds and `count` allow; each chunk is that table plus one codeword of
     the first k - j rows (`_message_words` on the same addition), in one
     array addition, and the last is cut at `count`.  The prefix digits are
     the more significant, so the chunks follow one another in message
-    order.  With `lines` the zero prefix takes the table's representatives,
-    its rows [q**m, 2 q**m) for m < j (every row but the first over GF(2)),
-    and every other prefix is a representative with the whole table.  A
-    chunk may be the table itself, so callers must not write to it; packed,
-    the chunks after the table are written into one buffer of the table's
+    order.  The zero prefix takes the table's representatives, its rows
+    [q**m, 2 q**m) for m < j (every row but the first over GF(2)), and
+    every other prefix is a representative with the whole table.  A chunk
+    may be a view of the table, so callers must not write to it; packed,
+    the chunks after the first are written into one buffer of the table's
     size, made at the second chunk, so a chunk is valid until the next one
     is drawn.  Over a field past GF(2) the table's representatives are each
-    row's 1 plus the table of the rows after it, so a walk of lines does not
-    build a table that would be the whole code, and packed it writes them
-    into that buffer, made at the first chunk.
+    row's 1 plus the table of the rows after it, so the walk does not build
+    a table that would be the whole code, and packed it writes them into
+    that buffer, made at the first chunk.
     """
     if count is not None:
         check_budget(count)
@@ -244,13 +243,13 @@ def codeword_chunks(field, rows, n: int, count=None, packed=False, lines=False):
     j = 0
     while j < k and q ** (j + 1) <= min(_PIECE, left) and q ** (j + 1) * width <= _SUFFIX_CAP:
         j += 1
-    # from the last row up, each row the most significant digit so far; with
-    # `lines` over GF(q > 2) the table's representatives are each row's 1
-    # plus the table before it, and a table of the whole code is not needed
+    # from the last row up, each row the most significant digit so far; over
+    # GF(q > 2) the table's representatives are each row's 1 plus the table
+    # before it, and a table of the whole code is not needed
     table, firsts = zero[None], []
     for row in reversed(rows[k - j:]):
         mults = multiple(slice(None), row)
-        if lines and q > 2:
+        if q > 2:
             firsts.append(add(table, mults[1]))
             if len(firsts) == k:
                 break
@@ -263,16 +262,15 @@ def codeword_chunks(field, rows, n: int, count=None, packed=False, lines=False):
         buf = np.empty_like(table, shape=(max(reps, len(table)), width)) if packed else None
         first = np.concatenate(firsts, out=None if buf is None else buf[:reps])
     else:  # over GF(2) every nonzero row is a line; at j = 0 there is none
-        first = table[1:] if lines else table
+        first = table[1:]
     del firsts
     if left and len(first):  # the table fits `left`: q**j <= left
         yield first
     del first
-    # the prefixes after the zero one, each given the index of its first
-    # message over the table's size
-    prefixes = (itertools.chain(*(range(q**m, 2 * q**m) for m in range(k - j))) if lines
-                else itertools.count(1))
-    words = _message_words(rows[:k - j], q, add, multiple, zero, lines)
+    # the representative prefixes after the zero one, each given the index
+    # of its first message over the table's size
+    prefixes = itertools.chain(*(range(q**m, 2 * q**m) for m in range(k - j)))
+    words = _message_words(rows[:k - j], q, add, multiple, zero, lines=True)
     next(words)  # the zero prefix, the first chunk's
     for p, word in zip(prefixes, words):
         start = p * len(table)
@@ -289,25 +287,23 @@ def codeword_chunks(field, rows, n: int, count=None, packed=False, lines=False):
 # -- exhaustive search ------------------------------------------------------------
 
 
-def _walk_min(field, rows, n: int, budget: int, weight, packed=False, lines=False):
+def _walk_min(field, rows, n: int, budget: int, weight, packed=False):
     """Minimum of weight(chunk) over the nonzero codewords, None without
     any; `weight` maps a 2-D chunk of `codeword_chunks` (`packed` or not)
-    to one integer per row.  With `lines` only each line's representative
-    is scored, so `weight` must not change under a nonzero scalar, as the
-    Hamming weight and block ranks do not.
+    to one integer per row.  Only each line's representative is scored, so
+    `weight` must not change under a nonzero scalar, as the Hamming weight
+    and block ranks do not.
 
     Raises BudgetExceeded, carrying the minimum over the first `budget`
     messages, when the code has more codewords than that.  A line's
-    representative is its least member in message order, so a walk of
-    lines cut there scores every line that meets those messages and finds
-    the same minimum.
+    representative is its least member in message order, so a walk cut
+    there scores every line that meets those messages and finds the same
+    minimum as a walk of every message.
     """
     best = None
-    for i, chunk in enumerate(codeword_chunks(field, rows, n, budget, packed, lines)):
-        w = weight(chunk)[0 if i or lines else 1:]  # message 0 is the only zero message
-        if len(w):
-            least = int(w.min())
-            best = least if best is None else min(best, least)
+    for chunk in codeword_chunks(field, rows, n, budget, packed):
+        least = int(weight(chunk).min())
+        best = least if best is None else min(best, least)
     total = field.order ** len(rows)
     if budget < total:
         raise BudgetExceeded(f"enumerated {budget} of {total} codewords", best=best, enumerated=budget)
@@ -318,9 +314,9 @@ def _temporaries(q: int, *dtypes):
     """A map of a chunk to one array per dtype, one entry per codeword:
     made at the first chunk of a walk over GF(q) and cut to each later one,
     so a weight kernel allocates once per walk.  The first chunk is the
-    table, the largest, or in a walk of lines its (q**j - 1) / (q - 1)
-    representatives, so the arrays are made for (q - 1) times as many
-    entries plus one: the table's q**j rows at least."""
+    table's (q**j - 1) / (q - 1) representatives, so the arrays are made
+    for (q - 1) times as many entries plus one: the table's q**j rows, the
+    most any later chunk holds."""
     made = []
 
     def cut(chunk):
@@ -347,15 +343,14 @@ def min_weight_char2(field, rows, n: int, budget: int) -> int:
         support, count = temps(chunk)
         return popcount(_support(chunk, support), out=count)
 
-    best = _walk_min(field, rows, n, budget, weight, packed=True, lines=True)
+    best = _walk_min(field, rows, n, budget, weight, packed=True)
     return n + 1 if best is None else best
 
 
 def min_weight_generic(field, rows, n: int, budget: int) -> int:
     """Minimum Hamming weight through the walker on entry arrays, one word
     per line; n + 1 without rows."""
-    best = _walk_min(field, rows, n, budget, lambda words: np.count_nonzero(words, axis=1),
-                     lines=True)
+    best = _walk_min(field, rows, n, budget, lambda words: np.count_nonzero(words, axis=1))
     return n + 1 if best is None else best
 
 
@@ -495,7 +490,7 @@ def support_masks(field, windows, n: int, depth: int, max_weight: int) -> np.nda
     if depth >= k:
         temps = _temporaries(field.order, np.uint64)
         supports = (_support(chunk, *temps(chunk))
-                    for chunk in codeword_chunks(field, windows[0], n, packed=True, lines=True))
+                    for chunk in codeword_chunks(field, windows[0], n, packed=True))
     else:
         supports = (np.bitwise_or(lo, hi).ravel() for rows in windows
                     for _, (lo, hi) in low_weight_blocks(field, rows, n, depth))
@@ -583,8 +578,10 @@ def _add_two_row_ranks(acc, words, n: int, firsts: np.uint64, temps, hi=None) ->
     [r2 != 0] + [r1 != 0 and r1 != r2], each flag read off a row's first
     bit after OR-folding the row onto it.  Row r1 lies at the block's bits
     of `words`, and r2 n bits up, where both flags are counted by one
-    popcount, or at the same bits of `hi` where given.  `temps` are three
-    uint64 arrays and one uint8 array like `acc`."""
+    popcount, or at the same bits of `hi` where given: GF(4) symbols, here
+    and in the (2,2) certificate (`construct._pair_ranks`).  `temps` are
+    three uint64 arrays and one uint8 array of `acc`'s shape, 1-D for a
+    walker's chunk, 2-D for a lister's batch."""
     tmp, differ, nonzero, count = temps
     second = np.right_shift(words, np.uint64(n), out=tmp) if hi is None else hi
     np.bitwise_xor(words, second, out=differ)  # r1 ^ r2 at r1's bits
@@ -647,7 +644,7 @@ def sr_min_weight_packed(field, rows, blocks, budget: int) -> int:
             acc += np.take(lut, index.view(np.int64), out=count)
         return acc
 
-    best = _walk_min(field, rows, offset, budget, weight, packed=True, lines=True)
+    best = _walk_min(field, rows, offset, budget, weight, packed=True)
     return sum(m for m, _ in blocks) + 1 if best is None else best
 
 
@@ -660,4 +657,4 @@ def sr_min_weight_generic(field, rows, rank_fn, budget: int) -> int:
     is unknown."""
     if not rows:
         raise ZeroCode("the zero code has no nonzero codeword")
-    return _walk_min(field, rows, len(rows[0]), budget, rank_fn, lines=True)
+    return _walk_min(field, rows, len(rows[0]), budget, rank_fn)

@@ -6,10 +6,9 @@ import time
 import numpy as np
 import pytest
 
-from srlab.code import LinearCode, f4_selfdual_bound_holds, f4_selfdual_distance_cap
+from srlab.code import LinearCode, f4_selfdual_distance_cap
 from srlab.cyclic import cyclic_code, parse_poly
-from srlab.errors import (BudgetExceeded, LengthMismatch, NegativeBudget, NotF4, NotSelfDual,
-                          ZeroCode)
+from srlab.errors import BudgetExceeded, LengthMismatch, NegativeBudget, ZeroCode
 from srlab.field import extension, prime_field
 from srlab.linalg import MatrixGF
 from srlab.sumrank import BlockProfile
@@ -122,54 +121,24 @@ def _small_chunks(monkeypatch, piece, cap):
 
 
 @pytest.mark.parametrize("piece, cap", _SMALL_CHUNKS)
-def test_codeword_chunks_follow_all_codewords(monkeypatch, piece, cap):
-    _small_chunks(monkeypatch, piece, cap)
-    rnd = random.Random(45)
-    for field in _WALK_FIELDS:
-        for k in range(5):
-            if field.order**k > 5000:
-                continue
-            n = rnd.choice([1, 3, 9])
-            rows = [[rnd.randrange(field.order) for _ in range(n)] for _ in range(k)]
-            # a chunk is valid until the next one is drawn: read each as drawn
-            got = []
-            for c in wordenum.codeword_chunks(field, rows, n):
-                assert len(c) <= (piece or wordenum._PIECE)
-                got += [list(map(int, w)) for w in c]
-            assert got == list(wordenum.all_codewords(field, rows, n)), (field.order, k)
-    # packed, the same words as bitplanes (lo alone over GF(2)), cut at a count
-    # of none, one, mid-chunk and every word
-    for field in (F2, F4):
-        planes = 1 if field.order == 2 else 2
-        for k in range(9):
-            total = field.order**k
-            n = 64 if total <= 256 else rnd.choice([1, 3, 9])
-            rows = [[rnd.randrange(field.order) for _ in range(n)] for _ in range(k)]
-            first = len(next(wordenum.codeword_chunks(field, rows, n, packed=True)))
-            for count in {0, 1, first // 2 + 1, first + first // 2 + 1, total}:
-                got = []
-                for c in wordenum.codeword_chunks(field, rows, n, count, packed=True):
-                    assert c.shape[1] == planes and len(c) <= (piece or wordenum._PIECE)
-                    got += c.tolist()
-                want = [list(wordenum.pack_row_planes(field, w))[:planes]
-                        for c in wordenum.codeword_chunks(field, rows, n, count) for w in c.tolist()]
-                assert len(got) == min(count, total) and got == want, (field.order, k, count)
-
-
-@pytest.mark.parametrize("piece, cap", _SMALL_CHUNKS)
 def test_packed_chunks_after_the_table_share_one_buffer(monkeypatch, piece, cap):
-    # the table is the first chunk; every later one is written into one
-    # buffer, made only once a second chunk is drawn
+    # the first chunk holds the table's lines; every later one is written
+    # into one buffer.  Over GF(2) the first is a view of the table, which no
+    # later chunk touches; over GF(4) it is written into that buffer too
     _small_chunks(monkeypatch, piece, cap)
     rnd = random.Random(46)
     for field, k in ((F2, 3), (F2, 18), (F4, 2), (F4, 10)):
-        rows = [[rnd.randrange(field.order) for _ in range(9)] for _ in range(k)]
+        q = field.order
+        rows = [[rnd.randrange(q) for _ in range(9)] for _ in range(k)]
         chunks = wordenum.codeword_chunks(field, rows, 9, packed=True)
-        table = next(chunks)
+        first = next(chunks)
         rest = list(chunks)  # every array kept alive, though only the last is valid
-        assert len(table) == field.order**k or rest
-        assert not any(np.shares_memory(table, c) for c in rest)
+        assert len(first) == (q**k - 1) // (q - 1) or rest
         assert all(np.shares_memory(rest[0], c) for c in rest[1:])
+        if q == 2:
+            assert first.base is not None and not any(np.shares_memory(first, c) for c in rest)
+        else:
+            assert all(np.shares_memory(first, c) for c in rest)
 
 
 def _outcome(search):
@@ -190,7 +159,9 @@ def _reference_outcome(weights, total, budget, empty):
 @pytest.mark.parametrize("piece, cap", _SMALL_CHUNKS)
 def test_array_walker_matches_a_per_word_walk(monkeypatch, piece, cap):
     # the reference scores every word of `all_codewords` one at a time; the
-    # budgets cut before, inside and after a chunk and at the end of the code
+    # budgets cut before, inside and after the first chunk's messages and at
+    # the end of the code.  The second weight, the nonzero entries of the
+    # first half, is 0 on some nonzero words: the walk skips only message 0
     _small_chunks(monkeypatch, piece, cap)
     rnd = random.Random(47)
     cases = 0
@@ -200,7 +171,8 @@ def test_array_walker_matches_a_per_word_walk(monkeypatch, piece, cap):
                 q, total = field.order, field.order**k
                 most = 10_000 // n  # words the reference may score
                 rows = [[rnd.randrange(q) for _ in range(n)] for _ in range(k)]
-                chunk = len(next(wordenum.codeword_chunks(field, rows, n, most)))
+                # the messages the first chunk's lines cover
+                chunk = (q - 1) * len(next(wordenum.codeword_chunks(field, rows, n, most), ())) + 1
                 budgets = {0, 1, chunk // 2 + 1, chunk + chunk // 2 + 1}
                 if total + 1 <= most:
                     budgets |= {total - 1, total, total + 1}
@@ -208,14 +180,15 @@ def test_array_walker_matches_a_per_word_walk(monkeypatch, piece, cap):
                 words = list(itertools.islice(wordenum.all_codewords(field, rows, n),
                                               min(total, budgets[-1])))
                 hamming = [n - w.count(0) for w in words]
-                plain = [sum(w) for w in words]
+                first_half = (n + 1) // 2
+                half = [first_half - w[:first_half].count(0) for w in words]
                 for budget in budgets:
                     got = _outcome(lambda: wordenum.min_weight_generic(field, rows, n, budget))
                     assert got == _reference_outcome(hamming, total, budget, n + 1), \
                         (q, k, n, budget)
                     got = _outcome(lambda: wordenum._walk_min(
-                        field, rows, n, budget, lambda c: c.astype(np.int64).sum(axis=1)))
-                    assert got == _reference_outcome(plain, total, budget, None), \
+                        field, rows, n, budget, lambda c: np.count_nonzero(c[:, :first_half], axis=1)))
+                    assert got == _reference_outcome(half, total, budget, None), \
                         (q, k, n, budget)
                     cases += 1
     assert cases > 500
@@ -243,21 +216,22 @@ def test_chunks_of_lines_are_the_representatives(monkeypatch, piece, cap):
             rows = [[rnd.randrange(q) for _ in range(n)] for _ in range(k)]
             words = list(wordenum.all_codewords(field, rows, n))
             messages = list(itertools.product(range(q), repeat=k))
-            first = len(next(wordenum.codeword_chunks(field, rows, n)))
+            # the messages the first chunk's lines cover
+            first = (q - 1) * len(next(wordenum.codeword_chunks(field, rows, n), ())) + 1
             for count in sorted({None, 0, 1, 2, q, first // 2 + 1, first, first + 1,
                                  first + first // 2 + 1, total - 1, total, total + 1} - {-1},
                                 key=lambda c: -1 if c is None else c):
                 cut = total if count is None else min(count, total)
                 want = [w for m, w in zip(messages[:cut], words) if _leads_with_one(m)]
                 got = []
-                for c in wordenum.codeword_chunks(field, rows, n, count, lines=True):
+                for c in wordenum.codeword_chunks(field, rows, n, count):
                     assert 0 < len(c) <= (piece or wordenum._PIECE)
                     got += [list(map(int, w)) for w in c]
                 assert got == want, (q, k, count)
                 if q in (2, 4):
                     planes = 1 if q == 2 else 2
                     got = []
-                    for c in wordenum.codeword_chunks(field, rows, n, count, packed=True, lines=True):
+                    for c in wordenum.codeword_chunks(field, rows, n, count, packed=True):
                         assert c.shape[1] == planes and 0 < len(c) <= (piece or wordenum._PIECE)
                         got += c.tolist()
                     assert got == [list(wordenum.pack_row_planes(field, w))[:planes] for w in want], \
@@ -292,7 +266,9 @@ def test_walks_of_lines_cut_like_the_message_walk(monkeypatch, piece, cap):
                 total = field.order**k
                 if not k:
                     continue  # no rows: the sum-rank kernel raises ZeroCode
-                chunk = len(next(wordenum.codeword_chunks(field, [[0]] * k, 1)))
+                # the messages the first chunk's lines cover
+                first = next(wordenum.codeword_chunks(field, [[0]] * k, 1))
+                chunk = (field.order - 1) * len(first) + 1
                 for budget in sorted({0, 1, 2, chunk - 1, chunk, chunk + 1, chunk + chunk // 2 + 1,
                                       total - 1, total, total + 1} - {-1}):
                     assert _outcome(lambda: search(budget)) == \
@@ -528,12 +504,6 @@ def test_f4_selfdual_distance_cap():
     assert f4_selfdual_distance_cap(12) == 8
     assert f4_selfdual_distance_cap(2) == 4
     assert f4_selfdual_distance_cap(30) == 12
-    c = LinearCode.from_rows(F4, 2, [[1, 1]])
-    assert f4_selfdual_bound_holds(c, 2)
-    with pytest.raises(NotSelfDual):
-        f4_selfdual_bound_holds(LinearCode.full(F4, 2), 1)
-    with pytest.raises(NotF4):
-        f4_selfdual_bound_holds(LinearCode.from_rows(F2, 2, [[1, 1]]), 2)
 
 
 def test_canonical_equality():

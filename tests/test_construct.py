@@ -561,6 +561,21 @@ def test_uniform22_certificate_on_random_codes(monkeypatch):
     assert sum(w for w, _ in paths) >= 8 and sum(p for _, p in paths) >= 20
 
 
+def test_pair_ranks_are_the_symbol_kernel_on_22_blocks():
+    # the weight the (2,2) certificate scores, on the lister's (C, W) plane
+    # arrays and on 1-D ones, against the blocks' ranks in a GF(2) basis
+    rnd = random.Random(84)
+    for n in range(2, 65, 2):
+        profile = BlockProfile(F2, [(2, 2)] * (n // 2))
+        weight = construct._pair_ranks(n)
+        for shape in ((7,), (3, 5)):
+            words = [[rnd.randrange(4) for _ in range(n)] for _ in range(int(np.prod(shape)))]
+            lo, hi = np.array([wordenum.pack_row_planes(F4, w) for w in words], np.uint64).T
+            got = weight(lo.reshape(shape), hi.reshape(shape))
+            assert got.shape == shape
+            assert got.ravel().tolist() == [symbol_sum_rank_weight(w, F4, profile) for w in words], n
+
+
 def test_uniform22_certificate_budget_and_shapes():
     c = cyclic_code(parse_poly(F4, load_manifest(12)["rows"][5]["generators"][0]), 12)
     with pytest.raises(BudgetExceeded) as exc:
