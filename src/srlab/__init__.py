@@ -52,7 +52,7 @@ from .field import (
     trace_to,
 )
 from .linalg import MatrixGF
-from .poly import Polynomial, is_irreducible, poly_gcd, poly_lcm, smallest_irreducible
+from .poly import Polynomial, is_irreducible, poly_gcd, smallest_irreducible
 from .sumrank import BlockProfile, SumRankCode
 from .tables import TABLE_IDS, run_tables
 
@@ -92,7 +92,6 @@ __all__ = [
     "pair_distance",
     "parse_poly",
     "poly_gcd",
-    "poly_lcm",
     "power_basis",
     "prime_field",
     "qpoly_code",

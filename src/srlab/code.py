@@ -171,16 +171,17 @@ class LinearCode:
         lo, hi = np.array([pack_row_planes(self.field, r) for r in rows], dtype=np.uint64).T
         return int(weight(lo, hi).min())
 
-    def low_weight_scan(self, max_message_weight: int, weight=None):
-        """Lightest codeword among the messages of Hamming weight <= w under
-        every window.
+    def low_weight_scan(self, max_message_weight: int, weight=None, min_message_weight: int = 1):
+        """Lightest codeword among the messages of Hamming weight
+        min_message_weight..w under every window, w = max_message_weight.
 
-        With r windows the scan is complete for codewords of Hamming weight
-        up to r (w + 1) - 1, and for all codewords once w >= k (then the
-        rref generator alone lists them).  Codewords are scored by their
-        Hamming weight, or by `weight`, a map of packed (lo, hi) planes to
-        integer weights, for codes that pack (`packable_char2`).  Returns
-        (weight, witness) or (None, None) if nothing was found.
+        From weight 1, with r windows the scan is complete for codewords of
+        Hamming weight up to r (w + 1) - 1, and for all codewords once
+        w >= k (then the rref generator alone lists them); a deepening scan
+        lists the weights it has not listed yet.  Codewords are scored by
+        their Hamming weight, or by `weight`, a map of packed (lo, hi)
+        planes to integer weights, for codes that pack (`packable_char2`).
+        Returns (weight, witness) or (None, None) if nothing was found.
         """
         f, n = self.field, self.n
         if weight is not None and not packable_char2(f, n):
@@ -193,10 +194,12 @@ class LinearCode:
         best, witness = None, None
         for rows in gens:
             if packable_char2(f, n):
-                found, word = low_weight_min_char2(f, rows, n, max_message_weight, weight)
+                found, word = low_weight_min_char2(f, rows, n, max_message_weight, weight,
+                                                   min_message_weight)
             else:
                 found, word = None, None
-                for _, words in low_weight_blocks(f, rows, n, max_message_weight):
+                for _, words in low_weight_blocks(f, rows, n, max_message_weight,
+                                                  min_message_weight):
                     w = np.count_nonzero(words, axis=2)
                     i = int(w.argmin())  # row-major: the first lightest of the batch
                     if found is None or w.flat[i] < found:
@@ -218,9 +221,12 @@ class LinearCode:
         lightest row's weight b bounds d.  Where `listing_windows(cover(b))`
         picks the whole code, the scan lists it (depth k); else it deepens
         the window scan from depth 1 until the listing is complete through
-        Hamming weight cover(best), best the lightest weight found.  A scan
-        that would cost more than `budget` words (`listing_cost`) raises
-        BudgetExceeded carrying the lightest weight found.
+        Hamming weight cover(best), best the lightest weight found.  Step
+        `depth` lists only the messages of weight `depth` under each window,
+        the lighter ones being listed already, and keeps the lightest word
+        so far (the first in weight-major order).  A scan whose listing
+        through `depth` would cost more than `budget` words (`listing_cost`)
+        raises BudgetExceeded carrying the lightest weight found.
         """
         if budget is not None:
             check_budget(budget)
@@ -230,15 +236,18 @@ class LinearCode:
         gens, top = self.listing_windows(cover(best))
         r = len(gens)
         depth = self.k if top >= self.k else 1
+        lowest, witness = 1, None
         while True:
             cost = listing_cost(self.field, self.k, r, depth)
             if budget is not None and cost > budget:
                 raise BudgetExceeded(f"a listing of {cost} words exceeds budget {budget}",
                                      best=best, enumerated=0)
-            best, witness = self.low_weight_scan(depth, weight)
+            found, word = self.low_weight_scan(depth, weight, lowest)
+            if witness is None or found < best:
+                best, witness = found, word
             if depth >= self.k or cover(best) <= r * (depth + 1) - 1:
                 return best, witness, r, depth
-            depth += 1
+            lowest = depth = depth + 1
 
     # -- duality predicates -------------------------------------------------
 

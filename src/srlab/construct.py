@@ -216,15 +216,19 @@ def pair_distance(c0: LinearCode, c1: LinearCode, budget: int = DEFAULT_WORD_BUD
     depend on the basis, so the zero pattern is validated in the power
     basis (once per field).
 
-    One-sided words weigh 2 |A|, so U = 2 min d_H bounds the distance, and
-    only the support classes lighter than U on each side (`support_masks`)
-    can beat it.  They are crossed level by level in max(|A|, |B|), which
-    stops once the best weight found is at most the next level.  Budget
-    counts crossed support-class pairs; past it BudgetExceeded carries the
-    lightest pair found (at worst U).  A d_H certificate or class listing
-    that would cost more than DEFAULT_WORD_BUDGET words raises it too, with
-    the best bound known.  Supports are uint64 masks, so the codes may be at
-    most 64 long.
+    One-sided words weigh 2 |A|, so U = 2 min d_H bounds the distance.  The
+    support classes are crossed level by level in max(|A|, |B|), from the
+    lighter d_H up, which stops once the best weight found is at most the
+    level.  Level L needs the classes of weight <= L on each side, and
+    nothing heavier: a side's classes (`support_masks`) are listed only when
+    L passes the weight its listing is complete through, straight to the
+    depth L needs (`listing_windows(L)`) and no heavier than the best
+    weight found, so a level the crossing never reaches is never listed.
+    Budget counts crossed support-class pairs; past it BudgetExceeded
+    carries the lightest pair found (at worst U).  A d_H certificate or
+    class listing that would cost more than DEFAULT_WORD_BUDGET words
+    raises it too, with the best bound known.  Supports are uint64 masks,
+    so the codes may be at most 64 long.
     """
     check_budget(budget)
     ext = c0.field
@@ -237,47 +241,47 @@ def pair_distance(c0: LinearCode, c1: LinearCode, budget: int = DEFAULT_WORD_BUD
     if c0.k == 0 and c1.k == 0:
         raise MethodUnavailable("both codes are zero")
     _checked_rank_table(ext)
+    crossed = 0
 
-    def listing(c, weight, bound):
-        """Support classes of c through `weight`; `bound` is the best pair known."""
+    def listing(c, weight, cap, bound):
+        """Support classes of c of weight <= `cap`, complete through
+        `weight` at least, and the weight they are complete through;
+        `bound` is the best pair known."""
         gens, depth = c.listing_windows(weight)
         cost = listing_cost(ext, c.k, len(gens), depth)
         if cost > DEFAULT_WORD_BUDGET:
             raise BudgetExceeded(f"a support listing of {cost} words exceeds budget "
-                                 f"{DEFAULT_WORD_BUDGET}", best=bound, enumerated=0)
-        return support_masks(ext, gens, c.n, depth, weight)
+                                 f"{DEFAULT_WORD_BUDGET}", best=bound, enumerated=crossed)
+        through = cap if depth >= c.k else min(cap, len(gens) * (depth + 1) - 1)
+        return support_masks(ext, gens, c.n, depth, cap), through
 
     def one_sided(c):
-        """d_H of c, and its support classes through 2 b - 1 (b the lightest
-        row) where the whole code is the cheaper listing: the lightest class
-        is then d_H, and no certificate runs."""
+        """d_H of c and [classes, their weights, the weight they are
+        complete through]: the classes through 2 b - 1 (b the lightest row)
+        where the whole code is the cheaper listing, whose lightest is d_H;
+        else a certificate's d_H and none yet, none being lighter."""
         b = c.lightest_row()
         if c.listing_windows(b)[1] < c.k:
             try:
-                return c.certified_distance(DEFAULT_WORD_BUDGET)[0], None
+                d = c.certified_distance(DEFAULT_WORD_BUDGET)[0]
             except BudgetExceeded as exc:
                 raise BudgetExceeded(str(exc), best=2 * exc.best, enumerated=0) from None
-        masks = listing(c, 2 * b - 1, 2 * b)
-        return int(popcount(masks[0])), masks
+            masks, through = np.zeros(0, dtype=np.uint64), d - 1
+        else:
+            masks, through = listing(c, 2 * b - 1, 2 * b - 1, 2 * b)
+            d = int(popcount(masks[0]))
+        return d, [masks, popcount(masks), through]
 
     sides = {c: one_sided(c) for c in dict.fromkeys((c0, c1)) if c.k}
-    best = 2 * min(d for d, _ in sides.values())
-
-    def light(c):
-        """Support classes of c lighter than `best`."""
-        if not c.k:
-            return np.zeros(0, dtype=np.uint64)
-        masks = sides[c][1]
-        masks = listing(c, best - 1, best) if masks is None else masks
-        return masks[popcount(masks) < best]
-
-    la = light(c0)
-    lb = la if c1 == c0 else light(c1)
-    wa, wb = popcount(la), popcount(lb)  # both ascending
-    crossed = 0
-    for level in np.unique(np.concatenate([wa, wb])).tolist():
-        if best <= level:  # every pair left weighs at least `level`
-            break
+    level = min(d for d, _ in sides.values())
+    best = 2 * level
+    none = np.zeros(0, dtype=np.uint64)
+    while level < best:  # every pair left weighs at least `level`
+        for c, (_, classes) in sides.items():
+            if classes[2] < level:
+                masks, classes[2] = listing(c, level, best - 1, best)
+                classes[:2] = masks, popcount(masks)
+        (la, wa, _), (lb, wb, _) = (sides[c][1] if c.k else (none, none, None) for c in (c0, c1))
         a0, a1, b0, b1 = (int(np.searchsorted(w, level, side)) for w in (wa, wb)
                           for side in ("left", "right"))
         for a, b in ((la[a0:a1], lb[:b1]), (la[:a0], lb[b0:b1])):
@@ -288,6 +292,7 @@ def pair_distance(c0: LinearCode, c1: LinearCode, budget: int = DEFAULT_WORD_BUD
             if take < len(a) * len(b):
                 raise BudgetExceeded(f"support-class pairs exceed budget {budget}",
                                      best=best, enumerated=crossed)
+        level += 1
     return best
 
 

@@ -16,7 +16,6 @@ from .errors import Reducible
 __all__ = [
     "Polynomial",
     "poly_gcd",
-    "poly_lcm",
     "is_irreducible",
     "smallest_irreducible",
 ]
@@ -209,13 +208,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     while not b.is_zero:
         a, b = b, a % b
     return a.monic() if not a.is_zero else a
-
-
-def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
-    if a.is_zero or b.is_zero:
-        return Polynomial.zero(a.field)
-    g = poly_gcd(a, b)
-    return ((a * b) // g).monic()
 
 
 def prime_factors(n: int):

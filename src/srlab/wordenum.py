@@ -383,12 +383,13 @@ def _join(first, second, batch: int, add):
             for a, b in zip(planes_a, planes_b))
 
 
-def low_weight_blocks(field, rows, n: int, max_msg_weight: int):
+def low_weight_blocks(field, rows, n: int, max_msg_weight: int, min_msg_weight: int = 1):
     """Yield (sets, words) batches for the messages of Hamming weight
-    1..max_msg_weight, by weight, then lexicographically by support, one
-    word per line: the messages whose first nonzero digit is 1.  The others
-    are its nonzero scalar multiples, of the same support, Hamming weight
-    and block ranks.
+    min_msg_weight..max_msg_weight, by weight, then lexicographically by
+    support, one word per line: the messages whose first nonzero digit is 1.
+    The others are its nonzero scalar multiples, of the same support,
+    Hamming weight and block ranks.  A deepening scan lists each weight
+    once by raising `min_msg_weight` step by step.
 
     `sets` is a (C, w) array of row-position sets; row c of `words` holds
     the (q-1)**(w-1) codewords of the messages nonzero exactly on sets[c]
@@ -425,28 +426,29 @@ def low_weight_blocks(field, rows, n: int, max_msg_weight: int):
     # the first position is a level's least significant digit: scalar 1 at
     # every (q-1)-th word
     ones = [(sets, tuple(p[:, ::q - 1] for p in words)) for sets, words in levels]
-    for wt in range(1, top + 1):
+    for wt in range(min_msg_weight, top + 1):
         batch = max(1, cap // (q - 1) ** (wt - 1))
         second = ones[1] if wt == 1 else levels[wt - wt // 2]
         for sets, words in _join(ones[wt // 2], second, batch, add):
             yield sets, words if packed else words[0]
 
 
-def low_weight_min_char2(field, rows, n: int, max_msg_weight: int, weight=None):
-    """Lightest codeword among messages of Hamming weight <= max_msg_weight,
-    one per line (`low_weight_blocks`).
+def low_weight_min_char2(field, rows, n: int, max_msg_weight: int, weight=None,
+                         min_msg_weight: int = 1):
+    """Lightest codeword among messages of Hamming weight min_msg_weight..
+    max_msg_weight, one per line (`low_weight_blocks`).
 
     `weight` maps a batch's (lo, hi) planes to an integer array of the
     same shape, and must not change under a nonzero scalar, as the Hamming
     weight and block ranks do not; None scores the Hamming weight.  Returns
     (weight, word), the word a list of n field elements, or (None, None)
-    when the cap is 0 or the code is empty.  The first lightest in lister
-    order wins.  With an rref generator this scan is complete, up to a
-    scalar, for all codewords of Hamming weight up to the cap, since such a
-    codeword's message is its pivot-column restriction.
+    when the range is empty or the code is empty.  The first lightest in
+    lister order wins.  With an rref generator this scan from weight 1 is
+    complete, up to a scalar, for all codewords of Hamming weight up to the
+    cap, since such a codeword's message is its pivot-column restriction.
     """
     best, word = None, None
-    for _, (lo, hi) in low_weight_blocks(field, rows, n, max_msg_weight):
+    for _, (lo, hi) in low_weight_blocks(field, rows, n, max_msg_weight, min_msg_weight):
         w = popcount(lo | hi) if weight is None else weight(lo, hi)
         i = int(w.argmin())  # row-major: the first lightest of the batch
         if best is None or int(w.flat[i]) < best:

@@ -13,7 +13,7 @@ from srlab.field import extension, prime_field
 from srlab.linalg import MatrixGF
 from srlab.sumrank import BlockProfile
 from srlab.tables import load_manifest
-from srlab import wordenum
+from srlab import code, construct, wordenum
 from srlab.wordenum import low_weight_blocks, low_weight_min_char2, packable_char2, support_masks
 from subspaces import all_rref_generators
 
@@ -392,6 +392,81 @@ def test_certified_distance_equals_min_distance(monkeypatch):
     assert paths == {"whole", "1 windows", "2 windows"}
 
 
+def _gf4_codewords(c):
+    """Every nonzero codeword of a GF(4) code, one uint8 row each (GF(4)
+    adds by XOR; the zero message comes first)."""
+    words = np.zeros((1, c.n), dtype=np.uint8)
+    for row in c.generator.rows:
+        mults = np.array([[F4.mul(d, v) for v in row] for d in range(4)], dtype=np.uint8)
+        words = (words[None] ^ mults[:, None]).reshape(-1, c.n)
+    return words[1:]
+
+
+def _predicted_certificate(c, weights, cover):
+    """(d, r, depth) of the deepening rule, read off every codeword's
+    `weights`: a codeword is listed through message weight w once its
+    restriction to some window weighs <= w (its message under the window's
+    generator), and the scan stops at the first depth whose lightest listed
+    weight D has cover(D) <= r (depth + 1) - 1, or at depth k.  Where
+    `listing_windows` of the lightest row's cover picks the whole code, the
+    certificate is one listing of depth k."""
+    words = _gf4_codewords(c)
+    w = weights(words)
+    rows = np.array(c.generator.rows, dtype=np.uint8)
+    if c.listing_windows(cover(int(weights(rows).min())))[1] >= c.k:
+        return int(w.min()), 1, c.k
+    msg = np.min([np.count_nonzero(words[:, list(pos)], axis=1) for pos, _ in c.windows()], axis=0)
+    r = len(c.windows())
+    for depth in range(1, c.k + 1):
+        d = int(w[msg <= depth].min())
+        if depth == c.k or cover(d) <= r * (depth + 1) - 1:
+            return d, r, depth
+
+
+def _pair_rank_weights(words):
+    """Summed ranks of the (2,2) blocks (x_2i, x_2i+1) of GF(4) words: the
+    GF(2) dimension the two symbols span."""
+    a, b = words[:, 0::2], words[:, 1::2]
+    return ((a | b) != 0).sum(axis=1) + ((a != 0) & (b != 0) & (a != b)).sum(axis=1)
+
+
+def test_each_certificate_step_lists_one_new_message_weight(monkeypatch):
+    listed = []
+
+    def recorded(field, rows, n, max_msg_weight, weight=None, min_msg_weight=1):
+        window = tuple(map(tuple, rows))
+        listed.extend((window, w) for w in range(min_msg_weight, min(max_msg_weight, len(rows)) + 1))
+        return wordenum.low_weight_min_char2(field, rows, n, max_msg_weight, weight, min_msg_weight)
+
+    monkeypatch.setattr(code, "low_weight_min_char2", recorded)
+    rnd = random.Random(97)
+    depths = []
+    for trial in range(40):
+        n = 2 * rnd.randint(3, 10)
+        c = _random_code(rnd, F4, n, kmax=min(n // 2 + 2, 10))
+        if c.k == 0:
+            continue
+        hamming = (None, lambda d: d - 1, lambda words: np.count_nonzero(words, axis=1),
+                   c.min_distance, lambda word: sum(1 for v in word if v))
+        profile = BlockProfile(F2, [(2, 2)] * (n // 2))
+        ranks = (construct._pair_ranks(n), lambda d: 2 * (d - 1), _pair_rank_weights,
+                 construct.basis_expand_code(c).min_distance,
+                 lambda word: construct.symbol_sum_rank_weight(word, F4, profile))
+        for weight, cover, oracle, exhaustive, weigh in (hamming, ranks):
+            listed.clear()
+            # a small lister batch makes windows the cheaper listing, so the
+            # certificates deepen
+            with monkeypatch.context() as m:
+                m.setattr(wordenum, "_PIECE", 8)
+                d, witness, r, depth = c.certified_distance(None, weight, cover)
+                assert (d, r, depth) == _predicted_certificate(c, oracle, cover)
+            assert len(listed) == len(set(listed)), c.generator.rows
+            assert d == exhaustive()
+            assert c.contains(witness) and weigh(witness) == d
+            depths.append((r > 1, depth))
+    assert sum(1 for windowed, depth in depths if windowed and depth > 1) >= 10
+
+
 def test_support_masks_match_the_codeword_supports(monkeypatch):
     # a 16-entry cap splits every whole listing below into several chunks
     monkeypatch.setattr(wordenum, "_SUFFIX_CAP", 16)
@@ -539,12 +614,12 @@ def _message_words(c, positions):
     return words
 
 
-def _flat_blocks(field, rows, n, depth):
+def _flat_blocks(field, rows, n, depth, lowest=1):
     """The lister's batches flattened back to one (positions, block) pair
     per position set."""
     out = []
     packed = packable_char2(field, n)
-    for sets, words in low_weight_blocks(field, rows, n, depth):
+    for sets, words in low_weight_blocks(field, rows, n, depth, lowest):
         assert sets.ndim == 2
         assert len(words) == (2 if packed else len(sets))
         if packed:
@@ -572,6 +647,13 @@ def test_low_weight_lister_matches_plain_loop(monkeypatch):
         blocks = _flat_blocks(field, c.generator.rows, n, depth)
         sets = [s for w in range(1, depth + 1) for s in itertools.combinations(range(c.k), w)]
         assert [positions for positions, _ in blocks] == sets
+        # from a lowest message weight: the same batches of the heavier sets
+        for lowest in range(2, depth + 2):
+            tail = _flat_blocks(field, c.generator.rows, n, depth, lowest)
+            heavy = [(p, b) for p, b in blocks if len(p) >= lowest]
+            assert [p for p, _ in tail] == [p for p, _ in heavy]
+            assert all(np.array_equal(np.asarray(a, dtype=object), np.asarray(b, dtype=object))
+                       for (_, a), (_, b) in zip(tail, heavy))
         for positions, block in blocks:
             words = _message_words(c, positions)
             if packable_char2(field, n):
@@ -586,12 +668,12 @@ def test_low_weight_lister_matches_plain_loop(monkeypatch):
         assert c.contains(witness)
 
 
-def _plain_low_weight_min(c, depth):
-    """Per-set reference: the word of the first lightest message with first
-    digit 1 in lister order (rref rows are independent, so the word names
-    its message)."""
+def _plain_low_weight_min(c, depth, lowest=1):
+    """Per-set reference: the word of the first lightest message of weight
+    lowest..depth with first digit 1 in lister order (rref rows are
+    independent, so the word names its message)."""
     best, best_word = None, None
-    for w in range(1, min(depth, c.k) + 1):
+    for w in range(lowest, min(depth, c.k) + 1):
         for positions in itertools.combinations(range(c.k), w):
             for word in _message_words(c, positions):
                 wt = sum(1 for v in word if v)
@@ -620,6 +702,10 @@ def test_low_weight_min_matches_plain_loop(monkeypatch):
         depth = rnd.randint(1, 4)
         want = _plain_low_weight_min(c, depth)
         assert low_weight_min_char2(field, c.generator.rows, n, depth) == want
+        for lowest in range(2, depth + 2):
+            want = _plain_low_weight_min(c, depth, lowest)
+            got = low_weight_min_char2(field, c.generator.rows, n, depth, min_msg_weight=lowest)
+            assert got == want, lowest
 
 
 @pytest.mark.parametrize("piece", [None, 8])  # 8 words: several batches per message weight

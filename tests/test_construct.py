@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from srlab import construct, sumrank, wordenum
-from srlab.code import LinearCode
+from srlab.code import DEFAULT_WORD_BUDGET, LinearCode
 from srlab.construct import (
     basis_expand_code,
     default_expansion_profile,
@@ -266,6 +266,103 @@ def test_equal_coefficient_codes_are_listed_once(monkeypatch):
     assert len(calls) == 1
     pair_distance(c0, c1)
     assert len(calls) == 3
+
+
+def _eager_pair_distance(c0, c1, budget=DEFAULT_WORD_BUDGET):
+    """Oracle: the crossing that lists first.  Every support class lighter
+    than U = 2 min d_H is listed on each side (`support_masks` under
+    `listing_windows(U - 1)`), then the classes are crossed level by level
+    in max(|A|, |B|) until the best weight found is at most the level.
+    Returns (best, crossed, ends), ends the pairs crossed after each level
+    that crossed any; past `budget` raises BudgetExceeded as
+    `pair_distance` does."""
+    bound = 2 * min(c.certified_distance()[0] for c in (c0, c1) if c.k)
+
+    def light(c):
+        if not c.k:
+            return np.zeros(0, dtype=np.uint64)
+        gens, depth = c.listing_windows(bound - 1)
+        return wordenum.support_masks(F4, gens, c.n, depth, bound - 1)
+
+    la, lb = light(c0), light(c1)
+    wa, wb = wordenum.popcount(la), wordenum.popcount(lb)
+    best, crossed, ends = bound, 0, []
+    for level in np.unique(np.concatenate([wa, wb])).tolist():
+        if best <= level:
+            break
+        a0, a1 = np.searchsorted(wa, level, "left"), np.searchsorted(wa, level, "right")
+        b0, b1 = np.searchsorted(wb, level, "left"), np.searchsorted(wb, level, "right")
+        for a, b in ((la[a0:a1], lb[:b1]), (la[:a0], lb[b0:b1])):
+            take = min(len(a) * len(b), budget - crossed)
+            found = construct._cross_min(a, b, take)
+            best = best if found is None else min(best, found)
+            crossed += take
+            if take < len(a) * len(b):
+                raise BudgetExceeded("over budget", best=best, enumerated=crossed)
+        if crossed > (ends[-1] if ends else 0):
+            ends.append(crossed)
+    return best, crossed, ends
+
+
+def _check_lazy_crossing(c0, c1):
+    """`pair_distance` against the eager oracle: the same distance, the same
+    number of crossed pairs, and at budgets cut inside the first, a middle
+    and the last level that crosses pairs, the oracle's best and count."""
+    best, crossed, ends = _eager_pair_distance(c0, c1)
+    assert pair_distance(c0, c1) == best
+    assert pair_distance(c0, c1, budget=crossed) == best
+    starts = [0] + ends[:-1]
+    for i in sorted({0, len(ends) // 2, len(ends) - 1} if ends else ()):
+        budget = (starts[i] + ends[i]) // 2
+        with pytest.raises(BudgetExceeded) as want:
+            _eager_pair_distance(c0, c1, budget)
+        with pytest.raises(BudgetExceeded) as got:
+            pair_distance(c0, c1, budget)
+        assert (got.value.best, got.value.enumerated) == (want.value.best, want.value.enumerated)
+        assert got.value.enumerated == budget
+    return ends
+
+
+def test_lazy_crossing_matches_the_eager_oracle(monkeypatch):
+    # a small lister batch makes the windowed support listing the cheaper
+    # one, so the listings deepen level by level
+    monkeypatch.setattr(wordenum, "_PIECE", 8)
+    windowed = []
+
+    def recorded(field, windows, n, depth, max_weight):
+        windowed.append(len(windows) > 1)
+        return wordenum.support_masks(field, windows, n, depth, max_weight)
+
+    monkeypatch.setattr(construct, "support_masks", recorded)
+    rnd = random.Random(89)
+    levels = []
+    for k0, k1 in ((6, 6), (7, 5), (8, 4), (6, 2), (8, 0), (7, 7), (5, 5)):
+        n = 2 * max(k0, k1)
+        c0, c1 = _rand_code(rnd, F4, n, k0), _rand_code(rnd, F4, n, k1)
+        levels.append(len(_check_lazy_crossing(c0, c1)))
+    assert max(levels) >= 3  # some crossing goes past its first level
+    assert sum(windowed) >= 10
+
+
+def test_lazy_crossing_of_table11_pairs_matches_the_eager_oracle(monkeypatch):
+    depths = {}
+
+    def recorded(field, windows, n, depth, max_weight):
+        depths.setdefault(n, []).append(depth)
+        return wordenum.support_masks(field, windows, n, depth, max_weight)
+
+    monkeypatch.setattr(construct, "support_masks", recorded)
+    for row in load_manifest(11)["rows"]:
+        t = row["t"]
+        codes = [cyclic_code(parse_poly(F4, g), t) for g in row["generators"]]
+        c0, c1 = (codes * 2)[:2]
+        _check_lazy_crossing(c0, c1)
+    # t = 30: every class lighter than U = 2 d_H = 12 lies at message weight
+    # 5 under two windows, but the crossing stops before it needs them
+    c = cyclic_code(parse_poly(F4, load_manifest(11)["rows"][-1]["generators"][0]), 30)
+    d = c.certified_distance()[0]
+    lazy = [depth for depth in depths[30] if depth < c.k]
+    assert lazy and max(lazy) < c.listing_windows(2 * d - 1)[1]
 
 
 def test_rank_table_is_validated_once_per_field(monkeypatch):

@@ -30,7 +30,7 @@ from srlab.errors import (
 )
 from srlab.field import extension, prime_field
 from srlab.linalg import MAX_LENGTH
-from srlab.poly import Polynomial, is_irreducible, poly_gcd, poly_lcm, prime_factors, smallest_irreducible
+from srlab.poly import Polynomial, is_irreducible, poly_gcd, prime_factors, smallest_irreducible
 from srlab.tables import load_manifest
 from subspaces import all_rref_generators
 
@@ -39,6 +39,13 @@ F4 = extension(F2, 2)
 
 
 # -- polynomial layer ---------------------------------------------------------
+
+
+def poly_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Oracle: the monic lcm a b / gcd(a, b), zero if either is zero."""
+    if a.is_zero or b.is_zero:
+        return Polynomial.zero(a.field)
+    return ((a * b) // poly_gcd(a, b)).monic()
 
 
 def test_poly_arithmetic():
