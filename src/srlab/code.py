@@ -52,7 +52,7 @@ DEFAULT_WORD_BUDGET = 2**28
 class LinearCode:
     """A linear [n, k] code over `field`, canonical rref generator."""
 
-    __slots__ = ("field", "n", "generator", "_hull", "_windows")
+    __slots__ = ("field", "n", "generator", "_hull", "_windows", "_certificate")
 
     def __init__(self, field, n: int, generator: MatrixGF):
         object.__setattr__(self, "field", field)
@@ -60,6 +60,7 @@ class LinearCode:
         object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "_hull", None)
         object.__setattr__(self, "_windows", None)
+        object.__setattr__(self, "_certificate", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearCode is immutable")
@@ -208,8 +209,7 @@ class LinearCode:
                 best, witness = found, word
         return best, witness
 
-    def certified_distance(self, budget: Optional[int] = None, weight=None,
-                           cover=lambda d: d - 1):
+    def certified_distance(self, budget: Optional[int] = None, weight=None, cover=None):
         """(d, witness, r, depth): the exact minimum distance, a codeword of
         that weight, how many generators the scan listed, and the message
         weight it reached under each.
@@ -217,35 +217,53 @@ class LinearCode:
         The distance is Hamming, or that of `weight` (see `low_weight_scan`);
         `cover(d)` bounds the Hamming weight of every codeword that weighs
         less than d (by default d - 1, a lighter codeword's Hamming weight
-        at most).  The generator rows are codewords, so the
-        lightest row's weight b bounds d.  Where `listing_windows(cover(b))`
-        picks the whole code, the scan lists it (depth k); else it deepens
-        the window scan from depth 1 until the listing is complete through
-        Hamming weight cover(best), best the lightest weight found.  Step
-        `depth` lists only the messages of weight `depth` under each window,
-        the lighter ones being listed already, and keeps the lightest word
-        so far (the first in weight-major order).  A scan whose listing
-        through `depth` would cost more than `budget` words (`listing_cost`)
-        raises BudgetExceeded carrying the lightest weight found.
+        at most).  The scan deepens the window listing from depth 1 until it
+        is complete through Hamming weight cover(best), best the lightest
+        weight found.  Step `depth` lists only the messages of weight
+        `depth` under each window, the lighter ones being listed already,
+        and keeps the lightest word so far (the first in weight-major
+        order).  Where the windows through `depth` would cost no less than
+        the whole code (`listing_cost`), the step lists the rest of the
+        whole code instead (r = 1, depth k), the messages of weight `depth`
+        to k under the rref generator, which is window 0.  A step whose
+        listing would cost more than `budget` words raises BudgetExceeded
+        before it lists anything, carrying the lightest weight found (at
+        first the lightest rref row, a codeword), so where the first step
+        is the whole code and q**k exceeds the budget it raises at once.
+
+        The Hamming certificate (no `weight`, no `cover`) is kept on the
+        code, so a repeat call lists nothing, whatever its budget; a call
+        that raised keeps none.
         """
         if budget is not None:
             check_budget(budget)
         if self.k == 0:
             raise ZeroCode("the zero code has no nonzero codeword")
+        hamming = weight is None and cover is None
+        if hamming and self._certificate is not None:
+            return self._certificate
+        cover = cover or (lambda d: d - 1)
+        f, k = self.field, self.k
         best = self.lightest_row(weight)
-        gens, top = self.listing_windows(cover(best))
-        r = len(gens)
-        depth = self.k if top >= self.k else 1
-        lowest, witness = 1, None
+        depth = lowest = 1
+        witness = None
         while True:
-            cost = listing_cost(self.field, self.k, r, depth)
+            # more windows cost more: find them only if one could be cheaper
+            if (f.order**k <= listing_cost(f, k, 1, depth)
+                    or f.order**k <= listing_cost(f, k, len(self.windows()), depth)):
+                r, depth = 1, k
+            else:
+                r = len(self.windows())
+            cost = listing_cost(f, k, r, depth)
             if budget is not None and cost > budget:
                 raise BudgetExceeded(f"a listing of {cost} words exceeds budget {budget}",
                                      best=best, enumerated=0)
             found, word = self.low_weight_scan(depth, weight, lowest)
             if witness is None or found < best:
                 best, witness = found, word
-            if depth >= self.k or cover(best) <= r * (depth + 1) - 1:
+            if depth >= k or cover(best) <= r * (depth + 1) - 1:
+                if hamming:
+                    object.__setattr__(self, "_certificate", (best, witness, r, depth))
                 return best, witness, r, depth
             lowest = depth = depth + 1
 

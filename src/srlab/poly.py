@@ -225,14 +225,26 @@ def prime_factors(n: int):
     return out
 
 
+# Ben-Or verdicts by (field, coefficients); fields are cached singletons
+_IRREDUCIBLE: dict = {}
+
+
 def is_irreducible(f: Polynomial) -> bool:
-    """Ben-Or's test over the coefficient field GF(q).
+    """Ben-Or's test over the coefficient field GF(q), run once per
+    polynomial in a process (a modulus read again gets the kept verdict).
 
     f of degree m is irreducible iff gcd(x^(q^i) - x, f) = 1 for every
     i = 1 .. floor(m/2): x^(q^i) - x is the product of the monic
     irreducibles of degree dividing i, and a reducible f has a factor of
     degree at most m/2.  The first shared factor ends the test.
     """
+    key = (f.field, f.coeffs)
+    if key not in _IRREDUCIBLE:
+        _IRREDUCIBLE[key] = _ben_or(f)
+    return _IRREDUCIBLE[key]
+
+
+def _ben_or(f: Polynomial) -> bool:
     m = f.degree
     if m <= 0:
         return False

@@ -7,16 +7,19 @@ computes dimensions, distances and bounds, and compares according to the
 row's expectation kind.  Each distance a row states is one evidence interval
 lo <= d <= hi, of one of these kinds:
 
-  exhaustive   [d, d]; for d_H only where the whole code fits the word
-               budget and a certificate would list the whole code anyway;
-               for the table 9 expansions of dimension <= 10 under the
-               search's own budget
+  exhaustive   [d, d]; for d_H and for d_sr of (2,2) expansions only
+               where the whole code fits the word budget and is no dearer
+               than the window listing a certificate would need (d_H: every
+               word up to the lightest row's weight; d_sr: every GF(4) word
+               of Hamming weight <= 2 (formula lower bound - 1)); d_sr of
+               other expansions always; the table 9 expansions of
+               dimension <= 10 under the search's own budget
   certificate  [d, d] from a window scan (`LinearCode.certified_distance`)
                with its lightest word as the witness: d_H otherwise, with
                no word budget; d_sr of a GF(4) code expanded into (2,2)
-               blocks past the word budget, run only while the listing of
-               its next depth fits the budget, and accepted once the
-               witness's symbol weight is d
+               blocks otherwise, in budget or past it, run only while the
+               listing of its next depth fits the budget, and accepted once
+               the witness's symbol weight is d
   pair         [d, d] from support-class crossing (tables 1, 3 and 11)
   over budget  [formula lower bound, lightest weight found]
 
@@ -166,10 +169,11 @@ class _Ctx:
                 what: str) -> Tuple[LinearCode, _Interval]:
         """The code of `spec` and its d_H interval, checked against the printed
         value in `sc`.  The exhaustive search runs where it is the cheaper
-        evidence: the whole code fits the word budget, and a certificate
-        would list the whole code anyway (`listing_windows` of the lightest
-        row's weight).  Else the code's window certificate, unbudgeted,
-        gives d_H with its lightest word as the witness."""
+        evidence: the whole code fits the word budget and is no dearer than
+        listing every codeword up to the lightest row's weight
+        (`listing_windows`), the most a certificate deepening from depth 1
+        could need.  Else the code's window certificate, unbudgeted, gives
+        d_H with its lightest word as the witness."""
         key, code = self.code_from_spec(spec)
         if key not in self.dham:
             if (code.field.order**code.k <= self.word_budget
@@ -303,14 +307,18 @@ def _selfdual_generators(ctx: _Ctx, sc: _RowScratch, row: dict, n: int) -> list:
 
 def _expansion_distance(ctx: _Ctx, sc: _RowScratch, c: LinearCode, M, fb: Bounds,
                         spec: dict, h: _Interval) -> _Interval:
-    """d_sr of M, the basis expansion of c: exhaustive within the word
-    budget; past it, for (2,2) blocks, the window certificate on c's own
-    words, accepted once its witness's symbol weight is the certified d.
-    Past the budget of either, the Hamming witness's sum-rank weight also
-    bounds d_sr from above."""
+    """d_sr of M, the basis expansion of c: exhaustive for blocks other than
+    (2,2), and for (2,2) blocks where it is the cheaper evidence: M fits the
+    word budget and is no dearer than the least listing a certificate could
+    need, c's words of Hamming weight <= 2 (fb.lower - 1)
+    (`listing_windows`).  Else, in budget or past it, the window
+    certificate on c's own words, accepted once its witness's symbol
+    weight is the certified d.  Past the budget of either, the Hamming
+    witness's sum-rank weight also bounds d_sr from above."""
     def search():
-        if (M.field.order**M.dim <= ctx.word_budget
-                or any(block != (2, 2) for block in M.profile.blocks)):
+        if any(block != (2, 2) for block in M.profile.blocks) or (
+                M.field.order**M.dim <= ctx.word_budget
+                and c.listing_windows(2 * (fb.lower - 1))[1] >= c.k):
             return M.min_distance(budget=ctx.word_budget), None, ""
         d, witness, r, depth = uniform22_certified_distance(c, ctx.word_budget)
         if symbol_sum_rank_weight(witness, ctx.f4, M.profile) != d:

@@ -406,20 +406,19 @@ def _predicted_certificate(c, weights, cover):
     """(d, r, depth) of the deepening rule, read off every codeword's
     `weights`: a codeword is listed through message weight w once its
     restriction to some window weighs <= w (its message under the window's
-    generator), and the scan stops at the first depth whose lightest listed
-    weight D has cover(D) <= r (depth + 1) - 1, or at depth k.  Where
-    `listing_windows` of the lightest row's cover picks the whole code, the
-    certificate is one listing of depth k."""
+    generator).  From depth 1, a step whose r windows would cost no less
+    than the whole code (`listing_cost`) lists the whole code, which ends
+    the scan at (lightest, 1, k); else the scan stops at the first depth
+    whose lightest listed weight D has cover(D) <= r (depth + 1) - 1."""
     words = _gf4_codewords(c)
     w = weights(words)
-    rows = np.array(c.generator.rows, dtype=np.uint8)
-    if c.listing_windows(cover(int(weights(rows).min())))[1] >= c.k:
-        return int(w.min()), 1, c.k
     msg = np.min([np.count_nonzero(words[:, list(pos)], axis=1) for pos, _ in c.windows()], axis=0)
     r = len(c.windows())
     for depth in range(1, c.k + 1):
+        if 4**c.k <= wordenum.listing_cost(F4, c.k, r, depth):
+            return int(w.min()), 1, c.k
         d = int(w[msg <= depth].min())
-        if depth == c.k or cover(d) <= r * (depth + 1) - 1:
+        if cover(d) <= r * (depth + 1) - 1:
             return d, r, depth
 
 
@@ -499,6 +498,61 @@ def test_length_28_table_12_code_certifies_at_message_weight_1():
     assert (d, r, depth) == (4, 2, 1)
     assert c.contains(witness) and sum(1 for v in witness if v) == d
     assert d == c.min_distance()
+
+
+def test_certificates_start_shallow_where_the_lightest_row_asks_for_the_whole_code(monkeypatch):
+    # the cover of the lightest rref row picks the whole listing, yet d shows
+    # at a shallow window depth: the (2,2) certificates of table 12 t = 9 and
+    # t = 12, and Hamming certificates of random codes under a small lister
+    # batch
+    for t in (9, 12):
+        row = load_manifest(12)["rows"][t - 1]
+        c = cyclic_code(parse_poly(F4, row["generators"][0]), row["n"])
+        weight = construct._pair_ranks(c.n)
+        assert c.listing_windows(2 * (c.lightest_row(weight) - 1))[1] >= c.k
+        d, witness, r, depth = construct.uniform22_certified_distance(c)
+        assert r > 1 and depth < c.k
+        assert d == construct.basis_expand_code(c).min_distance()
+    monkeypatch.setattr(wordenum, "_PIECE", 8)
+    rnd = random.Random(5)
+    shallow = 0
+    for trial in range(300):
+        n = rnd.randint(6, 18)
+        c = _random_code(rnd, F4, n, kmax=n // 2)
+        if c.k < 2 or c.listing_windows(c.lightest_row() - 1)[1] < c.k:
+            continue
+        d, witness, r, depth = c.certified_distance()
+        assert d == c.min_distance()
+        if r > 1 and depth < c.k:
+            shallow += 1
+    assert shallow >= 5
+
+
+def test_the_hamming_certificate_is_kept_and_a_raise_keeps_none(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return wordenum.low_weight_min_char2(*args)
+
+    monkeypatch.setattr(code, "low_weight_min_char2", counted)
+    row = next(r for r in load_manifest(12)["rows"] if r["n"] == 28)
+    # a fresh object: no other test's certificate is kept on it
+    c = LinearCode.from_rows(F4, 28, cyclic_code(parse_poly(F4, row["generators"][0]), 28).generator.rows)
+    with pytest.raises(BudgetExceeded):
+        c.certified_distance(budget=0)
+    assert calls == []
+    first = c.certified_distance()
+    assert calls
+    calls.clear()
+    assert c.certified_distance() == first
+    assert c.certified_distance(budget=0) == first  # a kept result lists nothing
+    assert calls == []
+    # the (2,2) certificate passes its own weight and lists again each call
+    construct.uniform22_certified_distance(c)
+    listed = len(calls)
+    construct.uniform22_certified_distance(c)
+    assert listed and len(calls) == 2 * listed
 
 
 def test_certified_distance_budget():
