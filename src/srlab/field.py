@@ -9,9 +9,13 @@ elements keep the same integer when lifted up a tower, and "lies in the
 subfield" is simply "value < suborder".
 
 Arithmetic on canonical integers lives on the FieldSpec: log/antilog tables
-are built for orders up to 2**16, larger extensions fall back to polynomial
-arithmetic on coordinate vectors (`_raw_mul`).  Characteristic-2 addition is
-XOR at every tower level.
+are built for orders up to 2**16, and larger extensions (and table builds)
+multiply as polynomials modulo the modulus (`_raw_mul`).  Over a base of
+GF(2) or GF(4) that product runs on the two bitplane integers of the
+coordinates (srlab.planes): over GF(2) the canonical integer is its own lo
+plane, over GF(4) its even and odd bits are the lo and hi planes.  Other
+bases multiply coordinate vectors entry by entry.  Characteristic-2
+addition is XOR at every tower level.
 
 An extension's antilog table g^0 .. g^(n-1) (n = order - 1, g the primitive
 element) is built a block at a time.  The first min(64, n) powers are a walk
@@ -48,6 +52,7 @@ from .errors import (
     SearchExceeded,
 )
 from .linalg import MatrixGF, _tables, check_entries
+from .planes import divmod_planes, int_planes, mul, on_planes, pack_row_planes, planes_int
 from .poly import Polynomial, is_irreducible, prime_factors, smallest_irreducible
 
 __all__ = [
@@ -77,6 +82,9 @@ class FieldSpec:
         self.order = order
         self.base = base  # FieldSpec or None for prime fields
         self._mod = mod_coeffs  # tuple over base, len m+1, monic; None for prime
+        # the modulus's planes where the base is GF(2) or GF(4), else None
+        self._mod_planes = (pack_row_planes(base, mod_coeffs)
+                            if base is not None and on_planes(base) else None)
         self._xor_add = characteristic == 2
         self._exp = None
         self._log = None
@@ -172,6 +180,11 @@ class FieldSpec:
     def _raw_mul(self, a: int, b: int) -> int:
         base = self.base
         m = self.degree_over_base
+        if self._mod_planes is not None:
+            if base.order == 2:
+                return divmod_planes(mul((a, 0), (b, 0)), self._mod_planes)[1][0]
+            prod = mul(int_planes(a, m), int_planes(b, m))
+            return planes_int(*divmod_planes(prod, self._mod_planes)[1], m)
         ca, cb = self.coords(a), self.coords(b)
         prod = [0] * (2 * m - 1)
         for i, x in enumerate(ca):

@@ -2,15 +2,19 @@
 
 Coefficients are stored constant-term first as canonical integers of the
 coefficient field (see srlab.field for the encoding).  The zero polynomial
-has an empty coefficient tuple and degree -1.  All arithmetic goes through
-the field object's integer operations, so the same class serves every level
-of a field tower.
+has an empty coefficient tuple and degree -1.  Arithmetic goes through the
+field object's integer operations, so the same class serves every level of
+a field tower.  Over GF(2) and GF(4), products, divisions and Ben-Or's test
+run on the coefficients' two bitplane integers instead (srlab.planes), a
+shift and XOR per set bit where the field loops make a call per
+coefficient pair.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from . import planes
 from .errors import Reducible
 
 __all__ = [
@@ -19,6 +23,10 @@ __all__ = [
     "is_irreducible",
     "smallest_irreducible",
 ]
+
+
+def _from_planes(field, lo: int, hi: int) -> "Polynomial":
+    return Polynomial(field, planes.unpack_planes(lo, hi, (lo | hi).bit_length()))
 
 
 def _trim(coeffs):
@@ -106,6 +114,9 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Polynomial.zero(f)
+        if planes.on_planes(f):
+            prod = planes.mul(planes.pack_row_planes(f, a), planes.pack_row_planes(f, b))
+            return _from_planes(f, *prod)
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai == 0:
@@ -125,6 +136,10 @@ class Polynomial:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
+        if planes.on_planes(f):
+            quo, rem = planes.divmod_planes(planes.pack_row_planes(f, self.coeffs),
+                                            planes.pack_row_planes(f, other.coeffs))
+            return _from_planes(f, *quo), _from_planes(f, *rem)
         rem = list(self.coeffs)
         db = other.degree
         lead_inv = f.inv(other.coeffs[-1])
@@ -249,11 +264,29 @@ def _ben_or(f: Polynomial) -> bool:
     if m <= 0:
         return False
     field = f.field
+    if planes.on_planes(field):
+        return _ben_or_planes(planes.pack_row_planes(field, f.coeffs), m, field.order.bit_length() - 1)
     x = Polynomial.x(field)
     t = x
     for _ in range(m // 2):
         t = t.pow_mod(field.order, f)
         if poly_gcd(t - x, f).degree != 0:
+            return False
+    return True
+
+
+def _ben_or_planes(f, m: int, e: int) -> bool:
+    """Ben-Or's test on the planes f of a degree-m polynomial over GF(2^e),
+    e = 1 or 2: t = x^(q^i) mod f by e squarings per step, then the gcd of
+    t - x and f by remainders."""
+    t = (2, 0)  # x
+    for _ in range(m // 2):
+        for _ in range(e):
+            t = planes.divmod_planes(planes.mul(t, t), f)[1]
+        a, b = f, (t[0] ^ 2, t[1])  # t - x
+        while b != (0, 0):
+            a, b = b, planes.divmod_planes(a, b)[1]
+        if (a[0] | a[1]).bit_length() != 1:
             return False
     return True
 

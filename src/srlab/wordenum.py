@@ -51,6 +51,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, NegativeBudget, ProfileMismatch, ZeroCode
 from .linalg import _tables
+from .planes import multiples, on_planes, pack_row_planes, unpack_planes
 
 __all__ = [
     "packable_char2",
@@ -102,7 +103,7 @@ else:  # pragma: no cover - numpy >= 2.0 in practice
 
 
 def packable_char2(field, n: int) -> bool:
-    return field.characteristic == 2 and field.order in (2, 4) and n <= 64
+    return on_planes(field) and n <= 64
 
 
 def packable_sum_rank(field, blocks) -> bool:
@@ -176,27 +177,6 @@ def all_codewords(field, rows, n: int):
     return map(list, words)
 
 
-# a GF(4) entry's low and high bit as an ASCII binary digit
-_LO_DIGIT = bytes.maketrans(bytes(range(4)), b"0101")
-_HI_DIGIT = bytes.maketrans(bytes(range(4)), b"0011")
-
-
-def pack_row_planes(field, row):
-    """(lo, hi) bitplane integers for a GF(2)/GF(4) row; hi is 0 over GF(2).
-    Entry j is bit j: the reversed entries, each read as one binary digit of
-    either plane, are the planes' numerals."""
-    entries = bytes(iter(row))[::-1]
-    return int(entries.translate(_LO_DIGIT) or b"0", 2), int(entries.translate(_HI_DIGIT) or b"0", 2)
-
-
-def _scalar_multiples(field, lo: int, hi: int):
-    """Planes of 0, row, w*row, w^2*row (just 0, row over GF(2))."""
-    if field.order == 2:
-        return [(0, 0), (lo, hi)]
-    # canonical GF(4): multiplying by w maps (lo, hi) -> (hi, hi ^ lo)
-    return [(0, 0), (lo, hi), (hi, hi ^ lo), (hi ^ lo, lo)]
-
-
 def codeword_chunks(field, rows, n: int, count=None, packed=False):
     """Each line's representative, the message whose first nonzero digit is
     1, among the first `count` messages (all by default) in the order of
@@ -231,7 +211,7 @@ def codeword_chunks(field, rows, n: int, count=None, packed=False):
         zero = np.zeros(width, dtype=np.uint64)
 
         def multiple(d, planes):  # d * row; its q multiples for d = slice(None)
-            return np.array(_scalar_multiples(field, *planes), dtype=np.uint64)[d, :width]
+            return np.array(multiples(*planes)[:q], dtype=np.uint64)[d, :width]
     else:
         t = _tables(field)
         scalars = t.array([[d] for d in range(q)], 1)
@@ -410,7 +390,7 @@ def low_weight_blocks(field, rows, n: int, max_msg_weight: int, min_msg_weight: 
     top = min(max_msg_weight, k)
     packed = packable_char2(field, n)
     if packed:
-        mults = np.array([_scalar_multiples(field, *pack_row_planes(field, r))[1:] for r in rows],
+        mults = np.array([multiples(*pack_row_planes(field, r))[1:q] for r in rows],
                          dtype=np.uint64).reshape(k, q - 1, 2)
         zero = np.zeros((1, 1), dtype=np.uint64)
         add, cap = np.bitwise_xor, _PIECE  # words per batch
@@ -453,8 +433,7 @@ def low_weight_min_char2(field, rows, n: int, max_msg_weight: int, weight=None,
         i = int(w.argmin())  # row-major: the first lightest of the batch
         if best is None or int(w.flat[i]) < best:
             best = int(w.flat[i])
-            a, b = int(lo.flat[i]), int(hi.flat[i])
-            word = [(a >> j & 1) | (b >> j & 1) << 1 for j in range(n)]
+            word = unpack_planes(int(lo.flat[i]), int(hi.flat[i]), n)
     return best, word
 
 
@@ -486,7 +465,9 @@ def support_masks(field, windows, n: int, depth: int, max_weight: int) -> np.nda
     With generators systematic on r disjoint information sets, these are
     all supports of weight <= min(max_weight, r (depth + 1) - 1).  A depth
     >= k reads the whole code of the first generator instead, a packed
-    chunk of `codeword_chunks` at a time, which bounds the memory.
+    chunk of `codeword_chunks` at a time, which bounds the memory.  The
+    masks are made distinct by one sort after a zero sentinel: a mask is
+    kept where it differs from the one before it.
     """
     k = len(windows[0])
     if depth >= k:
@@ -496,11 +477,12 @@ def support_masks(field, windows, n: int, depth: int, max_weight: int) -> np.nda
     else:
         supports = (np.bitwise_or(lo, hi).ravel() for rows in windows
                     for _, (lo, hi) in low_weight_blocks(field, rows, n, depth))
-    parts = [np.zeros(0, dtype=np.uint64)]  # depth 0 lists nothing
+    parts = [np.zeros(1, dtype=np.uint64)]  # a zero sentinel; depth 0 lists nothing
     for masks in supports:
         parts.append(masks[popcount(masks) <= max_weight])
-    masks = np.unique(np.concatenate(parts))
-    masks = masks[masks != np.uint64(0)]
+    # not numpy's unique, which imports numpy.ma on its first call
+    masks = np.sort(np.concatenate(parts))
+    masks = masks[1:][masks[1:] != masks[:-1]]
     return masks[np.argsort(popcount(masks), kind="stable")]
 
 
