@@ -13,12 +13,15 @@ linear factors in the splitting field: the coordinates over GF(q) of
 alpha^0 .. alpha^d (alpha = beta^i, d the size of its coset) span a space of
 dimension d, and the one relation among them, made monic, is the minimal
 polynomial of alpha.  The coordinates are read from a table of beta's n
-powers as base-q digits (the encoding nests), built with n - 1 products.
+powers as base-q digits (the encoding nests): `FieldSpec.powers`, read off
+the log tables or, in a field past them, built by doubling (about log2(n)
+base-matrix products instead of n - 1 field products).
 
 The splitting field with its root, the table of the root's powers and each
-minimal polynomial are built once per interpreter: all are pure functions of
-a singleton FieldSpec and ints, cached by functools.lru_cache.  Errors are
-raised before anything is cached.
+minimal polynomial are built once per interpreter, and so is each partition
+into cyclotomic cosets: all are pure functions of a singleton FieldSpec and
+ints, cached by functools.lru_cache.  Errors are raised before anything is
+cached.
 
 The expression parser accepts the surface syntax used in printed tables:
 sums of terms c*x^k with c in {1, w, w^2} and optional parenthesized factors
@@ -77,6 +80,7 @@ class CosetTable:
         raise KeyError(i)
 
 
+@functools.lru_cache(maxsize=None)
 def cyclotomic_cosets(q: int, n: int) -> CosetTable:
     if n < 1:
         raise NotCoprime("n must be positive")
@@ -142,15 +146,13 @@ def _root_digits(field: FieldSpec, n: int) -> np.ndarray:
     n-th root: a read-only (n, m) int64 array, m = [ext : field].
 
     The encoding nests, so the coordinates of an element are its m base-q
-    digits, and over GF(q) itself (m = 1) the element alone.  The powers cost
-    n - 1 multiplications in the splitting field, once per (field, n).
+    digits, and over GF(q) itself (m = 1) the element alone.  The powers come
+    from `FieldSpec.powers` (read off log tables, or by doubling), once per
+    (field, n).
     """
     ext, beta = splitting_root(field, n)
-    powers = [1]
-    for _ in range(n - 1):
-        powers.append(ext.mul(powers[-1], beta))
     places = field.order ** np.arange(ext.degree_over(field), dtype=np.int64)
-    digits = np.array(powers, np.int64)[:, None] // places % field.order
+    digits = np.array(ext.powers(beta, n), np.int64)[:, None] // places % field.order
     digits.flags.writeable = False
     return digits
 

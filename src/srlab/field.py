@@ -12,18 +12,22 @@ Arithmetic on canonical integers lives on the FieldSpec: log/antilog tables
 are built for orders up to 2**16, and larger extensions (and table builds)
 multiply as polynomials modulo the modulus (`_raw_mul`).  Over a base of
 GF(2) or GF(4) that product runs on the two bitplane integers of the
-coordinates (srlab.planes): over GF(2) the canonical integer is its own lo
+coordinates (srlab.planes), reduced by the modulus kept as one
+`planes.Divisor` per field: over GF(2) the canonical integer is its own lo
 plane, over GF(4) its even and odd bits are the lo and hi planes.  Other
 bases multiply coordinate vectors entry by entry.  Characteristic-2
 addition is XOR at every tower level.
 
-An extension's antilog table g^0 .. g^(n-1) (n = order - 1, g the primitive
-element) is built a block at a time.  The first min(64, n) powers are a walk
-of `_raw_mul`.  Multiplication by g^64 is linear over the base, so each
-further block is the previous block's digit columns times that m x m base
-matrix (m `_raw_mul` calls), one `linalg._tables(base).product` per block.
-Fields of at most 65 elements are a single walk.  The log table inverts the
-antilog table; prime fields walk (v * g) mod p.
+The antilog table g^0 .. g^(n-1) (n = order - 1, g the primitive element)
+is `powers(g, n)`.  In an extension of degree m past m + 1 powers it is
+built by doubling: multiplication by x is linear over the base, so with the
+digit columns of x^0 .. x^(k-1) known, the m x m base matrix of x^k times
+them gives x^k .. x^(2k-1), and that matrix squared is the one of x^(2k).
+The matrix of x costs m `_raw_mul` calls, each step one
+`linalg._tables(base).product` for the new columns and one for the square,
+so n powers take about log2(n) steps.  Prime fields and shorter counts (GF(4)
+among them) walk; the log table inverts the antilog table.  The same
+`powers` gives the root tables of srlab.cyclic, in fields past the tables.
 
 Construction is deterministic end to end: unspecified moduli are the
 lexicographically smallest monic irreducibles (high-degree coefficients
@@ -52,7 +56,7 @@ from .errors import (
     SearchExceeded,
 )
 from .linalg import MatrixGF, _tables, check_entries
-from .planes import divmod_planes, int_planes, mul, on_planes, pack_row_planes, planes_int
+from .planes import Divisor, int_planes, mul, on_planes, pack_row_planes, planes_int
 from .poly import Polynomial, is_irreducible, prime_factors, smallest_irreducible
 
 __all__ = [
@@ -66,8 +70,6 @@ __all__ = [
 ]
 
 _LOG_TABLE_MAX = 1 << 16
-# extension antilog tables past this many entries are built a block at a time
-_BLOCK = 64
 _MAX_ORDER_BITS = 32
 _MAX_ORDER = 1 << _MAX_ORDER_BITS  # GF(4^10) = 2^20 is the largest field in use
 
@@ -82,9 +84,9 @@ class FieldSpec:
         self.order = order
         self.base = base  # FieldSpec or None for prime fields
         self._mod = mod_coeffs  # tuple over base, len m+1, monic; None for prime
-        # the modulus's planes where the base is GF(2) or GF(4), else None
-        self._mod_planes = (pack_row_planes(base, mod_coeffs)
-                            if base is not None and on_planes(base) else None)
+        # the modulus as a kept plane divisor where the base is GF(2) or GF(4), else None
+        self._mod_div = (Divisor(pack_row_planes(base, mod_coeffs))
+                         if base is not None and on_planes(base) else None)
         self._xor_add = characteristic == 2
         self._exp = None
         self._log = None
@@ -180,11 +182,11 @@ class FieldSpec:
     def _raw_mul(self, a: int, b: int) -> int:
         base = self.base
         m = self.degree_over_base
-        if self._mod_planes is not None:
+        if self._mod_div is not None:
             if base.order == 2:
-                return divmod_planes(mul((a, 0), (b, 0)), self._mod_planes)[1][0]
+                return self._mod_div.remainder(mul((a, 0), (b, 0)))[0]
             prod = mul(int_planes(a, m), int_planes(b, m))
-            return planes_int(*divmod_planes(prod, self._mod_planes)[1], m)
+            return planes_int(*self._mod_div.remainder(prod), m)
         ca, cb = self.coords(a), self.coords(b)
         prod = [0] * (2 * m - 1)
         for i, x in enumerate(ca):
@@ -214,49 +216,54 @@ class FieldSpec:
                 order //= p
         return order
 
+    def powers(self, x: int, count: int) -> list:
+        """x^0 .. x^(count-1) as canonical integers.
+
+        A field with log tables reads them off.  A prime field, or a count
+        of at most m + 1 (m = degree over the base: a walk of no more
+        products than the matrix below costs), walks `mul`.  Otherwise by
+        doubling: S is the m x m base matrix of y -> x y, column j the digits
+        of x X^j (X^j encoded as q^j, q = base order).  With the digit
+        columns of x^0 .. x^(k-1) known, S times them are those of
+        x^k .. x^(2k-1), and S squared is the matrix of x^(2k): about
+        log2(count) pairs of `_tables(base).product`.
+        """
+        if count < 1:
+            return []
+        if self._exp is not None:
+            if x == 0:
+                return [1] + [0] * (count - 1)
+            n, step = self.order - 1, self._log[x]
+            return [self._exp[step * k % n] for k in range(count)]
+        m = self.degree_over_base
+        if self.base is None or count <= m + 1:
+            out = [1]
+            for _ in range(count - 1):
+                out.append(self.mul(out[-1], x))
+            return out
+        q = self.base.order
+        t = _tables(self.base)
+        places = q ** np.arange(m, dtype=np.int64)
+        matrix = (np.array([self.mul(x, q**j) for j in range(m)], np.int64)
+                  // places[:, None] % q).astype(t.dtype)
+        cols = np.zeros((m, 1), t.dtype)
+        cols[0, 0] = 1  # the digits of x^0
+        while True:
+            block = cols[:, :count - cols.shape[1]]
+            cols = np.concatenate([cols, t.product(matrix, block)], axis=1)
+            if cols.shape[1] == count:
+                return (places @ cols.astype(np.int64)).tolist()
+            matrix = t.product(matrix, matrix)
+
     def _build_tables(self):
         if not (2 < self.order <= _LOG_TABLE_MAX):
             return
-        n = self.order - 1
-        g = self.primitive_element
-        if self.base is None:
-            exp = [1] * n
-            for i in range(1, n):
-                exp[i] = exp[i - 1] * g % self.order
-        else:
-            exp = self._antilog(g, n)
+        exp = self.powers(self.primitive_element, self.order - 1)
         log = [0] * self.order
         for i, v in enumerate(exp):
             log[v] = i
         self._exp = exp + exp
         self._log = log
-
-    def _antilog(self, g: int, n: int) -> list:
-        """g^0 .. g^(n-1) in an extension: the first _BLOCK by `_raw_mul`, then
-        block after block as digit columns times the base matrix of
-        multiplication by g^_BLOCK, one `_tables(base).product` per block."""
-        block = min(_BLOCK, n)
-        exp = [1]
-        for _ in range(block):
-            exp.append(self._raw_mul(exp[-1], g))
-        g_block = exp.pop()
-        if block == n:
-            return exp
-        q, m = self.base.order, self.degree_over_base
-        t = _tables(self.base)
-        places = q ** np.arange(m, dtype=np.int64)
-
-        def digit_columns(values):
-            return (np.array(values, np.int64) // places[:, None] % q).astype(t.dtype)
-
-        # column j: the digits of g^block x^j, x^j encoded as q^j
-        step = digit_columns([self._raw_mul(g_block, q**j) for j in range(m)])
-        cols = digit_columns(exp)
-        out = [np.array(exp, np.int64)]
-        for _ in range(1, -(-n // block)):
-            cols = t.product(step, cols)
-            out.append(places @ cols.astype(np.int64))
-        return np.concatenate(out)[:n].tolist()
 
     def _find_primitive(self) -> int:
         n = self.order - 1

@@ -12,7 +12,10 @@ vectors is carry-less: over GF(2) the XOR of one plane shifted to each set
 bit of the other; over GF(4), with m0 = a0 b0, m2 = a1 b1 and
 m1 = (a0 ^ a1)(b0 ^ b1) (Karatsuba), the product's planes are m0 ^ m2 and
 m1 ^ m0, since w^2 = w + 1.  A remainder XORs in the divisor, shifted and
-scaled to cancel the top coefficient.
+scaled to cancel the top coefficient.  A `Divisor` makes the divisor's
+degree and its monic scaled multiples once, so a modulus that divides many
+dividends (an extension's `_raw_mul`, the squarings of Ben-Or's test) is
+prepared once.
 
 The canonical integer of an extension of GF(2) is its lo plane over GF(2);
 that of an extension of GF(4) holds its lo plane in the even bits and its hi
@@ -27,6 +30,7 @@ __all__ = [
     "unpack_planes",
     "multiples",
     "mul",
+    "Divisor",
     "divmod_planes",
     "int_planes",
     "planes_int",
@@ -96,30 +100,47 @@ def mul(a, b):
     return m0 ^ m2, m1 ^ m0
 
 
-def divmod_planes(a, b):
-    """(quotient, remainder) planes of polynomial a divided by b, b nonzero.
+class Divisor:
+    """A nonzero divisor b, made once and kept for many divisions: its
+    degree, the inverse of its lead and the planes of the monic b scaled by
+    each scalar (the inverse of a GF(4) scalar c is c^2: w and w^2 swap)."""
 
-    b is made monic first (the inverse of a GF(4) scalar c is c^2: w and
-    w^2 swap), and the quotient is scaled back at the end."""
-    b0, b1 = b
-    top = (b0 | b1).bit_length() - 1
-    lead = (b0 >> top & 1) | (b1 >> top & 1) << 1
-    inv = (0, 1, 3, 2)[lead]
-    scaled = multiples(*multiples(b0, b1)[inv])
-    r0, r1 = a
-    q0 = q1 = 0
-    while True:
-        deg = (r0 | r1).bit_length() - 1
-        shift = deg - top
-        if shift < 0:
-            break
-        c = (r0 >> deg & 1) | (r1 >> deg & 1) << 1
-        s0, s1 = scaled[c]
-        r0 ^= s0 << shift
-        r1 ^= s1 << shift
-        q0 |= (c & 1) << shift
-        q1 |= (c >> 1) << shift
-    return multiples(q0, q1)[inv], (r0, r1)
+    __slots__ = ("top", "inv", "scaled")
+
+    def __init__(self, b):
+        b0, b1 = b
+        self.top = top = (b0 | b1).bit_length() - 1
+        self.inv = (0, 1, 3, 2)[(b0 >> top & 1) | (b1 >> top & 1) << 1]
+        self.scaled = multiples(*multiples(b0, b1)[self.inv])
+
+    def divmod(self, a):
+        """(quotient, remainder) planes of a divided by b: each step cancels
+        the top coefficient c of the remainder with c times the monic b,
+        shifted; the quotient is scaled back by the inverse at the end."""
+        top, scaled = self.top, self.scaled
+        r0, r1 = a
+        q0 = q1 = 0
+        while True:
+            deg = (r0 | r1).bit_length() - 1
+            shift = deg - top
+            if shift < 0:
+                break
+            c = (r0 >> deg & 1) | (r1 >> deg & 1) << 1
+            s0, s1 = scaled[c]
+            r0 ^= s0 << shift
+            r1 ^= s1 << shift
+            q0 |= (c & 1) << shift
+            q1 |= (c >> 1) << shift
+        return multiples(q0, q1)[self.inv], (r0, r1)
+
+    def remainder(self, a):
+        """Planes of a mod b."""
+        return self.divmod(a)[1]
+
+
+def divmod_planes(a, b):
+    """(quotient, remainder) planes of polynomial a divided by b, b nonzero."""
+    return Divisor(b).divmod(a)
 
 
 def int_planes(v: int, m: int):

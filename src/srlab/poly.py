@@ -278,11 +278,12 @@ def _ben_or(f: Polynomial) -> bool:
 def _ben_or_planes(f, m: int, e: int) -> bool:
     """Ben-Or's test on the planes f of a degree-m polynomial over GF(2^e),
     e = 1 or 2: t = x^(q^i) mod f by e squarings per step, then the gcd of
-    t - x and f by remainders."""
+    t - x and f by remainders; f is one kept divisor for the squarings."""
+    modulus = planes.Divisor(f)
     t = (2, 0)  # x
     for _ in range(m // 2):
         for _ in range(e):
-            t = planes.divmod_planes(planes.mul(t, t), f)[1]
+            t = modulus.remainder(planes.mul(t, t))
         a, b = f, (t[0] ^ 2, t[1])  # t - x
         while b != (0, 0):
             a, b = b, planes.divmod_planes(a, b)[1]

@@ -222,6 +222,33 @@ def test_failures_are_not_cached():
     assert _root_digits.cache_info().currsize == digits_before
 
 
+def test_cyclotomic_cosets_are_kept_and_failures_are_not():
+    assert cyclotomic_cosets(4, 205) is cyclotomic_cosets(4, 205)
+    before = cyclotomic_cosets.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(NotCoprime):
+            cyclotomic_cosets(4, 6)
+        with pytest.raises(NotCoprime):
+            cyclotomic_cosets(4, 0)
+        with pytest.raises(LengthTooLarge):
+            cyclotomic_cosets(4, MAX_LENGTH + 1)
+    assert cyclotomic_cosets.cache_info().currsize == before
+
+
+_ROOT_CASES = [(F4, 3), (F4, 13), (F4, 205), (F4, 511), (F4, 1025), (F2, 3), (F2, 511)]
+
+
+@pytest.mark.parametrize("field, n", _ROOT_CASES, ids=[f"GF({f.order})-n{n}" for f, n in _ROOT_CASES])
+def test_root_digits_equal_a_walk_of_the_root(field, n):
+    ext, beta = splitting_root(field, n)
+    walk = [1]
+    for _ in range(n - 1):
+        walk.append(ext.mul(walk[-1], beta))
+    m = ext.degree_over(field)
+    digits = [[v // field.order**j % field.order for j in range(m)] for v in walk]
+    assert _root_digits(field, n).tolist() == digits
+
+
 def test_minimal_polynomial_examples():
     m0 = minimal_polynomial(F4, 13, 0)
     assert m0 == Polynomial(F4, (1, 1))  # x + 1 over characteristic 2

@@ -1,4 +1,5 @@
 import functools
+import gc
 import random
 
 import numpy as np
@@ -16,13 +17,14 @@ from srlab.errors import (
 )
 from srlab.field import (
     Basis,
+    FieldSpec,
     dual_basis,
     extension,
     prime_field,
     self_dual_basis,
     trace_to,
 )
-from srlab.linalg import MatrixGF
+from srlab.linalg import MAX_LENGTH, MatrixGF
 from srlab.poly import Polynomial
 from srlab.sumrank import BlockProfile
 
@@ -287,18 +289,67 @@ def test_log_tables_equal_the_sequential_walk(name):
 @pytest.mark.parametrize("field, g", [(extension(F2, 16), 3), (extension(F256, 2), 264)],
                          ids=["GF(2^16)", "GF(256^2)"])
 def test_largest_log_tables_equal_the_walk_at_every_block_boundary(field, g):
-    # order 2^16 is the largest with tables; these are built 64 powers a block
+    # order 2^16 is the largest with tables; these are built by doubling, so
+    # the blocks end at powers of two (the 64-power strides are kept as well)
     assert field.primitive_element == g
     n = field.order - 1
     exp, log = field._exp, field._log
     assert len(exp) == 2 * n and exp[n:] == exp[:n]
     sample = random.Random(16).sample(range(n), 2000)
-    for i in list(range(0, n, 64)) + list(range(63, n, 64)) + sample:
+    doubling = [i for j in range(n.bit_length()) for i in (2**j - 1, 2**j) if i < n]
+    for i in list(range(0, n, 64)) + list(range(63, n, 64)) + doubling + sample:
         assert exp[i] == _walk_step(field, i), i
         assert log[exp[i]] == i
     for i in sample[:16]:
         assert exp[i] == _raw_power(field, i), i
     assert sorted(exp[:n]) == list(range(1, field.order))
+
+
+def _mul_walk(field, x, count):
+    """x^0 .. x^(count-1) by `mul`, one product per power."""
+    out = [1]
+    for _ in range(count - 1):
+        out.append(field.mul(out[-1], x))
+    return out
+
+
+_POWER_FIELDS = ([F2, F3, prime_field(5), prime_field(65537)]
+                 + [extension(F2, m) for m in range(2, 21)]
+                 + [extension(F4, m) for m in range(2, 11)]
+                 + [extension(F3, 5), extension(extension(F3, 2), 3)])
+
+
+@pytest.mark.parametrize("field", _POWER_FIELDS, ids=lambda f: f"{f!r}-{f.degree_over_base}")
+def test_powers_equal_a_walk_of_mul(field):
+    # fields with log tables read them off; the others double past m + 1
+    # powers.  A walk of order - 1 products takes seconds past GF(2^17), so
+    # there the longest count is MAX_LENGTH, the longest root table of cyclic.
+    m = field.degree_over_base
+    g = field.primitive_element
+    rnd = random.Random(field.order)
+    top = field.order - 1 if field.order <= 1 << 17 else MAX_LENGTH
+    for x in [0, 1, g, rnd.randrange(1, field.order), field.order - 1]:
+        for count in sorted({1, 2, m, m + 1, 65}):
+            assert field.powers(x, count) == _mul_walk(field, x, count), (x, count)
+    assert field.powers(g, 0) == []
+    longest = field.powers(g, top)
+    assert longest == _mul_walk(field, g, top)
+    if field.order - 1 == top:
+        assert sorted(longest) == list(range(1, field.order))
+
+
+def test_every_log_table_equals_a_walk_of_the_table_free_product():
+    # every field built so far in this interpreter, towers included
+    fields = [f for f in gc.get_objects() if isinstance(f, FieldSpec) and f._exp is not None]
+    assert len(fields) >= len(_TABLE_FIELDS)
+    for field in fields:
+        n, g = field.order - 1, field.primitive_element
+        mul = field._raw_mul if field.base is not None else lambda a, b: a * b % field.order
+        walk = [1]
+        for _ in range(n - 1):
+            walk.append(mul(walk[-1], g))
+        assert field._exp == walk + walk, field
+        assert [field._log[v] for v in walk] == list(range(n)), field
 
 
 def test_outside_ints_are_range_checked():

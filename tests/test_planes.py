@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import srlab
+from srlab import planes
 from srlab.field import extension, prime_field
 from srlab.poly import Polynomial, is_irreducible
 
@@ -70,6 +71,23 @@ def test_polynomial_product_and_division_match_plain_loops(field):
     for a in polys:
         assert a * zero == zero * a == zero
         assert a * one == a
+    # kept divisors: one reducing many dividends, leads 1, w and w^2 (GF(4)),
+    # and constants, against the plain loops and a fresh divmod_planes
+    leads = range(1, field.order)
+    divisors = [Polynomial(field, [c]) for c in leads]
+    divisors += [Polynomial(field, [rnd.randrange(field.order) for _ in range(deg)] + [c])
+                 for c in leads for deg in (1, 6, 10, 19)]
+    divisors.append(Polynomial.x_pow_minus_one(field, 13))
+    pack = lambda coeffs: planes.pack_row_planes(field, coeffs)
+    for b in divisors:
+        kept = planes.Divisor(pack(b.coeffs))
+        assert kept.top == b.degree
+        for a in polys[:5] + rnd.sample(polys, 40):
+            nq, nr = _naive_divmod(field, a.coeffs, b.coeffs)
+            expect = pack(nq), pack(nr)
+            assert kept.divmod(pack(a.coeffs)) == expect, (a, b)
+            assert kept.remainder(pack(a.coeffs)) == expect[1], (a, b)
+            assert planes.divmod_planes(pack(a.coeffs), pack(b.coeffs)) == expect, (a, b)
 
 
 def _naive_raw_mul(field, a, b):
