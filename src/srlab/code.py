@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, LengthMismatch, MethodUnavailable, ZeroCode
-from .linalg import MatrixGF, check_entries
+from .linalg import MatrixGF
 from .wordenum import (
     all_codewords,
     check_budget,
@@ -66,14 +66,15 @@ class LinearCode:
         raise AttributeError("LinearCode is immutable")
 
     @classmethod
-    def from_rows(cls, field, n: int, rows: Sequence[Sequence[int]]) -> "LinearCode":
-        rows = [list(r) for r in rows]
+    def from_rows(cls, field, n: int, rows) -> "LinearCode":
+        """The span of `rows`, int sequences or a 2-D integer array, each
+        entry checked (`MatrixGF._checked`)."""
+        if not isinstance(rows, np.ndarray):
+            rows = [list(r) for r in rows]
         for r in rows:
             if len(r) != n:
                 raise LengthMismatch(f"row length {len(r)} != {n}")
-        check_entries(field, rows)
-        gen = MatrixGF(field, rows, n).rref()
-        return cls(field, n, gen)
+        return cls(field, n, MatrixGF._checked(field, rows, n).rref())
 
     @classmethod
     def zero(cls, field, n: int) -> "LinearCode":
@@ -303,8 +304,8 @@ def _rotation_closed(code: LinearCode, step: int) -> bool:
     """Whether the row space is closed under rotating the coordinates right by
     `step`: a rotation permutes coordinates, so it is iff the rotated rows
     reduce to the same rref."""
-    rotated = [row[-step:] + row[:-step] for row in code.generator.rows]
-    return MatrixGF(code.field, rotated, code.n).rref() == code.generator
+    rotated = np.roll(code.generator._array(), step, axis=1)
+    return MatrixGF._from_array(code.field, rotated).rref() == code.generator
 
 
 def f4_selfdual_distance_cap(n: int) -> int:

@@ -139,11 +139,10 @@ def _expanded_code(basis: Basis, profile: BlockProfile, words: np.ndarray) -> Su
     lams = np.array(basis.elements, t.dtype)
     scaled = t.times(words[:, None, :], lams[:, None])
     scaled = scaled.reshape(len(words) * len(lams), words.shape[1])
-    flat = LinearCode.from_rows(profile.field, profile.total,
-                                _expand_words(basis, profile, scaled).tolist())
+    flat = LinearCode.from_rows(profile.field, profile.total, _expand_words(basis, profile, scaled))
     if flat.k != len(lams) * len(words):
         raise AssertionError(f"expanded code dimension {flat.k}, expected {len(lams) * len(words)}")
-    return SumRankCode(profile, flat, MatrixGF(basis.field, words.tolist(), words.shape[1]))
+    return SumRankCode(profile, flat, MatrixGF._from_array(basis.field, words))
 
 
 def qpoly_rank_table(basis: Basis) -> dict:

@@ -169,7 +169,7 @@ def minimal_polynomial(field: FieldSpec, n: int, i: int) -> Polynomial:
     digits = _root_digits(field, n)
     d = len(cyclotomic_cosets(field.order, n).coset_of(i))
     rows = digits[i % n * np.arange(d + 1) % n]
-    kernel = MatrixGF(field, rows.T.tolist(), d + 1).kernel_basis()
+    kernel = MatrixGF._from_array(field, rows.T).kernel_basis()
     if kernel.nrows != 1:
         raise AssertionError("powers of the root have no single relation; tower arithmetic is broken")
     coeffs = kernel.rows[0]

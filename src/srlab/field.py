@@ -410,10 +410,10 @@ class Basis:
         self._places = sub.order ** np.arange(m, dtype=np.int64)
         digits = np.array(elements, np.int64)[:, None] // self._places % sub.order
         try:
-            inverse = MatrixGF(sub, digits.T.tolist(), m).invert()
+            inverse = MatrixGF._from_array(sub, digits.T).invert()
         except DimensionMismatch:
             raise LengthMismatch("basis elements are linearly dependent") from None
-        self._inverse = _tables(sub).array(inverse.rows, m)
+        self._inverse = inverse._array()
 
     @property
     def size(self) -> int:

@@ -105,7 +105,7 @@ def code_to_obj(code: LinearCode) -> dict:
     return {
         "q_tower": field_to_obj(code.field),
         "n": code.n,
-        "generator": [list(r) for r in code.generator.rows],
+        "generator": code.generator._array().tolist(),
     }
 
 
@@ -121,7 +121,7 @@ def sr_code_to_obj(code: SumRankCode) -> dict:
     return {
         "q_tower": field_to_obj(code.field),
         "blocks": [list(b) for b in code.profile.blocks],
-        "generator": [list(r) for r in code.generator.rows],
+        "generator": code.generator._array().tolist(),
     }
 
 

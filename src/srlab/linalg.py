@@ -1,10 +1,13 @@
 """Dense matrices over a finite field.
 
-Entries are canonical integers of the owning field (srlab.field encoding),
-stored row-major as tuples.  Elimination uses deterministic pivoting (first
-nonzero entry scanning columns left to right, rows top to bottom), so the
-reduced row-echelon form is identical across runs and platforms.  Canonical
-code equality is defined through that rref.
+Entries are canonical integers of the owning field (srlab.field encoding).
+A matrix holds them as one read-only array (`_tables`); `rows`, a tuple of
+int tuples, is built from it on first use.  Every elimination, product,
+kernel and inverse returns a matrix that holds its result array, so a chain
+of them never converts entries to Python ints and back.  Elimination uses
+deterministic pivoting (first nonzero entry scanning columns left to right,
+rows top to bottom), so the reduced row-echelon form is identical across
+runs and platforms.  Canonical code equality is defined through that rref.
 
 The same elimination can search its pivot columns in another order and keep
 the columns in place.  Run right to left it yields the kernel already in rref,
@@ -18,13 +21,18 @@ inverse's row of the product table and clears its column in every row with
 one gather and one addition.  A product over a prime field is one integer
 matrix product reduced mod p; over an extension field each row of the left
 factor gathers its multiples of the right factor's rows and sums them.
-Larger fields run the same code on object arrays through the field's own
-`mul`/`add`/`neg`/`inv`.  Results are converted back to Python ints.
+Larger fields run the same code on object arrays of Python ints through the
+field's own `mul`/`add`/`neg`/`inv`.
+
+Entries from outside are checked on their way in (`check_entries`, and
+`MatrixGF._checked` for whole matrices): an entry must be an integer (bool
+and numpy integers count) v with 0 <= v < q.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -36,12 +44,19 @@ MAX_LENGTH = 4096  # the largest length in the bundled tables is 205
 
 
 def check_entries(field, rows) -> None:
-    """Raise EntryOutOfRange unless every entry is a canonical element, 0 <= v < q."""
+    """Raise EntryOutOfRange, naming the first offending entry, unless every
+    entry is a canonical element: an integer v (bool and numpy integers
+    count, floats and strings do not) with 0 <= v < q."""
     q = field.order
     for r in rows:
-        if r and (min(r) < 0 or max(r) >= q):
-            bad = next(v for v in r if not 0 <= v < q)
-            raise EntryOutOfRange(f"entry {bad} is not an element of GF({q})")
+        for v in r:
+            if type(v) is not int or not 0 <= v < q:
+                try:
+                    if 0 <= operator.index(v) < q:
+                        continue
+                except TypeError:
+                    raise EntryOutOfRange(f"entry {v!r} is not an element of GF({q})") from None
+                raise EntryOutOfRange(f"entry {v} is not an element of GF({q})")
 
 
 def check_length(n: int, what: str = "length") -> None:
@@ -165,9 +180,14 @@ def _tables(field):
 
 
 class MatrixGF:
-    """Immutable matrix; `field` supplies integer arithmetic."""
+    """Immutable matrix; `field` supplies integer arithmetic.
 
-    __slots__ = ("field", "rows", "nrows", "ncols", "_entries")
+    The entries are one read-only array (`_tables`), built from the rows on
+    first use; a result of elimination or arithmetic holds its array from
+    the start and builds `rows` from it on first use.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_entries")
 
     def __init__(self, field, rows, ncols=None):
         rows = tuple(map(tuple, rows))
@@ -178,21 +198,73 @@ class MatrixGF:
         elif ncols is None:
             raise DimensionMismatch("empty matrix needs an explicit column count")
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_entries", None)
+
+    @classmethod
+    def _from_array(cls, field, a) -> "MatrixGF":
+        """The matrix of the 2-D array `a` of field elements, which it keeps
+        (converted only if it is not of `_tables(field)`'s dtype) and makes
+        read-only; its entries are not checked."""
+        a = a.astype(_tables(field).dtype, copy=False)
+        a.flags.writeable = False
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "nrows", a.shape[0])
+        object.__setattr__(m, "ncols", a.shape[1])
+        object.__setattr__(m, "_rows", None)
+        object.__setattr__(m, "_entries", a)
+        return m
+
+    @classmethod
+    def _checked(cls, field, rows, ncols) -> "MatrixGF":
+        """The matrix of `rows`, int sequences of length ncols or a 2-D
+        integer array, each entry checked as `check_entries` checks it.
+
+        On a table field a row has bytes only if every entry is an integer
+        in 0..255, so the rows' bytes and their largest entry check them;
+        an array is checked by its dtype, minimum and maximum.  Anything
+        else, and every failure, goes through `check_entries`, which raises
+        naming the entry.
+        """
+        t, q = _tables(field), field.order
+        if isinstance(rows, np.ndarray):
+            if rows.dtype.kind in "iu" and not (rows.size and (rows.min() < 0 or rows.max() >= q)):
+                return cls._from_array(field, rows.reshape(len(rows), ncols).astype(t.dtype))
+            rows = rows.tolist()
+        elif t.dtype is not object:
+            try:
+                flat = b"".join(map(bytes, rows))
+            except (TypeError, ValueError):  # an entry that is no integer in 0..255
+                pass
+            else:
+                if not flat or max(flat) < q:
+                    return cls._from_array(field, np.frombuffer(bytearray(flat), np.uint8)
+                                           .reshape(len(rows), ncols))
+        check_entries(field, rows)
+        if t.dtype is object:  # Python ints, not bools or numpy integers
+            rows = [list(map(operator.index, r)) for r in rows]
+        return cls._from_array(field, t.array(rows, ncols))
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixGF is immutable")
 
     @classmethod
     def identity(cls, field, n: int) -> "MatrixGF":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+        return cls._from_array(field, np.eye(n, dtype=_tables(field).dtype))
 
     @classmethod
     def zeros(cls, field, r: int, c: int) -> "MatrixGF":
-        return cls(field, [[0] * c for _ in range(r)], c)
+        return cls._from_array(field, _tables(field).zeros((r, c)))
+
+    @property
+    def rows(self):
+        """The entries as a tuple of row tuples of ints, built on first use."""
+        if self._rows is None:
+            object.__setattr__(self, "_rows", tuple(map(tuple, self._entries.tolist())))
+        return self._rows
 
     @property
     def shape(self):
@@ -203,33 +275,32 @@ class MatrixGF:
             isinstance(other, MatrixGF)
             and self.field is other.field
             and self.shape == other.shape
-            and self.rows == other.rows
+            and np.array_equal(self._array(), other._array())
         )
 
     def __hash__(self):
-        return hash((id(self.field), self.shape, self.rows))
+        a = self._array()
+        return hash((id(self.field), self.shape, self.rows if a.dtype == object else a.tobytes()))
 
     def __getitem__(self, rc):
-        r, c = rc
-        return self.rows[r][c]
+        return int(self._array()[rc])
 
     def is_zero(self) -> bool:
-        return all(all(e == 0 for e in row) for row in self.rows)
+        return not self._array().any()
 
     def _array(self):
-        """The entries as a read-only array (see `_tables`), built on the
-        first call and kept: a generator is reduced once per window and
-        tested once per rotated row."""
+        """The entries as a read-only array (see `_tables`), built from the
+        rows on the first call and kept."""
         if self._entries is None:
-            a = _tables(self.field).array(self.rows, self.ncols)
+            a = _tables(self.field).array(self._rows, self.ncols)
             a.flags.writeable = False
             object.__setattr__(self, "_entries", a)
         return self._entries
 
     # -- elimination ---------------------------------------------------
 
-    def _echelon(self, order=None):
-        """Return (reduced rows as lists, pivot column list).
+    def _eliminate(self, order=None):
+        """Return (reduced rows as an array, pivot column list).
 
         Pivot columns are searched in `order` (default: left to right) and the
         rows keep the original column layout, so they are the rref of the
@@ -260,15 +331,19 @@ class MatrixGF:
             a[r] = pivot_row
             pivots.append(c)
             r += 1
-        return a[:r].tolist(), pivots
+        return a[:r], pivots
+
+    def _echelon(self, order=None):
+        """`_eliminate` with the reduced rows as lists of ints."""
+        a, pivots = self._eliminate(order)
+        return a.tolist(), pivots
 
     def rref(self) -> "MatrixGF":
         """Reduced row-echelon form with zero rows dropped."""
-        rows, _ = self._echelon()
-        return MatrixGF(self.field, rows, self.ncols)
+        return MatrixGF._from_array(self.field, self._eliminate()[0])
 
     def rank(self) -> int:
-        return len(self._echelon()[0])
+        return len(self._eliminate()[1])
 
     def kernel_basis(self) -> "MatrixGF":
         """Rows span {x : M x^T = 0}: cols - rank of them, in rref.
@@ -282,19 +357,18 @@ class MatrixGF:
         are the rref of the kernel, whose pivots are the complement of P.
         """
         t = _tables(self.field)
-        rows, pivots = self._echelon(range(self.ncols - 1, -1, -1))
+        a, pivots = self._eliminate(range(self.ncols - 1, -1, -1))
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
         basis = t.zeros((len(free), self.ncols))
         basis[range(len(free)), free] = 1
-        basis[:, pivots] = t.negate(t.array(rows, self.ncols)[:, free]).T
-        return MatrixGF(self.field, basis.tolist(), self.ncols)
+        basis[:, pivots] = t.negate(a[:, free]).T
+        return MatrixGF._from_array(self.field, basis)
 
     # -- arithmetic ----------------------------------------------------
 
     def transpose(self) -> "MatrixGF":
-        cols = list(zip(*self.rows)) if self.rows else [()] * self.ncols
-        return MatrixGF(self.field, cols, self.nrows)
+        return MatrixGF._from_array(self.field, self._array().T)
 
     def mat_mul(self, other: "MatrixGF") -> "MatrixGF":
         if self.field is not other.field:
@@ -302,8 +376,7 @@ class MatrixGF:
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
         t = _tables(self.field)
-        prod = t.product(self._array(), other._array())
-        return MatrixGF(self.field, prod.tolist(), other.ncols)
+        return MatrixGF._from_array(self.field, t.product(self._array(), other._array()))
 
     def __matmul__(self, other):
         return self.mat_mul(other)
@@ -316,15 +389,13 @@ class MatrixGF:
         if self.nrows != self.ncols:
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.nrows
-        aug = MatrixGF(
-            self.field,
-            [list(self.rows[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)],
-            2 * n,
-        )
-        rows, pivots = aug._echelon()
+        aug = _tables(self.field).zeros((n, 2 * n))
+        aug[:, :n] = self._array()
+        aug[range(n), range(n, 2 * n)] = 1
+        a, pivots = MatrixGF._from_array(self.field, aug)._eliminate()
         if pivots != list(range(n)):
             raise DimensionMismatch("matrix is singular")
-        return MatrixGF(self.field, [r[n:] for r in rows], n)
+        return MatrixGF._from_array(self.field, a[:, n:])
 
     # -- row-space helpers ----------------------------------------------
 

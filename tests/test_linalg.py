@@ -1,10 +1,11 @@
 import functools
 import random
 
+import numpy as np
 import pytest
 
 from srlab.code import LinearCode
-from srlab.errors import DimensionMismatch
+from srlab.errors import DimensionMismatch, EntryOutOfRange
 from srlab.field import extension, prime_field
 from srlab.linalg import MatrixGF, _tables
 
@@ -116,13 +117,13 @@ def test_dual_is_one_elimination(monkeypatch):
     rnd = random.Random(22)
     c = LinearCode.from_rows(F3, 9, [[rnd.randrange(3) for _ in range(9)] for _ in range(4)])
     calls = []
-    echelon = MatrixGF._echelon
+    eliminate = MatrixGF._eliminate
 
     def counted(self, *args, **kwargs):
         calls.append(self.shape)
-        return echelon(self, *args, **kwargs)
+        return eliminate(self, *args, **kwargs)
 
-    monkeypatch.setattr(MatrixGF, "_echelon", counted)
+    monkeypatch.setattr(MatrixGF, "_eliminate", counted)
     d = c.dual()
     assert calls == [(c.k, 9)]
     assert d.k == 9 - c.k
@@ -343,3 +344,82 @@ def test_field_tables_are_read_only():
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 1
+
+
+# fields of every kind of entry array: GF(512) is past the table fields
+HELD_FIELDS = (F2, F3, F4, extension(F3, 2), extension(F2, 9))
+
+
+def _invertible(rnd, field, n):
+    while True:
+        m = _random_matrix(rnd, field, n, n)
+        if m.rank() == n:
+            return m
+
+
+def _held_results(rnd, field):
+    """name -> an array-held result of each matrix operation."""
+    m = _random_matrix(rnd, field, 4, 7)
+    return {"rref": m.rref(), "kernel_basis": m.kernel_basis(),
+            "mat_mul": m.mat_mul(_random_matrix(rnd, field, 7, 3)),
+            "transpose": m.transpose(), "invert": _invertible(rnd, field, 4).invert(),
+            "gram": m.gram(), "identity": MatrixGF.identity(field, 3),
+            "zeros": MatrixGF.zeros(field, 2, 3)}
+
+
+@pytest.mark.parametrize("field", HELD_FIELDS, ids=repr)
+def test_row_built_and_array_built_matrices_are_equal(field):
+    rnd = random.Random(41 + field.order)
+    for res in _held_results(rnd, field).values():
+        rows = [list(r) for r in res.rows]
+        by_rows = MatrixGF(field, rows, res.ncols)
+        by_array = MatrixGF._from_array(field, np.array(rows, np.int64).reshape(res.shape))
+        for a, b in ((by_rows, by_array), (by_rows, res), (by_array, res)):
+            assert a == b and hash(a) == hash(b)
+        assert by_array.rows == by_rows.rows == res.rows
+    m = _random_matrix(rnd, field, 3, 5)
+    changed = [list(r) for r in m.rows]
+    changed[2][4] = (changed[2][4] + 1) % field.order
+    assert m != MatrixGF(field, changed, 5)
+    assert m != MatrixGF._from_array(field, m._array()[:2])
+
+
+@pytest.mark.parametrize("field", HELD_FIELDS, ids=repr)
+def test_results_hold_read_only_arrays_and_python_ints(field):
+    rnd = random.Random(43 + field.order)
+    for name, res in _held_results(rnd, field).items():
+        a = res._array()
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError):
+            a[...] = 0
+        assert a.dtype == _tables(field).dtype, name
+        entries = [e for row in res.rows for e in row]
+        assert all(type(e) is int for e in entries), name
+        assert res[res.nrows - 1, res.ncols - 1] == entries[-1] and type(res[0, 0]) is int
+
+
+@pytest.mark.parametrize("field", HELD_FIELDS, ids=repr)
+def test_from_rows_rejects_entries_outside_the_field(field):
+    q = field.order
+    for bad in [-1, q, 2**70] + [256] * (q <= 256):
+        with pytest.raises(EntryOutOfRange, match=f"^entry {bad} is not an element of GF\\({q}\\)$"):
+            LinearCode.from_rows(field, 3, [[1, 0, 1], [0, bad, 1]])
+    for bad, shown in ((2.5, "2.5"), (2.0, "2.0"), ("1", "'1'"), (None, "None")):
+        with pytest.raises(EntryOutOfRange, match=f"^entry {shown} is not an element of GF\\({q}\\)$"):
+            LinearCode.from_rows(field, 2, [[1, bad]])
+    with pytest.raises(EntryOutOfRange, match=f"^entry {q} is not"):
+        LinearCode.from_rows(field, 2, np.array([[1, q]]))
+    with pytest.raises(EntryOutOfRange, match="^entry 1.5 is not"):
+        LinearCode.from_rows(field, 2, np.array([[1.5, 1]]))
+
+
+@pytest.mark.parametrize("field", HELD_FIELDS, ids=repr)
+def test_from_rows_takes_bools_numpy_integers_and_arrays(field):
+    rows = [[1, 0, field.order - 1], [0, 1, 1]]
+    want = LinearCode.from_rows(field, 3, rows)
+    same = [[True, False, np.int64(field.order - 1)], [np.uint16(0), np.int8(1), True]]
+    for other in (same, np.array(rows), np.array(rows, np.uint16), (tuple(r) for r in rows)):
+        c = LinearCode.from_rows(field, 3, other)
+        assert c == want and c.generator.rows == want.generator.rows
+        assert all(type(e) is int for row in c.generator.rows for e in row)
+    assert LinearCode.from_rows(field, 3, np.zeros((0, 3), np.int64)) == LinearCode.zero(field, 3)
