@@ -9,7 +9,8 @@ k - rank(G G^T)); the test suite cross-checks it against an explicit
 row-space intersection.  Each code computes its hull dimension on first use
 and keeps it, so repeated duality predicates share one elimination.
 Distance search is exact whenever q**k fits the budget and otherwise raises
-BudgetExceeded with the best bound found.
+BudgetExceeded with the best bound found; the searches hand the `wordenum`
+kernels entry arrays (`MatrixGF._array()`), the windows below included.
 
 Past any budget the minimum distance is certified by windows (Brouwer and
 Zimmermann; Grassl, "Searching for linear codes with large minimum
@@ -28,6 +29,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, LengthMismatch, MethodUnavailable, ZeroCode
 from .linalg import MatrixGF
+from .planes import pack_planes
 from .wordenum import (
     all_codewords,
     check_budget,
@@ -36,7 +38,6 @@ from .wordenum import (
     low_weight_min_char2,
     min_weight_char2,
     min_weight_generic,
-    pack_row_planes,
     packable_char2,
 )
 
@@ -122,36 +123,38 @@ class LinearCode:
         """
         if self.k == 0:
             raise ZeroCode("the zero code has no nonzero codeword")
-        rows = self.generator.rows
+        rows = self.generator._array()
         if packable_char2(self.field, self.n):
             return min_weight_char2(self.field, rows, self.n, budget)
         return min_weight_generic(self.field, rows, self.n, budget)
 
     def windows(self):
         """((positions, rows), ...): generators systematic on disjoint
-        information sets, computed on the first call.
+        information sets as read-only entry arrays, found on the first call.
 
         The rref generator (its pivot columns) comes first; each further
         window reduces the generator with pivots searched among the unused
         columns first, kept while those columns still have rank k.
         """
         if self._windows is None:
-            gen = self.generator
-            wins = [(_pivots(gen.rows), gen.rows)]
+            gen = self.generator._array()
+            pivots = (gen != 0).argmax(axis=1).tolist() if self.k else []  # rref: first nonzeros
+            wins = [(tuple(pivots), gen)]
             used = set(wins[0][0])
             while self.k and self.n - len(used) >= self.k:
                 order = [j for j in range(self.n) if j not in used] + sorted(used)
-                rows, pivots = gen._echelon(order)
+                rows, pivots = self.generator._eliminate(order)
                 if pivots[-1] in used:  # rank < k on the unused columns
                     break
-                wins.append((tuple(pivots), tuple(map(tuple, rows))))
+                rows.flags.writeable = False
+                wins.append((tuple(pivots), rows))
                 used.update(pivots)
             object.__setattr__(self, "_windows", tuple(wins))
         return self._windows
 
     def listing_windows(self, weight: int):
         """(generators, depth) to list every codeword of weight <= `weight`:
-        the windows' row lists through message weight weight // r, or the
+        the windows' entry arrays through message weight weight // r, or the
         rref generator's alone through depth k (the whole code) where that is
         no dearer (`listing_cost`).  Windows cost an elimination each, so they
         are found only when some window count could make them cheaper."""
@@ -161,16 +164,19 @@ class LinearCode:
             return q**k <= listing_cost(self.field, k, r, weight // r)
 
         if all(map(whole_wins, range(1, self.n // max(1, k) + 1))) or whole_wins(len(self.windows())):
-            return [self.generator.rows], k
+            return [self.generator._array()], k
         return [rows for _, rows in self.windows()], weight // len(self.windows())
 
     def lightest_row(self, weight=None) -> int:
         """Weight of the lightest rref generator row, a codeword: Hamming,
-        or `weight` (see `low_weight_scan`) of the rows' planes."""
-        rows = self.generator.rows
+        or `weight` (see `low_weight_scan`) of the rows' planes; ZeroCode
+        without rows."""
+        if self.k == 0:
+            raise ZeroCode("the zero code has no nonzero codeword")
+        rows = self.generator._array()
         if weight is None:
-            return min(self.n - row.count(0) for row in rows)
-        lo, hi = np.array([pack_row_planes(self.field, r) for r in rows], dtype=np.uint64).T
+            return int(np.count_nonzero(rows, axis=1).min())
+        lo, hi = pack_planes(rows).T
         return int(weight(lo, hi).min())
 
     def low_weight_scan(self, max_message_weight: int, weight=None, min_message_weight: int = 1):
@@ -190,7 +196,7 @@ class LinearCode:
             raise MethodUnavailable(f"a weight of packed planes needs GF(2)/GF(4) and n <= 64, "
                                     f"not GF({f.order}) and n = {n}")
         if max_message_weight >= self.k:
-            gens = [self.generator.rows]
+            gens = [self.generator._array()]
         else:
             gens = [rows for _, rows in self.windows()]
         best, witness = None, None
@@ -287,17 +293,8 @@ class LinearCode:
         """Row-space intersection via duals: (C1 + C2)^perp = C1^perp meet C2^perp."""
         if self.field is not other.field or self.n != other.n:
             raise LengthMismatch("codes live in different spaces")
-        du = LinearCode.from_rows(
-            self.field,
-            self.n,
-            list(self.dual().generator.rows) + list(other.dual().generator.rows),
-        )
-        return du.dual()
-
-
-def _pivots(rows) -> tuple:
-    """Leading columns of rref rows."""
-    return tuple(next(j for j, v in enumerate(row) if v) for row in rows)
+        duals = [c.dual().generator._array() for c in (self, other)]
+        return LinearCode.from_rows(self.field, self.n, np.concatenate(duals)).dual()
 
 
 def _rotation_closed(code: LinearCode, step: int) -> bool:

@@ -172,7 +172,7 @@ def minimal_polynomial(field: FieldSpec, n: int, i: int) -> Polynomial:
     kernel = MatrixGF._from_array(field, rows.T).kernel_basis()
     if kernel.nrows != 1:
         raise AssertionError("powers of the root have no single relation; tower arithmetic is broken")
-    coeffs = kernel.rows[0]
+    coeffs = kernel._array()[0].tolist()
     top = field.inv(coeffs[-1])
     return Polynomial(field, [field.mul(top, c) for c in coeffs])
 

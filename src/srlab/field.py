@@ -478,7 +478,7 @@ def dual_basis(basis: Basis) -> Basis:
     els = basis.elements
     gram = MatrixGF(sub, [[trace_to(f, f.mul(a, b), sub) for b in els] for a in els], m)
     ginv = gram.invert()
-    return Basis(f, [basis.combine([ginv.rows[k][j] for k in range(m)]) for j in range(m)], sub)
+    return Basis(f, [basis.combine([ginv[k, j] for k in range(m)]) for j in range(m)], sub)
 
 
 def self_dual_basis(field: FieldSpec, sub: Optional[FieldSpec] = None, budget: int = 500_000) -> Optional[Basis]:

@@ -1,10 +1,11 @@
 """Dense matrices over a finite field.
 
 Entries are canonical integers of the owning field (srlab.field encoding).
-A matrix holds them as one read-only array (`_tables`); `rows`, a tuple of
-int tuples, is built from it on first use.  Every elimination, product,
-kernel and inverse returns a matrix that holds its result array, so a chain
-of them never converts entries to Python ints and back.  Elimination uses
+A matrix holds them as one read-only array (`_array()`, see `_tables`), the
+one format srlab reads; `rows`, int tuples for callers outside srlab, is
+built from it on first use.  Every elimination, product, kernel and inverse
+returns a matrix that holds its result array, so a chain of them never
+converts entries to Python ints and back.  Elimination uses
 deterministic pivoting (first nonzero entry scanning columns left to right,
 rows top to bottom), so the reduced row-echelon form is identical across
 runs and platforms.  Canonical code equality is defined through that rref.
@@ -182,9 +183,8 @@ def _tables(field):
 class MatrixGF:
     """Immutable matrix; `field` supplies integer arithmetic.
 
-    The entries are one read-only array (`_tables`), built from the rows on
-    first use; a result of elimination or arithmetic holds its array from
-    the start and builds `rows` from it on first use.
+    The entries are one read-only array (`_tables`), built when the matrix
+    is made; `rows` is built from it on first use.
     """
 
     __slots__ = ("field", "nrows", "ncols", "_rows", "_entries")
@@ -197,26 +197,24 @@ class MatrixGF:
                 raise DimensionMismatch("ragged rows")
         elif ncols is None:
             raise DimensionMismatch("empty matrix needs an explicit column count")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_entries", None)
+        self._hold(field, _tables(field).array(rows, ncols), rows)
 
     @classmethod
     def _from_array(cls, field, a) -> "MatrixGF":
         """The matrix of the 2-D array `a` of field elements, which it keeps
         (converted only if it is not of `_tables(field)`'s dtype) and makes
         read-only; its entries are not checked."""
-        a = a.astype(_tables(field).dtype, copy=False)
-        a.flags.writeable = False
         m = object.__new__(cls)
-        object.__setattr__(m, "field", field)
-        object.__setattr__(m, "nrows", a.shape[0])
-        object.__setattr__(m, "ncols", a.shape[1])
-        object.__setattr__(m, "_rows", None)
-        object.__setattr__(m, "_entries", a)
+        m._hold(field, a.astype(_tables(field).dtype, copy=False), None)
         return m
+
+    def _hold(self, field, a, rows) -> None:
+        """Set the slots: the entry array `a`, made read-only, and `rows`
+        (None until first use)."""
+        a.flags.writeable = False
+        for name, value in (("field", field), ("nrows", a.shape[0]), ("ncols", a.shape[1]),
+                            ("_rows", rows), ("_entries", a)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _checked(cls, field, rows, ncols) -> "MatrixGF":
@@ -280,7 +278,7 @@ class MatrixGF:
 
     def __hash__(self):
         a = self._array()
-        return hash((id(self.field), self.shape, self.rows if a.dtype == object else a.tobytes()))
+        return hash((id(self.field), self.shape, tuple(a.flat) if a.dtype == object else a.tobytes()))
 
     def __getitem__(self, rc):
         return int(self._array()[rc])
@@ -289,12 +287,7 @@ class MatrixGF:
         return not self._array().any()
 
     def _array(self):
-        """The entries as a read-only array (see `_tables`), built from the
-        rows on the first call and kept."""
-        if self._entries is None:
-            a = _tables(self.field).array(self._rows, self.ncols)
-            a.flags.writeable = False
-            object.__setattr__(self, "_entries", a)
+        """The entries as a read-only array (see `_tables`)."""
         return self._entries
 
     # -- elimination ---------------------------------------------------
@@ -332,11 +325,6 @@ class MatrixGF:
             pivots.append(c)
             r += 1
         return a[:r], pivots
-
-    def _echelon(self, order=None):
-        """`_eliminate` with the reduced rows as lists of ints."""
-        a, pivots = self._eliminate(order)
-        return a.tolist(), pivots
 
     def rref(self) -> "MatrixGF":
         """Reduced row-echelon form with zero rows dropped."""

@@ -20,12 +20,17 @@ prepared once.
 The canonical integer of an extension of GF(2) is its lo plane over GF(2);
 that of an extension of GF(4) holds its lo plane in the even bits and its hi
 plane in the odd bits (`int_planes`, `planes_int`).
+A generator's entry array packs into uint64 planes (`pack_planes`); a
+polynomial's planes, of any degree, are Python ints (`pack_row_planes`).
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = [
     "on_planes",
+    "pack_planes",
     "pack_row_planes",
     "unpack_planes",
     "multiples",
@@ -46,6 +51,17 @@ _VALUE = bytes.maketrans(b"0123", bytes(range(4)))
 def on_planes(field) -> bool:
     """Whether `field` is GF(2) or GF(4), whose entries planes hold."""
     return field.order in (2, 4)
+
+
+def pack_planes(array) -> np.ndarray:
+    """The (k, 2) uint64 lo/hi planes of the rows of a (k, n <= 64) array of
+    GF(2)/GF(4) entries, as `pack_row_planes` gives them: one `np.packbits`
+    of the rows' bits, padded to 64 and read as little-endian words."""
+    k, n = array.shape
+    bits = np.zeros((k, 2, 64), np.uint8)
+    bits[:, 0, :n] = array & 1
+    bits[:, 1, :n] = array >> 1
+    return np.packbits(bits, axis=2, bitorder="little").view("<u8")[:, :, 0]
 
 
 def pack_row_planes(field, row):

@@ -120,7 +120,7 @@ class BlockProfile:
         for a, b in zip(self.matrices(u), self.matrices(v)):
             prod = a.mat_mul(b.transpose())
             for i in range(prod.nrows):
-                acc = f.add(acc, prod.rows[i][i])
+                acc = f.add(acc, prod[i, i])
         return acc
 
     def cyclic_shift(self, word: Sequence[int]) -> Tuple[int, ...]:
@@ -235,8 +235,8 @@ class SumRankCode:
             raise ZeroCode("the zero code has no nonzero codeword")
         sym = self.symbols
         if sym is not None and sym.field.order == 4 and self.field.order == 2 and sym.ncols <= 64:
-            return sr_min_weight_packed(sym.field, sym.rows, self.profile.blocks, budget)
-        rows = self.generator.rows
+            return sr_min_weight_packed(sym.field, sym._array(), self.profile.blocks, budget)
+        rows = self.generator._array()
         if packable_sum_rank(self.field, self.profile.blocks):
             return sr_min_weight_packed(self.field, rows, self.profile.blocks, budget)
         return sr_min_weight_generic(self.field, rows, self.profile.weights, budget)

@@ -469,7 +469,7 @@ def _table_8_row(ctx: _Ctx, sc: _RowScratch, row: dict) -> str:
     sc.check(M.is_lcd() == c.is_lcd(), "LCD transfer")
     fb = expansion_distance_bounds(h.lo, M.profile)
     dsr = _expansion_distance(ctx, sc, c, M, fb, row["dsr"], h)
-    sym = symbol_sum_rank_weight(c.generator.rows[0], ctx.f4, M.profile)
+    sym = symbol_sum_rank_weight(c.generator._array()[0], ctx.f4, M.profile)
     sc.check(sym >= dsr.lo, "symbol-route weight of a codeword below the minimum")
     return _expected(row)
 

@@ -1,4 +1,6 @@
-"""Bulk codeword enumeration kernels, built from two pieces:
+"""Bulk codeword enumeration kernels, built from two pieces, each taking a
+generator as a 2-D array of entries (`MatrixGF._array()`: uint8 over fields
+of at most 256 elements, Python ints in object arrays above that):
 
 - `_walk_min`, the exhaustive min-reduce over `codeword_chunks`: 2-D
   arrays of codewords, each a suffix table of every codeword of the last
@@ -8,16 +10,14 @@
   It walks one word per line (the message whose first nonzero digit is 1),
   so a weight must be invariant under a nonzero scalar, as every one the
   kernels score is.  Where the code packs (GF(2)/GF(4), length <= 64) a
-  codeword is its uint64 bitplanes, added by XOR: a popcount makes the walk
-  the Hamming search, and two-row blocks bit-sliced with shifts and masks
-  (other blocks read from rank tables built once per shape) the GF(2)
-  sum-rank search, which also walks a GF(4) code's own lines for its
-  expansion over GF(2).  The packed chunks after the first share one buffer,
-  and the weight kernels write into temporaries made once per walk, so a
-  packed walk allocates once.
-  Elsewhere it is an array of entries (uint8 over fields of at most 256
-  elements, Python ints in object arrays above that) added through
-  `linalg._tables`;
+  codeword is its uint64 bitplanes (`planes.pack_planes` of the rows),
+  added by XOR: a popcount makes the walk the Hamming search, and two-row
+  blocks bit-sliced with shifts and masks (other blocks read from rank
+  tables built once per shape) the GF(2) sum-rank search, which also walks
+  a GF(4) code's own lines for its expansion over GF(2).  The packed chunks
+  after the first share one buffer, and the weight kernels write into
+  temporaries made once per walk, so a packed walk allocates once.
+  Elsewhere it is an array of entries added through `linalg._tables`;
 - `low_weight_blocks`, the low-weight lister: the messages of each weight
   in batches of position sets, one word per line (scalar 1 at the first
   position), each word the sum of two words over half-size sets built once
@@ -51,12 +51,11 @@ import numpy as np
 
 from .errors import BudgetExceeded, NegativeBudget, ProfileMismatch, ZeroCode
 from .linalg import _tables
-from .planes import multiples, on_planes, pack_row_planes, unpack_planes
+from .planes import multiples, on_planes, pack_planes, unpack_planes
 
 __all__ = [
     "packable_char2",
     "packable_sum_rank",
-    "pack_row_planes",
     "check_budget",
     "all_codewords",
     "codeword_chunks",
@@ -179,12 +178,12 @@ def all_codewords(field, rows, n: int):
 
 def codeword_chunks(field, rows, n: int, count=None, packed=False):
     """Each line's representative, the message whose first nonzero digit is
-    1, among the first `count` messages (all by default) in the order of
-    `all_codewords`, as 2-D arrays of at most _PIECE rows and _SUFFIX_CAP
-    entries; the zero word is none.  A row holds a codeword's entries
-    (`linalg._tables`: uint8, or object past 256 elements) or, `packed`
-    (GF(2)/GF(4), n <= 64), its uint64 bitplanes: lo over GF(2), lo and hi
-    over GF(4) (`pack_row_planes`).
+    1, among the first `count` messages (all by default) of the (k, n)
+    entry array `rows` in the order of `all_codewords`, as 2-D arrays of at
+    most _PIECE rows and _SUFFIX_CAP entries; the zero word is none.  A row
+    holds a codeword's entries (`linalg._tables`: uint8, or object past 256
+    elements) or, `packed` (GF(2)/GF(4), n <= 64), its uint64 bitplanes: lo
+    over GF(2), lo and hi over GF(4) (`pack_planes`).
 
     The codewords of the last j rows are tabulated once, as large as those
     bounds and `count` allow; each chunk is that table plus one codeword of
@@ -207,7 +206,7 @@ def codeword_chunks(field, rows, n: int, count=None, packed=False):
     q, k = field.order, len(rows)
     if packed:
         width, add = (1 if q == 2 else 2), np.bitwise_xor
-        rows = [pack_row_planes(field, row) for row in rows]
+        rows = pack_planes(rows).tolist()  # Python ints: the digit stack scales them
         zero = np.zeros(width, dtype=np.uint64)
 
         def multiple(d, planes):  # d * row; its q multiples for d = slice(None)
@@ -218,7 +217,7 @@ def codeword_chunks(field, rows, n: int, count=None, packed=False):
         width, add, zero = n, t.plus, t.zeros(n)
 
         def multiple(d, row):  # d * row; its q multiples for d = slice(None)
-            return t.times(scalars[d], t.array([row], n)[0])
+            return t.times(scalars[d], row)
     left = q**k if count is None else min(count, q**k)
     j = 0
     while j < k and q ** (j + 1) <= min(_PIECE, left) and q ** (j + 1) * width <= _SUFFIX_CAP:
@@ -389,9 +388,8 @@ def low_weight_blocks(field, rows, n: int, max_msg_weight: int, min_msg_weight: 
     k = len(rows)
     top = min(max_msg_weight, k)
     packed = packable_char2(field, n)
-    if packed:
-        mults = np.array([multiples(*pack_row_planes(field, r))[1:q] for r in rows],
-                         dtype=np.uint64).reshape(k, q - 1, 2)
+    if packed:  # (k, q - 1, 2): each row's planes times each nonzero scalar
+        mults = np.array(multiples(*pack_planes(rows).T)[1:q], dtype=np.uint64).transpose(2, 0, 1)
         zero = np.zeros((1, 1), dtype=np.uint64)
         add, cap = np.bitwise_xor, _PIECE  # words per batch
         planes = (zero, zero), (mults[:, :, 0], mults[:, :, 1])
@@ -399,7 +397,7 @@ def low_weight_blocks(field, rows, n: int, max_msg_weight: int, min_msg_weight: 
         t = _tables(field)
         scalars = t.array([[d] for d in range(1, q)], 1)
         add, cap = t.plus, min(_PIECE, _SUFFIX_CAP // max(n, 1))
-        planes = (t.zeros((1, 1, n)),), (t.times(scalars[None], t.array(rows, n)[:, None]),)
+        planes = (t.zeros((1, 1, n)),), (t.times(scalars[None], rows[:, None]),)
     levels = [(np.zeros((1, 0), dtype=np.intp), planes[0]), (np.arange(k)[:, None], planes[1])]
     while len(levels) <= (top + 1) // 2:  # sets of every half size, in one batch each
         levels.append(next(_join(levels[-1], levels[1], len(levels[-1][0]) * k, add)))
@@ -459,8 +457,8 @@ def listing_cost(field, k: int, windows: int, depth: int) -> int:
 
 def support_masks(field, windows, n: int, depth: int, max_weight: int) -> np.ndarray:
     """Distinct supports of weight 1..max_weight of the codewords of the
-    messages of weight <= depth under each generator of `windows` (row
-    lists), as uint64 masks sorted by weight, then value.
+    messages of weight <= depth under each generator of `windows` (entry
+    arrays), as uint64 masks sorted by weight, then value.
 
     With generators systematic on r disjoint information sets, these are
     all supports of weight <= min(max_weight, r (depth + 1) - 1).  A depth
@@ -637,8 +635,7 @@ def sr_min_weight_generic(field, rows, rank_fn, budget: int) -> int:
     entry arrays: rank_fn maps a 2-D chunk of flat codewords to their
     sum-rank weights (`BlockProfile.weights`).
 
-    Raises ZeroCode without rows: their length, and so the largest weight,
-    is unknown."""
-    if not rows:
+    Raises ZeroCode without rows: rank_fn gives no largest weight."""
+    if not len(rows):
         raise ZeroCode("the zero code has no nonzero codeword")
-    return _walk_min(field, rows, len(rows[0]), budget, rank_fn)
+    return _walk_min(field, rows, rows.shape[1], budget, rank_fn)

@@ -14,7 +14,9 @@ from srlab.linalg import MatrixGF
 from srlab.sumrank import BlockProfile
 from srlab.tables import load_manifest
 from srlab import code, construct, wordenum
+from srlab.planes import pack_row_planes
 from srlab.wordenum import low_weight_blocks, low_weight_min_char2, packable_char2, support_masks
+from entries import entries
 from subspaces import all_rref_generators
 
 F2 = prime_field(2)
@@ -62,6 +64,12 @@ def test_min_distance_examples():
     assert c.min_distance() == 2
     with pytest.raises(ZeroCode):
         LinearCode.zero(F4, 3).min_distance()
+    # the lightest row of no rows: ZeroCode, not an empty min()'s ValueError
+    for field in (F4, extension(F3, 2)):
+        with pytest.raises(ZeroCode):
+            LinearCode.zero(field, 5).lightest_row()
+    with pytest.raises(ZeroCode):
+        LinearCode.zero(F4, 4).lightest_row(construct._pair_ranks(4))
 
 
 def test_min_distance_matches_bruteforce():
@@ -129,7 +137,7 @@ def test_packed_chunks_after_the_table_share_one_buffer(monkeypatch, piece, cap)
     rnd = random.Random(46)
     for field, k in ((F2, 3), (F2, 18), (F4, 2), (F4, 10)):
         q = field.order
-        rows = [[rnd.randrange(q) for _ in range(9)] for _ in range(k)]
+        rows = entries(field, [[rnd.randrange(q) for _ in range(9)] for _ in range(k)], 9)
         chunks = wordenum.codeword_chunks(field, rows, 9, packed=True)
         first = next(chunks)
         rest = list(chunks)  # every array kept alive, though only the last is valid
@@ -171,8 +179,9 @@ def test_array_walker_matches_a_per_word_walk(monkeypatch, piece, cap):
                 q, total = field.order, field.order**k
                 most = 10_000 // n  # words the reference may score
                 rows = [[rnd.randrange(q) for _ in range(n)] for _ in range(k)]
+                gen = entries(field, rows, n)
                 # the messages the first chunk's lines cover
-                chunk = (q - 1) * len(next(wordenum.codeword_chunks(field, rows, n, most), ())) + 1
+                chunk = (q - 1) * len(next(wordenum.codeword_chunks(field, gen, n, most), ())) + 1
                 budgets = {0, 1, chunk // 2 + 1, chunk + chunk // 2 + 1}
                 if total + 1 <= most:
                     budgets |= {total - 1, total, total + 1}
@@ -183,11 +192,11 @@ def test_array_walker_matches_a_per_word_walk(monkeypatch, piece, cap):
                 first_half = (n + 1) // 2
                 half = [first_half - w[:first_half].count(0) for w in words]
                 for budget in budgets:
-                    got = _outcome(lambda: wordenum.min_weight_generic(field, rows, n, budget))
+                    got = _outcome(lambda: wordenum.min_weight_generic(field, gen, n, budget))
                     assert got == _reference_outcome(hamming, total, budget, n + 1), \
                         (q, k, n, budget)
                     got = _outcome(lambda: wordenum._walk_min(
-                        field, rows, n, budget, lambda c: np.count_nonzero(c[:, :first_half], axis=1)))
+                        field, gen, n, budget, lambda c: np.count_nonzero(c[:, :first_half], axis=1)))
                     assert got == _reference_outcome(half, total, budget, None), \
                         (q, k, n, budget)
                     cases += 1
@@ -214,27 +223,28 @@ def test_chunks_of_lines_are_the_representatives(monkeypatch, piece, cap):
                 continue
             n = rnd.choice([1, 3, 9])
             rows = [[rnd.randrange(q) for _ in range(n)] for _ in range(k)]
+            gen = entries(field, rows, n)
             words = list(wordenum.all_codewords(field, rows, n))
             messages = list(itertools.product(range(q), repeat=k))
             # the messages the first chunk's lines cover
-            first = (q - 1) * len(next(wordenum.codeword_chunks(field, rows, n), ())) + 1
+            first = (q - 1) * len(next(wordenum.codeword_chunks(field, gen, n), ())) + 1
             for count in sorted({None, 0, 1, 2, q, first // 2 + 1, first, first + 1,
                                  first + first // 2 + 1, total - 1, total, total + 1} - {-1},
                                 key=lambda c: -1 if c is None else c):
                 cut = total if count is None else min(count, total)
                 want = [w for m, w in zip(messages[:cut], words) if _leads_with_one(m)]
                 got = []
-                for c in wordenum.codeword_chunks(field, rows, n, count):
+                for c in wordenum.codeword_chunks(field, gen, n, count):
                     assert 0 < len(c) <= (piece or wordenum._PIECE)
                     got += [list(map(int, w)) for w in c]
                 assert got == want, (q, k, count)
                 if q in (2, 4):
                     planes = 1 if q == 2 else 2
                     got = []
-                    for c in wordenum.codeword_chunks(field, rows, n, count, packed=True):
+                    for c in wordenum.codeword_chunks(field, gen, n, count, packed=True):
                         assert c.shape[1] == planes and 0 < len(c) <= (piece or wordenum._PIECE)
                         got += c.tolist()
-                    assert got == [list(wordenum.pack_row_planes(field, w))[:planes] for w in want], \
+                    assert got == [list(pack_row_planes(field, w))[:planes] for w in want], \
                         (q, k, count)
                 cases += 1
     assert cases > 200
@@ -255,19 +265,19 @@ def test_walks_of_lines_cut_like_the_message_walk(monkeypatch, piece, cap):
             rows = [[rnd.randrange(4) for _ in range(13)] for _ in range(k)]
             words = list(wordenum.all_codewords(F4, rows, 13))
             kernels.append((F4, [13 - w.count(0) for w in words], 14,
-                            lambda b, rows=rows: wordenum.min_weight_char2(F4, rows, 13, b)))
+                            lambda b, gen=entries(F4, rows, 13): wordenum.min_weight_char2(F4, gen, 13, b)))
             if 3**k <= 729:
                 rows = [[rnd.randrange(3) for _ in range(profile.total)] for _ in range(k)]
                 words = list(wordenum.all_codewords(f3, rows, profile.total))
                 kernels.append((f3, profile.weights(words).tolist(), None,
-                                lambda b, rows=rows: wordenum.sr_min_weight_generic(
-                                    f3, rows, profile.weights, b)))
+                                lambda b, gen=entries(f3, rows, profile.total): wordenum.sr_min_weight_generic(
+                                    f3, gen, profile.weights, b)))
             for field, weights, empty, search in kernels:
                 total = field.order**k
                 if not k:
                     continue  # no rows: the sum-rank kernel raises ZeroCode
                 # the messages the first chunk's lines cover
-                first = next(wordenum.codeword_chunks(field, [[0]] * k, 1))
+                first = next(wordenum.codeword_chunks(field, entries(field, [[0]] * k, 1), 1))
                 chunk = (field.order - 1) * len(first) + 1
                 for budget in sorted({0, 1, 2, chunk - 1, chunk, chunk + 1, chunk + chunk // 2 + 1,
                                       total - 1, total, total + 1} - {-1}):
@@ -291,7 +301,7 @@ def test_every_exhaustive_kernel_scores_one_word_per_line(monkeypatch):
     f3 = prime_field(3)
     for field, k in ((F2, 9), (F3, 6), (F4, 6)):
         q, n = field.order, 12
-        rows = [[rnd.randrange(q) for _ in range(n)] for _ in range(k)]
+        rows = entries(field, [[rnd.randrange(q) for _ in range(n)] for _ in range(k)], n)
         profile = BlockProfile(field, [(2, 3), (2, 3)])
         searches = [lambda: wordenum.min_weight_generic(field, rows, n, 2**20),
                     lambda: wordenum.sr_min_weight_generic(field, rows, profile.weights, 2**20)]
@@ -334,15 +344,18 @@ def test_low_weight_scan_complete():
 
 def _assert_windows(c):
     """Each window is an information set, disjoint from the others, and its
-    generator spans the code and is the identity on it."""
+    generator, a read-only entry array, spans the code and is the identity
+    on it."""
     seen = set()
     for positions, rows in c.windows():
+        with pytest.raises(ValueError):
+            rows[...] = 0
         assert len(positions) == c.k and not seen & set(positions)
         seen |= set(positions)
         assert LinearCode.from_rows(c.field, c.n, rows) == c
-        for i, row in enumerate(rows):
+        for i, row in enumerate(rows.tolist()):
             assert [row[p] for p in positions] == [int(i == j) for j in range(c.k)]
-    assert c.windows()[0][1] == c.generator.rows
+    assert c.windows()[0][1] is c.generator._array()
 
 
 def test_windows_are_disjoint_information_sets():
@@ -433,7 +446,7 @@ def test_each_certificate_step_lists_one_new_message_weight(monkeypatch):
     listed = []
 
     def recorded(field, rows, n, max_msg_weight, weight=None, min_msg_weight=1):
-        window = tuple(map(tuple, rows))
+        window = tuple(map(tuple, rows.tolist()))
         listed.extend((window, w) for w in range(min_msg_weight, min(max_msg_weight, len(rows)) + 1))
         return wordenum.low_weight_min_char2(field, rows, n, max_msg_weight, weight, min_msg_weight)
 
@@ -480,7 +493,7 @@ def test_support_masks_match_the_codeword_supports(monkeypatch):
         top = rnd.randint(1, n)
         want = sorted((m for m in supports if bin(m).count("1") <= top),
                       key=lambda m: (bin(m).count("1"), m))
-        assert support_masks(field, [c.generator.rows], n, c.k, top).tolist() == want
+        assert support_masks(field, [c.generator._array()], n, c.k, top).tolist() == want
         # through message weight 1 under r windows: every support of weight
         # <= 2 r - 1, and only supports of codewords
         gens = [rows for _, rows in c.windows()]
@@ -698,12 +711,12 @@ def test_low_weight_lister_matches_plain_loop(monkeypatch):
         monkeypatch.setattr(wordenum, "_PIECE", piece)
         c = LinearCode.from_rows(field, n, [[rnd.randrange(field.order) for _ in range(n)]
                                             for _ in range(k)])
-        blocks = _flat_blocks(field, c.generator.rows, n, depth)
+        blocks = _flat_blocks(field, c.generator._array(), n, depth)
         sets = [s for w in range(1, depth + 1) for s in itertools.combinations(range(c.k), w)]
         assert [positions for positions, _ in blocks] == sets
         # from a lowest message weight: the same batches of the heavier sets
         for lowest in range(2, depth + 2):
-            tail = _flat_blocks(field, c.generator.rows, n, depth, lowest)
+            tail = _flat_blocks(field, c.generator._array(), n, depth, lowest)
             heavy = [(p, b) for p, b in blocks if len(p) >= lowest]
             assert [p for p, _ in tail] == [p for p, _ in heavy]
             assert all(np.array_equal(np.asarray(a, dtype=object), np.asarray(b, dtype=object))
@@ -755,10 +768,10 @@ def test_low_weight_min_matches_plain_loop(monkeypatch):
             continue
         depth = rnd.randint(1, 4)
         want = _plain_low_weight_min(c, depth)
-        assert low_weight_min_char2(field, c.generator.rows, n, depth) == want
+        assert low_weight_min_char2(field, c.generator._array(), n, depth) == want
         for lowest in range(2, depth + 2):
             want = _plain_low_weight_min(c, depth, lowest)
-            got = low_weight_min_char2(field, c.generator.rows, n, depth, min_msg_weight=lowest)
+            got = low_weight_min_char2(field, c.generator._array(), n, depth, min_msg_weight=lowest)
             assert got == want, lowest
 
 
@@ -792,7 +805,7 @@ def test_gf2_lister_batches_are_unchanged(monkeypatch):
     for cap, (n, k, depth) in itertools.product((piece, 8), ((20, 9, 4), (64, 12, 5), (70, 8, 3))):
         monkeypatch.setattr(wordenum, "_PIECE", cap)
         c = LinearCode.from_rows(F2, n, [[rnd.randrange(2) for _ in range(n)] for _ in range(k)])
-        for sets, words in low_weight_blocks(F2, c.generator.rows, n, depth):
+        for sets, words in low_weight_blocks(F2, c.generator._array(), n, depth):
             h.update(repr(sets.tolist()).encode())
             for w in (words if isinstance(words, tuple) else (words,)):
                 h.update(repr((w.shape, w.tolist())).encode())
@@ -841,7 +854,7 @@ def test_every_light_gf4_codeword_has_a_multiple_in_the_listing(monkeypatch):
         for word in c.codewords():
             if 0 < sum(1 for v in word if v) <= top:
                 multiples = [[F4.mul(s, v) for v in word] for s in (1, 2, 3)]
-                keys = ([wordenum.pack_row_planes(F4, m) for m in multiples]
+                keys = ([pack_row_planes(F4, m) for m in multiples]
                         if packable_char2(F4, n) else [tuple(m) for m in multiples])
                 assert any(key in listed for key in keys), (trial, word)
 
@@ -849,7 +862,7 @@ def test_every_light_gf4_codeword_has_a_multiple_in_the_listing(monkeypatch):
 def test_negative_budgets_are_named_errors_in_the_packed_kernels():
     # the budget is checked before a walk sizes any chunk or temporary
     rnd = random.Random(83)
-    rows = [[rnd.randrange(2) for _ in range(24)] for _ in range(20)]
+    rows = entries(F2, [[rnd.randrange(2) for _ in range(24)] for _ in range(20)], 24)
     with pytest.raises(NegativeBudget):
         wordenum.sr_min_weight_packed(F2, rows, [(2, 2)] * 6, budget=-1)
     with pytest.raises(NegativeBudget):
@@ -866,5 +879,5 @@ def test_row_planes_equal_the_per_bit_loop():
             row = tuple(rnd.randrange(q) for _ in range(n))
             lo = sum((v & 1) << j for j, v in enumerate(row))
             hi = sum((v >> 1 & 1) << j for j, v in enumerate(row))
-            assert wordenum.pack_row_planes(F4, row) == wordenum.pack_row_planes(F4, list(row)) \
+            assert pack_row_planes(F4, row) == pack_row_planes(F4, list(row)) \
                 == (lo, hi), (q, row)

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from srlab import construct, sumrank, wordenum
+from srlab import construct, planes, sumrank, wordenum
 from srlab.code import DEFAULT_WORD_BUDGET, LinearCode
 from srlab.construct import (
     basis_expand_code,
@@ -35,6 +35,7 @@ from srlab.jsonio import sr_code_from_obj, sr_code_to_obj
 from srlab.linalg import MatrixGF
 from srlab.sumrank import BlockProfile, SumRankCode
 from srlab.tables import load_manifest
+from entries import entries
 
 F2 = prime_field(2)
 F4 = extension(F2, 2)
@@ -608,7 +609,7 @@ def test_a_budget_cut_of_an_expansion_covers_symbol_messages():
     assert sr_code_from_obj(sr_code_to_obj(M)).symbols is None
     # a block of GF(4) symbols has two rows
     with pytest.raises(ProfileMismatch):
-        wordenum.sr_min_weight_packed(F4, M.symbols.rows, [(1, 11)], 10)
+        wordenum.sr_min_weight_packed(F4, M.symbols._array(), [(1, 11)], 10)
 
 
 def test_qpoly_code_of_cyclic_codes_is_cyclic():
@@ -672,7 +673,7 @@ def test_pair_ranks_are_the_symbol_kernel_on_22_blocks():
         weight = construct._pair_ranks(n)
         for shape in ((7,), (3, 5)):
             words = [[rnd.randrange(4) for _ in range(n)] for _ in range(int(np.prod(shape)))]
-            lo, hi = np.array([wordenum.pack_row_planes(F4, w) for w in words], np.uint64).T
+            lo, hi = planes.pack_planes(entries(F4, words, n)).T
             got = weight(lo.reshape(shape), hi.reshape(shape))
             assert got.shape == shape
             assert got.ravel().tolist() == [symbol_sum_rank_weight(w, F4, profile) for w in words], n

@@ -73,7 +73,8 @@ def _kernel_then_rref(m):
     """Reference kernel: free-column vectors read off the left-to-right
     rref, put in rref by a second elimination."""
     f = m.field
-    rows, pivots = m._echelon()
+    a, pivots = m._eliminate()
+    rows = a.tolist()
     basis = []
     for fc in (c for c in range(m.ncols) if c not in pivots):
         v = [0] * m.ncols
@@ -136,7 +137,8 @@ def test_echelon_in_a_column_order_is_the_moved_rref():
             m = _random_matrix(rnd, field, rnd.randint(1, 4), rnd.randint(1, 7))
             order = list(range(m.ncols))
             rnd.shuffle(order)
-            rows, pivots = m._echelon(order)
+            a, pivots = m._eliminate(order)
+            rows = a.tolist()
             moved = MatrixGF(field, [[r[j] for j in order] for r in m.rows], m.ncols).rref()
             assert [[r[j] for j in order] for r in rows] == [list(r) for r in moved.rows]
             assert [order.index(p) for p in pivots] == [
@@ -186,7 +188,7 @@ def test_empty_matrix():
 
 def _reference_echelon(m, order=None):
     """Gauss-Jordan elimination one entry at a time through the field's
-    own add/mul/inv, in the pivot search order of `_echelon`."""
+    own add/mul/inv, in the pivot search order of `_eliminate`."""
     f = m.field
     rows = [list(r) for r in m.rows]
     pivots = []
@@ -230,7 +232,8 @@ def test_echelon_matches_per_entry_elimination(field):
     rnd = random.Random(29 + field.order)
     for m in _echelon_cases(rnd, field):
         for order in (None, range(m.ncols - 1, -1, -1), rnd.sample(range(m.ncols), m.ncols)):
-            assert m._echelon(order) == _reference_echelon(m, order)
+            a, pivots = m._eliminate(order)
+            assert (a.tolist(), pivots) == _reference_echelon(m, order)
         assert m.rank() == len(_reference_echelon(m)[1])
 
 
@@ -329,7 +332,7 @@ def test_results_hold_python_ints():
             square = _random_matrix(rnd, field, 3, 3)
         results = [m.rref(), m.kernel_basis(), m.mat_mul(m.transpose()), square.invert()]
         entries = [e for res in results for row in res.rows for e in row]
-        entries += m.rref().reduce_vector(m.rows[0]) + m._echelon()[0][0]
+        entries += m.rref().reduce_vector(m.rows[0]) + m._eliminate()[0].tolist()[0]
         assert entries and all(type(e) is int for e in entries)
 
 

@@ -1,6 +1,7 @@
 """GF(2)/GF(4) arithmetic on bitplanes (srlab.planes) against plain loops:
-polynomial products and divisions, extension-field products, Ben-Or's
-test by Gauss's count of irreducibles, and no numpy.ma import in a pass."""
+generator arrays packed against rows, polynomial products and divisions,
+extension-field products, Ben-Or's test by Gauss's count of irreducibles,
+and no numpy.ma import in a pass."""
 
 import itertools
 import os
@@ -8,12 +9,14 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import srlab
 from srlab import planes
 from srlab.field import extension, prime_field
 from srlab.poly import Polynomial, is_irreducible
+from entries import entries
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -39,6 +42,16 @@ def _naive_divmod(field, a, b):
         for j, y in enumerate(b):
             rem[i + j] = field.sub(rem[i + j], field.mul(c, y))
     return quo, rem
+
+
+@pytest.mark.parametrize("field", [F2, F4], ids=["GF2", "GF4"])
+def test_packed_arrays_equal_the_planes_of_each_row(field):
+    rnd = random.Random(7)
+    for n, k in itertools.product((0, 1, 7, 8, 9, 63, 64), (0, 1, 5)):
+        rows = [[rnd.randrange(field.order) for _ in range(n)] for _ in range(k)]
+        got = planes.pack_planes(entries(field, rows, n))
+        assert got.dtype == np.uint64 and got.shape == (k, 2)
+        assert got.tolist() == [list(planes.pack_row_planes(field, r)) for r in rows], (n, k)
 
 
 def _random_poly(rnd, field, length, monic=None):

@@ -13,6 +13,7 @@ from srlab.linalg import MatrixGF, _tables
 from srlab.sumrank import BlockProfile, SumRankCode
 from srlab.wordenum import (block_rank_lut, f2_matrix_rank_bits, packable_sum_rank,
                              sr_min_weight_generic, sr_min_weight_packed)
+from entries import entries
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -193,9 +194,9 @@ def test_packed_search_and_weight_share_one_table():
 
 
 def test_generic_search_of_no_rows_is_an_error():
-    # no rows: no length, so no max + 1 to return
+    # no rows: no nonzero codeword, and a weight map gives no max + 1 to return
     with pytest.raises(ZeroCode):
-        sr_min_weight_generic(F2, [], BlockProfile(F2, [(2, 2)]).weights, 10)
+        sr_min_weight_generic(F2, entries(F2, [], 4), BlockProfile(F2, [(2, 2)]).weights, 10)
 
 
 def test_trace_ip_examples_and_flatten_identity():
@@ -277,7 +278,7 @@ def test_min_distance_packed_vs_generic():
             continue
         brute = _brute_min(c)
         assert c.min_distance() == brute
-        rows = [list(r) for r in c.generator.rows]
+        rows = entries(F2, c.generator.rows, p.total)
         assert sr_min_weight_generic(F2, rows, p.weights, 2**20) == brute
 
 
@@ -317,7 +318,7 @@ def test_blocks_past_16_bits_take_the_walker():
     t0 = time.time()
     d = c.min_distance()
     assert time.time() - t0 < 1.0
-    rows = [list(r) for r in c.generator.rows]
+    rows = entries(F2, c.generator.rows, p.total)
     assert d == sr_min_weight_generic(F2, rows, p.weights, 2**20) == _brute_min(c)
 
 
@@ -372,8 +373,9 @@ def test_packed_kernel_matches_walker_and_tables(monkeypatch, cap, piece):
         if not rows:
             continue
         want = int(_table_weights(blocks, rows)[1:].min())
-        assert sr_min_weight_generic(F2, rows, p.weights, 2**20) == want
-        assert sr_min_weight_packed(F2, rows, blocks, 2**20) == want
+        gen = entries(F2, rows, p.total)
+        assert sr_min_weight_generic(F2, gen, p.weights, 2**20) == want
+        assert sr_min_weight_packed(F2, gen, blocks, 2**20) == want
 
 
 def test_packed_kernel_across_prefix_shards():
@@ -389,11 +391,12 @@ def test_packed_kernel_across_prefix_shards():
         # message order of `all_codewords`
         weights = _table_weights(blocks, rows[::-1])
         want = int(weights[1:].min())
-        assert sr_min_weight_packed(F2, rows, blocks, 2**22) == want
+        gen = entries(F2, rows, p.total)
+        assert sr_min_weight_packed(F2, gen, blocks, 2**22) == want
         # over budget: exactly the first `budget` messages, cut inside a chunk
         budget = (3 if k > 19 else 1) * 2**18 + 5
         with pytest.raises(BudgetExceeded) as exc:
-            sr_min_weight_packed(F2, rows, blocks, budget)
+            sr_min_weight_packed(F2, gen, blocks, budget)
         assert exc.value.enumerated == budget
         assert exc.value.best == int(weights[1:budget].min())
 

@@ -1,13 +1,18 @@
 import json
+import random
 import re
 
 import pytest
 
 from golden import GOLDEN_ROWS, assert_golden
 from srlab import tables
-from srlab.construct import default_expansion_profile, symbol_sum_rank_weight
+from srlab.code import LinearCode
+from srlab.construct import (basis_expand_code, default_expansion_profile, pair_distance,
+                             symbol_sum_rank_weight, uniform22_certified_distance)
 from srlab.errors import NegativeBudget, UnknownTable, UsageError
-from srlab.sumrank import BlockProfile
+from srlab.field import extension, prime_field
+from srlab.linalg import MatrixGF
+from srlab.sumrank import BlockProfile, SumRankCode
 from srlab.tables import (
     TABLE_IDS,
     load_manifest,
@@ -225,3 +230,34 @@ def test_only_two_by_two_expansions_reach_the_certificate(monkeypatch):
     assert calls == []
     run_tables([7], word_budget=10)
     assert calls == [4]
+
+
+def test_the_library_reads_entry_arrays_not_rows(monkeypatch):
+    # `MatrixGF.rows` is for callers outside srlab: with it raising, every
+    # table and every distance search still runs
+    def no_rows(matrix):
+        raise AssertionError("srlab read MatrixGF.rows")
+
+    monkeypatch.setattr(MatrixGF, "rows", property(no_rows))
+    assert_golden(run_tables(TABLE_IDS))
+    rnd = random.Random(3)
+    f2 = prime_field(2)
+    f4 = extension(f2, 2)
+    for field, k, blocks in ((f2, 5, [(2, 2), (2, 3)]), (prime_field(3), 4, [(2, 2), (1, 2)]),
+                             (f4, 4, [(2, 2), (1, 3)]), (extension(f2, 9), 2, [(1, 3), (2, 2)])):
+        n = 10
+        c, other = (LinearCode.from_rows(field, n, [[rnd.randrange(field.order) for _ in range(n)]
+                                                     for _ in range(k)]) for _ in range(2))
+        d = c.min_distance()
+        assert c.certified_distance()[0] == d
+        assert len(c.windows()) >= 1
+        assert c.intersection(other).k <= c.k
+        p = BlockProfile(field, blocks)
+        sr = SumRankCode.from_rows(p, [[rnd.randrange(field.order) for _ in range(p.total)]
+                                       for _ in range(k)])
+        assert sr.symbols is None and 1 <= sr.min_distance() <= p.max_weight
+        if field is f4:
+            assert pair_distance(c, other) >= 1
+            M = basis_expand_code(c)
+            assert M.symbols is not None
+            assert uniform22_certified_distance(c)[0] == M.min_distance()
