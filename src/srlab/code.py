@@ -69,12 +69,13 @@ class LinearCode:
     @classmethod
     def from_rows(cls, field, n: int, rows) -> "LinearCode":
         """The span of `rows`, int sequences or a 2-D integer array, each
-        entry checked (`MatrixGF._checked`)."""
-        if not isinstance(rows, np.ndarray):
+        entry checked (`MatrixGF._checked`).  A list of lists or tuples is
+        read as it is; other rows are copied into lists first."""
+        if not (isinstance(rows, np.ndarray)
+                or (type(rows) is list and set(map(type, rows)) <= {list, tuple})):
             rows = [list(r) for r in rows]
-        for r in rows:
-            if len(r) != n:
-                raise LengthMismatch(f"row length {len(r)} != {n}")
+        if set(map(len, rows)) - {n}:
+            raise LengthMismatch(f"row length {next(m for m in map(len, rows) if m != n)} != {n}")
         return cls(field, n, MatrixGF._checked(field, rows, n).rref())
 
     @classmethod

@@ -21,6 +21,7 @@ LengthTooLarge.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .code import LinearCode
 from .errors import MalformedInput, NotAnObject
@@ -87,7 +88,12 @@ def _ints(value, where: str, length=None) -> list:
 
 
 def _rows(value, where: str) -> list:
-    return [_ints(r, f"{where}[{i}]") for i, r in enumerate(_list(value, where))]
+    rows = _list(value, where)
+    # lists of ints (not bools) pass on two type sets; anything else walks
+    # entry by entry, which names the first bad one
+    if set(map(type, rows)) <= {list} and set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows
+    return [_ints(r, f"{where}[{i}]") for i, r in enumerate(rows)]
 
 
 def field_from_obj(obj: dict) -> FieldSpec:

@@ -26,8 +26,9 @@ Larger fields run the same code on object arrays of Python ints through the
 field's own `mul`/`add`/`neg`/`inv`.
 
 Entries from outside are checked on their way in (`check_entries`, and
-`MatrixGF._checked` for whole matrices): an entry must be an integer (bool
-and numpy integers count) v with 0 <= v < q.
+`_entry_array` for whole matrices, which `MatrixGF(field, rows)` and
+`MatrixGF._checked` read): an entry must be an integer (bool and numpy
+integers count) v with 0 <= v < q.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ class _Tables:
             if table is not None:
                 table.flags.writeable = False
         self.q = np.uint16(q)  # a q + b without uint8 overflow
+        self.elements = bytes(range(q))
         self.p = q if field.base is None else None
 
     def array(self, rows, ncols):
@@ -180,11 +182,42 @@ def _tables(field):
     return _Tables(field) if field.order <= _TABLE_MAX else _Objects(field)
 
 
+def _entry_array(field, rows, ncols):
+    """A new (len(rows), ncols) array (`_tables`) of `rows`, int sequences
+    of length ncols or a 2-D integer array, each entry checked as
+    `check_entries` checks it.
+
+    On a table field a row has bytes only if every entry is an integer in
+    0..255, so the rows' bytes check them, with nothing left once the
+    field's elements are deleted; an array is checked by its dtype, minimum
+    and maximum.  Anything else, and every failure, goes through
+    `check_entries`, which raises naming the entry.
+    """
+    t, q = _tables(field), field.order
+    if isinstance(rows, np.ndarray):
+        if rows.dtype.kind in "iu" and not (rows.size and (rows.min() < 0 or rows.max() >= q)):
+            return rows.reshape(len(rows), ncols).astype(t.dtype)
+        rows = rows.tolist()
+    elif t.dtype is not object:
+        try:
+            flat = b"".join(map(bytes, rows))
+        except (TypeError, ValueError):  # an entry that is no integer in 0..255
+            pass
+        else:
+            if not flat.translate(None, t.elements):
+                return np.frombuffer(bytearray(flat), np.uint8).reshape(len(rows), ncols)
+    check_entries(field, rows)
+    if t.dtype is object:  # Python ints, not bools or numpy integers
+        rows = [list(map(operator.index, r)) for r in rows]
+    return t.array(rows, ncols)
+
+
 class MatrixGF:
     """Immutable matrix; `field` supplies integer arithmetic.
 
-    The entries are one read-only array (`_tables`), built when the matrix
-    is made; `rows` is built from it on first use.
+    The entries are one read-only array (`_tables`), built and checked
+    (`_entry_array`) when the matrix is made; `rows` is built from it on
+    first use.
     """
 
     __slots__ = ("field", "nrows", "ncols", "_rows", "_entries")
@@ -197,7 +230,7 @@ class MatrixGF:
                 raise DimensionMismatch("ragged rows")
         elif ncols is None:
             raise DimensionMismatch("empty matrix needs an explicit column count")
-        self._hold(field, _tables(field).array(rows, ncols), rows)
+        self._hold(field, _entry_array(field, rows, ncols), rows)
 
     @classmethod
     def _from_array(cls, field, a) -> "MatrixGF":
@@ -219,32 +252,8 @@ class MatrixGF:
     @classmethod
     def _checked(cls, field, rows, ncols) -> "MatrixGF":
         """The matrix of `rows`, int sequences of length ncols or a 2-D
-        integer array, each entry checked as `check_entries` checks it.
-
-        On a table field a row has bytes only if every entry is an integer
-        in 0..255, so the rows' bytes and their largest entry check them;
-        an array is checked by its dtype, minimum and maximum.  Anything
-        else, and every failure, goes through `check_entries`, which raises
-        naming the entry.
-        """
-        t, q = _tables(field), field.order
-        if isinstance(rows, np.ndarray):
-            if rows.dtype.kind in "iu" and not (rows.size and (rows.min() < 0 or rows.max() >= q)):
-                return cls._from_array(field, rows.reshape(len(rows), ncols).astype(t.dtype))
-            rows = rows.tolist()
-        elif t.dtype is not object:
-            try:
-                flat = b"".join(map(bytes, rows))
-            except (TypeError, ValueError):  # an entry that is no integer in 0..255
-                pass
-            else:
-                if not flat or max(flat) < q:
-                    return cls._from_array(field, np.frombuffer(bytearray(flat), np.uint8)
-                                           .reshape(len(rows), ncols))
-        check_entries(field, rows)
-        if t.dtype is object:  # Python ints, not bools or numpy integers
-            rows = [list(map(operator.index, r)) for r in rows]
-        return cls._from_array(field, t.array(rows, ncols))
+        integer array, each entry checked (`_entry_array`)."""
+        return cls._from_array(field, _entry_array(field, rows, ncols))
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixGF is immutable")

@@ -17,12 +17,17 @@ of at most 256 elements, Python ints in object arrays above that):
   a GF(4) code's own lines for its expansion over GF(2).  The packed chunks
   after the first share one buffer, and the weight kernels write into
   temporaries made once per walk, so a packed walk allocates once.
+  Packed arrays follow one layout rule: a table is plane-major, (planes,
+  words), and a chunk is its transpose, so every broadcast runs along the
+  words, never along the one or two planes, and each plane of a chunk is
+  contiguous.
   Elsewhere it is an array of entries added through `linalg._tables`;
 - `low_weight_blocks`, the low-weight lister: the messages of each weight
   in batches of position sets, one word per line (scalar 1 at the first
   position), each word the sum of two words over half-size sets built once
   (meet in the middle), as packed planes where the code packs and as
-  arrays of entries (as the walker's) elsewhere.  Run under generators
+  arrays of entries (as the walker's) elsewhere; a packed join adds along
+  the side with more words.  Run under generators
   systematic on disjoint information sets (windows), it lists a scalar
   multiple of every light codeword: `low_weight_min_char2` keeps the lightest
   under a vectorized weight of the planes (Hamming by default), and
@@ -183,7 +188,11 @@ def codeword_chunks(field, rows, n: int, count=None, packed=False):
     most _PIECE rows and _SUFFIX_CAP entries; the zero word is none.  A row
     holds a codeword's entries (`linalg._tables`: uint8, or object past 256
     elements) or, `packed` (GF(2)/GF(4), n <= 64), its uint64 bitplanes: lo
-    over GF(2), lo and hi over GF(4) (`pack_planes`).
+    over GF(2), lo and hi over GF(4) (`pack_planes`).  Packed, the table,
+    the first chunk's representatives and the later chunks' buffer are
+    plane-major, (planes, words) C-ordered arrays, so every addition runs
+    along the words; a chunk is a transpose, F-ordered, each plane one
+    contiguous run of words.
 
     The codewords of the last j rows are tabulated once, as large as those
     bounds and `count` allow; each chunk is that table plus one codeword of
@@ -224,24 +233,33 @@ def codeword_chunks(field, rows, n: int, count=None, packed=False):
         j += 1
     # from the last row up, each row the most significant digit so far; over
     # GF(q > 2) the table's representatives are each row's 1 plus the table
-    # before it, and a table of the whole code is not needed
-    table, firsts = zero[None], []
+    # before it, and a table of the whole code is not needed.  Packed, the
+    # table is plane-major, (width, words), so every addition runs along the
+    # words; its transpose hands out the words
+    table, firsts = (zero[:, None] if packed else zero[None]), []
     for row in reversed(rows[k - j:]):
         mults = multiple(slice(None), row)
+        if packed:  # C-ordered (width, q): a sum takes its operands' memory order
+            mults = np.ascontiguousarray(mults.T)
         if q > 2:
-            firsts.append(add(table, mults[1]))
+            firsts.append(add(table, mults[:, 1:2] if packed else mults[1]))
             if len(firsts) == k:
                 break
-        table = add(mults[:, None], table[None]).reshape(-1, width)
-    if packed:  # plane by plane: adding a word and reading a plane stay contiguous
-        table = np.asfortranarray(table)
+        if packed:
+            table = add(mults[:, :, None], table[:, None]).reshape(width, -1)
+        else:
+            table = add(mults[:, None], table[None]).reshape(-1, width)
+    size = table.shape[1] if packed else len(table)
     buf = None
     if firsts:  # packed, into the buffer of the later chunks, as large as the walk needs
         reps = (q**j - 1) // (q - 1)
-        buf = np.empty_like(table, shape=(max(reps, len(table)), width)) if packed else None
-        first = np.concatenate(firsts, out=None if buf is None else buf[:reps])
+        if packed:
+            buf = np.empty((width, max(reps, size)), dtype=np.uint64)
+            first = np.concatenate(firsts, axis=1, out=buf[:, :reps]).T
+        else:
+            first = np.concatenate(firsts)
     else:  # over GF(2) every nonzero row is a line; at j = 0 there is none
-        first = table[1:]
+        first = (table.T if packed else table)[1:]
     del firsts
     if left and len(first):  # the table fits `left`: q**j <= left
         yield first
@@ -252,12 +270,12 @@ def codeword_chunks(field, rows, n: int, count=None, packed=False):
     words = _message_words(rows[:k - j], q, add, multiple, zero, lines=True)
     next(words)  # the zero prefix, the first chunk's
     for p, word in zip(prefixes, words):
-        start = p * len(table)
+        start = p * size
         if start >= left:
             return
         if packed:
             buf = np.empty_like(table) if buf is None else buf
-            chunk = add(table, word, out=buf)
+            chunk = add(table, word[:, None], out=buf).T
         else:
             chunk = add(table, word)
         yield chunk[:left - start]
@@ -344,7 +362,8 @@ def _join(first, second, batch: int, add):
     lexicographic order and a tuple of (C, words, ...) arrays of their
     words (packed lo/hi planes, or one array of entries with a trailing
     axis).  A union's words are every `add` of a `first` word and a
-    `second` word, the `first` index the less significant digit.
+    `second` word, the `first` index the less significant digit; packed,
+    each addition runs along the side with more words (`_sums`).
     """
     sa, planes_a = first
     sb, planes_b = second
@@ -358,8 +377,22 @@ def _join(first, second, batch: int, add):
         i = np.searchsorted(ends, pair, side="right")
         j = after[i] + pair - (ends[i] - counts[i])
         yield np.concatenate([sa[i], sb[j]], axis=1), tuple(
-            add(b[j][:, :, None], a[i][:, None]).reshape(len(pair), -1, *b.shape[2:])
-            for a, b in zip(planes_a, planes_b))
+            _sums(a[i], b[j], add) for a, b in zip(planes_a, planes_b))
+
+
+def _sums(a, b, add):
+    """The (C, Wb * Wa, ...) array of every `add` of a word of each row of
+    `a`, (C, Wa, ...), and one of the same row of `b`, (C, Wb, ...), the
+    `a` word the less significant digit.  Packed (2-D) with Wa < Wb, one
+    addition per `a` word, written strided into the (C, Wb, Wa) output, so
+    each runs along the longer side; otherwise one broadcast."""
+    if a.ndim == 2 and a.shape[1] < b.shape[1]:
+        out = np.empty(b.shape + a.shape[1:], dtype=a.dtype)
+        for x in range(a.shape[1]):
+            add(b, a[:, x, None], out=out[:, :, x])
+    else:
+        out = add(b[:, :, None], a[:, None])
+    return out.reshape(len(b), -1, *b.shape[2:])
 
 
 def low_weight_blocks(field, rows, n: int, max_msg_weight: int, min_msg_weight: int = 1):

@@ -509,6 +509,32 @@ def test_top_level_json_must_be_an_object(tmp_path, capsys):
     assert_input_error(*run_cli(capsys, "code", "info", str(p)))
 
 
+def test_generator_errors_name_the_entry():
+    # the rows are read on two type sets where they are lists of ints; any
+    # other generator is walked entry by entry and named as before
+    from srlab.errors import EntryOutOfRange, LengthMismatch, MalformedInput
+    from srlab.jsonio import sr_code_from_obj
+    cases = [
+        ([[1, True]], MalformedInput, "generator[0][1]: expected an integer, got True"),
+        ([[0, 1], [1, 1.5]], MalformedInput, "generator[1][1]: expected an integer, got 1.5"),
+        ([[0, 1], [1, "1"]], MalformedInput, "generator[1][1]: expected an integer, got '1'"),
+        ([[1, 1], 5], MalformedInput, "generator[1]: expected a list, got 5"),
+        ([[1, 1], [[1], 0]], MalformedInput, "generator[1][0]: expected an integer, got [1]"),
+        ({"a": 1}, MalformedInput, "generator: expected a list, got {'a': 1}"),
+        ([[1, 7]], EntryOutOfRange, "entry 7 is not an element of GF(4)"),
+        ([[1, -1]], EntryOutOfRange, "entry -1 is not an element of GF(4)"),
+        ([[1, 1], [1]], LengthMismatch, "row length 1 != 2"),
+    ]
+    for gen, error, message in cases:
+        for read, obj in ((code_from_obj, {"q_tower": F4_TOWER, "n": 2}),
+                          (sr_code_from_obj, {"q_tower": F4_TOWER, "blocks": [[1, 2]]})):
+            with pytest.raises(error) as info:
+                read({**obj, "generator": gen})
+            assert str(info.value) == message, (gen, read)
+    c = code_from_obj({"q_tower": F4_TOWER, "n": 3, "generator": [[1, 2, 3], [0, 1, 1]]})
+    assert c.k == 2 and code_to_obj(c)["generator"] == [[1, 0, 1], [0, 1, 1]]
+
+
 _json_leaf = st.one_of(st.none(), st.booleans(), st.integers(-2, 4),
                        st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=2))
 _json = st.recursive(_json_leaf, lambda inner: st.lists(inner, max_size=3)

@@ -149,6 +149,25 @@ def test_packed_chunks_after_the_table_share_one_buffer(monkeypatch, piece, cap)
             assert all(np.shares_memory(first, c) for c in rest)
 
 
+@pytest.mark.parametrize("piece, cap", _SMALL_CHUNKS)
+def test_packed_chunks_hold_contiguous_planes(monkeypatch, piece, cap):
+    # the table is built plane-major, so each plane of every packed chunk
+    # (the first chunk's lines, the table and the later chunks' buffer) is
+    # one contiguous run of words; the count cuts vary the table's depth
+    _small_chunks(monkeypatch, piece, cap)
+    rnd = random.Random(52)
+    cases = 0
+    for field, k in ((F2, 1), (F2, 6), (F2, 17), (F4, 1), (F4, 4), (F4, 9)):
+        q = field.order
+        rows = entries(field, [[rnd.randrange(q) for _ in range(33)] for _ in range(k)], 33)
+        for count in (None, 1, 2, q, q**2 + 1, q**3 - 1, q**4, q**k // 2 + 1):
+            for chunk in wordenum.codeword_chunks(field, rows, 33, count, packed=True):
+                assert all(chunk[:, p].flags.c_contiguous for p in range(chunk.shape[1])), \
+                    (q, k, count, chunk.strides)
+                cases += 1
+    assert cases > 60
+
+
 def _outcome(search):
     try:
         return "exact", search()
@@ -733,6 +752,44 @@ def test_low_weight_lister_matches_plain_loop(monkeypatch):
         found, witness = c.low_weight_scan(c.k)
         assert found == c.min_distance() == sum(1 for v in witness if v)
         assert c.contains(witness)
+
+
+@pytest.mark.parametrize("piece", [None, 8])
+def test_packed_lister_batches_keep_the_broadcast_order(monkeypatch, piece):
+    # a packed batch adds each first-half word into its strided slot where
+    # the first half has fewer words than the second (GF(4) past weight 1),
+    # and broadcasts elsewhere (GF(2), the levels, entry arrays); either way
+    # its words are those of one broadcast, the first-half word the less
+    # significant digit, and each batch is a fresh C-ordered 2-D array
+    if piece is not None:
+        monkeypatch.setattr(wordenum, "_PIECE", piece)
+    sums = wordenum._sums
+    taken = set()
+
+    def spied(a, b, add):
+        taken.add((a.ndim, a.ndim == 2 and a.shape[1] < b.shape[1]))  # strided
+        return sums(a, b, add)
+
+    def broadcast(a, b, add):
+        return add(b[:, :, None], a[:, None]).reshape(len(b), -1, *b.shape[2:])
+    rnd = random.Random(53)
+    for field, n, k, depth in ((F4, 20, 9, 5), (F4, 64, 7, 4), (F2, 24, 10, 5), (F3, 8, 6, 4)):
+        rows = entries(field, [[rnd.randrange(field.order) for _ in range(n)] for _ in range(k)], n)
+        batches = []
+        for kernel in (spied, broadcast):
+            monkeypatch.setattr(wordenum, "_sums", kernel)
+            batches.append(list(low_weight_blocks(field, rows, n, depth)))
+        got, want = batches
+        assert len(got) == len(want) > 1
+        for (sets, words), (want_sets, want_words) in zip(got, want):
+            assert np.array_equal(sets, want_sets)
+            for w, v in zip(*((words, want_words) if packable_char2(field, n) else ([words], [want_words]))):
+                assert w.dtype == v.dtype and np.array_equal(w, v)
+                assert w.flags.c_contiguous and w.ndim == (2 if packable_char2(field, n) else 3)
+        packed = [words for _, words in got if packable_char2(field, n)]
+        assert not any(np.shares_memory(a[0], b[0]) or np.shares_memory(a[1], b[1])
+                       for a, b in zip(packed, packed[1:]))
+    assert taken == {(2, True), (2, False), (3, False)}
 
 
 def _plain_low_weight_min(c, depth, lowest=1):

@@ -416,6 +416,21 @@ def test_from_rows_rejects_entries_outside_the_field(field):
         LinearCode.from_rows(field, 2, np.array([[1.5, 1]]))
 
 
+@pytest.mark.parametrize("field", (F3, F4, extension(prime_field(17), 2)), ids=repr)
+def test_matrix_constructor_rejects_entries_outside_the_field(field):
+    # MatrixGF(field, rows) checks as from_rows does; GF(289) holds object arrays
+    q = field.order
+    for bad in [-1, q, q + 1, 2**70] + [256] * (q <= 256):
+        with pytest.raises(EntryOutOfRange, match=f"^entry {bad} is not an element of GF\\({q}\\)$"):
+            MatrixGF(field, [[1, 0, 1], [0, bad, 1]])
+    for bad, shown in ((2.5, "2.5"), (1.0, "1.0"), ("1", "'1'"), (None, "None")):
+        with pytest.raises(EntryOutOfRange, match=f"^entry {shown} is not an element of GF\\({q}\\)$"):
+            MatrixGF(field, [[1, bad]])
+    m = MatrixGF(field, [[True, np.int64(q - 1)], [np.uint16(0), 1]])
+    assert m == MatrixGF(field, [[1, q - 1], [0, 1]]) and m.rank() == 2
+    assert MatrixGF(field, [], 3).shape == (0, 3)
+
+
 @pytest.mark.parametrize("field", HELD_FIELDS, ids=repr)
 def test_from_rows_takes_bools_numpy_integers_and_arrays(field):
     rows = [[1, 0, field.order - 1], [0, 1, 1]]
