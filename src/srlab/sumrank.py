@@ -74,14 +74,16 @@ class BlockProfile:
     def is_uniform(self) -> bool:
         return len(set(self.blocks)) <= 1
 
-    def _check(self, word: Sequence[int]) -> None:
+    def _check(self, word: Sequence[int], entries: bool = True) -> None:
         if len(word) != self.total:
             raise LengthMismatch(f"word length {len(word)} != {self.total}")
-        check_entries(self.field, [word])
+        if entries:
+            check_entries(self.field, [word])
 
     def matrices(self, word: Sequence[int]) -> Tuple[MatrixGF, ...]:
-        """The blocks of a flat word, each read row-major."""
-        self._check(word)
+        """The blocks of a flat word, each read row-major; `MatrixGF`
+        checks their entries, block by block in word order."""
+        self._check(word, entries=False)
         return tuple(
             MatrixGF(self.field, [word[off + r * n : off + (r + 1) * n] for r in range(m)], n)
             for off, (m, n) in zip(self.offsets, self.blocks)
